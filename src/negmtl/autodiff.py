@@ -1,9 +1,14 @@
 """Reverse-mode automatic differentiation over numpy float64 buffers.
 
-A ``Tape`` records one ``Node`` per primitive operation while it is the
-innermost active tape.  ``backward(loss)`` replays the recorded nodes in
-exact reverse order, accumulating vector-Jacobian products into the
-``grad`` buffers of leaf tensors.  There is no broadcasting beyond 0-d
+A ``Tape`` records one ``Node`` per operation while it is the innermost
+active tape.  An operation is either one of the generic primitives
+below or a fused op built on the same ``_make_output`` hook: the
+sequence ops in ``layers`` (one node per LSTM direction) and ``crf``
+(one node each for the log-partition and the gold-path score) run
+their loops in numpy and record a single node with a hand-written
+backward pass.  ``backward(loss)`` replays the recorded nodes in exact
+reverse order, accumulating vector-Jacobian products into the ``grad``
+buffers of leaf tensors.  There is no broadcasting beyond 0-d
 scalars; shape mismatches fail loudly at the offending operation rather
 than producing silently misaligned gradients.
 
@@ -285,11 +290,6 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
 # Shape and indexing
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    orig = a.data.shape
-    return _make_output(a.data.reshape(shape), (a,), lambda g: (g.reshape(orig),))
-
-
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise AutodiffError(f"transpose: expected a matrix, got shape {a.data.shape}")
@@ -317,16 +317,6 @@ def stack_rows(rows: Sequence[Tensor]) -> Tensor:
     return _make_output(np.stack([r.data for r in rows]), tuple(rows), bw)
 
 
-def row(a: Tensor, i: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise AutodiffError(f"row: expected a matrix, got shape {a.data.shape}")
-    def bw(g):
-        ga = np.zeros_like(a.data)
-        ga[i] = g
-        return (ga,)
-    return _make_output(a.data[i], (a,), bw)
-
-
 def rows(a: Tensor, indices) -> Tensor:
     """Gather matrix rows by index; duplicate indices accumulate gradient."""
     idx = np.asarray(indices, dtype=np.intp)
@@ -341,45 +331,6 @@ def rows(a: Tensor, indices) -> Tensor:
     return _make_output(a.data[idx], (a,), bw)
 
 
-def take(a: Tensor, flat_index: int) -> Tensor:
-    """Select one element by flattened index, as a 0-d tensor."""
-    if not 0 <= flat_index < a.data.size:
-        raise AutodiffError(f"take: index {flat_index} out of range for size {a.data.size}")
-    def bw(g):
-        ga = np.zeros_like(a.data)
-        ga.reshape(-1)[flat_index] = g
-        return (ga,)
-    return _make_output(a.data.reshape(-1)[flat_index].copy(), (a,), bw)
-
-
-def slice2d(a: Tensor, row_range: tuple[int, int], col_range: tuple[int, int]) -> Tensor:
-    """Contiguous sub-block of a matrix."""
-    r0, r1 = row_range
-    c0, c1 = col_range
-    if a.data.ndim != 2:
-        raise AutodiffError(f"slice2d: expected a matrix, got shape {a.data.shape}")
-    n_rows, n_cols = a.data.shape
-    if not (0 <= r0 <= r1 <= n_rows and 0 <= c0 <= c1 <= n_cols):
-        raise AutodiffError(f"slice2d: bad block [{r0}:{r1}, {c0}:{c1}] of {a.data.shape}")
-    def bw(g):
-        ga = np.zeros_like(a.data)
-        ga[r0:r1, c0:c1] = g
-        return (ga,)
-    return _make_output(a.data[r0:r1, c0:c1], (a,), bw)
-
-
-def slice1d(a: Tensor, lo: int, hi: int) -> Tensor:
-    if a.data.ndim != 1:
-        raise AutodiffError(f"slice1d: expected a vector, got shape {a.data.shape}")
-    if not 0 <= lo <= hi <= a.data.shape[0]:
-        raise AutodiffError(f"slice1d: bad range [{lo}, {hi}) for length {a.data.shape[0]}")
-    def bw(g):
-        ga = np.zeros_like(a.data)
-        ga[lo:hi] = g
-        return (ga,)
-    return _make_output(a.data[lo:hi], (a,), bw)
-
-
 # ---------------------------------------------------------------------------
 # Reductions and losses
 
@@ -388,26 +339,6 @@ def sum_all(a: Tensor) -> Tensor:
     def bw(g):
         return (np.full(a.data.shape, float(g)),)
     return _make_output(np.asarray(a.data.sum()), (a,), bw)
-
-
-def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
-    """Numerically stable log(sum(exp(a))) over all elements or one axis."""
-    if axis is not None and (a.data.ndim != 2 or axis not in (0, 1)):
-        raise AutodiffError(
-            f"logsumexp: axis {axis} only supported for matrices, got shape {a.data.shape}"
-        )
-    m = a.data.max(axis=axis, keepdims=axis is not None)
-    out = np.log(np.exp(a.data - m).sum(axis=axis, keepdims=axis is not None)) + m
-    if axis is not None:
-        out = out.squeeze(axis=axis)
-    def bw(g):
-        if axis is None:
-            soft = np.exp(a.data - out)
-            return (soft * float(g),)
-        expanded = np.expand_dims(out, axis)
-        soft = np.exp(a.data - expanded)
-        return (soft * np.expand_dims(g, axis),)
-    return _make_output(np.asarray(out), (a,), bw)
 
 
 def max_over_time(h: Tensor) -> Tensor:

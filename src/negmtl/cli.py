@@ -424,7 +424,7 @@ def _gradcheck_cases(seed: int, inject_bug: bool):
         subset = {
             n: named[n]
             for n in ("embedding.weights", "sent_fwd.w", "sent_fwd.u", "sent_fwd.b",
-                      "sent_bwd.w", "emission.w", "emission.b")
+                      "sent_bwd.w", "sent_bwd.u", "sent_bwd.b", "emission.w", "emission.b")
         }
 
         def f():

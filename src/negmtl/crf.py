@@ -2,10 +2,13 @@
 
 The transition matrix has two virtual states appended after the K real
 tags: row START scores how sequences begin, column STOP scores how they
-end.  Training goes through the differentiable negative log-likelihood
-(forward algorithm in log space); decoding is plain numpy Viterbi.  A
-brute-force enumerator over all K^T paths provides an independent check
-of both.
+end.  Training goes through the differentiable negative log-likelihood,
+which records three tape nodes whatever the sentence length: the
+log-partition (forward algorithm in log space, with the node and pair
+marginals of a backward recursion as its hand-written gradient), the
+gold-path score (gradient: the path's indicator counts) and their
+difference.  Decoding is plain numpy Viterbi.  A brute-force enumerator
+over all K^T paths provides an independent check of both.
 """
 
 from __future__ import annotations
@@ -68,39 +71,68 @@ def _check_tags(num_tags: int, t_len: int, tags: Sequence[int]):
 
 def score_sequence(crf: CrfParams, emissions: Tensor, tags: Sequence[int]) -> Tensor:
     """Unnormalized path score: emissions along ``tags`` plus transitions
-    including the START and STOP bookends."""
+    including the START and STOP bookends, as one tape node whose
+    gradient is the gold path's indicator counts."""
     k = crf.num_tags
     t_len = emissions.data.shape[0]
     _check_emissions(k, emissions.data.shape)
     _check_tags(k, t_len, tags)
 
-    width = k + 2
-    total = ad.take(crf.transitions, crf.start * width + tags[0])
-    for t in range(t_len):
-        total = ad.add(total, ad.take(emissions, t * k + tags[t]))
-        if t + 1 < t_len:
-            total = ad.add(total, ad.take(crf.transitions, tags[t] * width + tags[t + 1]))
-    return ad.add(total, ad.take(crf.transitions, tags[-1] * width + crf.stop))
+    steps = np.arange(t_len)
+    tag_ids = np.asarray(tags, dtype=np.intp)
+    src = np.concatenate(([crf.start], tag_ids))
+    dst = np.concatenate((tag_ids, [crf.stop]))
+    total = crf.transitions.data[src, dst].sum() + emissions.data[steps, tag_ids].sum()
+
+    def bw(g):
+        g_trans = np.zeros_like(crf.transitions.data)
+        np.add.at(g_trans, (src, dst), g)
+        g_em = np.zeros_like(emissions.data)
+        g_em[steps, tag_ids] = g
+        return g_trans, g_em
+
+    return ad._make_output(np.asarray(total), (crf.transitions, emissions), bw)
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    m = a.max(axis=axis, keepdims=True)
+    return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
 def log_partition(crf: CrfParams, emissions: Tensor) -> Tensor:
-    """log of the summed exp-scores of all K^T tag sequences, by the
-    forward recursion in log space."""
+    """log of the summed exp-scores of all K^T tag sequences, as one tape
+    node.  The forward recursion in log space gives the value; its
+    gradient is the node and pair marginals from a backward recursion."""
     k = crf.num_tags
     _check_emissions(k, emissions.data.shape)
     t_len = emissions.data.shape[0]
+    trans = crf.transitions.data
+    em = emissions.data
+    inner = trans[:k, :k]  # [from, to]
+    stop = trans[:k, crf.stop]
 
-    start_scores = ad.reshape(ad.slice2d(crf.transitions, (crf.start, crf.start + 1), (0, k)), (k,))
-    stop_scores = ad.reshape(ad.slice2d(crf.transitions, (0, k), (crf.stop, crf.stop + 1)), (k,))
-    # inner[j][i] = score of tag i followed by tag j, laid out for a
-    # row-broadcast add of the previous alphas
-    inner_t = ad.transpose(ad.slice2d(crf.transitions, (0, k), (0, k)))
-
-    alpha = ad.add(start_scores, ad.row(emissions, 0))
+    alpha = np.empty((t_len, k))
+    alpha[0] = trans[crf.start, :k] + em[0]
     for t in range(1, t_len):
-        fanned = ad.add_rowvec(inner_t, alpha)
-        alpha = ad.add(ad.logsumexp(fanned, axis=1), ad.row(emissions, t))
-    return ad.logsumexp(ad.add(alpha, stop_scores))
+        alpha[t] = _logsumexp(alpha[t - 1][:, None] + inner, axis=0) + em[t]
+    log_z = _logsumexp(alpha[-1] + stop, axis=0)
+
+    def bw(g):
+        # beta[t, i]: log-sum of the scores of every continuation after
+        # tag i at position t, up to and including STOP
+        beta = np.empty((t_len, k))
+        beta[-1] = stop
+        for t in range(t_len - 2, -1, -1):
+            beta[t] = _logsumexp(inner + (em[t + 1] + beta[t + 1]), axis=1)
+        node = np.exp(alpha + beta - log_z) * g
+        pair = np.exp(alpha[:-1, :, None] + inner + (em[1:] + beta[1:])[:, None, :] - log_z)
+        g_trans = np.zeros_like(trans)
+        g_trans[:k, :k] = pair.sum(axis=0) * g
+        g_trans[crf.start, :k] = node[0]
+        g_trans[:k, crf.stop] = node[-1]
+        return g_trans, node
+
+    return ad._make_output(np.asarray(log_z), (crf.transitions, emissions), bw)
 
 
 def crf_nll(crf: CrfParams, emissions: Tensor, tags: Sequence[int]) -> Tensor:

@@ -1,5 +1,11 @@
 """Neural network building blocks: embeddings, LSTMs, linear maps, dropout.
 
+An LSTM direction is one fused tape op, ``lstm_sequence``: the input
+projection for every timestep is a single matmul ahead of the
+recurrence, only ``U @ h`` and the gates run step by step in numpy, and
+the backward pass is hand-written backpropagation through time.  A
+per-step reference built from generic primitives lives in the tests.
+
 All parameters live in small dataclasses of leaf tensors so that model
 code can enumerate, initialize and update them by name.  Initialization
 draws from a caller-provided ``numpy.random.Generator``; the draw order
@@ -78,39 +84,90 @@ class LstmParams:
         return self.u.data.shape[1]
 
 
-def lstm_step(p: LstmParams, x_t: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM cell update; returns (h_t, c_t)."""
-    d = p.hidden_dim
-    z = ad.add(ad.add(ad.matvec(p.w, x_t), ad.matvec(p.u, h_prev)), p.b)
-    i = ad.sigmoid(ad.slice1d(z, 0, d))
-    f = ad.sigmoid(ad.slice1d(z, d, 2 * d))
-    g = ad.tanh(ad.slice1d(z, 2 * d, 3 * d))
-    o = ad.sigmoid(ad.slice1d(z, 3 * d, 4 * d))
-    c_t = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-    h_t = ad.mul(o, ad.tanh(c_t))
-    return h_t, c_t
-
-
-def lstm_run(p: LstmParams, inputs: Tensor, reverse: bool = False) -> list[Tensor]:
+def lstm_sequence(p: LstmParams, inputs: Tensor, reverse: bool = False) -> Tensor:
     """Run one direction over a (T, input_dim) matrix from zero initial
-    state.  Returns hidden vectors in input order regardless of direction."""
-    t_len = inputs.data.shape[0]
-    h = Tensor(np.zeros(p.hidden_dim))
-    c = Tensor(np.zeros(p.hidden_dim))
-    steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    out: list[Tensor | None] = [None] * t_len
-    for t in steps:
-        h, c = lstm_step(p, ad.row(inputs, t), h, c)
-        out[t] = h
-    return out  # type: ignore[return-value]
+    state, recorded as a single tape node.  Returns the (T, d) hidden
+    states in input order regardless of direction.
+
+    The input projection ``X @ W.T + b`` is one (T, 4d) matmul ahead of
+    the recurrence, so only ``U @ h`` and the gate nonlinearities run
+    step by step.  The backward pass is hand-written backpropagation
+    through time over the cached gates and cell states.
+    """
+    x = inputs.data
+    d = p.hidden_dim
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != p.w.data.shape[1]:
+        raise ad.AutodiffError(
+            f"lstm_sequence: inputs {x.shape} do not match w {p.w.data.shape}"
+        )
+    t_len = x.shape[0]
+    xs = x[::-1] if reverse else x  # processing order
+    # sigmoid(z) = 0.5 * tanh(0.5 z) + 0.5 (overflow-free, as ad.sigmoid)
+    # and tanh(z) = 1.0 * tanh(1.0 z) + 0.0, so one tanh over the (4d,)
+    # pre-activation yields all four gates.  Scaling by 0.5 is exact, so
+    # folding it into the projection and U changes no bits.
+    scale = np.full(4 * d, 0.5)
+    scale[2 * d : 3 * d] = 1.0
+    offset = 1.0 - scale
+    projected = (xs @ p.w.data.T + p.b.data) * scale
+    u_scaled = p.u.data * scale[:, None]
+
+    gates = np.empty((t_len, 4 * d))  # i, f, g, o after their nonlinearity
+    cells = np.empty((t_len, d))
+    tanh_cells = np.empty((t_len, d))
+    hidden = np.empty((t_len, d))
+    h = c = np.zeros(d)
+    for s in range(t_len):
+        act = gates[s]
+        np.tanh(projected[s] + u_scaled @ h, out=act)
+        act *= scale
+        act += offset
+        c = np.multiply(act[d : 2 * d], c, out=cells[s])
+        c += act[:d] * act[2 * d : 3 * d]
+        tc = np.tanh(c, out=tanh_cells[s])
+        h = np.multiply(act[3 * d :], tc, out=hidden[s])
+
+    def bw(g_out):
+        i, f, g, o = (gates[:, k * d : (k + 1) * d] for k in range(4))
+        c_prev = np.vstack([np.zeros((1, d)), cells[:-1]])
+        h_prev = np.vstack([np.zeros((1, d)), hidden[:-1]])
+        # per-step factors that do not depend on the recursion
+        sig_i, sig_f, sig_o = i * (1.0 - i), f * (1.0 - f), o * (1.0 - o)
+        dc_from_h = o * (1.0 - tanh_cells * tanh_cells)
+        dz_from_c = np.stack([g * sig_i, c_prev * sig_f, i * (1.0 - g * g)], axis=1)  # (T, 3, d)
+        dz_from_h = tanh_cells * sig_o
+        g_seq = g_out[::-1] if reverse else g_out
+        dz = np.empty((t_len, 4 * d))
+        dz_cell = dz[:, : 3 * d].reshape(t_len, 3, d)
+        dh_next = dc_next = np.zeros(d)
+        u = p.u.data
+        for s in range(t_len - 1, -1, -1):
+            dh = g_seq[s] + dh_next
+            dc = dh * dc_from_h[s] + dc_next
+            np.multiply(dc, dz_from_c[s], out=dz_cell[s])
+            np.multiply(dh, dz_from_h[s], out=dz[s, 3 * d :])
+            dh_next = dz[s] @ u
+            dc_next = dc * f[s]
+        g_inputs = None
+        if inputs.requires_grad:
+            g_inputs = dz @ p.w.data
+            if reverse:
+                g_inputs = g_inputs[::-1]
+        return (
+            g_inputs,
+            dz.T @ xs if p.w.requires_grad else None,
+            dz.T @ h_prev if p.u.requires_grad else None,
+            dz.sum(axis=0) if p.b.requires_grad else None,
+        )
+
+    out = hidden[::-1] if reverse else hidden
+    return ad._make_output(out, (inputs, p.w, p.u, p.b), bw)
 
 
 def bilstm(fwd: LstmParams, bwd: LstmParams, inputs: Tensor) -> Tensor:
     """Bidirectional encoding of a (T, input_dim) matrix into (T, 2d):
     forward and backward hidden states concatenated per position."""
-    forward = lstm_run(fwd, inputs)
-    backward = lstm_run(bwd, inputs, reverse=True)
-    return ad.stack_rows([ad.concat(f, b) for f, b in zip(forward, backward)])
+    return ad.concat(lstm_sequence(fwd, inputs), lstm_sequence(bwd, inputs, reverse=True), axis=1)
 
 
 @dataclass

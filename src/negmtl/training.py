@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -231,6 +232,65 @@ def save_checkpoint(ckpt: Checkpoint, path):
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
+_HEADER_KEYS = ("version", "config", "vocabulary", "manifest")
+
+
+def _check_header(path, header) -> list[tuple[str, tuple[int, ...], int, int]]:
+    """Validate a decoded checkpoint header before anything reads it.
+
+    Returns (name, shape, offset, byte count) per manifest entry, in
+    manifest order, with offsets starting at 0 and each blob starting
+    where the previous one ends.
+    """
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is a JSON {type(header).__name__}, not an object")
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise CheckpointError(f"{path}: header lacks {', '.join(map(repr, missing))}")
+    version = header["version"]
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{path}: unsupported checkpoint version {version!r} (expected {CHECKPOINT_VERSION})"
+        )
+    for key in ("config", "vocabulary"):
+        if not isinstance(header[key], dict):
+            raise CheckpointError(f"{path}: header {key!r} is not a JSON object")
+    if not isinstance(header["manifest"], list):
+        raise CheckpointError(f"{path}: header 'manifest' is not a JSON list")
+
+    def is_count(v) -> bool:
+        return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+    blobs = []
+    seen = set()
+    end = 0
+    for i, entry in enumerate(header["manifest"]):
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise CheckpointError(f"{path}: manifest entry {i} is not an object with a string name")
+        name = entry["name"]
+        if name in seen:
+            raise CheckpointError(f"{path}: manifest names parameter {name!r} twice")
+        seen.add(name)
+        shape, offset = entry.get("shape"), entry.get("offset")
+        if not isinstance(shape, list) or not all(is_count(n) for n in shape):
+            raise CheckpointError(
+                f"{path}: parameter {name!r} has shape {shape!r}, not a list of non-negative integers"
+            )
+        if not is_count(offset):
+            raise CheckpointError(
+                f"{path}: parameter {name!r} has offset {offset!r}, not a non-negative integer"
+            )
+        if offset != end:
+            relation = "overlaps the previous blob" if offset < end else "leaves a gap"
+            raise CheckpointError(
+                f"{path}: parameter {name!r} at offset {offset} {relation} (expected offset {end})"
+            )
+        n_bytes = math.prod(shape) * 4  # Python ints: a huge shape cannot wrap
+        blobs.append((name, tuple(shape), offset, n_bytes))
+        end = offset + n_bytes
+    return blobs
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -248,31 +308,23 @@ def load_checkpoint(path) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: unreadable header ({e})") from e
     pos += header_len
-    version = header.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported checkpoint version {version!r} (expected {CHECKPOINT_VERSION})"
-        )
+    blobs = _check_header(path, header)
 
     body = raw[pos:]
     arrays: dict[str, np.ndarray] = {}
     end = 0
-    for entry in header["manifest"]:
-        shape = tuple(entry["shape"])
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
-        lo = entry["offset"]
-        hi = lo + n_bytes
-        if hi > len(body):
-            raise CheckpointError(f"{path}: truncated blob for parameter {entry['name']!r}")
-        arrays[entry["name"]] = (
+    for name, shape, lo, n_bytes in blobs:
+        end = lo + n_bytes
+        if end > len(body):
+            raise CheckpointError(f"{path}: truncated blob for parameter {name!r}")
+        arrays[name] = (
             np.frombuffer(body, dtype="<f4", count=n_bytes // 4, offset=lo)
             .reshape(shape)
             .astype(np.float32)
         )
-        end = max(end, hi)
     if end != len(body):
         raise CheckpointError(f"{path}: {len(body) - end} trailing bytes after parameter blobs")
-    return Checkpoint(header["config"], header["vocabulary"], arrays, version)
+    return Checkpoint(header["config"], header["vocabulary"], arrays, header["version"])
 
 
 # ---------------------------------------------------------------------------

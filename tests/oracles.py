@@ -51,3 +51,93 @@ def weighted_sum(t: Tensor, seed: int = 7) -> Tensor:
     rng = np.random.default_rng(seed)
     w = Tensor(rng.normal(size=t.data.shape))
     return ad.sum_all(ad.mul(t, w))
+
+
+# ---------------------------------------------------------------------------
+# Composed references for the fused sequence ops.  Each is built step by
+# step from generic tape primitives, so its values and its gradients are
+# independent of the hand-written backward passes in layers and crf.
+
+
+def lstm_reference(p, inputs: Tensor, reverse: bool = False) -> Tensor:
+    """Per-step LSTM over a (T, input_dim) matrix from zero initial state:
+    z = W x_t + U h + b, gates i, f, g, o, then the cell and hidden
+    updates.  Returns the (T, d) hidden states in input order."""
+    d = p.hidden_dim
+    t_len = inputs.data.shape[0]
+    w_t, u_t = ad.transpose(p.w), ad.transpose(p.u)
+    gate = [Tensor(np.eye(4 * d)[:, k * d : (k + 1) * d]) for k in range(4)]  # column pickers
+    h = c = Tensor(np.zeros((1, d)))
+    out: list = [None] * t_len
+    for t in (range(t_len - 1, -1, -1) if reverse else range(t_len)):
+        z = ad.add_rowvec(ad.add(ad.matmul(ad.rows(inputs, [t]), w_t), ad.matmul(h, u_t)), p.b)
+        i, f, g, o = (
+            act(ad.matmul(z, sel))
+            for act, sel in zip((ad.sigmoid, ad.sigmoid, ad.tanh, ad.sigmoid), gate)
+        )
+        c = ad.add(ad.mul(f, c), ad.mul(i, g))
+        h = ad.mul(o, ad.tanh(c))
+        out[t] = h
+    stacked = out[0]
+    for h in out[1:]:
+        stacked = ad.concat(stacked, h)
+    return stacked
+
+
+def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
+    """Numerically stable log(sum(exp(a))) over all elements or over one
+    axis of a matrix (that axis is dropped), as a tape op.
+
+    Only the composed CRF reference needs it: the library's CRF is a
+    fused op with its own recursion."""
+    if axis is not None and (a.data.ndim != 2 or axis not in (0, 1)):
+        raise ValueError(f"logsumexp: axis {axis} needs a matrix, got shape {a.data.shape}")
+    m = a.data.max(axis=axis, keepdims=True)
+    kept = m + np.log(np.exp(a.data - m).sum(axis=axis, keepdims=True))
+
+    def bw(g):
+        return (np.exp(a.data - kept) * (g if axis is None else np.expand_dims(g, axis)),)
+
+    out = kept.reshape(()) if axis is None else kept.squeeze(axis)
+    return ad._make_output(out, (a,), bw)
+
+
+def _pick(m: Tensor, i: int) -> Tensor:
+    """Column i of a matrix as a vector."""
+    return ad.matvec(m, Tensor(np.eye(m.data.shape[1])[i]))
+
+
+def crf_log_partition_reference(transitions: Tensor, emissions: Tensor) -> Tensor:
+    """The CRF forward recursion in log space, one step per position."""
+    t_len, k = emissions.data.shape
+    real = Tensor(np.eye(k + 2)[:k])  # (k, k+2): keeps the real tags
+    trans_t = ad.transpose(transitions)  # [to, from]
+    em_t = ad.transpose(emissions)
+    start = ad.matvec(real, _pick(trans_t, k))
+    stop = ad.matvec(real, _pick(transitions, k + 1))
+    inner_t = ad.matmul(ad.matmul(real, trans_t), ad.transpose(real))  # [to, from]
+    alpha = ad.add(start, _pick(em_t, 0))
+    for t in range(1, t_len):
+        alpha = ad.add(logsumexp(ad.add_rowvec(inner_t, alpha), axis=1), _pick(em_t, t))
+    return logsumexp(ad.add(alpha, stop))
+
+
+def crf_score_reference(transitions: Tensor, emissions: Tensor, tags) -> Tensor:
+    """Gold-path score as weighted sums with 0/1 (or count) masks."""
+    t_len, k = emissions.data.shape
+    em_mask = np.zeros((t_len, k))
+    em_mask[np.arange(t_len), tags] = 1.0
+    trans_counts = np.zeros((k + 2, k + 2))
+    for a, b in zip([k, *tags], [*tags, k + 1]):
+        trans_counts[a, b] += 1.0
+    return ad.add(
+        ad.sum_all(ad.mul(emissions, Tensor(em_mask))),
+        ad.sum_all(ad.mul(transitions, Tensor(trans_counts))),
+    )
+
+
+def crf_nll_reference(transitions: Tensor, emissions: Tensor, tags) -> Tensor:
+    return ad.sub(
+        crf_log_partition_reference(transitions, emissions),
+        crf_score_reference(transitions, emissions, tags),
+    )

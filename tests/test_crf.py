@@ -15,7 +15,12 @@ from negmtl.crf import (
     score_sequence,
     viterbi_decode,
 )
-from oracles import assert_op_grads
+from oracles import (
+    assert_op_grads,
+    crf_log_partition_reference,
+    crf_nll_reference,
+    crf_score_reference,
+)
 
 
 def random_instance(rng, t_len, k, scale=1.0):
@@ -51,6 +56,22 @@ class TestScoreSequence:
             for t in range(1, 4):
                 want += trans[tags[t - 1], tags[t]] + em[t, tags[t]]
             np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_gradient_is_gold_path_indicator(self):
+        rng = np.random.default_rng(5)
+        trans, em = random_instance(rng, 5, 3)
+        tags = [1, 1, 1, 0, 2]  # 1 -> 1 twice: counts, not flags
+        grads = []
+        for score in (score_sequence, lambda crf, e, t: crf_score_reference(crf.transitions, e, t)):
+            crf = make_crf(trans)
+            em_t = Tensor(em, requires_grad=True)
+            with Tape():
+                backward(score(crf, em_t, tags))
+            grads.append((crf.transitions.grad, em_t.grad))
+        (g_trans, g_em), (ref_trans, ref_em) = grads
+        np.testing.assert_array_equal(g_trans, ref_trans)
+        np.testing.assert_array_equal(g_em, ref_em)
+        assert g_trans[1, 1] == 2.0 and g_trans[3, 1] == 1.0 and g_trans[2, 4] == 1.0
 
     def test_rejects_bad_tags(self):
         crf = make_crf(np.zeros((4, 4)))
@@ -101,9 +122,20 @@ class TestLogPartition:
     def test_agrees_with_enumeration(self, seed, t_len, k):
         rng = np.random.default_rng(seed)
         trans, em = random_instance(rng, t_len, k, scale=2.0)
-        crf = make_crf(trans)
         want = brute_force(trans, em).log_partition
-        np.testing.assert_allclose(log_partition(crf, Tensor(em)).item(), want, atol=1e-10)
+        grads = []
+        for log_z in (log_partition, lambda crf, e: crf_log_partition_reference(crf.transitions, e)):
+            crf = make_crf(trans)
+            em_t = Tensor(em, requires_grad=True)
+            with Tape():
+                out = log_z(crf, em_t)
+            np.testing.assert_allclose(out.item(), want, atol=1e-10)
+            backward(out)
+            grads.append((crf.transitions.grad, em_t.grad))
+        # the forward-backward marginals equal the gradients of the
+        # step-by-step recursion
+        for fused, ref in zip(*grads):
+            np.testing.assert_allclose(fused, ref, atol=1e-10)
 
     def test_constant_emission_shift_moves_logz_by_constant(self):
         rng = np.random.default_rng(7)
@@ -155,6 +187,30 @@ class TestNll:
             return crf_nll(CrfParams(t["trans"]), t["em"], [0, 2, 1])
 
         assert_op_grads(build, {"trans": trans, "em": em}, tol=1e-6)
+
+    @pytest.mark.parametrize("t_len", [1, 2, 40])
+    def test_three_tape_nodes_at_any_length(self, t_len):
+        rng = np.random.default_rng(t_len)
+        trans, em = random_instance(rng, t_len, 5)
+        crf = make_crf(trans)
+        with Tape() as tape:
+            crf_nll(crf, Tensor(em, requires_grad=True), [0] * t_len)
+        assert len(tape) == 3
+
+    def test_matches_composed_reference(self):
+        rng = np.random.default_rng(6)
+        trans, em = random_instance(rng, 6, 5, scale=2.0)
+        tags = [4, 0, 1, 2, 2, 3]
+        results = []
+        for nll in (crf_nll, lambda crf, e, t: crf_nll_reference(crf.transitions, e, t)):
+            crf = make_crf(trans)
+            em_t = Tensor(em, requires_grad=True)
+            with Tape():
+                out = nll(crf, em_t, tags)
+            backward(out)
+            results.append((out.item(), crf.transitions.grad, em_t.grad))
+        for fused, ref in zip(*results):
+            np.testing.assert_allclose(fused, ref, rtol=1e-12, atol=1e-12)
 
     def test_emission_gradient_is_marginal_minus_indicator(self):
         # d logZ / d em[t, j] equals the marginal P(y_t = j); verify the

@@ -11,11 +11,10 @@ from negmtl.layers import (
     dropout,
     linear_rows,
     linear_vec,
-    lstm_run,
-    lstm_step,
+    lstm_sequence,
     xavier_uniform,
 )
-from oracles import assert_op_grads, weighted_sum
+from oracles import assert_op_grads, lstm_reference, weighted_sum
 
 
 def rng(seed=0):
@@ -91,86 +90,128 @@ class TestEmbedding:
         np.testing.assert_array_equal(g[1], 0.0)
 
 
+def sig(v):
+    return 1.0 / (1.0 + np.exp(-v))
+
+
 class TestLstm:
     def test_step_shapes(self):
         p = LstmParams.init(3, 4, rng())
-        h, c = lstm_step(p, Tensor(np.ones(3)), Tensor(np.zeros(4)), Tensor(np.zeros(4)))
-        assert h.data.shape == (4,)
-        assert c.data.shape == (4,)
+        h = lstm_sequence(p, Tensor(np.ones((1, 3))))
+        assert h.data.shape == (1, 4)
         assert np.all(np.abs(h.data) < 1.0)  # tanh-squashed
+        assert lstm_sequence(p, Tensor(np.ones((5, 3))), reverse=True).data.shape == (5, 4)
 
     def test_step_matches_direct_formula(self):
+        # two steps: the second starts from the nonzero state of the first
         p = LstmParams.init(2, 2, rng(3))
-        x = np.array([0.3, -0.7])
-        h0 = np.array([0.1, 0.2])
-        c0 = np.array([-0.2, 0.4])
-        h, c = lstm_step(p, Tensor(x), Tensor(h0), Tensor(c0))
+        x = np.array([[0.3, -0.7], [-1.1, 0.4]])
+        h = lstm_sequence(p, Tensor(x))
 
-        def sig(v):
-            return 1.0 / (1.0 + np.exp(-v))
-
-        z = p.w.data @ x + p.u.data @ h0 + p.b.data
-        i, f, g, o = z[0:2], z[2:4], z[4:6], z[6:8]
-        c_ref = sig(f) * c0 + sig(i) * np.tanh(g)
-        h_ref = sig(o) * np.tanh(c_ref)
-        np.testing.assert_allclose(c.data, c_ref, rtol=1e-12)
-        np.testing.assert_allclose(h.data, h_ref, rtol=1e-12)
+        h_prev = c_prev = np.zeros(2)
+        for t in range(2):
+            z = p.w.data @ x[t] + p.u.data @ h_prev + p.b.data
+            i, f, g, o = z[0:2], z[2:4], z[4:6], z[6:8]
+            c_prev = sig(f) * c_prev + sig(i) * np.tanh(g)
+            h_prev = sig(o) * np.tanh(c_prev)
+            np.testing.assert_allclose(h.data[t], h_prev, rtol=1e-12)
 
     def test_all_zero_parameters_keep_zero_state(self):
         zero = lambda *shape: Tensor(np.zeros(shape), requires_grad=True)
         p = LstmParams(zero(8, 3), zero(8, 2), zero(8))
-        h, c = lstm_step(p, Tensor(np.ones(3)), Tensor(np.zeros(2)), Tensor(np.zeros(2)))
-        np.testing.assert_array_equal(h.data, 0.0)
-        np.testing.assert_array_equal(c.data, 0.0)
+        for reverse in (False, True):
+            h = lstm_sequence(p, Tensor(np.ones((4, 3))), reverse=reverse)
+            np.testing.assert_array_equal(h.data, 0.0)
 
     def test_saturated_gates_carry_cell_state(self):
-        # forget gate pinned open, input gate pinned shut: c passes through
+        # the first token opens the input gate, every later one shuts it;
+        # forget and output gates are pinned open, so h = tanh(c) repeats
+        w = np.zeros((8, 1))
+        w[0:2, 0] = 100.0  # input gate -> 1 for x = 1, 0 for x = -1
+        w[4:6, 0] = [0.5, -0.8]  # cell candidate
         b = np.zeros(8)
-        b[0:2] = -100.0  # input gate -> 0
-        b[2:4] = 100.0   # forget gate -> 1
-        p = LstmParams(
-            Tensor(np.zeros((8, 3))), Tensor(np.zeros((8, 2))), Tensor(b)
-        )
-        c_prev = np.array([0.7, -1.3])
-        _, c = lstm_step(p, Tensor(np.ones(3)), Tensor(np.zeros(2)), Tensor(c_prev))
-        np.testing.assert_array_equal(c.data, c_prev)
+        b[2:4] = 100.0  # forget gate -> 1
+        b[6:8] = 100.0  # output gate -> 1
+        p = LstmParams(Tensor(w), Tensor(np.zeros((8, 2))), Tensor(b))
+        h = lstm_sequence(p, Tensor(np.array([[1.0], [-1.0], [-1.0], [-1.0]]))).data
+        np.testing.assert_array_equal(h[0], np.tanh(np.tanh([0.5, -0.8])))
+        for t in range(1, 4):
+            np.testing.assert_array_equal(h[t], h[0])
 
     def test_step_gradients(self):
-        def build(t):
-            p = LstmParams(t["w"], t["u"], t["b"])
-            h, c = lstm_step(p, t["x"], t["h0"], t["c0"])
-            return ad.add(weighted_sum(h), weighted_sum(c, seed=11))
-
         r = rng(1)
-        assert_op_grads(
-            build,
-            {
-                "w": r.normal(size=(8, 3)) * 0.5,
-                "u": r.normal(size=(8, 2)) * 0.5,
-                "b": r.normal(size=(8,)) * 0.5,
-                "x": r.normal(size=(3,)),
-                "h0": r.normal(size=(2,)) * 0.5,
-                "c0": r.normal(size=(2,)) * 0.5,
-            },
-            tol=1e-5,
-        )
+        arrays = {
+            "w": r.normal(size=(8, 3)) * 0.5,
+            "u": r.normal(size=(8, 2)) * 0.5,
+            "b": r.normal(size=(8,)) * 0.5,
+            "x": r.normal(size=(4, 3)),
+        }
+        for reverse in (False, True):
+            def build(t, reverse=reverse):
+                p = LstmParams(t["w"], t["u"], t["b"])
+                return weighted_sum(lstm_sequence(p, t["x"], reverse=reverse))
+
+            assert_op_grads(build, arrays, tol=1e-5)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_step_reference(self, reverse, seed):
+        r = rng(seed)
+        t_len = 1 if seed == 0 else int(r.integers(2, 7))
+        input_dim, hidden = (int(n) for n in r.integers(1, 6, size=2))
+        leaves = {
+            "x": r.normal(size=(t_len, input_dim)),
+            "w": r.normal(size=(4 * hidden, input_dim)) * 0.6,
+            "u": r.normal(size=(4 * hidden, hidden)) * 0.6,
+            "b": r.normal(size=(4 * hidden,)) * 0.6,
+        }
+        results = []
+        for run in (lstm_sequence, lstm_reference):
+            t = {k: Tensor(v.copy(), requires_grad=True) for k, v in leaves.items()}
+            with Tape():
+                out = run(LstmParams(t["w"], t["u"], t["b"]), t["x"], reverse=reverse)
+                backward(weighted_sum(out))
+            results.append((out.data, {k: v.grad for k, v in t.items()}))
+        (fused, fused_grads), (ref, ref_grads) = results
+        np.testing.assert_allclose(fused, ref, rtol=1e-12, atol=1e-12)
+        for name in leaves:
+            np.testing.assert_allclose(
+                fused_grads[name], ref_grads[name], rtol=1e-10, atol=1e-12, err_msg=name
+            )
+
+    def test_one_tape_node_per_direction(self):
+        p = LstmParams.init(2, 3, rng(5))
+        inputs = Tensor(rng(6).normal(size=(6, 2)), requires_grad=True)
+        with Tape() as tape:
+            lstm_sequence(p, inputs)
+            assert len(tape) == 1
+            bilstm(p, p, inputs)
+            assert len(tape) == 4  # two directions and their concatenation
+            with ad.no_grad():
+                bilstm(p, p, inputs)
+            assert len(tape) == 4
+
+    def test_rejects_mismatched_input_width(self):
+        p = LstmParams.init(3, 2, rng())
+        with pytest.raises(ad.AutodiffError, match=r"lstm_sequence: inputs \(4, 2\)"):
+            lstm_sequence(p, Tensor(np.ones((4, 2))))
 
     def test_run_preserves_input_order(self):
         p = LstmParams.init(2, 3, rng(5))
         inputs = Tensor(rng(6).normal(size=(4, 2)))
-        fwd = lstm_run(p, inputs)
-        assert len(fwd) == 4
+        fwd = lstm_sequence(p, inputs)
+        assert fwd.data.shape == (4, 3)
         # position 0 of the forward pass sees only token 0
-        single = lstm_run(p, ad.rows(inputs, [0]))
-        np.testing.assert_allclose(fwd[0].data, single[0].data)
+        single = lstm_sequence(p, ad.rows(inputs, [0]))
+        np.testing.assert_allclose(fwd.data[0], single.data[0])
 
     def test_run_reverse_positions_align_with_input(self):
         p = LstmParams.init(2, 3, rng(5))
         inputs = Tensor(rng(6).normal(size=(4, 2)))
-        bwd = lstm_run(p, inputs, reverse=True)
+        bwd = lstm_sequence(p, inputs, reverse=True)
         # last position of the reverse pass sees only the last token
-        single = lstm_run(p, ad.rows(inputs, [3]), reverse=True)
-        np.testing.assert_allclose(bwd[3].data, single[0].data)
+        single = lstm_sequence(p, ad.rows(inputs, [3]), reverse=True)
+        np.testing.assert_allclose(bwd.data[3], single.data[0])
 
 
 class TestBilstm:
@@ -264,7 +305,7 @@ class TestLinear:
             p = Linear(t["w"], t["b"])
             return ad.add(
                 weighted_sum(linear_rows(p, t["x"])),
-                weighted_sum(linear_vec(p, ad.row(t["x"], 0)), seed=3),
+                weighted_sum(linear_vec(p, ad.max_over_time(t["x"])), seed=3),
             )
 
         r = rng(8)

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -187,6 +189,12 @@ class TestAdam:
         assert np.all(other.data != 1.0)
 
 
+def _set_entry(header: dict, index: int, **fields) -> dict:
+    manifest = [dict(e) for e in header["manifest"]]
+    manifest[index].update(fields)
+    return {**header, "manifest": manifest}
+
+
 class TestCheckpoint:
     def model_and_vocab(self, with_head=True):
         train, _ = sentiment_corpus()
@@ -263,6 +271,35 @@ class TestCheckpoint:
         path = tmp_path / "m.bin"
         save_checkpoint(ckpt, path)
         with pytest.raises(CheckpointError, match="version 9"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda h: [h], "header is a JSON list, not an object"),
+            (lambda h: {k: v for k, v in h.items() if k != "manifest"}, "lacks 'manifest'"),
+            (lambda h: {**h, "config": [1]}, "'config' is not a JSON object"),
+            (lambda h: {**h, "manifest": {}}, "'manifest' is not a JSON list"),
+            (lambda h: {**h, "manifest": [7] + h["manifest"]}, "entry 0 is not an object"),
+            (lambda h: {**h, "manifest": h["manifest"][:1] * 2}, "names parameter .* twice"),
+            (lambda h: _set_entry(h, 0, shape=[-1, 3]), "not a list of non-negative integers"),
+            (lambda h: _set_entry(h, 0, shape=[2.5]), "not a list of non-negative integers"),
+            (lambda h: _set_entry(h, 0, offset=-4), "not a non-negative integer"),
+            (lambda h: _set_entry(h, 1, offset=0), "overlaps the previous blob"),
+            (lambda h: _set_entry(h, 0, offset=4), "leaves a gap"),
+            (lambda h: _set_entry(h, -1, shape=[2**40, 2**40]), "truncated blob"),
+        ],
+    )
+    def test_malformed_header_rejected(self, tmp_path, mutate, message):
+        params, vocab = self.model_and_vocab()
+        path = tmp_path / "m.bin"
+        save_checkpoint(Checkpoint.from_model(params, vocab, tiny_config()), path)
+        raw = path.read_bytes()
+        (n,) = struct.unpack_from("<Q", raw, 8)
+        header = mutate(json.loads(raw[16 : 16 + n]))
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + n :])
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
     def test_non_f32_arrays_rejected_on_save(self, tmp_path):
