@@ -12,6 +12,15 @@ buffers of leaf tensors.  There is no broadcasting beyond 0-d
 scalars; shape mismatches fail loudly at the offending operation rather
 than producing silently misaligned gradients.
 
+The gather ``rows`` is the one op whose gradient is row-sparse: its
+backward pass returns a ``RowGrad`` (the unique indices plus one summed
+row per index) instead of a dense (V, D) array, so an embedding lookup
+costs O(T·D) in the backward walk rather than O(V·D).  ``backward``
+scatters it into a leaf's ``grad`` with one fancy-index add and
+densifies it only when the gathered matrix is itself a recorded
+output.  A leaf's ``grad`` is still a dense array once any gradient
+reaches it, and the bits equal those of a dense accumulation.
+
 Not thread safe: the tape stack is module-global.
 """
 
@@ -187,8 +196,15 @@ def backward(loss: Tensor):
             if t.is_leaf:
                 if t.grad is None:
                     t.grad = np.zeros_like(t.data)
-                t.grad += gt
+                if isinstance(gt, RowGrad):
+                    # unique indices: one fancy-index add is exact, and the
+                    # rows it skips would only have gained +0.0
+                    t.grad[gt.index] += gt.values
+                else:
+                    t.grad += gt
             else:
+                if isinstance(gt, RowGrad):
+                    gt = gt.dense(t.data)
                 acc = grads.get(id(t))
                 grads[id(t)] = gt if acc is None else acc + gt
 
@@ -317,17 +333,38 @@ def stack_rows(rows: Sequence[Tensor]) -> Tensor:
     return _make_output(np.stack([r.data for r in rows]), tuple(rows), bw)
 
 
+@dataclass(frozen=True)
+class RowGrad:
+    """Gradient of a matrix that is zero outside a few rows: ``values[k]``
+    is the gradient of row ``index[k]``; the indices are unique."""
+
+    index: np.ndarray  # (n,) intp, unique
+    values: np.ndarray  # (n, D)
+
+    def dense(self, like: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(like)
+        out[self.index] = self.values
+        return out
+
+
 def rows(a: Tensor, indices) -> Tensor:
-    """Gather matrix rows by index; duplicate indices accumulate gradient."""
+    """Gather matrix rows by index; duplicate indices accumulate gradient.
+
+    The gradient is a ``RowGrad``: each looked-up row's incoming
+    gradients are summed by ``np.add.at`` in index order starting from
+    +0.0, the same additions in the same order as a dense accumulation,
+    so a leaf's ``grad`` gets the same bits either way.
+    """
     idx = np.asarray(indices, dtype=np.intp)
     if a.data.ndim != 2 or idx.ndim != 1:
         raise AutodiffError(f"rows: expected matrix and index vector, got {a.data.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
         raise AutodiffError(f"rows: index out of range for {a.data.shape[0]} rows")
     def bw(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        return (ga,)
+        unique, inverse = np.unique(idx, return_inverse=True)
+        summed = np.zeros((unique.size, a.data.shape[1]))
+        np.add.at(summed, inverse, g)
+        return (RowGrad(unique, summed),)
     return _make_output(a.data[idx], (a,), bw)
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from . import autodiff as ad
+from .atomic import atomic_open
 from .autodiff import DeterminismError, Tensor, grad_check
 from .corpus import BioTag, CorpusError, corpus_stats, parse_corpus, to_bio
 from .crf import CrfParams, crf_nll
@@ -125,13 +126,13 @@ def _write_manifest(out_dir: Path, subcommand: str, *, config=None, seeds=None,
         "options": options or {},
         "outputs": outputs or [],
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+    with atomic_open(out_dir / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _write_jsonl(path: Path, objs):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for obj in objs:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
@@ -189,7 +190,7 @@ def _train_neural(config, train_docs, dev_docs, out: Path) -> list[str]:
         "epochs_run": result.epochs_run,
         "dev_accuracy": accuracy([r.gold for r in preds], [r.pred for r in preds]),
     }
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
+    with atomic_open(out / "report.json") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(
@@ -214,7 +215,7 @@ def _train_bow(config, train_docs, dev_docs, out: Path) -> list[str]:
         "dev_accuracy_by_c": {str(c): a for c, a in result.dev_accuracy_by_c.items()},
     }
     _write_jsonl(out / "metrics.jsonl", [metrics])
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
+    with atomic_open(out / "report.json") as fh:
         json.dump({"mode": "bow", **metrics}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"bow: chosen C = {result.chosen_c}, dev accuracy {result.dev_accuracy:.4f}")
@@ -285,7 +286,7 @@ def cmd_ensemble(args) -> int:
             [r.test_predictions for r in result.runs], result.test_vote
         )
         report_obj["test"] = test_report.to_json_obj()
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
+    with atomic_open(out / "report.json") as fh:
         json.dump(report_obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
     outputs.append("report.json")
@@ -384,7 +385,7 @@ def cmd_eval(args) -> int:
         report["relative_confusion"] = [[int(v) for v in row] for row in diff]
     if args.out:
         out = _out_dir(args)
-        with open(out / "report.json", "w", encoding="utf-8") as fh:
+        with atomic_open(out / "report.json") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         outputs = ["report.json"]
@@ -428,7 +429,8 @@ def _gradcheck_cases(seed: int, inject_bug: bool):
         }
 
         def f():
-            emb = ad.rows(named["embedding.weights"], [1, 2, 3, 4])
+            # a repeated id: duplicate rows accumulate into one gradient row
+            emb = ad.rows(named["embedding.weights"], [1, 2, 1, 4])
             enc = bilstm(params.sent_fwd, params.sent_bwd, emb)
             scores = linear_rows(params.emission, enc)
             return sabotage(ad.sum_all(ad.tanh(scores)), named["embedding.weights"])
@@ -513,7 +515,7 @@ def cmd_gradcheck(args) -> int:
     print("gradient check:", "PASS" if all_passed else "FAIL")
     if args.out:
         out = _out_dir(args)
-        with open(out / "gradcheck.json", "w", encoding="utf-8") as fh:
+        with atomic_open(out / "gradcheck.json") as fh:
             json.dump({"passed": all_passed, "components": rows}, fh, indent=2, sort_keys=True)
             fh.write("\n")
         _write_manifest(

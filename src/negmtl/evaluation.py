@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .atomic import atomic_open
 from .corpus import LABELS, BioTag, CorpusStats
 
 CLASS_ORDER = ("negative", "positive")  # row/column order of confusion matrices
@@ -38,7 +39,7 @@ class PredictionRecord:
 
 
 def write_predictions(records: Sequence[PredictionRecord], path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for r in records:
             fh.write(json.dumps({"id": r.id, "gold": r.gold, "pred": r.pred}) + "\n")
 

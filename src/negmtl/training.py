@@ -22,11 +22,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .atomic import atomic_open
 from .autodiff import Tape, Tensor, backward, zero_grads
 from .corpus import Document, Vocabulary, build_vocab, to_bio
 from .evaluation import PredictionRecord, accuracy
 from .models import (
     LABEL_TO_CLASS,
+    ModelError,
     ModelParams,
     negation_loss,
     predict_document,
@@ -130,7 +132,10 @@ def rng_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator, np
 
 @dataclass
 class AdamState:
-    """Per-parameter moment estimates, lazily allocated by name."""
+    """Per-parameter moment estimates, lazily allocated by name, plus the
+    update's scratch space: two flat buffers sized to the largest
+    parameter stepped so far, used through reshaped views, so a step
+    allocates nothing once every parameter has been seen."""
 
     lr: float = 0.001
     beta1: float = 0.9
@@ -139,15 +144,34 @@ class AdamState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     t: dict[str, int] = field(default_factory=dict)
+    scratch: tuple[np.ndarray, np.ndarray] = field(
+        default_factory=lambda: (np.empty(0), np.empty(0)), repr=False, compare=False
+    )
 
     @classmethod
     def for_config(cls, config: TrainConfig) -> "AdamState":
         return cls(config.learning_rate, config.beta1, config.beta2, config.epsilon)
 
+    def scratch_like(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Two scratch views shaped like ``p``, growing the buffers if needed."""
+        n = p.size
+        if self.scratch[0].size < n:
+            self.scratch = (np.empty(n), np.empty(n))
+        a, b = self.scratch
+        return a[:n].reshape(p.shape), b[:n].reshape(p.shape)
+
 
 def adam_step(state: AdamState, params: dict[str, Tensor], names: Iterable[str]):
     """One bias-corrected Adam update on the named parameters:
-    m̂ = m/(1-β1^t), v̂ = v/(1-β2^t), θ ← θ - lr·m̂/(√v̂ + ε)."""
+    m̂ = m/(1-β1^t), v̂ = v/(1-β2^t), θ ← θ - lr·m̂/(√v̂ + ε).
+
+    Every operation writes in place (the moments, the parameter, or the
+    state's two scratch views ``a`` and ``b``), in this fixed order:
+    m ← m·β1 + g·(1-β1); v ← v·β2 + (g·(1-β2))·g; a ← (m/(1-β1^t))·lr;
+    b ← √(v/(1-β2^t)) + ε; a ← a/b; θ ← θ - a.  Each step is one
+    correctly rounded elementwise operation, so the order alone fixes
+    the bits: they equal those of the same formula with temporaries.
+    """
     for name in names:
         p = params[name]
         g = p.grad
@@ -161,13 +185,21 @@ def adam_step(state: AdamState, params: dict[str, Tensor], names: Iterable[str])
         t = state.t[name]
         m = state.m[name]
         v = state.v[name]
+        a, b = state.scratch_like(p.data)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        np.multiply(g, 1.0 - state.beta1, out=a)
+        m += a
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        np.multiply(g, 1.0 - state.beta2, out=a)
+        a *= g
+        v += a
+        np.divide(m, 1.0 - state.beta1**t, out=a)
+        a *= state.lr
+        np.divide(v, 1.0 - state.beta2**t, out=b)
+        np.sqrt(b, out=b)
+        b += state.epsilon
+        a /= b
+        p.data -= a
 
 
 def apply_updates(state: AdamState, params: dict[str, Tensor], names: Sequence[str]):
@@ -193,6 +225,7 @@ class Checkpoint:
     vocabulary: dict
     arrays: dict[str, np.ndarray]  # float32, manifest order
     version: int = CHECKPOINT_VERSION
+    source: str | None = field(default=None, compare=False)  # file it was loaded from
 
     @classmethod
     def from_model(cls, params: ModelParams, vocab: Vocabulary, config: TrainConfig) -> "Checkpoint":
@@ -200,10 +233,23 @@ class Checkpoint:
         return cls(config.to_dict(), vocab.to_json_obj(), arrays)
 
     def to_model(self) -> tuple[ModelParams, Vocabulary]:
-        params = ModelParams.from_arrays(
-            {name: arr.astype(np.float64) for name, arr in self.arrays.items()}
-        )
-        return params, Vocabulary.from_json_obj(self.vocabulary)
+        """Rebuild the model and its vocabulary; a parameter set or
+        vocabulary that cannot form a model is a ``CheckpointError``."""
+        where = self.source or "checkpoint"
+        try:
+            params = ModelParams.from_arrays(
+                {name: arr.astype(np.float64) for name, arr in self.arrays.items()}
+            )
+            vocab = Vocabulary.from_json_obj(self.vocabulary)
+        except (ModelError, ValueError) as e:
+            raise CheckpointError(f"{where}: {e}") from e
+        rows = params.embedding.weights.data.shape
+        if len(rows) != 2 or rows[0] != len(vocab):
+            raise CheckpointError(
+                f"{where}: vocabulary of {len(vocab)} tokens (with <pad> and <unk>) "
+                f"does not fit embedding.weights of shape {rows}"
+            )
+        return params, vocab
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
@@ -224,7 +270,7 @@ def save_checkpoint(ckpt: Checkpoint, path):
         "manifest": manifest,
     }
     blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, binary=True) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
@@ -257,6 +303,11 @@ def _check_header(path, header) -> list[tuple[str, tuple[int, ...], int, int]]:
             raise CheckpointError(f"{path}: header {key!r} is not a JSON object")
     if not isinstance(header["manifest"], list):
         raise CheckpointError(f"{path}: header 'manifest' is not a JSON list")
+    tokens = header["vocabulary"].get("tokens")
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise CheckpointError(f"{path}: header vocabulary lacks 'tokens', a list of strings")
+    if not isinstance(header["vocabulary"].get("lowercase"), bool):
+        raise CheckpointError(f"{path}: header vocabulary lacks 'lowercase', a boolean")
 
     def is_count(v) -> bool:
         return isinstance(v, int) and not isinstance(v, bool) and v >= 0
@@ -324,7 +375,7 @@ def load_checkpoint(path) -> Checkpoint:
         )
     if end != len(body):
         raise CheckpointError(f"{path}: {len(body) - end} trailing bytes after parameter blobs")
-    return Checkpoint(header["config"], header["vocabulary"], arrays, header["version"])
+    return Checkpoint(header["config"], header["vocabulary"], arrays, header["version"], str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 
 from negmtl import autodiff as ad
 from negmtl.autodiff import Tape, Tensor, backward, no_grad
+from negmtl.training import OptimizerError
 
 
 def numeric_grad(scalar_fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -141,3 +142,49 @@ def crf_nll_reference(transitions: Tensor, emissions: Tensor, tags) -> Tensor:
         crf_log_partition_reference(transitions, emissions),
         crf_score_reference(transitions, emissions, tags),
     )
+
+
+# ---------------------------------------------------------------------------
+# Allocating references for the embedding and optimizer path.  The library
+# versions accumulate the embedding gradient row-sparsely and run Adam in
+# place; these are the dense, temporary-per-operation forms they replaced,
+# kept verbatim so tests can require equal bits.
+
+
+def rows_reference(a: Tensor, indices) -> Tensor:
+    """Gather matrix rows by index; duplicate indices accumulate gradient."""
+    idx = np.asarray(indices, dtype=np.intp)
+    if a.data.ndim != 2 or idx.ndim != 1:
+        raise ad.AutodiffError(f"rows: expected matrix and index vector, got {a.data.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
+        raise ad.AutodiffError(f"rows: index out of range for {a.data.shape[0]} rows")
+    def bw(g):
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, idx, g)
+        return (ga,)
+    return ad._make_output(a.data[idx], (a,), bw)
+
+
+def adam_step_reference(state, params: dict, names):
+    """One bias-corrected Adam update on the named parameters:
+    m̂ = m/(1-β1^t), v̂ = v/(1-β2^t), θ ← θ - lr·m̂/(√v̂ + ε)."""
+    for name in names:
+        p = params[name]
+        g = p.grad
+        if g is None:
+            raise OptimizerError(f"parameter {name!r} has no gradient")
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+            state.t[name] = 0
+        state.t[name] += 1
+        t = state.t[name]
+        m = state.m[name]
+        v = state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        m_hat = m / (1.0 - state.beta1**t)
+        v_hat = v / (1.0 - state.beta2**t)
+        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)

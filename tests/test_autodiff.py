@@ -247,6 +247,24 @@ class TestPrimitiveGradients:
             {"m": RNG.normal(size=(3, 4))},
         )
 
+    def test_rows_of_non_leaf(self):
+        # the row-sparse gradient is densified for a recorded input
+        assert_op_grads(
+            lambda t: weighted_sum(ad.rows(ad.tanh(t["m"]), [2, 0, 2])),
+            {"m": RNG.normal(size=(3, 4))},
+        )
+
+    def test_rows_mixed_with_dense_gradient(self):
+        # one leaf and one non-leaf, each reached by rows and by a dense op
+        def build(t):
+            h = ad.tanh(t["m"])
+            return ad.add(
+                weighted_sum(ad.add(h, ad.rows(h, [1, 1, 0])), seed=3),
+                weighted_sum(ad.add(t["m"], ad.rows(t["m"], [2, 2, 2])), seed=4),
+            )
+
+        assert_op_grads(build, {"m": RNG.normal(size=(3, 4))})
+
     def test_logsumexp_axes(self):
         for axis in (0, 1):
             assert_op_grads(

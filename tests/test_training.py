@@ -1,9 +1,13 @@
 import dataclasses
+import functools
 import json
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from negmtl.autodiff import Tensor
 from negmtl.corpus import Document, NegationStructure, Sentence, build_vocab
@@ -195,6 +199,29 @@ def _set_entry(header: dict, index: int, **fields) -> dict:
     return {**header, "manifest": manifest}
 
 
+def _set_vocab(header: dict, **fields) -> dict:
+    return {**header, "vocabulary": {**header["vocabulary"], **fields}}
+
+
+@functools.cache
+def _reference_checkpoint_bytes() -> bytes:
+    train, _ = sentiment_corpus()
+    vocab = build_vocab(train, 1, False)
+    params = ModelParams.init(len(vocab), 4, 3, np.random.default_rng(0), with_negation_head=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.bin")
+        save_checkpoint(Checkpoint.from_model(params, vocab, tiny_config(mode="mtl")), path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def load_checkpoint_bytes(raw: bytes, directory: str) -> Checkpoint:
+    path = os.path.join(directory, "original.bin")
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    return load_checkpoint(path)
+
+
 class TestCheckpoint:
     def model_and_vocab(self, with_head=True):
         train, _ = sentiment_corpus()
@@ -288,6 +315,11 @@ class TestCheckpoint:
             (lambda h: _set_entry(h, 1, offset=0), "overlaps the previous blob"),
             (lambda h: _set_entry(h, 0, offset=4), "leaves a gap"),
             (lambda h: _set_entry(h, -1, shape=[2**40, 2**40]), "truncated blob"),
+            (lambda h: {**h, "vocabulary": {}}, "vocabulary lacks 'tokens'"),
+            (lambda h: _set_vocab(h, tokens="good bad"), "vocabulary lacks 'tokens'"),
+            (lambda h: _set_vocab(h, tokens=["good", 7]), "vocabulary lacks 'tokens'"),
+            (lambda h: _set_vocab(h, lowercase=0), "vocabulary lacks 'lowercase'"),
+            (lambda h: {**h, "vocabulary": {"tokens": []}}, "vocabulary lacks 'lowercase'"),
         ],
     )
     def test_malformed_header_rejected(self, tmp_path, mutate, message):
@@ -301,6 +333,81 @@ class TestCheckpoint:
         path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + n :])
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
+
+    def rewrite_header(self, path, mutate):
+        raw = path.read_bytes()
+        (n,) = struct.unpack_from("<Q", raw, 8)
+        blob = json.dumps(mutate(json.loads(raw[16 : 16 + n]))).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + n :])
+
+    def test_vocabulary_size_must_match_embedding_rows(self, tmp_path):
+        params, vocab = self.model_and_vocab()
+        path = tmp_path / "m.bin"
+        save_checkpoint(Checkpoint.from_model(params, vocab, tiny_config()), path)
+        self.rewrite_header(path, lambda h: _set_vocab(h, tokens=h["vocabulary"]["tokens"] + ["extra"]))
+        ckpt = load_checkpoint(path)
+        rows = len(vocab)
+        with pytest.raises(
+            CheckpointError,
+            match=rf"m\.bin: vocabulary of {rows + 1} tokens .* embedding\.weights of shape \({rows}, 4\)",
+        ):
+            ckpt.to_model()
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda h: _set_entry(h, 0, name="embedding"), "missing 'embedding.weights'"),
+            (lambda h: _set_vocab(h, tokens=["<unk>"] + h["vocabulary"]["tokens"][1:]),
+             "duplicate tokens"),
+        ],
+    )
+    def test_unusable_parameters_rejected_by_to_model(self, tmp_path, mutate, message):
+        params, vocab = self.model_and_vocab()
+        path = tmp_path / "m.bin"
+        save_checkpoint(Checkpoint.from_model(params, vocab, tiny_config()), path)
+        self.rewrite_header(path, mutate)
+        with pytest.raises(CheckpointError, match=rf"m\.bin: .*{message}"):
+            load_checkpoint(path).to_model()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_or_truncated_bytes_never_escape(self, data):
+        """Any truncation is rejected.  A changed byte is rejected or
+        loads; in a blob it changes exactly that one float32; and
+        ``to_model`` then builds a model or raises ``CheckpointError``."""
+        raw = _reference_checkpoint_bytes()
+        header_end = 16 + struct.unpack_from("<Q", raw, 8)[0]
+        if data.draw(st.booleans(), label="truncate"):
+            cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+            changed = raw[:cut]
+        else:
+            pos = data.draw(st.integers(0, len(raw) - 1), label="pos")
+            byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[pos]), label="byte")
+            changed = raw[:pos] + bytes([byte]) + raw[pos + 1 :]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.bin")
+            with open(path, "wb") as fh:
+                fh.write(changed)
+            try:
+                ckpt = load_checkpoint(path)
+            except CheckpointError:
+                return
+            assert len(changed) == len(raw), "a truncated checkpoint loaded"
+            if pos >= header_end:
+                original = load_checkpoint_bytes(raw, tmp)
+                assert (ckpt.config, ckpt.vocabulary) == (original.config, original.vocabulary)
+                assert [a.shape for a in ckpt.arrays.values()] == [
+                    a.shape for a in original.arrays.values()
+                ]
+                new = np.concatenate([a.reshape(-1) for a in ckpt.arrays.values()])
+                old = np.concatenate([a.reshape(-1) for a in original.arrays.values()])
+                assert np.flatnonzero(new.view(np.uint32) != old.view(np.uint32)).tolist() == [
+                    (pos - header_end) // 4
+                ]
+            try:
+                ckpt.to_model()
+            except CheckpointError:
+                pass
 
     def test_non_f32_arrays_rejected_on_save(self, tmp_path):
         params, vocab = self.model_and_vocab()
