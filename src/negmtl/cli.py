@@ -2,8 +2,8 @@
 
 Subcommands: stats, train, ensemble, predict, eval, gradcheck.  Every
 artifact-producing run writes a manifest.json recording the subcommand,
-the effective configuration, the seeds, and a sha256 digest of each
-input file, so any output directory can be reproduced from its manifest
+the effective configuration, the seeds, a sha256 digest of each input
+file, and the Python and numpy versions, so any output directory can be reproduced from its manifest
 and the original data.  Inputs are only ever read.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import platform
 import sys
 from pathlib import Path
 
@@ -36,7 +37,8 @@ from .evaluation import (
     write_predictions,
 )
 from .layers import bilstm, linear_rows
-from .models import ModelError, ModelParams, negation_loss, negation_tag, sentiment_loss
+# negation_tag is not called here; bench/tracing.py wraps cli.negation_tag
+from .models import ModelError, ModelParams, negation_loss, negation_tag, predict_document, sentiment_loss
 from .training import (
     Checkpoint,
     TrainConfig,
@@ -47,8 +49,7 @@ from .training import (
     run_ensemble,
     save_checkpoint,
     train_bow,
-    train_mtl,
-    train_stl,
+    train_neural,
 )
 
 _USER_ERRORS = (
@@ -125,6 +126,7 @@ def _write_manifest(out_dir: Path, subcommand: str, *, config=None, seeds=None,
         },
         "options": options or {},
         "outputs": outputs or [],
+        "environment": {"python": platform.python_version(), "numpy": np.__version__},
     }
     with atomic_open(out_dir / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -173,8 +175,7 @@ def cmd_stats(args) -> int:
 
 
 def _train_neural(config, train_docs, dev_docs, out: Path) -> list[str]:
-    train_fn = train_stl if config.mode == "stl" else train_mtl
-    result = train_fn(config, train_docs, dev_docs)
+    result = train_neural(config, train_docs, dev_docs)
     save_checkpoint(result.checkpoint, out / "checkpoint.bin")
     _write_jsonl(out / "metrics.jsonl", result.history)
     model, vocab = result.checkpoint.to_model()
@@ -320,18 +321,16 @@ def cmd_predict(args) -> int:
     docs = _read_split(args.data, "data")
     out = _out_dir(args)
 
-    records = predict_corpus(model, vocab, docs)
+    # one pass per document: the sentence encodings feed both heads
+    records, tag_lines = [], []
+    for doc in docs:
+        pred = predict_document(model, [vocab.encode(s.tokens) for s in doc.sentences], tags=args.tags)
+        records.append(PredictionRecord(doc.id, doc.label, pred.label))
+        if args.tags:
+            tag_lines.append({"id": doc.id, "tags": [[str(t) for t in tags] for tags in pred.tags]})
     write_predictions(records, out / "predictions.jsonl")
     outputs = ["predictions.jsonl"]
-
     if args.tags:
-        tag_lines = []
-        for doc in docs:
-            sent_tags = [
-                [str(t) for t in negation_tag(model, vocab.encode(s.tokens))]
-                for s in doc.sentences
-            ]
-            tag_lines.append({"id": doc.id, "tags": sent_tags})
         _write_jsonl(out / "tags.jsonl", tag_lines)
         outputs.append("tags.jsonl")
 

@@ -148,7 +148,11 @@ class ModelParams:
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "ModelParams":
         """Rebuild a model from named arrays (dimensions are implied by
-        the shapes; the negation head is present iff its arrays are)."""
+        the shapes; the negation head is present iff its arrays are).
+
+        The shapes must fit together: the vocabulary size and embedding
+        dim come from ``embedding.weights`` and the hidden dim from
+        ``sent_fwd.u``; every other shape follows from those three."""
         def t(name):
             return Tensor(arrays[name], requires_grad=True)
 
@@ -169,10 +173,34 @@ class ModelParams:
                 params.crf = CrfParams(t("crf.transitions"))
         except KeyError as e:
             raise ModelError(f"parameter set is missing {e.args[0]!r}") from e
-        expected = set(params.named_parameters())
-        extra = set(arrays) - expected
+        named = params.named_parameters()
+        extra = set(arrays) - set(named)
         if extra:
             raise ModelError(f"unknown parameter names: {sorted(extra)}")
+        for name in ("embedding.weights", "sent_fwd.u"):
+            if named[name].data.ndim != 2:
+                raise ModelError(
+                    f"parameter {name!r} has shape {named[name].data.shape}, expected a matrix"
+                )
+        vocab_size, e = named["embedding.weights"].data.shape
+        d = named["sent_fwd.u"].data.shape[1]
+        expected = {
+            "embedding.weights": (vocab_size, e),
+            "out.w": (NUM_CLASSES, 2 * d),
+            "out.b": (NUM_CLASSES,),
+            "emission.w": (NUM_TAGS, 2 * d),
+            "emission.b": (NUM_TAGS,),
+            "crf.transitions": (NUM_TAGS + 2, NUM_TAGS + 2),
+        }
+        for prefix, input_dim in (("sent_fwd", e), ("sent_bwd", e), ("doc_fwd", 2 * d), ("doc_bwd", 2 * d)):
+            expected[f"{prefix}.w"] = (4 * d, input_dim)
+            expected[f"{prefix}.u"] = (4 * d, d)
+            expected[f"{prefix}.b"] = (4 * d,)
+        for name, tensor in named.items():
+            if tensor.data.shape != expected[name]:
+                raise ModelError(
+                    f"parameter {name!r} has shape {tensor.data.shape}, expected {expected[name]}"
+                )
         return params
 
 
@@ -180,6 +208,7 @@ class ModelParams:
 class SentimentPrediction:
     label: str  # "positive" or "negative"
     logits: np.ndarray  # (2,), index 0 negative, 1 positive
+    tags: list[list[BioTag]] | None = None  # per sentence, when requested
 
 
 def _encode_sentence(
@@ -197,6 +226,12 @@ def _encode_sentence(
     emb = params.embedding.lookup(token_ids)
     emb = dropout(emb, dropout_p, rng, train)
     return bilstm(params.sent_fwd, params.sent_bwd, emb)
+
+
+def _viterbi_tags(params: ModelParams, encoded: Tensor) -> list[BioTag]:
+    """Eval-mode negation head: the best tag path of one encoded sentence."""
+    emissions = linear_rows(params.emission, encoded)
+    return [BioTag(t) for t in viterbi_decode(params.crf.transitions.data, emissions.data)]
 
 
 def negation_forward(
@@ -227,11 +262,24 @@ def negation_loss(
 
 
 def negation_tag(params: ModelParams, token_ids: Sequence[int]) -> list[BioTag]:
-    """Eval-mode Viterbi tagging of one sentence."""
+    """Eval-mode Viterbi tagging of one sentence (the one-sentence case
+    of ``predict_document(..., tags=True)``)."""
+    if not params.has_negation_head:
+        raise ModelError("model has no negation head")
     with ad.no_grad():
-        emissions = negation_forward(params, token_ids)
-    path = viterbi_decode(params.crf.transitions.data, emissions.data)
-    return [BioTag(t) for t in path]
+        return _viterbi_tags(params, _encode_sentence(params, token_ids, False, 0.0, None))
+
+
+def _document_logits(params: ModelParams, encodings: Sequence[Tensor]) -> Tensor:
+    """Sentiment head over sentence encodings: each sentence becomes the
+    max over time of its encoding; the document BiLSTM runs over the
+    sentence vectors and is max-pooled the same way before the output
+    projection to class logits, shape (2,)."""
+    if len(encodings) == 0:
+        raise ModelError("cannot classify an empty document")
+    stacked = ad.stack_rows([ad.max_over_time(encoded) for encoded in encodings])
+    doc_states = bilstm(params.doc_fwd, params.doc_bwd, stacked)
+    return linear_vec(params.out, ad.max_over_time(doc_states))
 
 
 def sentiment_forward(
@@ -241,21 +289,9 @@ def sentiment_forward(
     dropout_p: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Two-level document encoding to class logits, shape (2,).
-
-    Each sentence becomes the max over time of its shared BiLSTM
-    encoding; the document BiLSTM runs over the sentence vectors and is
-    max-pooled the same way before the output projection.
-    """
-    if len(doc_ids) == 0:
-        raise ModelError("cannot classify an empty document")
-    sentence_vectors = [
-        ad.max_over_time(_encode_sentence(params, ids, train, dropout_p, rng))
-        for ids in doc_ids
-    ]
-    stacked = ad.stack_rows(sentence_vectors)
-    doc_states = bilstm(params.doc_fwd, params.doc_bwd, stacked)
-    return linear_vec(params.out, ad.max_over_time(doc_states))
+    """Two-level document encoding to class logits, shape (2,)."""
+    encodings = [_encode_sentence(params, ids, train, dropout_p, rng) for ids in doc_ids]
+    return _document_logits(params, encodings)
 
 
 def sentiment_loss(
@@ -270,9 +306,19 @@ def sentiment_loss(
     return ad.softmax_cross_entropy(logits, gold_class)
 
 
-def predict_document(params: ModelParams, doc_ids: Sequence[Sequence[int]]) -> SentimentPrediction:
-    """Eval-mode classification; an exact logit tie resolves to positive."""
+def predict_document(
+    params: ModelParams, doc_ids: Sequence[Sequence[int]], tags: bool = False
+) -> SentimentPrediction:
+    """Eval-mode classification; an exact logit tie resolves to positive.
+
+    With ``tags``, the prediction also carries each sentence's Viterbi
+    negation tags, decoded from the same sentence encodings that feed
+    the sentiment head, so every sentence is encoded once."""
+    if tags and not params.has_negation_head:
+        raise ModelError("model has no negation head")
     with ad.no_grad():
-        logits = sentiment_forward(params, doc_ids)
+        encodings = [_encode_sentence(params, ids, False, 0.0, None) for ids in doc_ids]
+        logits = _document_logits(params, encodings)
+        sentence_tags = [_viterbi_tags(params, e) for e in encodings] if tags else None
     cls = POSITIVE_CLASS if logits.data[POSITIVE_CLASS] >= logits.data[NEGATIVE_CLASS] else NEGATIVE_CLASS
-    return SentimentPrediction(CLASS_TO_LABEL[cls], logits.data.copy())
+    return SentimentPrediction(CLASS_TO_LABEL[cls], logits.data.copy(), sentence_tags)

@@ -1,7 +1,8 @@
 """Optimization and experiment protocol.
 
-Covers Adam, single-task sentiment training, the alternating multi-task
-schedule (one full negation epoch, then one full sentiment epoch), the
+Covers Adam, the one neural training loop (``train_neural``: per epoch
+an optional negation phase, then the sentiment phase; single-task
+training is the multi-task loop without its negation phase), the
 seeded 5-run ensemble with majority voting, the bag-of-words logistic
 regression baseline, and binary checkpoint serialization.
 
@@ -244,7 +245,7 @@ class Checkpoint:
         except (ModelError, ValueError) as e:
             raise CheckpointError(f"{where}: {e}") from e
         rows = params.embedding.weights.data.shape
-        if len(rows) != 2 or rows[0] != len(vocab):
+        if rows[0] != len(vocab):  # from_arrays checked that it is a matrix
             raise CheckpointError(
                 f"{where}: vocabulary of {len(vocab)} tokens (with <pad> and <unk>) "
                 f"does not fit embedding.weights of shape {rows}"
@@ -437,141 +438,106 @@ class _BestTracker:
         return self._since_best >= self.patience
 
 
-def train_stl(config: TrainConfig, train_docs: Sequence[Document], dev_docs: Sequence[Document]) -> TrainResult:
-    """Single-task sentiment training: one Adam step per document per
-    epoch, best-dev-accuracy checkpoint kept, early stop on patience."""
-    if config.mode != "stl":
-        raise TrainingError(f"train_stl requires mode=stl, got {config.mode!r}")
+def train_neural(config: TrainConfig, train_docs: Sequence[Document], dev_docs: Sequence[Document]) -> TrainResult:
+    """Neural training for both modes.  Each epoch runs an optional
+    negation phase, then the sentiment phase, then a dev evaluation.
+
+    The negation phase (mtl only; every epoch with
+    ``mtl_schedule="alternating"``, the first epoch only with
+    ``"warmup_once"``) takes one Adam step per sentence on the CRF loss
+    over the shared and negation parameters.  The sentiment phase takes
+    one Adam step per document over the shared and sentiment
+    parameters.  Selection keeps the best dev sentiment accuracy; early
+    stop on patience.  A non-finite training loss is a ``TrainingError``
+    raised before that example's update.
+    """
+    if config.mode not in ("stl", "mtl"):
+        raise TrainingError(f"neural training supports stl and mtl modes, got {config.mode!r}")
+    mtl = config.mode == "mtl"
     _require_labeled(train_docs, "train")
     _require_labeled(dev_docs, "dev")
+    if mtl:
+        for doc in train_docs:
+            if not doc.has_negation_annotations:
+                raise TrainingError(
+                    f"mtl training needs negation annotations; document {doc.id!r} has none"
+                )
 
     vocab = build_vocab(train_docs, config.min_count, config.lowercase)
     init_rng, shuffle_rng, dropout_rng = rng_streams(config.seed)
     params = ModelParams.init(
-        len(vocab), config.embedding_dim, config.hidden_dim, init_rng, with_negation_head=False
+        len(vocab), config.embedding_dim, config.hidden_dim, init_rng, with_negation_head=mtl
     )
     named = params.named_parameters()
     groups = params.parameter_groups()
-    step_names = groups["shared"] + groups["sentiment"]
     adam = AdamState.for_config(config)
 
     train_ids = _encode_docs(vocab, train_docs)
-    gold = [LABEL_TO_CLASS[doc.label] for doc in train_docs]
+    # (where, model input, gold) per example; ``where`` names it in errors
+    documents = [
+        (f"document {doc.id!r}", train_ids[d], LABEL_TO_CLASS[doc.label])
+        for d, doc in enumerate(train_docs)
+    ]
+    # negation examples: every sentence, annotated or trivially all-O
+    sentences = [
+        (f"document {doc.id!r} sentence {s}", train_ids[d][s], [int(t) for t in to_bio(sent)])
+        for d, doc in enumerate(train_docs)
+        for s, sent in enumerate(doc.sentences)
+    ] if mtl else []
+
+    def run_phase(epoch: int, phase: str, examples, names: list[str]) -> float:
+        """One shuffled pass, one Adam step per example; the mean loss."""
+        loss_fn = negation_loss if phase == "negation" else sentiment_loss
+        total = 0.0
+        for i in shuffle_rng.permutation(len(examples)):
+            where, ids, gold = examples[i]
+            zero_grads(named.values())
+            with Tape():
+                loss = loss_fn(
+                    params, ids, gold, train=True, dropout_p=config.dropout_p, rng=dropout_rng
+                )
+                backward(loss)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise TrainingError(f"epoch {epoch}, {phase} phase: loss is {value} on {where}")
+            total += value
+            apply_updates(adam, named, names)
+        return total / len(examples)
 
     tracker = _BestTracker(config.patience)
     history: list[dict] = []
-    epochs_run = 0
     for epoch in range(1, config.epochs + 1):
-        epochs_run = epoch
-        order = shuffle_rng.permutation(len(train_docs))
-        total = 0.0
-        for i in order:
-            zero_grads(named.values())
-            with Tape():
-                loss = sentiment_loss(
-                    params, train_ids[i], gold[i],
-                    train=True, dropout_p=config.dropout_p, rng=dropout_rng,
-                )
-                backward(loss)
-            total += loss.item()
-            apply_updates(adam, named, step_names)
-        dev_acc = accuracy_of(predict_corpus(params, vocab, dev_docs))
-        history.append(
-            {"epoch": epoch, "sentiment_loss": total / len(train_docs), "dev_accuracy": dev_acc}
+        record: dict = {"epoch": epoch}
+        if mtl:
+            record["negation_loss"] = (
+                run_phase(epoch, "negation", sentences, groups["shared"] + groups["negation"])
+                if config.mtl_schedule == "alternating" or epoch == 1
+                else None
+            )
+        record["sentiment_loss"] = run_phase(
+            epoch, "sentiment", documents, groups["shared"] + groups["sentiment"]
         )
+        record["dev_accuracy"] = dev_acc = accuracy_of(predict_corpus(params, vocab, dev_docs))
+        history.append(record)
         if tracker.update(epoch, dev_acc, params, vocab, config):
             break
 
     assert tracker.checkpoint is not None
-    return TrainResult(tracker.checkpoint, history, tracker.best_epoch, tracker.best_accuracy, epochs_run)
+    return TrainResult(tracker.checkpoint, history, tracker.best_epoch, tracker.best_accuracy, len(history))
+
+
+def train_stl(config: TrainConfig, train_docs: Sequence[Document], dev_docs: Sequence[Document]) -> TrainResult:
+    """Single-task sentiment training: ``train_neural`` without the negation phase."""
+    if config.mode != "stl":
+        raise TrainingError(f"train_stl requires mode=stl, got {config.mode!r}")
+    return train_neural(config, train_docs, dev_docs)
 
 
 def train_mtl(config: TrainConfig, train_docs: Sequence[Document], dev_docs: Sequence[Document]) -> TrainResult:
-    """Multi-task training: per outer epoch, one full pass over all
-    sentences on the CRF negation loss, then one full pass over all
-    documents on the sentiment loss.  Both passes update the shared
-    parameters; selection is best dev sentiment accuracy.
-
-    With ``mtl_schedule="warmup_once"`` the negation pass runs in the
-    first epoch only.
-    """
+    """Multi-task training: ``train_neural`` with the negation phase."""
     if config.mode != "mtl":
         raise TrainingError(f"train_mtl requires mode=mtl, got {config.mode!r}")
-    _require_labeled(train_docs, "train")
-    _require_labeled(dev_docs, "dev")
-    for doc in train_docs:
-        if not doc.has_negation_annotations:
-            raise TrainingError(
-                f"mtl training needs negation annotations; document {doc.id!r} has none"
-            )
-
-    vocab = build_vocab(train_docs, config.min_count, config.lowercase)
-    init_rng, shuffle_rng, dropout_rng = rng_streams(config.seed)
-    params = ModelParams.init(
-        len(vocab), config.embedding_dim, config.hidden_dim, init_rng, with_negation_head=True
-    )
-    named = params.named_parameters()
-    groups = params.parameter_groups()
-    neg_names = groups["shared"] + groups["negation"]
-    sent_names = groups["shared"] + groups["sentiment"]
-    adam = AdamState.for_config(config)
-
-    train_ids = _encode_docs(vocab, train_docs)
-    gold = [LABEL_TO_CLASS[doc.label] for doc in train_docs]
-    # negation examples: every sentence, annotated or trivially all-O
-    sentences = [
-        (train_ids[d][s], [int(t) for t in to_bio(sent)])
-        for d, doc in enumerate(train_docs)
-        for s, sent in enumerate(doc.sentences)
-    ]
-
-    tracker = _BestTracker(config.patience)
-    history: list[dict] = []
-    epochs_run = 0
-    for epoch in range(1, config.epochs + 1):
-        epochs_run = epoch
-        neg_mean = None
-        if config.mtl_schedule == "alternating" or epoch == 1:
-            neg_total = 0.0
-            for i in shuffle_rng.permutation(len(sentences)):
-                ids, tags = sentences[i]
-                zero_grads(named.values())
-                with Tape():
-                    loss = negation_loss(
-                        params, ids, tags,
-                        train=True, dropout_p=config.dropout_p, rng=dropout_rng,
-                    )
-                    backward(loss)
-                neg_total += loss.item()
-                apply_updates(adam, named, neg_names)
-            neg_mean = neg_total / len(sentences)
-
-        sent_total = 0.0
-        for i in shuffle_rng.permutation(len(train_docs)):
-            zero_grads(named.values())
-            with Tape():
-                loss = sentiment_loss(
-                    params, train_ids[i], gold[i],
-                    train=True, dropout_p=config.dropout_p, rng=dropout_rng,
-                )
-                backward(loss)
-            sent_total += loss.item()
-            apply_updates(adam, named, sent_names)
-
-        dev_acc = accuracy_of(predict_corpus(params, vocab, dev_docs))
-        history.append(
-            {
-                "epoch": epoch,
-                "negation_loss": neg_mean,
-                "sentiment_loss": sent_total / len(train_docs),
-                "dev_accuracy": dev_acc,
-            }
-        )
-        if tracker.update(epoch, dev_acc, params, vocab, config):
-            break
-
-    assert tracker.checkpoint is not None
-    return TrainResult(tracker.checkpoint, history, tracker.best_epoch, tracker.best_accuracy, epochs_run)
+    return train_neural(config, train_docs, dev_docs)
 
 
 def accuracy_of(records: Sequence[PredictionRecord]) -> float:
@@ -634,13 +600,10 @@ def run_ensemble(
     """
     if len(config.seeds) % 2 == 0:
         raise TrainingError(f"ensemble needs an odd seed count, got {len(config.seeds)}")
-    train_fn = {"stl": train_stl, "mtl": train_mtl}.get(config.mode)
-    if train_fn is None:
-        raise TrainingError(f"ensemble supports stl and mtl modes, got {config.mode!r}")
 
     runs = []
     for seed in config.seeds:
-        result = train_fn(dataclasses.replace(config, seed=seed), train_docs, dev_docs)
+        result = train_neural(dataclasses.replace(config, seed=seed), train_docs, dev_docs)
         model, vocab = result.checkpoint.to_model()
         runs.append(
             SeedRun(

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import platform
 
+import numpy as np
 import pytest
 
+from negmtl import autodiff as ad
+from negmtl import training
+from negmtl.autodiff import Tensor
 from negmtl.cli import main
 from negmtl.evaluation import read_predictions
 
@@ -92,6 +97,9 @@ class TestTrain:
         assert manifest["seeds"] == [1]
         assert manifest["inputs"]["train"]["sha256"] == sha(train)
         assert set(manifest["outputs"]) >= {"checkpoint.bin", "metrics.jsonl", "report.json"}
+        assert manifest["environment"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+        }
         metrics = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
         assert [m["epoch"] for m in metrics] == [1, 2]
 
@@ -124,6 +132,22 @@ class TestTrain:
         assert "'b1'" in capsys.readouterr().err
         assert not (out / "checkpoint.bin").exists()
         assert not (out / "manifest.json").exists()
+
+    def test_non_finite_loss_fails_before_artifacts(self, corpus, tmp_path, monkeypatch, capsys):
+        sentiment_loss = training.sentiment_loss
+
+        def nan_loss(*args, **kwargs):
+            return ad.mul(sentiment_loss(*args, **kwargs), Tensor(np.array(np.nan)))
+
+        monkeypatch.setattr(training, "sentiment_loss", nan_loss)
+        train, dev = corpus
+        out = tmp_path / "run"
+        rc = main(["train", "--train", str(train), "--dev", str(dev), "--out", str(out), *SMALL])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: epoch 1, sentiment phase: loss is nan")
+        for name in ("checkpoint.bin", "metrics.jsonl", "manifest.json"):
+            assert not (out / name).exists(), name
 
     def test_bow_prints_chosen_c(self, corpus, tmp_path, capsys):
         train, dev = corpus

@@ -85,6 +85,28 @@ class TestModelParams:
         with pytest.raises(ModelError, match="mystery"):
             ModelParams.from_arrays(arrays)
 
+    @pytest.mark.parametrize(
+        "name, shape, expected",
+        [
+            ("embedding.weights", (8,), "a matrix"),
+            ("sent_fwd.u", (12, 3, 1), "a matrix"),
+            ("sent_bwd.w", (12, 5), r"\(12, 4\)"),  # input dim is the embedding dim
+            ("sent_bwd.u", (12, 4), r"\(12, 3\)"),
+            ("doc_fwd.w", (12, 4), r"\(12, 6\)"),  # input dim is 2 x hidden dim
+            ("doc_bwd.b", (13,), r"\(12,\)"),
+            ("out.w", (6, 2), r"\(2, 6\)"),
+            ("out.b", (3,), r"\(2,\)"),
+            ("emission.w", (5, 4), r"\(5, 6\)"),
+            ("emission.b", (), r"\(5,\)"),
+            ("crf.transitions", (5, 5), r"\(7, 7\)"),
+        ],
+    )
+    def test_from_arrays_rejects_shapes_that_do_not_fit(self, name, shape, expected):
+        arrays = tiny_model().to_arrays()
+        arrays[name] = np.zeros(shape)
+        with pytest.raises(ModelError, match=rf"parameter '{name}' has shape .*, expected {expected}"):
+            ModelParams.from_arrays(arrays)
+
     def test_bad_dimensions_rejected(self):
         with pytest.raises(ModelError):
             ModelParams.init(1, 4, 3, np.random.default_rng(0), with_negation_head=False)
@@ -157,6 +179,16 @@ class TestSentimentPath:
         m.out.w.data[:] = 0.0
         m.out.b.data[:] = [1.0, -1.0]  # negative logit wins
         assert predict_document(m, [[2, 3]]).label == "negative"
+
+    def test_prediction_tags_match_per_sentence_tagging(self):
+        m = tiny_model()
+        doc = [[2, 3, 4], [5], [6, 2]]
+        pred = predict_document(m, doc, tags=True)
+        assert pred.tags == [negation_tag(m, ids) for ids in doc]
+        assert pred.label == predict_document(m, doc).label
+        assert predict_document(m, doc).tags is None
+        with pytest.raises(ModelError, match="negation head"):
+            predict_document(tiny_model(head=False), doc, tags=True)
 
     def test_gradient_check_through_both_levels(self):
         m = tiny_model(head=False, vocab=6, e=3, d=2)

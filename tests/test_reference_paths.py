@@ -1,26 +1,43 @@
-"""Bit-identity of the embedding and optimizer path against the dense,
-allocating references in ``tests/oracles.py``.
+"""Bit-identity of refactored paths against the references in
+``tests/oracles.py``: the dense, allocating embedding gradient and
+Adam; the separate stl and mtl training loops; and the two-pass
+``predict --tags``.
 
-The row-sparse ``rows`` gradient and the in-place ``adam_step`` are
-refactors: every test here requires equal bytes, not closeness.
+Each library path is a refactor of its reference: every test here
+requires equal bytes, not closeness.
 """
+
+import contextlib
+import io
+import json
 
 import numpy as np
 import pytest
 
 from negmtl import autodiff as ad
-from negmtl import training
+from negmtl import cli, layers, models, training
 from negmtl.autodiff import Tape, Tensor, backward, zero_grads
+from negmtl.corpus import build_vocab
+from negmtl.evaluation import write_predictions
 from negmtl.models import ModelParams, negation_loss, sentiment_loss
 from negmtl.training import (
     AdamState,
+    Checkpoint,
     TrainConfig,
     apply_updates,
+    predict_corpus,
     save_checkpoint,
     train_mtl,
     train_stl,
 )
-from oracles import adam_step_reference, rows_reference
+from oracles import (
+    adam_step_reference,
+    negation_tag_reference,
+    rows_reference,
+    sentiment_forward_reference,
+    train_mtl_reference,
+    train_stl_reference,
+)
 from test_training import doc
 
 
@@ -174,3 +191,106 @@ def test_training_checkpoint_bytes_match_reference(tmp_path, reference_path, mod
     save_checkpoint(new.checkpoint, tmp_path / "new.bin")
     save_checkpoint(old.checkpoint, tmp_path / "old.bin")
     assert (tmp_path / "new.bin").read_bytes() == (tmp_path / "old.bin").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(mode="stl"),
+        dict(mode="mtl", mtl_schedule="alternating"),
+        dict(mode="mtl", mtl_schedule="warmup_once"),
+        dict(mode="stl", epochs=6, patience=1),
+        dict(mode="mtl", epochs=6, patience=1),
+    ],
+    ids=["stl", "mtl-alternating", "mtl-warmup_once", "stl-early-stop", "mtl-early-stop"],
+)
+def test_one_loop_matches_separate_loops(tmp_path, monkeypatch, overrides):
+    base = dict(seed=4, epochs=3, embedding_dim=6, hidden_dim=4, dropout_p=0.2, patience=10)
+    config = TrainConfig(**{**base, **overrides})
+    train, dev = corpus()
+    new = (train_stl if config.mode == "stl" else train_mtl)(config, train, dev)
+    # the reference runs the parent's sentiment forward pass too, whose
+    # tape interleaves each sentence's encoding with its pooling
+    monkeypatch.setattr(models, "sentiment_forward", sentiment_forward_reference)
+    old = (train_stl_reference if config.mode == "stl" else train_mtl_reference)(config, train, dev)
+    if config.patience == 1:
+        assert old.epochs_run < config.epochs  # the case stops early
+    assert [list(rec) for rec in new.history] == [list(rec) for rec in old.history]
+    assert new.history == old.history
+    assert (new.best_epoch, new.best_dev_accuracy, new.epochs_run) == (
+        old.best_epoch, old.best_dev_accuracy, old.epochs_run
+    )
+    save_checkpoint(new.checkpoint, tmp_path / "new.bin")
+    save_checkpoint(old.checkpoint, tmp_path / "old.bin")
+    assert (tmp_path / "new.bin").read_bytes() == (tmp_path / "old.bin").read_bytes()
+
+
+@pytest.fixture
+def predict_inputs(tmp_path):
+    """An mtl checkpoint (embedding dim 4, hidden dim 3) and a corpus
+    with unknown tokens, one-token and multi-sentence documents."""
+    train, dev = corpus()
+    vocab = build_vocab(train, 1, False)
+    params = ModelParams.init(len(vocab), 4, 3, np.random.default_rng(6), with_negation_head=True)
+    config = TrainConfig(mode="mtl", embedding_dim=4, hidden_dim=3)
+    checkpoint = tmp_path / "checkpoint.bin"
+    save_checkpoint(Checkpoint.from_model(params, vocab, config), checkpoint)
+    docs = train + dev + [doc("u1", None, "zzz unseen tokens", "bad"), doc("u2", "positive", "good")]
+    data = tmp_path / "data.jsonl"
+    data.write_text("".join(
+        json.dumps({
+            "id": d.id, "domain": d.domain, "label": d.label,
+            "sentences": [{"tokens": list(s.tokens), "negations": []} for s in d.sentences],
+        }) + "\n"
+        for d in docs
+    ))
+    return checkpoint, data, docs
+
+
+def run_predict(checkpoint, data, out, tags: bool):
+    argv = ["predict", "--checkpoint", str(checkpoint), "--data", str(data), "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv + (["--tags"] if tags else [])) == 0
+
+
+@pytest.mark.parametrize("tags", [False, True])
+def test_one_pass_predict_matches_two_pass_reference(tmp_path, predict_inputs, tags):
+    checkpoint, data, docs = predict_inputs
+    run_predict(checkpoint, data, tmp_path / "new", tags)
+
+    model, vocab = training.load_checkpoint(checkpoint).to_model()
+    old = tmp_path / "old"
+    old.mkdir()
+    write_predictions(predict_corpus(model, vocab, docs), old / "predictions.jsonl")
+    new_preds = (tmp_path / "new" / "predictions.jsonl").read_bytes()
+    assert new_preds == (old / "predictions.jsonl").read_bytes()
+    if tags:
+        lines = [
+            json.dumps({
+                "id": d.id,
+                "tags": [[str(t) for t in negation_tag_reference(model, vocab.encode(s.tokens))]
+                         for s in d.sentences],
+            }, sort_keys=True) + "\n"
+            for d in docs
+        ]
+        assert (tmp_path / "new" / "tags.jsonl").read_text() == "".join(lines)
+    else:
+        assert not (tmp_path / "new" / "tags.jsonl").exists()
+
+
+def test_predict_tags_encodes_each_sentence_once(tmp_path, monkeypatch, predict_inputs):
+    checkpoint, data, docs = predict_inputs
+    input_dims = []
+    lstm_sequence = layers.lstm_sequence
+
+    def counting(p, inputs, reverse=False):
+        input_dims.append(inputs.data.shape[1])
+        return lstm_sequence(p, inputs, reverse)
+
+    monkeypatch.setattr(layers, "lstm_sequence", counting)
+    run_predict(checkpoint, data, tmp_path / "out", tags=True)
+    n_sentences = sum(len(d.sentences) for d in docs)
+    # embedding dim 4 feeds the sentence BiLSTM, 2 x hidden dim 3 the document one
+    assert input_dims.count(4) == 2 * n_sentences
+    assert input_dims.count(6) == 2 * len(docs)
+    assert len(input_dims) == 2 * (n_sentences + len(docs))

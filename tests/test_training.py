@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from negmtl import autodiff as ad
+from negmtl import training
 from negmtl.autodiff import Tensor
 from negmtl.corpus import Document, NegationStructure, Sentence, build_vocab
 from negmtl.evaluation import PredictionRecord
@@ -359,6 +361,9 @@ class TestCheckpoint:
             (lambda h: _set_entry(h, 0, name="embedding"), "missing 'embedding.weights'"),
             (lambda h: _set_vocab(h, tokens=["<unk>"] + h["vocabulary"]["tokens"][1:]),
              "duplicate tokens"),
+            # same byte count as the saved [12, 4]: only the shape check catches it
+            (lambda h: _set_entry(h, 1, shape=[4, 12]),
+             r"parameter 'sent_fwd\.w' has shape \(4, 12\), expected \(12, 4\)"),
         ],
     )
     def test_unusable_parameters_rejected_by_to_model(self, tmp_path, mutate, message):
@@ -559,6 +564,62 @@ class TestTrainMtl:
         mtl = ModelParams.init(len(vocab), 4, 3, init_b, with_negation_head=True)
         for name, arr in stl.to_arrays().items():
             np.testing.assert_array_equal(arr, mtl.to_arrays()[name])
+
+
+def poison(monkeypatch, loss_name: str, bad_ids, on_call: int):
+    """Make ``training.<loss_name>`` return NaN on the ``on_call``-th
+    call for the example whose ids are ``bad_ids``; returns the log of
+    events ("loss", "poisoned" or "step") in call order."""
+    events = []
+    real_loss, real_updates = getattr(training, loss_name), training.apply_updates
+    seen = 0
+
+    def loss_fn(params, ids, *args, **kwargs):
+        nonlocal seen
+        loss = real_loss(params, ids, *args, **kwargs)
+        if ids == bad_ids:
+            seen += 1
+            if seen == on_call:
+                events.append("poisoned")
+                return ad.mul(loss, Tensor(np.array(np.nan)))
+        events.append("loss")
+        return loss
+
+    def apply_updates_fn(*args):
+        events.append("step")
+        return real_updates(*args)
+
+    monkeypatch.setattr(training, loss_name, loss_fn)
+    monkeypatch.setattr(training, "apply_updates", apply_updates_fn)
+    return events
+
+
+class TestNonFiniteLoss:
+    def test_sentiment_phase_names_epoch_and_document(self, monkeypatch):
+        train, dev = sentiment_corpus()
+        vocab = build_vocab(train, 1, False)
+        t3 = [vocab.encode(s.tokens) for s in train[2].sentences]
+        events = poison(monkeypatch, "sentiment_loss", t3, on_call=2)
+        with pytest.raises(
+            TrainingError, match=r"^epoch 2, sentiment phase: loss is nan on document 't3'$"
+        ):
+            train_stl(tiny_config(epochs=3), train, dev)
+        # every finite loss got its Adam step; the bad one got none
+        assert events[-1] == "poisoned"
+        assert events.count("step") == events.count("loss") > len(train)
+
+    def test_negation_phase_names_epoch_document_and_sentence(self, monkeypatch):
+        train, dev = negation_corpus()
+        vocab = build_vocab(train, 1, False)
+        sad_end = vocab.encode(["sad", "end"])  # t3, sentence 1
+        events = poison(monkeypatch, "negation_loss", sad_end, on_call=1)
+        with pytest.raises(
+            TrainingError,
+            match=r"^epoch 1, negation phase: loss is nan on document 't3' sentence 1$",
+        ):
+            train_mtl(tiny_config(mode="mtl"), train, dev)
+        assert events[-1] == "poisoned"
+        assert events.count("step") == events.count("loss")
 
 
 class TestMajorityVote:
