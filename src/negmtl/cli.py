@@ -22,7 +22,7 @@ from . import __version__
 from . import autodiff as ad
 from .atomic import atomic_open
 from .autodiff import DeterminismError, Tensor, grad_check
-from .corpus import BioTag, CorpusError, corpus_stats, parse_corpus, to_bio
+from .corpus import BioTag, CorpusError, corpus_stats, parse_corpus
 from .crf import CrfParams, crf_nll
 from .evaluation import (
     ConfusionMatrix,
@@ -40,11 +40,9 @@ from .layers import bilstm, linear_rows
 # negation_tag is not called here; bench/tracing.py wraps cli.negation_tag
 from .models import ModelError, ModelParams, negation_loss, negation_tag, predict_document, sentiment_loss
 from .training import (
-    Checkpoint,
     TrainConfig,
     TrainingError,
     load_checkpoint,
-    majority_vote,
     predict_corpus,
     run_ensemble,
     save_checkpoint,

@@ -658,6 +658,10 @@ def bow_features(vocab: Vocabulary, doc: Document) -> np.ndarray:
     return x
 
 
+# gradient 2-norm at which a bag-of-words fit counts as converged
+BOW_GRAD_TOL = 1e-6
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (np.tanh(0.5 * z) + 1.0)
 
@@ -675,36 +679,85 @@ def bow_loss_and_grad(
     return loss, grad_w, grad_b
 
 
+def _bow_direction(
+    w: np.ndarray, b: float, xs: np.ndarray, gram: np.ndarray, c: float,
+    grad_w: np.ndarray, grad_b: float,
+) -> tuple[np.ndarray, float, float]:
+    """Newton direction (dw, db) and its slope gᵀd, or the negative
+    gradient scaled to the minimum of the quadratic model along it when
+    the Newton direction is undefined, non-finite or not a descent one."""
+    n = len(xs)
+    p = _sigmoid(xs @ w + b)
+    s = p * (1.0 - p)
+    root = np.sqrt(s / n)
+    # A = XᵀSX/n + I/C = RᵀR + I/C with R = diag(root)·X; by Woodbury
+    # A⁻¹v = C·(v − Rᵀ(I/C + RRᵀ)⁻¹Rv), one n×n solve for both right sides
+    small = np.eye(n) / c + root[:, None] * gram * root[None, :]
+    h = xs.T @ s / n
+    rhs = np.stack([grad_w, h], axis=1)
+    coef = np.linalg.solve(small, root[:, None] * (xs @ rhs))
+    u, t = (c * (rhs - xs.T @ (root[:, None] * coef))).T
+    sigma = float(s.sum()) / n
+    # the bias curvature left after the weights; below 1e-12·Σs/n it is
+    # cancellation noise, and it is 0 when every p rounded to 0 or 1
+    schur = sigma - float(h @ t)
+    if schur > 1e-12 * sigma:
+        db = (float(h @ u) - grad_b) / schur
+        dw = -u - t * db
+        slope = float(grad_w @ dw) + grad_b * db
+        if slope < 0.0 and math.isfinite(slope):  # finite only if dw, db are (0·inf is nan)
+            return dw, db, slope
+    # gᵀHg with H = [[A, h], [hᵀ, Σs/n]]
+    xg = xs @ grad_w
+    gw_sq = float(grad_w @ grad_w)
+    curvature = (
+        float(s @ (xg * xg)) / n + gw_sq / c + 2.0 * grad_b * float(h @ grad_w) + sigma * grad_b**2
+    )
+    g_sq = gw_sq + grad_b**2
+    scale = g_sq / curvature if curvature > 0.0 else 1.0
+    return -scale * grad_w, -scale * grad_b, -scale * g_sq
+
+
 def fit_bow(
     xs: np.ndarray,
     ys: np.ndarray,
     c: float,
     init: tuple[np.ndarray, float] | None = None,
-    max_iters: int = 10_000,
-    grad_tol: float = 1e-6,
+    max_iters: int = 100,
+    grad_tol: float = BOW_GRAD_TOL,
 ) -> tuple[np.ndarray, float, float, int]:
-    """Full-batch gradient descent with backtracking (Armijo) step
-    selection on the convex regularized objective.  Stops when the
-    gradient 2-norm falls below ``grad_tol``.  Returns (w, b, loss, iters)."""
+    """Damped Newton on the convex objective of ``bow_loss_and_grad``.
+    Stops when the gradient 2-norm falls below ``grad_tol``.  Returns
+    (w, b, loss, iters), iters counting the steps taken.
+
+    The Newton system is solved in document space: the weight block of
+    the Hessian is A = XᵀSX/n + I/C (S the curvatures p(1−p)), inverted
+    through Woodbury with one n×n solve per iteration (n documents, never
+    V×V), and the bias step comes from the Schur complement
+    Σs/n − hᵀA⁻¹h with h = Xᵀs/n.  The step length is picked by Armijo
+    backtracking from 1.  An iteration whose Newton direction is
+    undefined (every p rounded to 0 or 1 leaves a zero Schur complement),
+    non-finite or not a descent direction steps along the negative
+    gradient instead.  A step that no backtracking can make decrease the
+    loss ends the fit early, unconverged."""
     w = np.zeros(xs.shape[1]) if init is None else init[0].astype(np.float64).copy()
     b = 0.0 if init is None else float(init[1])
+    gram = xs @ xs.T
     loss, grad_w, grad_b = bow_loss_and_grad(w, b, xs, ys, c)
     iters = 0
-    step = 1.0
-    for iters in range(1, max_iters + 1):
-        g_sq = float(grad_w @ grad_w) + grad_b**2
-        if np.sqrt(g_sq) < grad_tol:
-            iters -= 1
-            break
-        step = min(step * 2.0, 1e4)  # try growing first; backtrack as needed
-        while True:
-            w_new = w - step * grad_w
-            b_new = b - step * grad_b
+    while iters < max_iters and math.sqrt(float(grad_w @ grad_w) + grad_b**2) >= grad_tol:
+        dw, db, slope = _bow_direction(w, b, xs, gram, c, grad_w, grad_b)
+        for halvings in range(60):
+            step = 0.5**halvings
+            w_new = w + step * dw
+            b_new = b + step * db
             loss_new, gw_new, gb_new = bow_loss_and_grad(w_new, b_new, xs, ys, c)
-            if loss_new <= loss - 1e-4 * step * g_sq or step < 1e-20:
+            if loss_new <= loss + 1e-4 * step * slope:
                 break
-            step *= 0.5
+        else:
+            break  # no step length decreases the loss: stop unconverged
         w, b, loss, grad_w, grad_b = w_new, b_new, loss_new, gw_new, gb_new
+        iters += 1
     return w, b, loss, iters
 
 
@@ -725,7 +778,14 @@ def train_bow(config: TrainConfig, train_docs: Sequence[Document], dev_docs: Seq
     best: BowResult | None = None
     by_c: dict[float, float] = {}
     for c in sorted(config.bow_c_grid):
-        w, b, _, _ = fit_bow(xs, ys, c)
+        w, b, _, iters = fit_bow(xs, ys, c)
+        _, grad_w, grad_b = bow_loss_and_grad(w, b, xs, ys, c)
+        grad_norm = math.sqrt(float(grad_w @ grad_w) + grad_b**2)
+        if not grad_norm < BOW_GRAD_TOL:
+            raise TrainingError(
+                f"bow fit at C={c} did not converge: gradient norm {grad_norm:.3e} "
+                f"after {iters} iterations (tolerance {BOW_GRAD_TOL:g})"
+            )
         model = BowModel(vocab, w, b, c)
         dev_acc = accuracy_of(
             [PredictionRecord(d.id, d.label, model.predict(d)) for d in dev_docs]

@@ -29,6 +29,7 @@ from negmtl.training import (
     _require_labeled,
     accuracy_of,
     apply_updates,
+    bow_loss_and_grad,
     predict_corpus,
     rng_streams,
 )
@@ -391,3 +392,36 @@ def sentiment_forward_reference(
     stacked = ad.stack_rows(sentence_vectors)
     doc_states = bilstm(params.doc_fwd, params.doc_bwd, stacked)
     return linear_vec(params.out, ad.max_over_time(doc_states))
+
+
+def fit_bow_reference(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    c: float,
+    init: tuple[np.ndarray, float] | None = None,
+    max_iters: int = 10_000,
+    grad_tol: float = 1e-6,
+) -> tuple[np.ndarray, float, float, int]:
+    """Full-batch gradient descent with backtracking (Armijo) step
+    selection on the convex regularized objective.  Stops when the
+    gradient 2-norm falls below ``grad_tol``.  Returns (w, b, loss, iters)."""
+    w = np.zeros(xs.shape[1]) if init is None else init[0].astype(np.float64).copy()
+    b = 0.0 if init is None else float(init[1])
+    loss, grad_w, grad_b = bow_loss_and_grad(w, b, xs, ys, c)
+    iters = 0
+    step = 1.0
+    for iters in range(1, max_iters + 1):
+        g_sq = float(grad_w @ grad_w) + grad_b**2
+        if np.sqrt(g_sq) < grad_tol:
+            iters -= 1
+            break
+        step = min(step * 2.0, 1e4)  # try growing first; backtrack as needed
+        while True:
+            w_new = w - step * grad_w
+            b_new = b - step * grad_b
+            loss_new, gw_new, gb_new = bow_loss_and_grad(w_new, b_new, xs, ys, c)
+            if loss_new <= loss - 1e-4 * step * g_sq or step < 1e-20:
+                break
+            step *= 0.5
+        w, b, loss, grad_w, grad_b = w_new, b_new, loss_new, gw_new, gb_new
+    return w, b, loss, iters

@@ -1,6 +1,6 @@
 """Synthetic corpora for the end-to-end suites.
 
-Three generators:
+Four generators:
 
 * random annotated sentences with overlapping, discontinuous, and
   pre-cue scopes, for round-trip checks over the BIO codec;
@@ -9,7 +9,9 @@ Three generators:
   sentiment keyword sits inside an annotated negation scope.  The cue
   also appears in decoy sentences whose scope excludes the keyword, so
   cue presence alone carries no label signal; the tagging task supplies
-  exactly the structure the sentiment task needs.
+  exactly the structure the sentiment task needs;
+* a wide-vocabulary corpus of short documents, whose vocabulary grows
+  almost linearly with its size, for the bag-of-words baseline.
 """
 
 from __future__ import annotations
@@ -88,6 +90,35 @@ def separable_corpus(n_docs: int, rng: np.random.Generator) -> list[Document]:
                 f"sep-{i}", "synthetic",
                 "positive" if positive else "negative",
                 tuple(sentences),
+            )
+        )
+    return docs
+
+
+def vocab_corpus(
+    n_docs: int, rng: np.random.Generator, positives_per_negative: int = 1
+) -> list[Document]:
+    """Two or three sentences of 6-12 tokens per document, three in ten
+    of them fillers and the rest content words drawn from 100k forms,
+    with one class keyword at a random position.  Every
+    (positives_per_negative + 1)-th document is negative, the others
+    positive."""
+    docs = []
+    for i in range(n_docs):
+        positive = i % (positives_per_negative + 1) != positives_per_negative
+        sentences = [
+            [str(rng.choice(FILLERS)) if rng.random() < 0.3 else f"w{rng.integers(100_000)}"
+             for _ in range(int(rng.integers(6, 13)))]
+            for _ in range(int(rng.integers(2, 4)))
+        ]
+        words = POS_WORDS if positive else NEG_WORDS
+        k = int(rng.integers(len(sentences)))
+        sentences[k][int(rng.integers(len(sentences[k])))] = str(rng.choice(words))
+        docs.append(
+            Document(
+                f"voc-{i}", "synthetic",
+                "positive" if positive else "negative",
+                tuple(Sentence(tuple(t), ()) for t in sentences),
             )
         )
     return docs

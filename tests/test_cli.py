@@ -158,6 +158,26 @@ class TestTrain:
         assert report["mode"] == "bow"
         assert "chosen_c" in report
 
+    def test_bow_rerun_is_byte_identical(self, corpus, tmp_path):
+        train, dev = corpus
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert main(["train", "--mode", "bow", "--train", str(train), "--dev", str(dev), "--out", str(out)]) == 0
+        for name in ("metrics.jsonl", "report.json", "preds/seed-1.jsonl"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_unconverged_bow_fit_prints_one_error(self, corpus, tmp_path, monkeypatch, capsys):
+        fit = training.fit_bow
+        monkeypatch.setattr(training, "fit_bow", lambda xs, ys, c: fit(xs, ys, c, max_iters=0))
+        train, dev = corpus
+        out = tmp_path / "bow"
+        rc = main(["train", "--mode", "bow", "--train", str(train), "--dev", str(dev), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bow fit at C=0.001 did not converge: gradient norm")
+        for name in ("metrics.jsonl", "report.json", "manifest.json"):
+            assert not (out / name).exists(), name
+
     def test_config_file_with_cli_override_precedence(self, corpus, tmp_path):
         train, dev = corpus
         cfg = tmp_path / "cfg.json"

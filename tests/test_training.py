@@ -1,9 +1,12 @@
 import dataclasses
 import functools
+import inspect
 import json
+import math
 import os
 import struct
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +40,8 @@ from negmtl.training import (
     train_mtl,
     train_stl,
 )
+from oracles import fit_bow_reference
+from synth import separable_corpus, vocab_corpus
 
 
 def doc(doc_id, label, *sents, annotated=True):
@@ -780,3 +785,131 @@ class TestBow:
             train_bow(tiny_config(mode="stl"), train, dev)
         with pytest.raises(TrainingError, match="vocabulary"):
             train_bow(tiny_config(mode="bow", min_count=100), train, dev)
+
+    def test_imbalanced_labels_converge_at_small_c(self):
+        # gradient descent stopped at its 10k-step cap here: the bias has
+        # curvature <= 0.25 against the weights' 1/C = 1000
+        train = vocab_corpus(60, np.random.default_rng(5), positives_per_negative=2)
+        xs, ys = bow_arrays(train, train)
+        assert ys.mean() == pytest.approx(2 / 3)
+        w, b, _, iters = fit_bow(xs, ys, c=0.001)
+        assert grad_norm(w, b, xs, ys, 0.001) < 1e-6
+        assert iters <= inspect.signature(fit_bow).parameters["max_iters"].default // 10
+        assert b > 0  # toward the log-odds of the 2:1 prior
+
+    def test_saturated_decisions_finish_finite_without_warnings(self):
+        # counts of 1e4 saturate every decision once |w| is past 1e-2; the
+        # start saturates all of them (half wrong), so p(1-p) is 0 for
+        # every document and the Newton bias step is undefined there
+        xs = 1e4 * np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        ys = np.array([1.0, 0.0, 1.0, 0.0])
+        starts = [None, (np.array([50.0, -50.0, 0.0]), 0.0), (np.array([50.0, 50.0, 50.0]), 300.0)]
+        for c in TrainConfig().bow_c_grid:
+            for init in starts:
+                if init is not None:
+                    p = training._sigmoid(xs @ init[0] + init[1])
+                    assert np.all(p * (1.0 - p) == 0.0)
+                with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+                    warnings.simplefilter("error")
+                    w, b, loss, iters = fit_bow(xs, ys, c, init=init)
+                assert math.isfinite(loss) and np.isfinite(w).all() and math.isfinite(b)
+                assert grad_norm(w, b, xs, ys, c) < 1e-6
+                assert iters < inspect.signature(fit_bow).parameters["max_iters"].default
+
+    @pytest.mark.parametrize("broken", ["nan", "ascent"])
+    def test_unusable_newton_direction_falls_back_to_gradient(self, broken, monkeypatch):
+        # stand-ins for a solve gone wrong: all NaN, or scaled so that the
+        # implied Hessian is indefinite and the direction climbs (C >= 1)
+        train, _ = sentiment_corpus()
+        xs, ys = bow_arrays(train, train)
+        solve = np.linalg.solve
+        broken_solve = {
+            "nan": lambda a, b: np.full_like(b, np.nan),
+            "ascent": lambda a, b: 10.0 * solve(a, b),
+        }[broken]
+        monkeypatch.setattr(np.linalg, "solve", broken_solve)
+        for c in TrainConfig().bow_c_grid:
+            with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+                warnings.simplefilter("error")
+                w, b, loss, _ = fit_bow(xs, ys, c, max_iters=10_000)
+            assert math.isfinite(loss)
+            assert grad_norm(w, b, xs, ys, c) < 1e-6
+
+    def test_unconverged_fit_raises_naming_c_and_gradient(self, monkeypatch):
+        train, dev = sentiment_corpus()
+        fit = training.fit_bow
+        monkeypatch.setattr(training, "fit_bow", lambda xs, ys, c: fit(xs, ys, c, max_iters=0))
+        with pytest.raises(TrainingError, match=r"C=0\.001 .*gradient norm \d\.\d+e-\d+"):
+            train_bow(tiny_config(mode="bow"), train, dev)
+
+
+def bow_arrays(train, docs):
+    vocab = build_vocab(train, 1, False)
+    xs = np.stack([bow_features(vocab, d) for d in docs])
+    ys = np.array([1.0 if d.label == "positive" else 0.0 for d in docs])
+    return xs, ys
+
+
+def grad_norm(w, b, xs, ys, c):
+    _, gw, gb = bow_loss_and_grad(w, b, xs, ys, c)
+    return math.sqrt(gw @ gw + gb**2)
+
+
+def bow_corpora():
+    rng = np.random.default_rng(5)
+    return {
+        "sentiment": sentiment_corpus(),
+        "separable": (separable_corpus(20, rng), separable_corpus(10, rng)),
+        "vocab": (vocab_corpus(60, rng), vocab_corpus(20, rng)),
+    }
+
+
+def ties(ref_z: np.ndarray) -> np.ndarray:
+    """Decisions too close to 0 for the reference to fix their sign.
+
+    Both solvers stop at gradient norm 1e-6.  There the reference's bias
+    can still be some 3e-6 off (its curvature is at most 0.25) and its
+    decisions, at C = 100, up to 1e-4 of the largest of them off."""
+    return np.abs(ref_z) <= 1e-5 + 1e-4 * np.abs(ref_z).max()
+
+
+class TestBowMatchesGradientDescent:
+    """Newton against the former gradient-descent solver,
+    ``oracles.fit_bow_reference``, on every C of the default grid."""
+
+    @pytest.mark.parametrize("name", ["sentiment", "separable", "vocab"])
+    def test_same_optimum_on_every_c(self, name):
+        train, dev = bow_corpora()[name]
+        xs, ys = bow_arrays(train, train)
+        dev_xs, _ = bow_arrays(train, dev)
+        for c in TrainConfig().bow_c_grid:
+            w, b, loss, _ = fit_bow(xs, ys, c)
+            ref_w, ref_b, ref_loss, ref_iters = fit_bow_reference(xs, ys, c)
+            assert ref_iters < 10_000  # the reference converged too
+            assert abs(loss - ref_loss) <= 1e-8
+            for x in (xs, dev_xs):
+                z, ref_z = x @ w + b, x @ ref_w + ref_b
+                resolved = ~ties(ref_z)
+                np.testing.assert_array_equal(np.sign(z[resolved]), np.sign(ref_z[resolved]))
+
+    @pytest.mark.parametrize("name", ["sentiment", "separable", "vocab"])
+    def test_same_selection(self, name, monkeypatch):
+        train, dev = bow_corpora()[name]
+        dev_xs, _ = bow_arrays(train, dev)
+        result = train_bow(tiny_config(mode="bow"), train, dev)
+        ref_fits = {}
+
+        def recording_reference(xs, ys, c):
+            w, b, loss, iters = fit_bow_reference(xs, ys, c)
+            ref_fits[c] = (w, b)
+            return w, b, loss, iters
+
+        monkeypatch.setattr(training, "fit_bow", recording_reference)
+        ref = train_bow(tiny_config(mode="bow"), train, dev)
+        assert result.chosen_c == ref.chosen_c
+        for c, (ref_w, ref_b) in ref_fits.items():
+            tied = int(ties(dev_xs @ ref_w + ref_b).sum())
+            gap = abs(result.dev_accuracy_by_c[c] - ref.dev_accuracy_by_c[c])
+            assert gap <= tied / len(dev) + 1e-12, (c, tied)
+            if tied == 0:
+                assert result.dev_accuracy_by_c[c] == ref.dev_accuracy_by_c[c]
