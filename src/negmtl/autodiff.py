@@ -1,16 +1,23 @@
 """Reverse-mode automatic differentiation over numpy float64 buffers.
 
 A ``Tape`` records one ``Node`` per operation while it is the innermost
-active tape.  An operation is either one of the generic primitives
-below or a fused op built on the same ``_make_output`` hook: the
-sequence ops in ``layers`` (one node per LSTM direction) and ``crf``
-(one node each for the log-partition and the gold-path score) run
-their loops in numpy and record a single node with a hand-written
-backward pass.  ``backward(loss)`` replays the recorded nodes in exact
+active tape.  ``backward(loss)`` replays the recorded nodes in exact
 reverse order, accumulating vector-Jacobian products into the ``grad``
-buffers of leaf tensors.  There is no broadcasting beyond 0-d
-scalars; shape mismatches fail loudly at the offending operation rather
-than producing silently misaligned gradients.
+buffers of leaf tensors.  There is no broadcasting beyond 0-d scalars;
+shape mismatches fail loudly at the offending operation rather than
+producing silently misaligned gradients.
+
+The module holds only the primitives the model and its CLI record:
+``add``, ``sub``, ``mul`` and ``tanh``; ``concat``, ``stack_rows`` and
+the gather ``rows``; ``sum_all``, ``max_over_time`` and
+``softmax_cross_entropy``.  The fused ops build on the same
+``_make_output`` hook and run their work in numpy with a hand-written
+backward pass, each recorded as a single node: ``layers.lstm_sequence``
+(one LSTM direction), ``layers.affine`` (a linear map plus bias, on a
+vector or on every row of a matrix) and the log-partition and
+gold-path score in ``crf``.  The generic primitives that step-by-step
+references in the tests compose (matrix products, transpose, sigmoid)
+live with those references in ``tests/oracles.py``.
 
 The gather ``rows`` is the one op whose gradient is row-sparse: its
 backward pass returns a ``RowGrad`` (the unique indices plus one summed
@@ -125,9 +132,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         flags = []
         if self.requires_grad:
@@ -136,31 +140,6 @@ class Tensor:
             flags.append("taped")
         suffix = f" [{', '.join(flags)}]" if flags else ""
         return f"Tensor(shape={self.data.shape}{suffix})"
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make_output(data: np.ndarray, inputs: tuple[Tensor, ...], backward: Callable) -> Tensor:
@@ -254,62 +233,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make_output(a.data * b.data, (a, b), bw)
 
 
-def neg(a: Tensor) -> Tensor:
-    return _make_output(-a.data, (a,), lambda g: (-g,))
-
-
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
     return _make_output(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    # tanh form avoids exp overflow for large negative inputs
-    out = 0.5 * (np.tanh(0.5 * a.data) + 1.0)
-    return _make_output(out, (a,), lambda g: (g * out * (1.0 - out),))
-
-
-# ---------------------------------------------------------------------------
-# Linear algebra
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise AutodiffError(f"matmul: incompatible shapes {a.data.shape} @ {b.data.shape}")
-    na, nb = a.requires_grad, b.requires_grad
-    def bw(g):
-        ga = g @ b.data.T if na else None
-        gb = a.data.T @ g if nb else None
-        return ga, gb
-    return _make_output(a.data @ b.data, (a, b), bw)
-
-
-def matvec(w: Tensor, x: Tensor) -> Tensor:
-    if w.data.ndim != 2 or x.data.ndim != 1 or w.data.shape[1] != x.data.shape[0]:
-        raise AutodiffError(f"matvec: incompatible shapes {w.data.shape} @ {x.data.shape}")
-    nw, nx = w.requires_grad, x.requires_grad
-    def bw(g):
-        gw = np.outer(g, x.data) if nw else None
-        gx = w.data.T @ g if nx else None
-        return gw, gx
-    return _make_output(w.data @ x.data, (w, x), bw)
-
-
-def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
-    """Add a length-c vector to every row of a (T, c) matrix."""
-    if m.data.ndim != 2 or v.data.ndim != 1 or m.data.shape[1] != v.data.shape[0]:
-        raise AutodiffError(f"add_rowvec: incompatible shapes {m.data.shape} + {v.data.shape}")
-    return _make_output(m.data + v.data, (m, v), lambda g: (g, g.sum(axis=0)))
-
-
 # ---------------------------------------------------------------------------
 # Shape and indexing
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise AutodiffError(f"transpose: expected a matrix, got shape {a.data.shape}")
-    return _make_output(a.data.T.copy(), (a,), lambda g: (g.T,))
 
 
 def concat(a: Tensor, b: Tensor, axis: int = 0) -> Tensor:

@@ -36,7 +36,7 @@ from .evaluation import (
     stats_report,
     write_predictions,
 )
-from .layers import bilstm, linear_rows
+from .layers import affine, bilstm
 # negation_tag is not called here; bench/tracing.py wraps cli.negation_tag
 from .models import ModelError, ModelParams, negation_loss, negation_tag, predict_document, sentiment_loss
 from .training import (
@@ -429,7 +429,7 @@ def _gradcheck_cases(seed: int, inject_bug: bool):
             # a repeated id: duplicate rows accumulate into one gradient row
             emb = ad.rows(named["embedding.weights"], [1, 2, 1, 4])
             enc = bilstm(params.sent_fwd, params.sent_bwd, emb)
-            scores = linear_rows(params.emission, enc)
+            scores = affine(params.emission, enc)
             return sabotage(ad.sum_all(ad.tanh(scores)), named["embedding.weights"])
 
         return f, subset

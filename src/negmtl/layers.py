@@ -1,10 +1,14 @@
-"""Neural network building blocks: embeddings, LSTMs, linear maps, dropout.
+"""Neural network building blocks: embeddings, LSTMs, affine maps, dropout.
 
 An LSTM direction is one fused tape op, ``lstm_sequence``: the input
 projection for every timestep is a single matmul ahead of the
 recurrence, only ``U @ h`` and the gates run step by step in numpy, and
 the backward pass is hand-written backpropagation through time.  A
 per-step reference built from generic primitives lives in the tests.
+
+Both heads end in ``affine``, one tape node computing ``x @ w.T + b``
+for an (in,) vector (the sentiment output layer) or a (T, in) matrix
+(the per-token CRF emissions).
 
 All parameters live in small dataclasses of leaf tensors so that model
 code can enumerate, initialize and update them by name.  Initialization
@@ -102,8 +106,9 @@ def lstm_sequence(p: LstmParams, inputs: Tensor, reverse: bool = False) -> Tenso
         )
     t_len = x.shape[0]
     xs = x[::-1] if reverse else x  # processing order
-    # sigmoid(z) = 0.5 * tanh(0.5 z) + 0.5 (overflow-free, as ad.sigmoid)
-    # and tanh(z) = 1.0 * tanh(1.0 z) + 0.0, so one tanh over the (4d,)
+    # sigmoid(z) = 0.5 * tanh(0.5 z) + 0.5, the overflow-free form the
+    # per-step reference's sigmoid in tests/oracles.py also uses, and
+    # tanh(z) = 1.0 * tanh(1.0 z) + 0.0, so one tanh over the (4d,)
     # pre-activation yields all four gates.  Scaling by 0.5 is exact, so
     # folding it into the projection and U changes no bits.
     scale = np.full(4 * d, 0.5)
@@ -182,13 +187,24 @@ class Linear:
         return cls(Tensor(w, requires_grad=True), Tensor(np.zeros(output_dim), requires_grad=True))
 
 
-def linear_vec(p: Linear, x: Tensor) -> Tensor:
-    return ad.add(ad.matvec(p.w, x), p.b)
+def affine(p: Linear, x: Tensor) -> Tensor:
+    """``x @ w.T + b`` for an (in,) vector or a (T, in) matrix (the same
+    map on every row), recorded as a single tape node.  The backward pass
+    returns ``g @ w`` for x and, over the inputs and gradients viewed as
+    matrices, ``g.T @ x`` for w and the column sums of g for b."""
+    w = p.w.data
+    if x.data.ndim not in (1, 2) or x.data.shape[-1] != w.shape[1]:
+        raise ad.AutodiffError(f"affine: inputs {x.data.shape} do not match w {w.shape}")
 
+    def bw(g):
+        g2, x2 = np.atleast_2d(g), np.atleast_2d(x.data)
+        return (
+            g @ w if x.requires_grad else None,
+            g2.T @ x2 if p.w.requires_grad else None,
+            g2.sum(axis=0) if p.b.requires_grad else None,
+        )
 
-def linear_rows(p: Linear, x: Tensor) -> Tensor:
-    """Apply the same affine map to every row of a (T, in) matrix."""
-    return ad.add_rowvec(ad.matmul(x, ad.transpose(p.w)), p.b)
+    return ad._make_output(x.data @ w.T + p.b.data, (x, p.w, p.b), bw)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool) -> Tensor:

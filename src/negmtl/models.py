@@ -24,10 +24,9 @@ from .layers import (
     EmbeddingTable,
     Linear,
     LstmParams,
+    affine,
     bilstm,
     dropout,
-    linear_rows,
-    linear_vec,
 )
 
 NEGATIVE_CLASS = 0
@@ -230,7 +229,7 @@ def _encode_sentence(
 
 def _viterbi_tags(params: ModelParams, encoded: Tensor) -> list[BioTag]:
     """Eval-mode negation head: the best tag path of one encoded sentence."""
-    emissions = linear_rows(params.emission, encoded)
+    emissions = affine(params.emission, encoded)
     return [BioTag(t) for t in viterbi_decode(params.crf.transitions.data, emissions.data)]
 
 
@@ -245,7 +244,7 @@ def negation_forward(
     if not params.has_negation_head:
         raise ModelError("model has no negation head")
     encoded = _encode_sentence(params, token_ids, train, dropout_p, rng)
-    return linear_rows(params.emission, encoded)
+    return affine(params.emission, encoded)
 
 
 def negation_loss(
@@ -279,7 +278,7 @@ def _document_logits(params: ModelParams, encodings: Sequence[Tensor]) -> Tensor
         raise ModelError("cannot classify an empty document")
     stacked = ad.stack_rows([ad.max_over_time(encoded) for encoded in encodings])
     doc_states = bilstm(params.doc_fwd, params.doc_bwd, stacked)
-    return linear_vec(params.out, ad.max_over_time(doc_states))
+    return affine(params.out, ad.max_over_time(doc_states))
 
 
 def sentiment_forward(

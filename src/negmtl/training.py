@@ -17,7 +17,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import struct
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -79,6 +81,21 @@ class TrainConfig:
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
 
     def __post_init__(self):
+        def require(ok: bool, key: str, what: str):
+            if not ok:
+                raise ValueError(f"{key} must be {what}, got {getattr(self, key)!r}")
+
+        # types first, so the range checks below only ever compare numbers
+        for key in ("seed", "epochs", "embedding_dim", "hidden_dim", "patience", "min_count"):
+            require(_is_int(getattr(self, key)), key, "an integer")
+        for key in ("learning_rate", "dropout_p", "beta1", "beta2", "epsilon"):
+            require(_is_real(getattr(self, key)), key, "a finite number")
+        require(isinstance(self.lowercase, bool), "lowercase", "true or false")
+        require(
+            isinstance(self.bow_c_grid, tuple) and all(map(_is_real, self.bow_c_grid)),
+            "bow_c_grid", "a list of finite numbers",
+        )
+        require(isinstance(self.seeds, tuple) and all(map(_is_int, self.seeds)), "seeds", "a list of integers")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mtl_schedule not in MTL_SCHEDULES:
@@ -97,8 +114,11 @@ class TrainConfig:
             raise ValueError(f"min_count must be >= 1, got {self.min_count}")
         if not self.bow_c_grid or any(c <= 0 for c in self.bow_c_grid):
             raise ValueError("bow_c_grid must be non-empty and positive")
-        if not self.seeds:
-            raise ValueError("seeds must be non-empty")
+        # numpy's SeedSequence takes non-negative seeds only
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ValueError(f"seeds must be non-empty and >= 0, got {list(self.seeds)}")
 
     def to_dict(self) -> dict:
         # JSON-shaped: sequences as lists, so a dict that went through a
@@ -116,9 +136,18 @@ class TrainConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         coerced = dict(obj)
         for key in ("bow_c_grid", "seeds"):
-            if key in coerced:
+            if isinstance(coerced.get(key), list):
                 coerced[key] = tuple(coerced[key])
         return cls(**coerced)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    # the comparison is exact for ints of any size and false for nan
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def rng_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator, np.random.Generator]:
@@ -632,12 +661,13 @@ class BowModel:
     bias: float
     c: float
 
-    def decision(self, doc: Document) -> float:
-        return float(self.weights @ bow_features(self.vocab, doc) + self.bias)
-
     def predict(self, doc: Document) -> str:
+        return self.predict_features(bow_features(self.vocab, doc))
+
+    def predict_features(self, x: np.ndarray) -> str:
+        """Label of one document's ``bow_features`` vector."""
         # sigmoid(z) >= 0.5 iff z >= 0; ties resolve to positive
-        return "positive" if self.decision(doc) >= 0.0 else "negative"
+        return "positive" if float(self.weights @ x + self.bias) >= 0.0 else "negative"
 
 
 @dataclass
@@ -774,6 +804,7 @@ def train_bow(config: TrainConfig, train_docs: Sequence[Document], dev_docs: Seq
 
     xs = np.stack([bow_features(vocab, doc) for doc in train_docs])
     ys = np.array([float(LABEL_TO_CLASS[doc.label]) for doc in train_docs])
+    dev_xs = [bow_features(vocab, doc) for doc in dev_docs]  # built once, scored at every C
 
     best: BowResult | None = None
     by_c: dict[float, float] = {}
@@ -788,7 +819,7 @@ def train_bow(config: TrainConfig, train_docs: Sequence[Document], dev_docs: Seq
             )
         model = BowModel(vocab, w, b, c)
         dev_acc = accuracy_of(
-            [PredictionRecord(d.id, d.label, model.predict(d)) for d in dev_docs]
+            [PredictionRecord(d.id, d.label, model.predict_features(x)) for d, x in zip(dev_docs, dev_xs)]
         )
         by_c[c] = dev_acc
         if best is None or dev_acc > best.dev_accuracy:  # strict: earlier (smaller) C wins ties

@@ -8,7 +8,7 @@ from negmtl import autodiff as ad
 from negmtl.autodiff import Tape, Tensor, backward, no_grad, zero_grads
 from negmtl.corpus import BioTag, Document, build_vocab, to_bio
 from negmtl.crf import viterbi_decode
-from negmtl.layers import bilstm, linear_vec
+from negmtl.layers import bilstm
 from negmtl.models import (
     LABEL_TO_CLASS,
     ModelError,
@@ -83,6 +83,69 @@ def weighted_sum(t: Tensor, seed: int = 7) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# Generic tape primitives that only the step-by-step references compose.
+# The library records fused ops in their place (``layers.affine``,
+# ``layers.lstm_sequence``, the CRF nodes), so these live here, their
+# code as it was in ``negmtl.autodiff``.
+
+
+def neg(a: Tensor) -> Tensor:
+    return ad._make_output(-a.data, (a,), lambda g: (-g,))
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    # tanh form avoids exp overflow for large negative inputs
+    out = 0.5 * (np.tanh(0.5 * a.data) + 1.0)
+    return ad._make_output(out, (a,), lambda g: (g * out * (1.0 - out),))
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise ad.AutodiffError(f"matmul: incompatible shapes {a.data.shape} @ {b.data.shape}")
+    na, nb = a.requires_grad, b.requires_grad
+    def bw(g):
+        ga = g @ b.data.T if na else None
+        gb = a.data.T @ g if nb else None
+        return ga, gb
+    return ad._make_output(a.data @ b.data, (a, b), bw)
+
+
+def matvec(w: Tensor, x: Tensor) -> Tensor:
+    if w.data.ndim != 2 or x.data.ndim != 1 or w.data.shape[1] != x.data.shape[0]:
+        raise ad.AutodiffError(f"matvec: incompatible shapes {w.data.shape} @ {x.data.shape}")
+    nw, nx = w.requires_grad, x.requires_grad
+    def bw(g):
+        gw = np.outer(g, x.data) if nw else None
+        gx = w.data.T @ g if nx else None
+        return gw, gx
+    return ad._make_output(w.data @ x.data, (w, x), bw)
+
+
+def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
+    """Add a length-c vector to every row of a (T, c) matrix."""
+    if m.data.ndim != 2 or v.data.ndim != 1 or m.data.shape[1] != v.data.shape[0]:
+        raise ad.AutodiffError(f"add_rowvec: incompatible shapes {m.data.shape} + {v.data.shape}")
+    return ad._make_output(m.data + v.data, (m, v), lambda g: (g, g.sum(axis=0)))
+
+
+def transpose(a: Tensor) -> Tensor:
+    if a.data.ndim != 2:
+        raise ad.AutodiffError(f"transpose: expected a matrix, got shape {a.data.shape}")
+    return ad._make_output(a.data.T.copy(), (a,), lambda g: (g.T,))
+
+
+def linear_vec(p, x: Tensor) -> Tensor:
+    """The sentiment output layer as two nodes, ``w @ x`` then ``+ b``."""
+    return ad.add(matvec(p.w, x), p.b)
+
+
+def linear_rows(p, x: Tensor) -> Tensor:
+    """The emission layer as three nodes: ``x @ transpose(w)``, then the
+    bias added to every row."""
+    return add_rowvec(matmul(x, transpose(p.w)), p.b)
+
+
+# ---------------------------------------------------------------------------
 # Composed references for the fused sequence ops.  Each is built step by
 # step from generic tape primitives, so its values and its gradients are
 # independent of the hand-written backward passes in layers and crf.
@@ -94,15 +157,15 @@ def lstm_reference(p, inputs: Tensor, reverse: bool = False) -> Tensor:
     updates.  Returns the (T, d) hidden states in input order."""
     d = p.hidden_dim
     t_len = inputs.data.shape[0]
-    w_t, u_t = ad.transpose(p.w), ad.transpose(p.u)
+    w_t, u_t = transpose(p.w), transpose(p.u)
     gate = [Tensor(np.eye(4 * d)[:, k * d : (k + 1) * d]) for k in range(4)]  # column pickers
     h = c = Tensor(np.zeros((1, d)))
     out: list = [None] * t_len
     for t in (range(t_len - 1, -1, -1) if reverse else range(t_len)):
-        z = ad.add_rowvec(ad.add(ad.matmul(ad.rows(inputs, [t]), w_t), ad.matmul(h, u_t)), p.b)
+        z = add_rowvec(ad.add(matmul(ad.rows(inputs, [t]), w_t), matmul(h, u_t)), p.b)
         i, f, g, o = (
-            act(ad.matmul(z, sel))
-            for act, sel in zip((ad.sigmoid, ad.sigmoid, ad.tanh, ad.sigmoid), gate)
+            act(matmul(z, sel))
+            for act, sel in zip((sigmoid, sigmoid, ad.tanh, sigmoid), gate)
         )
         c = ad.add(ad.mul(f, c), ad.mul(i, g))
         h = ad.mul(o, ad.tanh(c))
@@ -133,21 +196,21 @@ def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
 
 def _pick(m: Tensor, i: int) -> Tensor:
     """Column i of a matrix as a vector."""
-    return ad.matvec(m, Tensor(np.eye(m.data.shape[1])[i]))
+    return matvec(m, Tensor(np.eye(m.data.shape[1])[i]))
 
 
 def crf_log_partition_reference(transitions: Tensor, emissions: Tensor) -> Tensor:
     """The CRF forward recursion in log space, one step per position."""
     t_len, k = emissions.data.shape
     real = Tensor(np.eye(k + 2)[:k])  # (k, k+2): keeps the real tags
-    trans_t = ad.transpose(transitions)  # [to, from]
-    em_t = ad.transpose(emissions)
-    start = ad.matvec(real, _pick(trans_t, k))
-    stop = ad.matvec(real, _pick(transitions, k + 1))
-    inner_t = ad.matmul(ad.matmul(real, trans_t), ad.transpose(real))  # [to, from]
+    trans_t = transpose(transitions)  # [to, from]
+    em_t = transpose(emissions)
+    start = matvec(real, _pick(trans_t, k))
+    stop = matvec(real, _pick(transitions, k + 1))
+    inner_t = matmul(matmul(real, trans_t), transpose(real))  # [to, from]
     alpha = ad.add(start, _pick(em_t, 0))
     for t in range(1, t_len):
-        alpha = ad.add(logsumexp(ad.add_rowvec(inner_t, alpha), axis=1), _pick(em_t, t))
+        alpha = ad.add(logsumexp(add_rowvec(inner_t, alpha), axis=1), _pick(em_t, t))
     return logsumexp(ad.add(alpha, stop))
 
 

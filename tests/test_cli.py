@@ -201,6 +201,29 @@ class TestTrain:
         assert main(["train", "--set", "optimizer=sgd", *args]) == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "source, value, message",
+        [
+            ("set", 'epochs="x"', "epochs must be an integer, got 'x'"),
+            ("set", "seeds=3", "seeds must be a list of integers, got 3"),
+            ("set", "dropout_p=null", "dropout_p must be a finite number, got None"),
+            ("file", {"hidden_dim": True}, "hidden_dim must be an integer, got True"),
+        ],
+        ids=["epochs-string", "seeds-int", "dropout-null", "file-bool-dim"],
+    )
+    def test_bad_config_value_prints_one_error(self, corpus, tmp_path, capsys, source, value, message):
+        train, dev = corpus
+        argv = ["train", "--train", str(train), "--dev", str(dev), "--out", str(tmp_path / "x")]
+        if source == "set":
+            argv += ["--set", value]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(value))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "x").exists()
+
 
 class TestEnsemble:
     def test_three_seeds_make_four_prediction_files(self, corpus, tmp_path):

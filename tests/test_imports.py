@@ -1,7 +1,9 @@
-"""Every name a module of ``negmtl`` imports is used in that module.
+"""Every name a module of ``negmtl`` imports is used in that module, and
+every top-level function or class is referenced by some module.
 
-An AST scan stands in for a linter: an unused import survives every
-other test and makes a module look coupled to code it never calls.
+AST scans stand in for a linter: an unused import survives every other
+test and makes a module look coupled to code it never calls, and a
+definition nothing references is dead code that the tests keep alive.
 """
 
 import ast
@@ -56,3 +58,79 @@ def test_kept_names_are_still_imported():
 def test_scan_finds_an_unused_import():
     tree = ast.parse("import os\nimport numpy as np\nfrom x import (a, b as c)\nnp.zeros(a)\n")
     assert set(imported_names(tree)) - used_names(tree) == {"os", "c"}
+
+
+# Top-level definitions no module of the package references, kept as
+# public API on purpose.
+UNREFERENCED_KEPT = {
+    ("models", "negation_tag"): "bench/microbench.py times it; criterion 4 tags with it",
+    ("training", "train_stl"): "bench/workloads.py runs it; criteria 4 and 5 train with it",
+    ("training", "train_mtl"): "bench/workloads.py runs it; criterion 5 trains with it",
+    ("evaluation", "negation_token_f1"): "bench/microbench.py times it; per-epoch dev negation F1 is to use it",
+    ("corpus", "from_bio"): "the BIO round-trip check (criterion 3) inverts to_bio with it",
+    ("crf", "brute_force"): "criterion 2 enumerates every tag path with it",
+}
+
+
+def top_level_definitions(trees: dict[str, ast.Module]) -> dict[tuple[str, str], ast.stmt]:
+    return {
+        (module, stmt.name): stmt
+        for module, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+
+
+def unreferenced_definitions(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    """Definitions whose name no statement other than their own uses,
+    as a name or as an attribute (``ad.rows``, ``self.predict_features``).
+    A name bound by an import alone does not count."""
+    uses = [
+        (stmt, {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+         | {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)})
+        for tree in trees.values()
+        for stmt in tree.body
+    ]
+    return {
+        key
+        for key, definition in top_level_definitions(trees).items()
+        if not any(key[1] in names for stmt, names in uses if stmt is not definition)
+    }
+
+
+def package_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_no_unreferenced_definitions():
+    dead = sorted(unreferenced_definitions(package_trees()) - set(UNREFERENCED_KEPT))
+    assert not dead, "\n".join(f"{m}.{name} is defined and never referenced" for m, name in dead)
+
+
+@pytest.mark.parametrize("key", sorted(UNREFERENCED_KEPT), ids=lambda k: ".".join(k))
+def test_kept_definitions_exist_and_are_still_unreferenced(key):
+    trees = package_trees()
+    assert key in top_level_definitions(trees), f"{'.'.join(key)} is gone; drop it from UNREFERENCED_KEPT"
+    assert key in unreferenced_definitions(trees), (
+        f"{'.'.join(key)} is referenced now; drop it from UNREFERENCED_KEPT"
+    )
+
+
+def test_scan_finds_an_unreferenced_definition():
+    trees = {
+        "a": ast.parse(
+            "import b\n"
+            "def used(): return 1\n"
+            "def recursive(): return recursive()\n"
+            "class Dead: pass\n"
+            "def method_named(): pass\n"
+            "x = b.helper(used)\n"
+        ),
+        "b": ast.parse(
+            "from a import Dead\n"
+            "def helper(f): return f\n"
+            "class K:\n"
+            "    def go(self): return self.method_named()\n"
+        ),
+    }
+    assert unreferenced_definitions(trees) == {("a", "recursive"), ("a", "Dead"), ("b", "K")}

@@ -7,10 +7,9 @@ from negmtl.layers import (
     EmbeddingTable,
     Linear,
     LstmParams,
+    affine,
     bilstm,
     dropout,
-    linear_rows,
-    linear_vec,
     lstm_sequence,
     xavier_uniform,
 )
@@ -279,33 +278,34 @@ class TestLinear:
     def test_identity_weights_pass_input_through(self):
         p = Linear(Tensor(np.eye(3)), Tensor(np.zeros(3)))
         x = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(linear_vec(p, Tensor(x)).data, x)
+        np.testing.assert_array_equal(affine(p, Tensor(x)).data, x)
 
     def test_zero_weights_give_bias(self):
         p = Linear(Tensor(np.zeros((2, 3))), Tensor(np.array([0.5, -1.0])))
-        np.testing.assert_array_equal(linear_vec(p, Tensor(np.ones(3))).data, [0.5, -1.0])
+        np.testing.assert_array_equal(affine(p, Tensor(np.ones(3))).data, [0.5, -1.0])
 
     def test_vec_matches_numpy(self):
         p = Linear.init(3, 2, rng(4))
         p.b.data[:] = [0.5, -0.5]
         x = np.array([1.0, 2.0, 3.0])
-        out = linear_vec(p, Tensor(x))
+        out = affine(p, Tensor(x))
         np.testing.assert_allclose(out.data, p.w.data @ x + p.b.data)
 
     def test_rows_matches_per_row_vec(self):
         p = Linear.init(3, 2, rng(4))
         p.b.data[:] = [0.5, -0.5]
         xs = rng(5).normal(size=(4, 3))
-        batched = linear_rows(p, Tensor(xs))
+        batched = affine(p, Tensor(xs))
+        assert batched.data.shape == (4, 2)
         for i in range(4):
-            np.testing.assert_allclose(batched.data[i], linear_vec(p, Tensor(xs[i])).data)
+            np.testing.assert_allclose(batched.data[i], affine(p, Tensor(xs[i])).data)
 
     def test_gradients(self):
         def build(t):
             p = Linear(t["w"], t["b"])
             return ad.add(
-                weighted_sum(linear_rows(p, t["x"])),
-                weighted_sum(linear_vec(p, ad.max_over_time(t["x"])), seed=3),
+                weighted_sum(affine(p, t["x"])),
+                weighted_sum(affine(p, ad.max_over_time(t["x"])), seed=3),
             )
 
         r = rng(8)
@@ -313,6 +313,24 @@ class TestLinear:
             build,
             {"w": r.normal(size=(2, 3)), "b": r.normal(size=(2,)), "x": r.normal(size=(4, 3))},
         )
+
+    def test_affine_is_one_tape_node(self):
+        p = Linear.init(3, 2, rng(4))
+        x = Tensor(rng(5).normal(size=(4, 3)), requires_grad=True)
+        with Tape() as tape:
+            affine(p, x)
+            assert len(tape) == 1
+            affine(p, ad.max_over_time(x))
+            assert len(tape) == 3  # the pooling and the affine map
+            with ad.no_grad():
+                affine(p, x)
+            assert len(tape) == 3
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4), (2, 3, 3), ()])
+    def test_affine_rejects_mismatched_input(self, shape):
+        p = Linear.init(3, 2, rng(4))
+        with pytest.raises(ad.AutodiffError, match=r"affine: inputs .* do not match w \(2, 3\)"):
+            affine(p, Tensor(np.ones(shape)))
 
 
 class TestDropout:

@@ -1,10 +1,12 @@
 """Bit-identity of refactored paths against the references in
 ``tests/oracles.py``: the dense, allocating embedding gradient and
-Adam; the separate stl and mtl training loops; and the two-pass
-``predict --tags``.
+Adam; the separate stl and mtl training loops; the two-pass
+``predict --tags``; and the one-node affine map.
 
 Each library path is a refactor of its reference: every test here
-requires equal bytes, not closeness.
+requires equal bytes, not closeness.  The one exception is the affine
+map on a matrix, which multiplies by a view of ``w`` where the composed
+reference multiplied by a transposed copy, so the two agree to rounding.
 """
 
 import contextlib
@@ -18,6 +20,7 @@ from negmtl import autodiff as ad
 from negmtl import cli, layers, models, training
 from negmtl.autodiff import Tape, Tensor, backward, zero_grads
 from negmtl.corpus import build_vocab
+from negmtl.layers import Linear, affine
 from negmtl.evaluation import write_predictions
 from negmtl.models import ModelParams, negation_loss, sentiment_loss
 from negmtl.training import (
@@ -32,6 +35,8 @@ from negmtl.training import (
 )
 from oracles import (
     adam_step_reference,
+    linear_rows,
+    linear_vec,
     negation_tag_reference,
     rows_reference,
     sentiment_forward_reference,
@@ -294,3 +299,37 @@ def test_predict_tags_encodes_each_sentence_once(tmp_path, monkeypatch, predict_
     assert input_dims.count(4) == 2 * n_sentences
     assert input_dims.count(6) == 2 * len(docs)
     assert len(input_dims) == 2 * (n_sentences + len(docs))
+
+
+@pytest.mark.parametrize("in_dim, out_dim", [(5, 2), (12, 5), (40, 2), (200, 5)])
+@pytest.mark.parametrize("rows", [None, 1, 7])
+def test_affine_matches_composed_reference(in_dim, out_dim, rows):
+    """Vector inputs (the sentiment head) give the bits of ``matvec`` +
+    ``add``; matrix inputs (the emissions) match ``matmul`` of a
+    transposed copy + ``add_rowvec`` within 1e-12, at widths on both
+    sides of 32."""
+    rng = np.random.default_rng(in_dim * 31 + out_dim + (rows or 0))
+    shape = (in_dim,) if rows is None else (rows, in_dim)
+    leaves = {
+        "x": rng.normal(size=shape),
+        "w": rng.normal(size=(out_dim, in_dim)),
+        "b": rng.normal(size=out_dim),
+    }
+    upstream = rng.normal(size=shape[:-1] + (out_dim,))
+    results = []
+    for op in (affine, linear_vec if rows is None else linear_rows):
+        t = {k: Tensor(v.copy(), requires_grad=True) for k, v in leaves.items()}
+        with Tape():
+            out = op(Linear(t["w"], t["b"]), t["x"])
+            backward(ad.sum_all(ad.mul(out, Tensor(upstream))))
+        results.append((out.data, {k: v.grad for k, v in t.items()}))
+    (got, got_grads), (want, want_grads) = results
+    if rows is None:
+        assert same_bits(got, want)
+        for name in leaves:
+            assert same_bits(got_grads[name], want_grads[name]), name
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        for name in leaves:
+            np.testing.assert_allclose(got_grads[name], want_grads[name], rtol=1e-12, atol=1e-12,
+                                       err_msg=name)

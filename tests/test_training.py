@@ -107,6 +107,24 @@ class TestTrainConfig:
             TrainConfig(bow_c_grid=(1.0, -1.0))
         with pytest.raises(ValueError, match="seeds"):
             TrainConfig(seeds=())
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            TrainConfig(seed=-1)
+        with pytest.raises(ValueError, match=r"^seeds must be non-empty and >= 0, got \[1, -2\]$"):
+            TrainConfig(seeds=(1, -2))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seed", "1"), ("epochs", 2.0), ("epochs", True), ("hidden_dim", None),
+            ("learning_rate", "0.1"), ("learning_rate", float("nan")), ("beta2", float("inf")),
+            ("epsilon", 10**400),
+            ("epsilon", None), ("lowercase", 1), ("seeds", "12"), ("seeds", [1, 2.5]),
+            ("seeds", {"a": 1}), ("bow_c_grid", 0.1), ("bow_c_grid", [1.0, None]),
+        ],
+    )
+    def test_wrong_types_name_the_key(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            TrainConfig.from_dict({key: value})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys.*momentum"):
@@ -771,6 +789,17 @@ class TestBow:
         result = train_bow(tiny_config(mode="bow"), train, dev)
         assert set(result.dev_accuracy_by_c.values()) == {1.0}
         assert result.chosen_c == min(TrainConfig().bow_c_grid)
+
+    def test_features_built_once_per_document(self, monkeypatch):
+        train, dev = sentiment_corpus()
+        built = []
+        features = training.bow_features
+        monkeypatch.setattr(training, "bow_features", lambda v, d: built.append(d.id) or features(v, d))
+        result = train_bow(tiny_config(mode="bow"), train, dev)
+        assert len(result.dev_accuracy_by_c) == 6
+        assert sorted(built) == sorted(d.id for d in train + dev)
+        for d in dev:  # the cached vectors score as a fresh build would
+            assert result.model.predict_features(features(result.model.vocab, d)) == result.model.predict(d)
 
     def test_deterministic(self):
         train, dev = sentiment_corpus()
