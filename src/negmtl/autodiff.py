@@ -1,11 +1,14 @@
 """Reverse-mode automatic differentiation over numpy float64 buffers.
 
-A ``Tape`` records one ``Node`` per operation while it is the innermost
-active tape.  ``backward(loss)`` replays the recorded nodes in exact
-reverse order, accumulating vector-Jacobian products into the ``grad``
-buffers of leaf tensors.  There is no broadcasting beyond 0-d scalars;
-shape mismatches fail loudly at the offending operation rather than
-producing silently misaligned gradients.
+While a ``Tape`` is the innermost active tape, each operation on a tensor
+that requires a gradient records a ``Node``.  The tensors own the graph:
+a recorded output holds its node (``Tensor.node``), a node holds its
+inputs but not its output, and the tape only counts, so a finished graph
+is freed by reference counting when its loss is dropped.  ``backward``
+walks the loss's ancestors in exact reverse recording order, accumulating
+vector-Jacobian products into the ``grad`` buffers of leaf tensors.
+Elementwise ops need equal shapes: a mismatch fails loudly at the
+offending operation rather than producing silently misaligned gradients.
 
 The module holds only the primitives the model and its CLI record:
 ``add``, ``sub``, ``mul`` and ``tanh``; ``concat``, ``stack_rows`` and
@@ -33,6 +36,7 @@ Not thread safe: the tape stack is module-global.
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -50,6 +54,7 @@ class DeterminismError(AutodiffError):
 
 _TAPE_STACK: list["Tape"] = []
 _NO_GRAD_DEPTH = 0
+_SEQUENCE = itertools.count()
 
 
 def _active_tape() -> "Tape | None":
@@ -70,12 +75,12 @@ def no_grad():
 
 
 class Tape:
-    """Records primitive operations for one backward pass."""
+    """The recording context for one backward pass; it only counts nodes."""
 
-    __slots__ = ("nodes",)
+    __slots__ = ("count",)
 
     def __init__(self):
-        self.nodes: list[Node] = []
+        self.count = 0
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -88,49 +93,44 @@ class Tape:
         return False
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return self.count
 
 
 class Node:
-    __slots__ = ("inputs", "output", "backward")
+    """One recorded operation: its inputs, backward and recording order."""
 
-    def __init__(self, inputs: tuple["Tensor", ...], output: "Tensor", backward: Callable):
+    __slots__ = ("inputs", "backward", "seq")
+
+    def __init__(self, inputs: tuple["Tensor", ...], backward: Callable):
         self.inputs = inputs
-        self.output = output
         self.backward = backward
+        self.seq = next(_SEQUENCE)
 
 
 class Tensor:
     """A numpy float64 array plus gradient metadata.
 
     Leaf tensors are created directly (parameters, inputs); non-leaf
-    tensors are produced by recorded operations and carry a reference to
-    the tape that knows how to differentiate them.
+    tensors are produced by recorded operations and hold the ``Node``
+    that knows how to differentiate them.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "tape")
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self.tape: Tape | None = None
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
+        self.node: Node | None = None
 
     @property
     def is_leaf(self) -> bool:
-        return self.tape is None
+        return self.node is None
 
     def item(self) -> float:
         if self.data.size != 1:
             raise AutodiffError(f"item() needs a size-1 tensor, got shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         flags = []
@@ -147,26 +147,37 @@ def _make_output(data: np.ndarray, inputs: tuple[Tensor, ...], backward: Callabl
     tape = _active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out.tape = tape
-        tape.nodes.append(Node(inputs, out, backward))
+        out.node = Node(inputs, backward)
+        tape.count += 1
     return out
+
+
+def _ancestors(root: Node) -> list[Node]:
+    """``root`` and every node it depends on, latest recorded first."""
+    seen, todo = {root}, [root]
+    while todo:
+        for t in todo.pop().inputs:
+            if t.node is not None and t.node not in seen:
+                seen.add(t.node)
+                todo.append(t.node)
+    return sorted(seen, key=lambda n: n.seq, reverse=True)
 
 
 def backward(loss: Tensor):
     """Accumulate d(loss)/d(leaf) into each reachable leaf's ``grad``.
 
-    Repeated calls keep accumulating; reset with ``zero_grad`` between
+    Repeated calls keep accumulating; reset with ``zero_grads`` between
     passes.  The walk is the exact reverse of recording order, so
     gradients are bitwise reproducible for identical forward passes.
     """
     if loss.data.size != 1:
         raise AutodiffError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    if loss.tape is None:
+    if loss.node is None:
         raise AutodiffError("loss was not recorded on a tape (created outside Tape, or no_grad)")
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(loss.tape.nodes):
-        g = grads.pop(id(node.output), None)
+    grads: dict[Node, np.ndarray] = {loss.node: np.ones_like(loss.data)}
+    for node in _ancestors(loss.node):
+        g = grads.pop(node, None)
         if g is None:
             continue
         for t, gt in zip(node.inputs, node.backward(g)):
@@ -184,8 +195,8 @@ def backward(loss: Tensor):
             else:
                 if isinstance(gt, RowGrad):
                     gt = gt.dense(t.data)
-                acc = grads.get(id(t))
-                grads[id(t)] = gt if acc is None else acc + gt
+                acc = grads.get(t.node)
+                grads[t.node] = gt if acc is None else acc + gt
 
 
 def zero_grads(tensors: Iterable[Tensor]):
@@ -197,39 +208,26 @@ def zero_grads(tensors: Iterable[Tensor]):
 # Elementwise primitives
 
 
-def _binary_shapes_ok(a: Tensor, b: Tensor, op: str):
-    if a.data.shape != b.data.shape and a.data.ndim != 0 and b.data.ndim != 0:
-        raise AutodiffError(
-            f"{op}: shapes {a.data.shape} and {b.data.shape} differ and neither is a scalar"
-        )
-
-
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # only scalar-vs-array mixing is permitted, so the reduction is total
-    return g.sum().reshape(shape) if g.shape != shape else g
+def _same_shapes(a: Tensor, b: Tensor, op: str):
+    if a.data.shape != b.data.shape:
+        raise AutodiffError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes_ok(a, b, "add")
-    def bw(g):
-        return _reduce_to(g, a.data.shape), _reduce_to(g, b.data.shape)
-    return _make_output(a.data + b.data, (a, b), bw)
+    _same_shapes(a, b, "add")
+    return _make_output(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes_ok(a, b, "sub")
-    def bw(g):
-        return _reduce_to(g, a.data.shape), _reduce_to(-g, b.data.shape)
-    return _make_output(a.data - b.data, (a, b), bw)
+    _same_shapes(a, b, "sub")
+    return _make_output(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes_ok(a, b, "mul")
+    _same_shapes(a, b, "mul")
     na, nb = a.requires_grad, b.requires_grad
     def bw(g):
-        ga = _reduce_to(g * b.data, a.data.shape) if na else None
-        gb = _reduce_to(g * a.data, b.data.shape) if nb else None
-        return ga, gb
+        return (g * b.data if na else None), (g * a.data if nb else None)
     return _make_output(a.data * b.data, (a, b), bw)
 
 

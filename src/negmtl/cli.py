@@ -126,9 +126,18 @@ def _write_manifest(out_dir: Path, subcommand: str, *, config=None, seeds=None,
         "outputs": outputs or [],
         "environment": {"python": platform.python_version(), "numpy": np.__version__},
     }
-    with atomic_open(out_dir / "manifest.json") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    _write_json(out_dir / "manifest.json", manifest)
+
+
+def _write_json(path: Path, obj):
+    with atomic_open(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_text(path: Path, text: str):
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _write_jsonl(path: Path, objs):
@@ -159,7 +168,7 @@ def cmd_stats(args) -> int:
     sys.stdout.write(table)
     if args.out:
         out = _out_dir(args)
-        (out / "stats.txt").write_text(table, encoding="utf-8")
+        _write_text(out / "stats.txt", table)
         _write_manifest(
             out, "stats",
             inputs={n: getattr(args, n) for n in splits},
@@ -189,9 +198,7 @@ def _train_neural(config, train_docs, dev_docs, out: Path) -> list[str]:
         "epochs_run": result.epochs_run,
         "dev_accuracy": accuracy([r.gold for r in preds], [r.pred for r in preds]),
     }
-    with atomic_open(out / "report.json") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "report.json", report)
     print(
         f"{config.mode} seed {config.seed}: best dev accuracy "
         f"{result.best_dev_accuracy:.4f} at epoch {result.best_epoch} "
@@ -214,9 +221,7 @@ def _train_bow(config, train_docs, dev_docs, out: Path) -> list[str]:
         "dev_accuracy_by_c": {str(c): a for c, a in result.dev_accuracy_by_c.items()},
     }
     _write_jsonl(out / "metrics.jsonl", [metrics])
-    with atomic_open(out / "report.json") as fh:
-        json.dump({"mode": "bow", **metrics}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "report.json", {"mode": "bow", **metrics})
     print(f"bow: chosen C = {result.chosen_c}, dev accuracy {result.dev_accuracy:.4f}")
     return ["metrics.jsonl", pred_name, "report.json"]
 
@@ -285,9 +290,7 @@ def cmd_ensemble(args) -> int:
             [r.test_predictions for r in result.runs], result.test_vote
         )
         report_obj["test"] = test_report.to_json_obj()
-    with atomic_open(out / "report.json") as fh:
-        json.dump(report_obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "report.json", report_obj)
     outputs.append("report.json")
 
     _write_manifest(
@@ -382,12 +385,10 @@ def cmd_eval(args) -> int:
         report["relative_confusion"] = [[int(v) for v in row] for row in diff]
     if args.out:
         out = _out_dir(args)
-        with atomic_open(out / "report.json") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out / "report.json", report)
         outputs = ["report.json"]
         if csv_text is not None:
-            (out / "relative.csv").write_text(csv_text, encoding="utf-8")
+            _write_text(out / "relative.csv", csv_text)
             outputs.append("relative.csv")
         inputs = {"pred": args.pred}
         if args.compare:
@@ -512,9 +513,7 @@ def cmd_gradcheck(args) -> int:
     print("gradient check:", "PASS" if all_passed else "FAIL")
     if args.out:
         out = _out_dir(args)
-        with atomic_open(out / "gradcheck.json") as fh:
-            json.dump({"passed": all_passed, "components": rows}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out / "gradcheck.json", {"passed": all_passed, "components": rows})
         _write_manifest(
             out, "gradcheck",
             seeds=[args.seed],

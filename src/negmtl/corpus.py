@@ -205,10 +205,8 @@ def from_bio(tags: Sequence[BioTag]) -> FlatSpans:
 # Parsing
 
 
-def parse_corpus(path, fmt: str = "jsonl") -> list[Document]:
-    """Load and validate a corpus file. Returns one Document per line."""
-    if fmt != "jsonl":
-        raise ValueError(f"unsupported corpus format {fmt!r}")
+def parse_corpus(path) -> list[Document]:
+    """Load and validate a JSON-lines corpus: one Document per non-blank line."""
     docs: list[Document] = []
     seen_ids: set[str] = set()
     with open(path, encoding="utf-8") as fh:
@@ -288,7 +286,7 @@ def _negation_from_record(raw, doc_id, s_idx, n_idx, line_no) -> NegationStructu
         raise bad("must be an object")
     for key in ("cue", "scope"):
         val = raw.get(key, [] if key == "scope" else None)
-        if not isinstance(val, list) or not all(isinstance(i, int) for i in val):
+        if not isinstance(val, list) or not all(type(i) is int for i in val):  # no bools
             raise bad(f"'{key}' must be a list of integers")
     try:
         return NegationStructure.make(raw["cue"], raw.get("scope", []))

@@ -263,8 +263,8 @@ class Checkpoint:
         return cls(config.to_dict(), vocab.to_json_obj(), arrays)
 
     def to_model(self) -> tuple[ModelParams, Vocabulary]:
-        """Rebuild the model and its vocabulary; a parameter set or
-        vocabulary that cannot form a model is a ``CheckpointError``."""
+        """Rebuild the model and its vocabulary; a parameter set or vocabulary
+        that cannot form a model, or a NaN or inf, is a ``CheckpointError``."""
         where = self.source or "checkpoint"
         try:
             params = ModelParams.from_arrays(
@@ -273,6 +273,9 @@ class Checkpoint:
             vocab = Vocabulary.from_json_obj(self.vocabulary)
         except (ModelError, ValueError) as e:
             raise CheckpointError(f"{where}: {e}") from e
+        for name, arr in self.arrays.items():  # float32: half the bytes to scan
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{where}: parameter {name!r} holds a non-finite value")
         rows = params.embedding.weights.data.shape
         if rows[0] != len(vocab):  # from_arrays checked that it is a matrix
             raise CheckpointError(

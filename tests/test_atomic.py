@@ -39,12 +39,13 @@ class _FailingFile:
         return False
 
 
+def _failing_open(*args, **kwargs):
+    return _FailingFile(builtins.open(*args, **kwargs), budget=20)
+
+
 @pytest.fixture
 def failing_writes(monkeypatch):
-    def failing_open(*args, **kwargs):
-        return _FailingFile(builtins.open(*args, **kwargs), budget=20)
-
-    monkeypatch.setattr(atomic, "open", failing_open, raising=False)
+    monkeypatch.setattr(atomic, "open", _failing_open, raising=False)
 
 
 def checkpoint():
@@ -64,12 +65,18 @@ WRITERS = {
         d / "metrics.jsonl", [{"epoch": i, "dev_accuracy": 0.5} for i in range(5)]
     ),
     "_write_manifest": lambda d: cli._write_manifest(d, "train", options={"x": 1}),
+    # stats.txt of ``stats``; relative.csv of ``eval --compare``
+    "_write_text": lambda d: cli._write_text(d / "stats.txt", "split  docs\n" * 8),
+    # report.json of ``train`` and ``eval``, gradcheck.json of ``gradcheck``
+    "_write_json": lambda d: cli._write_json(d / "report.json", {"accuracy": 0.5, "n": list(range(9))}),
 }
 TARGETS = {
     "save_checkpoint": "checkpoint.bin",
     "write_predictions": "predictions.jsonl",
     "_write_jsonl": "metrics.jsonl",
     "_write_manifest": "manifest.json",
+    "_write_text": "stats.txt",
+    "_write_json": "report.json",
 }
 
 
@@ -91,6 +98,38 @@ def test_successful_write_replaces_old_file(tmp_path, writer):
     WRITERS[writer](tmp_path)
     assert target.read_bytes() != b"old"
     assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+
+def _stats_argv(tmp_path):
+    train = tmp_path / "train.jsonl"
+    train.write_text('{"id": "a", "domain": "x", "label": "positive", "sentences": [{"tokens": ["ok"]}]}\n')
+    return ["stats", "--train", str(train)]
+
+
+def _eval_argv(tmp_path):
+    pred, compare = tmp_path / "pred.jsonl", tmp_path / "compare.jsonl"
+    for path, flip in ((pred, False), (compare, True)):
+        write_predictions(
+            [PredictionRecord(f"d{i}", "positive" if (i % 2) ^ flip else "negative", "positive")
+             for i in range(4)],
+            path,
+        )
+    return ["eval", "--pred", str(pred), "--compare", str(compare)]
+
+
+@pytest.mark.parametrize("argv, target", [(_stats_argv, "stats.txt"), (_eval_argv, "report.json")])
+def test_failed_command_keeps_old_artifact(tmp_path, capsys, argv, target):
+    argv = argv(tmp_path)  # inputs are written before writes start failing
+    out = tmp_path / "out"
+    out.mkdir()
+    old = b"old artifact, written by an earlier run\n" * 3
+    (out / target).write_bytes(old)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(atomic, "open", _failing_open, raising=False)
+        assert cli.main([*argv, "--out", str(out)]) == 1
+    assert "No space left" in capsys.readouterr().err
+    assert (out / target).read_bytes() == old
+    assert [p.name for p in out.iterdir()] == [target]
 
 
 def test_exception_in_block_removes_temporary(tmp_path):

@@ -1,10 +1,13 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from negmtl import autodiff as ad
+from negmtl import crf, layers
 from negmtl.autodiff import (
     AutodiffError,
     DeterminismError,
@@ -14,7 +17,9 @@ from negmtl.autodiff import (
     backward,
     grad_check,
     no_grad,
+    zero_grads,
 )
+from negmtl.models import ModelParams, negation_loss, sentiment_loss
 
 
 from oracles import (
@@ -40,7 +45,7 @@ class TestTape:
     def test_no_recording_without_tape(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         y = ad.tanh(x)
-        assert y.tape is None
+        assert y.node is None
         assert not y.requires_grad
         with pytest.raises(AutodiffError, match="tape"):
             backward(ad.sum_all(y))
@@ -76,14 +81,14 @@ class TestTape:
         first = x.grad.copy()
         backward(loss)
         np.testing.assert_array_equal(x.grad, 2 * first)
-        x.zero_grad()
+        zero_grads([x])
         backward(loss)
         np.testing.assert_array_equal(x.grad, first)
 
     def test_backward_is_bitwise_reproducible(self):
         x = Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
         def run():
-            x.zero_grad()
+            zero_grads([x])
             with Tape():
                 h = ad.tanh(matmul(x, Tensor(RNG2.normal(size=(3, 2)))))
                 backward(weighted_sum(h))
@@ -109,7 +114,72 @@ class TestTape:
                 y = ad.tanh(x)
             assert len(inner) == 1
             assert len(outer) == 0
-            assert y.tape is inner
+            assert y.node is not None
+
+
+# ---------------------------------------------------------------------------
+# Graph lifetime: a finished graph is freed by reference counting
+
+
+def _param(*shape):
+    return Tensor(RNG.normal(size=shape), requires_grad=True)
+
+
+def _model(negation: bool) -> ModelParams:
+    return ModelParams.init(7, 4, 3, np.random.default_rng(0), with_negation_head=negation)
+
+
+# each builds, inside a tape, the op's output and a scalar loss over it
+GRAPHS = {
+    "add": lambda: ad.add(_param(3), _param(3)),
+    "sub": lambda: ad.sub(_param(3), _param(3)),
+    "mul": lambda: ad.mul(_param(3), _param(3)),
+    "tanh": lambda: ad.tanh(_param(3)),
+    "concat": lambda: ad.concat(_param(2, 3), _param(1, 3)),
+    "stack_rows": lambda: ad.stack_rows([_param(3), _param(3)]),
+    "rows": lambda: ad.rows(_param(5, 3), [4, 0, 4]),
+    "sum_all": lambda: ad.sum_all(_param(2, 3)),
+    "max_over_time": lambda: ad.max_over_time(_param(4, 3)),
+    "softmax_cross_entropy": lambda: ad.softmax_cross_entropy(_param(3), 1),
+    "lstm_sequence": lambda: layers.lstm_sequence(
+        layers.LstmParams.init(3, 2, np.random.default_rng(1)), _param(4, 3), reverse=True
+    ),
+    "affine": lambda: layers.affine(
+        layers.Linear.init(3, 2, np.random.default_rng(1)), _param(4, 3)
+    ),
+    "log_partition": lambda: crf.log_partition(
+        crf.CrfParams.init(3, np.random.default_rng(1)), _param(4, 3)
+    ),
+    "score_sequence": lambda: crf.score_sequence(
+        crf.CrfParams.init(3, np.random.default_rng(1)), _param(4, 3), [0, 2, 1, 1]
+    ),
+    "sentiment_loss": lambda: sentiment_loss(
+        _model(False), [[1, 2, 3], [4, 5]], 1, train=True, dropout_p=0.5,
+        rng=np.random.default_rng(2),
+    ),
+    "negation_loss": lambda: negation_loss(
+        _model(True), [1, 2, 3, 4], [0, 1, 2, 0], train=True, dropout_p=0.5,
+        rng=np.random.default_rng(2),
+    ),
+}
+
+
+@pytest.mark.parametrize("op", sorted(GRAPHS))
+def test_dropped_loss_frees_its_graph_without_the_collector(op):
+    gc.collect()
+    gc.disable()
+    try:
+        with Tape() as tape:
+            out = GRAPHS[op]()
+            loss = out if out.data.ndim == 0 else ad.sum_all(out)
+        assert len(tape) >= 1
+        backward(loss)
+        dead = [weakref.ref(out.data), weakref.ref(loss.data)]
+        del out, loss
+        assert all(ref() is None for ref in dead)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +268,12 @@ class TestPrimitiveGradients:
         )
 
     def test_scalar_broadcast(self):
-        assert_op_grads(
-            lambda t: weighted_sum(ad.mul(ad.add(t["a"], t["s"]), t["s"])),
-            {"a": RNG.normal(size=(4,)), "s": np.array(0.7)},
-        )
+        # elementwise ops need equal shapes: a 0-d tensor does not broadcast
+        a, s = Tensor(RNG.normal(size=(4,))), Tensor(0.7)
+        for op in (ad.add, ad.sub, ad.mul):
+            for x, y in ((a, s), (s, a)):
+                with pytest.raises(AutodiffError, match=r"\(4,\) and \(\)|\(\) and \(4,\)"):
+                    op(x, y)
 
     def test_tanh_sigmoid_chain(self):
         assert_op_grads(

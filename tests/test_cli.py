@@ -1,12 +1,20 @@
+import argparse
+import contextlib
+import copy
+import dataclasses
 import hashlib
+import io
 import json
+import os
 import platform
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from negmtl import autodiff as ad
-from negmtl import training
+from negmtl import cli, training
 from negmtl.autodiff import Tensor
 from negmtl.cli import main
 from negmtl.evaluation import read_predictions
@@ -316,6 +324,23 @@ class TestPredict:
         assert rc == 1
         assert "no negation head" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, value", [("out.b", np.nan), ("embedding.weights", np.inf)])
+    def test_non_finite_checkpoint_prints_one_error(self, corpus, tmp_path, capsys, name, value):
+        train, dev = corpus
+        run = tmp_path / "run"
+        main(["train", "--train", str(train), "--dev", str(dev), "--out", str(run), *SMALL])
+        path = run / "checkpoint.bin"
+        ckpt = training.load_checkpoint(path)
+        ckpt.arrays[name].reshape(-1)[1] = value
+        training.save_checkpoint(ckpt, path)
+        capsys.readouterr()
+        rc = main(["predict", "--checkpoint", str(path), "--data", str(dev), "--out", str(tmp_path / "p")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: parameter {name!r} holds a non-finite value"
+        ]
+        assert not (tmp_path / "p" / "predictions.jsonl").exists()
+
     def test_mtl_checkpoint_writes_tags(self, corpus, tmp_path):
         train, dev = corpus
         run = tmp_path / "run"
@@ -395,3 +420,91 @@ class TestGradcheck:
         assert report["passed"] is True
         assert report["components"][0]["component"] == "crf"
         assert report["components"][0]["max_rel_err"] < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed inputs: exit 0, or exit 1 with one error line; never a traceback
+
+
+# what a JSON value may turn into: null, bool, float, string, nested, huge and negative ints
+RETYPED = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=6),
+    st.sampled_from([[], {}, [[0]], [None], {"cue": [0]}, [True, 1]]),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([10**30, -(10**30), 2**63, -1]),
+)
+VALID_CORPUS = [
+    doc("a1", "positive", [("not a bad movie", [{"cue": [0], "scope": [1, 2, 3]}]), ("fun", [])]),
+    doc("a2", "negative", [("never good", [{"cue": [0], "scope": [1]}])]),
+]
+
+
+def _paths(node, prefix=()):
+    """Every key or index path below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_corpora(draw):
+    records = copy.deepcopy(VALID_CORPUS)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(records))
+        if not paths:
+            break
+        *where, key = draw(st.sampled_from(paths))
+        parent = records
+        for step in where:
+            parent = parent[step]
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(draw(RETYPED))  # later steps may edit it
+    return records
+
+
+def _one_error_or_success(rc: int, err: str):
+    if rc == 0:
+        assert err == ""
+    else:
+        assert rc == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_corpora())
+def test_mutated_corpus_lines_never_escape(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "train.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(r) + "\n" for r in records)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["stats", "--train", path])
+    _one_error_or_success(rc, err.getvalue())
+
+
+CONFIG_KEYS = [f.name for f in dataclasses.fields(training.TrainConfig)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.sampled_from(CONFIG_KEYS), st.text(max_size=4)),
+    st.one_of(RETYPED.map(json.dumps), st.lists(RETYPED, max_size=3).map(json.dumps), st.text(max_size=6)),
+)
+def test_set_values_never_escape(key, raw):
+    """A ``--set`` value, JSON or bare, builds a config or is one of the
+    errors ``main`` prints as a single ``error:`` line."""
+    args = argparse.Namespace(config=None, mode=None, seeds=None, overrides=[f"{key}={raw}"])
+    try:
+        config = cli._effective_config(args)
+    except cli._USER_ERRORS as e:
+        assert str(e) and "\n" not in str(e)  # main prints it as one error: line
+    else:
+        assert isinstance(config, training.TrainConfig)

@@ -309,9 +309,15 @@ class TestParseCorpus:
         with pytest.raises(CorpusError):
             parse_corpus(path)
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            parse_corpus(tmp_path / "c.xml", fmt="xml")
+    @pytest.mark.parametrize("cue, scope", [([True], [False]), ([0], [False]), ([1.0], [])])
+    def test_non_integer_indices_rejected(self, tmp_path, cue, scope):
+        # JSON true/false are Python bools, an int subclass: they must not pass as 1/0
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [record(sentences=[
+            {"tokens": ["no", "es", "malo"], "negations": [{"cue": cue, "scope": scope}]},
+        ])])
+        with pytest.raises(ValidationError, match="must be a list of integers"):
+            parse_corpus(path)
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,9 @@ class TestRowsGradient:
 
     def test_backward_returns_unique_summed_rows(self):
         m = Tensor(np.zeros((5, 2)), requires_grad=True)
-        with Tape() as tape:
-            ad.rows(m, [3, 1, 3])
-        (grad,) = tape.nodes[0].backward(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+        with Tape():
+            out = ad.rows(m, [3, 1, 3])
+        (grad,) = out.node.backward(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
         np.testing.assert_array_equal(grad.index, [1, 3])
         np.testing.assert_array_equal(grad.values, [[3.0, 4.0], [6.0, 8.0]])
 
