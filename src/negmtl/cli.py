@@ -28,7 +28,7 @@ from .evaluation import (
     ConfusionMatrix,
     EvaluationError,
     PredictionRecord,
-    accuracy,
+    accuracy_of,
     build_run_report,
     confusion_csv,
     read_predictions,
@@ -38,7 +38,7 @@ from .evaluation import (
 )
 from .layers import affine, bilstm
 # negation_tag is not called here; bench/tracing.py wraps cli.negation_tag
-from .models import ModelError, ModelParams, negation_loss, negation_tag, predict_document, sentiment_loss
+from .models import ModelError, ModelParams, negation_loss, negation_tag, sentiment_loss
 from .training import (
     TrainConfig,
     TrainingError,
@@ -47,7 +47,7 @@ from .training import (
     run_ensemble,
     save_checkpoint,
     train_bow,
-    train_neural,
+    train_seed,
 )
 
 _USER_ERRORS = (
@@ -81,6 +81,8 @@ def _parse_override(item: str) -> tuple[str, object]:
         value: object = json.loads(raw)
     except json.JSONDecodeError:
         value = raw  # bare strings need no quoting
+    except ValueError as e:  # valid JSON that does not decode: an integer too long to convert
+        raise ValueError(f"--set {key}: {e}") from e
     return key, value
 
 
@@ -89,7 +91,10 @@ def _effective_config(args) -> TrainConfig:
     obj: dict = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except ValueError as e:
+                raise ValueError(f"{args.config}: not a JSON config file ({e})") from e
         if not isinstance(loaded, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
         obj.update(loaded)
@@ -181,22 +186,27 @@ def cmd_stats(args) -> int:
 # train
 
 
+def _write_preds(out: Path, stem: str, records: list[PredictionRecord]) -> str:
+    """Write ``preds/<stem>.jsonl`` under ``out``; returns that name."""
+    (out / "preds").mkdir(exist_ok=True)
+    name = f"preds/{stem}.jsonl"
+    write_predictions(records, out / name)
+    return name
+
+
 def _train_neural(config, train_docs, dev_docs, out: Path) -> list[str]:
-    result = train_neural(config, train_docs, dev_docs)
+    run = train_seed(config, train_docs, dev_docs)
+    result = run.result
     save_checkpoint(result.checkpoint, out / "checkpoint.bin")
     _write_jsonl(out / "metrics.jsonl", result.history)
-    model, vocab = result.checkpoint.to_model()
-    preds = predict_corpus(model, vocab, dev_docs)
-    (out / "preds").mkdir(exist_ok=True)
-    pred_name = f"preds/seed-{config.seed}.jsonl"
-    write_predictions(preds, out / pred_name)
+    pred_name = _write_preds(out, f"seed-{config.seed}", run.dev_predictions)
     report = {
         "mode": config.mode,
         "seed": config.seed,
         "best_epoch": result.best_epoch,
         "best_dev_accuracy": result.best_dev_accuracy,
         "epochs_run": result.epochs_run,
-        "dev_accuracy": accuracy([r.gold for r in preds], [r.pred for r in preds]),
+        "dev_accuracy": accuracy_of(run.dev_predictions),
     }
     _write_json(out / "report.json", report)
     print(
@@ -209,12 +219,7 @@ def _train_neural(config, train_docs, dev_docs, out: Path) -> list[str]:
 
 def _train_bow(config, train_docs, dev_docs, out: Path) -> list[str]:
     result = train_bow(config, train_docs, dev_docs)
-    preds = [
-        PredictionRecord(d.id, d.label, result.model.predict(d)) for d in dev_docs
-    ]
-    (out / "preds").mkdir(exist_ok=True)
-    pred_name = f"preds/seed-{config.seed}.jsonl"
-    write_predictions(preds, out / pred_name)
+    pred_name = _write_preds(out, f"seed-{config.seed}", result.dev_predictions)
     metrics = {
         "chosen_c": result.chosen_c,
         "dev_accuracy": result.dev_accuracy,
@@ -255,7 +260,6 @@ def cmd_ensemble(args) -> int:
     dev_docs = _read_split(args.dev, "dev")
     test_docs = _read_split(args.test, "test") if args.test else None
     out = _out_dir(args)
-    (out / "preds").mkdir(exist_ok=True)
     (out / "checkpoints").mkdir(exist_ok=True)
 
     result = run_ensemble(config, train_docs, dev_docs, test_docs)
@@ -263,23 +267,17 @@ def cmd_ensemble(args) -> int:
     outputs = []
     metrics = []
     for run in result.runs:
-        name = f"preds/seed-{run.seed}.jsonl"
-        write_predictions(run.dev_predictions, out / name)
-        outputs.append(name)
+        outputs.append(_write_preds(out, f"seed-{run.seed}", run.dev_predictions))
         ckpt_name = f"checkpoints/seed-{run.seed}.bin"
         save_checkpoint(run.result.checkpoint, out / ckpt_name)
         outputs.append(ckpt_name)
         for rec in run.result.history:
             metrics.append({"seed": run.seed, **rec})
         if run.test_predictions is not None:
-            t_name = f"preds/test-seed-{run.seed}.jsonl"
-            write_predictions(run.test_predictions, out / t_name)
-            outputs.append(t_name)
-    write_predictions(result.dev_vote, out / "preds/ensemble.jsonl")
-    outputs.append("preds/ensemble.jsonl")
+            outputs.append(_write_preds(out, f"test-seed-{run.seed}", run.test_predictions))
+    outputs.append(_write_preds(out, "ensemble", result.dev_vote))
     if result.test_vote is not None:
-        write_predictions(result.test_vote, out / "preds/test-ensemble.jsonl")
-        outputs.append("preds/test-ensemble.jsonl")
+        outputs.append(_write_preds(out, "test-ensemble", result.test_vote))
     _write_jsonl(out / "metrics.jsonl", metrics)
     outputs.append("metrics.jsonl")
 
@@ -322,16 +320,11 @@ def cmd_predict(args) -> int:
     docs = _read_split(args.data, "data")
     out = _out_dir(args)
 
-    # one pass per document: the sentence encodings feed both heads
-    records, tag_lines = [], []
-    for doc in docs:
-        pred = predict_document(model, [vocab.encode(s.tokens) for s in doc.sentences], tags=args.tags)
-        records.append(PredictionRecord(doc.id, doc.label, pred.label))
-        if args.tags:
-            tag_lines.append({"id": doc.id, "tags": [[str(t) for t in tags] for tags in pred.tags]})
+    records = predict_corpus(model, vocab, docs, tags=args.tags)
     write_predictions(records, out / "predictions.jsonl")
     outputs = ["predictions.jsonl"]
     if args.tags:
+        tag_lines = ({"id": r.id, "tags": [[str(t) for t in sent] for sent in r.tags]} for r in records)
         _write_jsonl(out / "tags.jsonl", tag_lines)
         outputs.append("tags.jsonl")
 
@@ -354,9 +347,8 @@ def cmd_predict(args) -> int:
 def _score(records: list[PredictionRecord], name: str) -> dict:
     if any(r.gold is None for r in records):
         raise EvaluationError(f"{name}: cannot score predictions without gold labels")
-    acc = accuracy([r.gold for r in records], [r.pred for r in records])
     cm = ConfusionMatrix.from_records(records)
-    return {"accuracy": acc, "confusion": [list(row) for row in cm.counts], "_cm": cm}
+    return {"accuracy": accuracy_of(records), "confusion": [list(row) for row in cm.counts], "_cm": cm}
 
 
 def cmd_eval(args) -> int:

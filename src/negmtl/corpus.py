@@ -215,8 +215,8 @@ def parse_corpus(path) -> list[Document]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(line_no, f"invalid JSON ({e.msg})") from e
+            except ValueError as e:  # a JSONDecodeError, or an integer too long to convert
+                raise ParseError(line_no, f"invalid JSON ({getattr(e, 'msg', e)})") from e
             docs.append(_document_from_record(record, line_no, seen_ids))
     return docs
 
@@ -300,6 +300,8 @@ def _negation_from_record(raw, doc_id, s_idx, n_idx, line_no) -> NegationStructu
 
 class Vocabulary:
     """Token-to-id mapping with reserved ids 0 (padding) and 1 (unknown).
+    The reserved names ``<pad>`` and ``<unk>`` are not tokens: a corpus
+    token spelled like one is unknown.
 
     Built from the training split only; ids above the reserved range are
     assigned by descending frequency, ties broken lexicographically, so an
@@ -319,6 +321,7 @@ class Vocabulary:
         self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
             raise ValueError("vocabulary contains duplicate tokens")
+        del self.token_to_id[self.PAD_TOKEN], self.token_to_id[self.UNK_TOKEN]  # they look up as unknown
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -352,6 +355,8 @@ def build_vocab(
     for doc in train_docs:
         for sent in doc.sentences:
             counts.update((t.lower() for t in sent.tokens) if lowercase else sent.tokens)
+    for reserved in (Vocabulary.PAD_TOKEN, Vocabulary.UNK_TOKEN):
+        counts.pop(reserved, None)
     kept = sorted(
         (t for t, c in counts.items() if c >= min_count),
         key=lambda t: (-counts[t], t),

@@ -25,11 +25,14 @@ class EvaluationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictionRecord:
     id: str
     gold: str | None
     pred: str
+    # each sentence's negation tags, when the prediction pass was asked
+    # for them; prediction files never hold them
+    tags: list[list[BioTag]] | None = None
 
     def __post_init__(self):
         if self.gold is not None and self.gold not in LABELS:
@@ -53,7 +56,7 @@ def read_predictions(path) -> list[PredictionRecord]:
             try:
                 obj = json.loads(line)
                 records.append(PredictionRecord(obj["id"], obj["gold"], obj["pred"]))
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
+            except (ValueError, KeyError, TypeError) as e:  # ValueError: bad JSON or a too-long integer
                 raise EvaluationError(f"{path}: line {line_no}: bad prediction record ({e})") from e
     return records
 
@@ -65,6 +68,11 @@ def accuracy(gold: Sequence[str], pred: Sequence[str]) -> float:
     if not gold:
         raise EvaluationError("cannot score an empty prediction list")
     return sum(g == p for g, p in zip(gold, pred)) / len(gold)
+
+
+def accuracy_of(records: Sequence[PredictionRecord]) -> float:
+    """Accuracy of prediction records against their own gold labels."""
+    return accuracy([r.gold for r in records], [r.pred for r in records])
 
 
 @dataclass(frozen=True)
@@ -237,13 +245,13 @@ def build_run_report(
     states can be re-derived from the serialized files."""
     if not per_seed:
         raise EvaluationError("no per-seed predictions")
-    accs = tuple(accuracy([r.gold for r in run], [r.pred for r in run]) for run in per_seed)
+    accs = tuple(accuracy_of(run) for run in per_seed)
     mean, std = mean_std(accs)
     return RunReport(
         per_seed_accuracies=accs,
         mean_accuracy=mean,
         std_accuracy=std,
-        ensemble_accuracy=accuracy([r.gold for r in ensemble], [r.pred for r in ensemble]),
+        ensemble_accuracy=accuracy_of(ensemble),
         per_seed_confusions=tuple(ConfusionMatrix.from_records(run) for run in per_seed),
         ensemble_confusion=ConfusionMatrix.from_records(ensemble),
     )

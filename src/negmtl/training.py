@@ -2,9 +2,10 @@
 
 Covers Adam, the one neural training loop (``train_neural``: per epoch
 an optional negation phase, then the sentiment phase; single-task
-training is the multi-task loop without its negation phase), the
-seeded 5-run ensemble with majority voting, the bag-of-words logistic
-regression baseline, and binary checkpoint serialization.
+training is the multi-task loop without its negation phase), the one
+prediction loop (``predict_corpus``), the per-seed run (``train_seed``)
+and the seeded ensemble with majority voting over it, the bag-of-words
+logistic regression baseline, and binary checkpoint serialization.
 
 Determinism contract: (config, seed, corpus) fully determine every
 parameter and prediction.  Each run derives three independent RNG
@@ -28,7 +29,7 @@ import numpy as np
 from .atomic import atomic_open
 from .autodiff import Tape, Tensor, backward, zero_grads
 from .corpus import Document, Vocabulary, build_vocab, to_bio
-from .evaluation import PredictionRecord, accuracy
+from .evaluation import PredictionRecord, accuracy_of
 from .models import (
     LABEL_TO_CLASS,
     ModelError,
@@ -96,27 +97,15 @@ class TrainConfig:
             "bow_c_grid", "a list of finite numbers",
         )
         require(isinstance(self.seeds, tuple) and all(map(_is_int, self.seeds)), "seeds", "a list of integers")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mtl_schedule not in MTL_SCHEDULES:
-            raise ValueError(f"mtl_schedule must be one of {MTL_SCHEDULES}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        if self.embedding_dim < 1 or self.hidden_dim < 1:
-            raise ValueError("embedding_dim and hidden_dim must be >= 1")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.min_count < 1:
-            raise ValueError(f"min_count must be >= 1, got {self.min_count}")
-        if not self.bow_c_grid or any(c <= 0 for c in self.bow_c_grid):
-            raise ValueError("bow_c_grid must be non-empty and positive")
+        require(self.mode in MODES, "mode", f"one of {MODES}")
+        require(self.mtl_schedule in MTL_SCHEDULES, "mtl_schedule", f"one of {MTL_SCHEDULES}")
+        for key in ("epochs", "embedding_dim", "hidden_dim", "patience", "min_count"):
+            require(getattr(self, key) >= 1, key, ">= 1")
+        require(self.learning_rate > 0, "learning_rate", "positive")
+        require(0.0 <= self.dropout_p < 1.0, "dropout_p", "in [0, 1)")
+        require(bool(self.bow_c_grid) and min(self.bow_c_grid) > 0, "bow_c_grid", "non-empty and positive")
         # numpy's SeedSequence takes non-negative seeds only
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        require(self.seed >= 0, "seed", ">= 0")
         if not self.seeds or min(self.seeds) < 0:
             raise ValueError(f"seeds must be non-empty and >= 0, got {list(self.seeds)}")
 
@@ -389,7 +378,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(raw[pos : pos + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:  # bad UTF-8, bad JSON, or an integer too long to convert
         raise CheckpointError(f"{path}: unreadable header ({e})") from e
     pos += header_len
     blobs = _check_header(path, header)
@@ -428,14 +417,14 @@ def _encode_docs(vocab: Vocabulary, docs: Sequence[Document]) -> list[list[list[
 
 
 def predict_corpus(
-    params: ModelParams, vocab: Vocabulary, docs: Sequence[Document]
+    params: ModelParams, vocab: Vocabulary, docs: Sequence[Document], tags: bool = False
 ) -> list[PredictionRecord]:
-    """Eval-mode sentiment predictions for every document."""
+    """Eval-mode sentiment predictions for every document; with ``tags``,
+    each record also carries its sentences' negation tags."""
     records = []
     for doc in docs:
-        ids = [vocab.encode(s.tokens) for s in doc.sentences]
-        pred = predict_document(params, ids)
-        records.append(PredictionRecord(doc.id, doc.label, pred.label))
+        pred = predict_document(params, [vocab.encode(s.tokens) for s in doc.sentences], tags=tags)
+        records.append(PredictionRecord(doc.id, doc.label, pred.label, pred.tags))
     return records
 
 
@@ -572,10 +561,6 @@ def train_mtl(config: TrainConfig, train_docs: Sequence[Document], dev_docs: Seq
     return train_neural(config, train_docs, dev_docs)
 
 
-def accuracy_of(records: Sequence[PredictionRecord]) -> float:
-    return accuracy([r.gold for r in records], [r.pred for r in records])
-
-
 # ---------------------------------------------------------------------------
 # Seeded ensemble
 
@@ -586,6 +571,25 @@ class SeedRun:
     result: TrainResult
     dev_predictions: list[PredictionRecord]
     test_predictions: list[PredictionRecord] | None
+
+
+def train_seed(
+    config: TrainConfig,
+    train_docs: Sequence[Document],
+    dev_docs: Sequence[Document],
+    test_docs: Sequence[Document] | None = None,
+) -> SeedRun:
+    """Train at ``config.seed``, then predict with the model rebuilt from
+    the 32-bit checkpoint, so written prediction files always match what
+    the checkpoint reproduces."""
+    result = train_neural(config, train_docs, dev_docs)
+    model, vocab = result.checkpoint.to_model()
+    return SeedRun(
+        config.seed,
+        result,
+        predict_corpus(model, vocab, dev_docs),
+        predict_corpus(model, vocab, test_docs) if test_docs is not None else None,
+    )
 
 
 @dataclass
@@ -625,26 +629,14 @@ def run_ensemble(
     dev_docs: Sequence[Document],
     test_docs: Sequence[Document] | None = None,
 ) -> EnsembleResult:
-    """Train one model per seed and majority-vote their predictions.
-
-    Per-seed predictions come from the reloadable 32-bit checkpoint, so
-    written prediction files always match what the checkpoint reproduces.
-    """
+    """``train_seed`` at every seed, then a majority vote over their predictions."""
     if len(config.seeds) % 2 == 0:
         raise TrainingError(f"ensemble needs an odd seed count, got {len(config.seeds)}")
 
-    runs = []
-    for seed in config.seeds:
-        result = train_neural(dataclasses.replace(config, seed=seed), train_docs, dev_docs)
-        model, vocab = result.checkpoint.to_model()
-        runs.append(
-            SeedRun(
-                seed,
-                result,
-                predict_corpus(model, vocab, dev_docs),
-                predict_corpus(model, vocab, test_docs) if test_docs is not None else None,
-            )
-        )
+    runs = [
+        train_seed(dataclasses.replace(config, seed=seed), train_docs, dev_docs, test_docs)
+        for seed in config.seeds
+    ]
 
     dev_vote = majority_vote([r.dev_predictions for r in runs])
     test_vote = None
@@ -679,6 +671,7 @@ class BowResult:
     chosen_c: float
     dev_accuracy: float
     dev_accuracy_by_c: dict[float, float]
+    dev_predictions: list[PredictionRecord]  # at the chosen C
 
 
 def bow_features(vocab: Vocabulary, doc: Document) -> np.ndarray:
@@ -821,11 +814,9 @@ def train_bow(config: TrainConfig, train_docs: Sequence[Document], dev_docs: Seq
                 f"after {iters} iterations (tolerance {BOW_GRAD_TOL:g})"
             )
         model = BowModel(vocab, w, b, c)
-        dev_acc = accuracy_of(
-            [PredictionRecord(d.id, d.label, model.predict_features(x)) for d, x in zip(dev_docs, dev_xs)]
-        )
-        by_c[c] = dev_acc
+        preds = [PredictionRecord(d.id, d.label, model.predict_features(x)) for d, x in zip(dev_docs, dev_xs)]
+        by_c[c] = dev_acc = accuracy_of(preds)
         if best is None or dev_acc > best.dev_accuracy:  # strict: earlier (smaller) C wins ties
-            best = BowResult(model, c, dev_acc, by_c)
+            best = BowResult(model, c, dev_acc, by_c, preds)
     assert best is not None
     return dataclasses.replace(best, dev_accuracy_by_c=by_c)

@@ -7,6 +7,8 @@ import io
 import json
 import os
 import platform
+import re
+import struct
 import tempfile
 
 import numpy as np
@@ -17,7 +19,8 @@ from negmtl import autodiff as ad
 from negmtl import cli, training
 from negmtl.autodiff import Tensor
 from negmtl.cli import main
-from negmtl.evaluation import read_predictions
+from negmtl.corpus import ParseError, parse_corpus
+from negmtl.evaluation import EvaluationError, read_predictions, write_predictions
 
 
 def write_jsonl(path, docs):
@@ -110,6 +113,17 @@ class TestTrain:
         }
         metrics = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
         assert [m["epoch"] for m in metrics] == [1, 2]
+
+    @pytest.mark.parametrize("mode", ["stl", "mtl"])
+    def test_writes_the_dev_predictions_of_train_seed(self, corpus, tmp_path, mode):
+        train, dev = corpus
+        out = tmp_path / "run"
+        argv = ["train", "--mode", mode, "--train", str(train), "--dev", str(dev), "--out", str(out)]
+        assert main([*argv, *SMALL, "--set", "seed=2"]) == 0
+        config = training.TrainConfig.from_dict(json.loads((out / "manifest.json").read_text())["config"])
+        run = training.train_seed(config, parse_corpus(train), parse_corpus(dev))
+        write_predictions(run.dev_predictions, tmp_path / "expected.jsonl")
+        assert (out / "preds/seed-2.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
 
     def test_rerun_is_byte_identical(self, corpus, tmp_path):
         train, dev = corpus
@@ -508,3 +522,48 @@ def test_set_values_never_escape(key, raw):
         assert str(e) and "\n" not in str(e)  # main prints it as one error: line
     else:
         assert isinstance(config, training.TrainConfig)
+
+
+# Beyond Python's 4300-digit limit on converting a string to an int:
+# json.loads raises a plain ValueError for it, not a JSONDecodeError.
+HUGE_INT = "7" * 5000
+
+
+@pytest.mark.parametrize("site", ["corpus", "predictions", "checkpoint", "config", "config-syntax", "set"])
+def test_undecodable_json_fails_with_the_sites_own_error(site, corpus, tmp_path, capsys):
+    """Each JSON decode site raises its module's error, naming the file,
+    line or key, and ``main`` prints it as one ``error:`` line.  A config
+    file with a syntax error fails the same way."""
+    train, dev = corpus
+    bad = tmp_path / "bad"
+    out = ["--out", str(tmp_path / "out")]
+    train_args = ["--train", str(train), "--dev", str(dev), *out]
+    if site == "corpus":
+        bad.write_text(train.read_text() + f'{{"id": {HUGE_INT}}}\n')  # line 7
+        call, error, where = (lambda: parse_corpus(bad)), ParseError, "line 7: invalid JSON"
+        argv = ["stats", "--train", str(bad)]
+    elif site == "predictions":
+        bad.write_text('{"id": "a", "gold": null, "pred": "positive"}\n' + f'{{"id": {HUGE_INT}}}\n')
+        call, error, where = (lambda: read_predictions(bad)), EvaluationError, f"{bad}: line 2: "
+        argv = ["eval", "--pred", str(bad)]
+    elif site == "checkpoint":
+        header = f'{{"version": {HUGE_INT}}}'.encode()
+        bad.write_bytes(training.CHECKPOINT_MAGIC + struct.pack("<Q", len(header)) + header)
+        call, error = (lambda: training.load_checkpoint(bad)), training.CheckpointError
+        where = f"{bad}: unreadable header"
+        argv = ["predict", "--checkpoint", str(bad), "--data", str(dev), *out]
+    else:
+        if site.startswith("config"):
+            bad.write_text('{"epochs": 2,\n}' if site == "config-syntax" else f'{{"epochs": {HUGE_INT}}}')
+            flags, where = ["--config", str(bad)], f"{bad}: not a JSON config file"
+        else:
+            flags, where = ["--set", f"epochs={HUGE_INT}"], "--set epochs: "
+        args = cli.build_parser().parse_args(["train", *flags, *train_args])
+        call, error = (lambda: cli._effective_config(args)), ValueError
+        argv = ["train", *flags, *train_args]
+    with pytest.raises(error, match="^" + re.escape(where)):
+        call()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {where}"), err
+    assert not (tmp_path / "out").exists()

@@ -331,10 +331,21 @@ class TestVocabulary:
 
     def test_reserved_ids(self):
         vocab = build_vocab(self.corpus("a b"))
-        assert vocab.lookup(Vocabulary.PAD_TOKEN) == 0
+        assert vocab.lookup(Vocabulary.PAD_TOKEN) == Vocabulary.UNK_ID  # a name, not a token
         assert vocab.id_to_token[0] == "<pad>"
         assert vocab.id_to_token[1] == "<unk>"
         assert vocab.lookup("never-seen") == Vocabulary.UNK_ID
+
+    @pytest.mark.parametrize("lowercase", [False, True])
+    def test_reserved_names_in_a_corpus_are_unknown_tokens(self, lowercase):
+        vocab = build_vocab(self.corpus("<pad> a <unk> <PAD>", "<unk> b"), lowercase=lowercase)
+        assert vocab.id_to_token[2:] == (["a", "b"] if lowercase else ["<PAD>", "a", "b"])
+        assert vocab.encode(["<pad>", "<unk>"]) == [Vocabulary.UNK_ID, Vocabulary.UNK_ID]
+
+    @pytest.mark.parametrize("name", [Vocabulary.PAD_TOKEN, Vocabulary.UNK_TOKEN])
+    def test_listing_a_reserved_name_is_rejected(self, name):
+        with pytest.raises(ValueError, match="duplicate tokens"):
+            Vocabulary.from_json_obj({"tokens": ["a", name], "lowercase": False})
 
     def test_frequency_then_lexicographic_order(self):
         vocab = build_vocab(self.corpus("b a b c a b"))

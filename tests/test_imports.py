@@ -1,9 +1,13 @@
-"""Every name a module of ``negmtl`` imports is used in that module, and
-every top-level function or class is referenced by some module.
+"""Every name a module of ``negmtl`` imports is used in that module,
+every top-level function or class is referenced by some module, and
+every JSON decode can fail only with the module's own error.
 
 AST scans stand in for a linter: an unused import survives every other
 test and makes a module look coupled to code it never calls, and a
 definition nothing references is dead code that the tests keep alive.
+A ``json.load`` outside a ``try`` that catches ``ValueError`` lets a
+plain ``ValueError`` (an integer too long to convert, say) escape with
+no file or line in its message.
 """
 
 import ast
@@ -134,3 +138,64 @@ def test_scan_finds_an_unreferenced_definition():
         ),
     }
     assert unreferenced_definitions(trees) == {("a", "recursive"), ("a", "Dead"), ("b", "K")}
+
+
+# handler names that catch ValueError: the class itself or a superclass
+CATCHES_VALUE_ERROR = {"ValueError", "Exception", "BaseException"}
+
+
+def unguarded_json_decodes(tree: ast.Module) -> list[int]:
+    """Lines of ``json.load``/``json.loads`` calls that no enclosing ``try``
+    body guards with a handler catching ``ValueError``."""
+
+    def catches_value_error(handler: ast.ExceptHandler) -> bool:
+        if handler.type is None:  # a bare except
+            return True
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        return any(getattr(t, "id", getattr(t, "attr", None)) in CATCHES_VALUE_ERROR for t in types)
+
+    guarded = {
+        id(node)
+        for t in ast.walk(tree)
+        if isinstance(t, ast.Try) and any(map(catches_value_error, t.handlers))
+        for stmt in t.body
+        for node in ast.walk(stmt)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("load", "loads")
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "json"
+        and id(node) not in guarded
+    )
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_json_decodes_catch_value_error(path):
+    lines = unguarded_json_decodes(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, "\n".join(
+        f"{path.name}:{line} decodes JSON outside a try that catches ValueError" for line in lines
+    )
+
+
+def test_scan_finds_an_unguarded_json_decode():
+    tree = ast.parse(
+        "import json\n"
+        "json.loads(a)\n"  # 2: no try at all
+        "try:\n"
+        "    json.load(f)\n"  # 4: JSONDecodeError is a subclass; too-long integers escape it
+        "except json.JSONDecodeError:\n"
+        "    pass\n"
+        "try:\n"
+        "    x = [json.loads(b)]\n"  # guarded
+        "except (KeyError, ValueError):\n"
+        "    json.loads(c)\n"  # 10: in a handler, not in the try body
+        "try:\n"
+        "    json.loads(d)\n"  # guarded
+        "except Exception:\n"
+        "    pass\n"
+    )
+    assert unguarded_json_decodes(tree) == [2, 4, 10]

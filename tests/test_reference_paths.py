@@ -283,6 +283,22 @@ def test_one_pass_predict_matches_two_pass_reference(tmp_path, predict_inputs, t
         assert not (tmp_path / "new" / "tags.jsonl").exists()
 
 
+def test_predict_tags_runs_one_prediction_per_document(tmp_path, monkeypatch, predict_inputs):
+    """``negmtl predict`` goes through ``training.predict_corpus``: it has
+    no document loop of its own."""
+    checkpoint, data, docs = predict_inputs
+    calls = []
+    predict_document = training.predict_document
+
+    def counting(params, doc_ids, tags=False):
+        calls.append(tags)
+        return predict_document(params, doc_ids, tags)
+
+    monkeypatch.setattr(training, "predict_document", counting)
+    run_predict(checkpoint, data, tmp_path / "out", tags=True)
+    assert calls == [True] * len(docs)
+
+
 def test_predict_tags_encodes_each_sentence_once(tmp_path, monkeypatch, predict_inputs):
     checkpoint, data, docs = predict_inputs
     input_dims = []

@@ -16,7 +16,7 @@ from negmtl import autodiff as ad
 from negmtl import training
 from negmtl.autodiff import Tensor
 from negmtl.corpus import Document, NegationStructure, Sentence, build_vocab
-from negmtl.evaluation import PredictionRecord
+from negmtl.evaluation import PredictionRecord, accuracy_of
 from negmtl.models import ModelParams
 from negmtl.training import (
     AdamState,
@@ -38,6 +38,7 @@ from negmtl.training import (
     save_checkpoint,
     train_bow,
     train_mtl,
+    train_seed,
     train_stl,
 )
 from oracles import fit_bow_reference
@@ -720,6 +721,27 @@ class TestRunEnsemble:
             model, vocab = run.result.checkpoint.to_model()
             assert run.dev_predictions == predict_corpus(model, vocab, dev)
 
+    def test_each_run_is_train_seed_at_its_seed(self):
+        train, dev = sentiment_corpus()
+        result = run_ensemble(tiny_config(seeds=(1, 2, 3)), train, dev, test_docs=train)
+        for run in result.runs:
+            alone = train_seed(tiny_config(seed=run.seed), train, dev, test_docs=train)
+            assert (alone.seed, alone.dev_predictions, alone.test_predictions) == (
+                run.seed, run.dev_predictions, run.test_predictions
+            )
+
+
+@pytest.mark.parametrize("mode", ["stl", "bow"])
+def test_reserved_names_in_the_training_corpus_are_unknown_tokens(mode):
+    train, dev = sentiment_corpus()
+    train += [doc("r1", "positive", "<pad> good <unk>"), doc("r2", "negative", "<unk> bad <pad>")]
+    if mode == "bow":
+        vocab = train_bow(tiny_config(mode="bow"), train, dev).model.vocab
+    else:
+        vocab = train_stl(tiny_config(), train, dev).checkpoint.to_model()[1]
+    assert {"<pad>", "<unk>"}.isdisjoint(vocab.id_to_token[2:])
+    assert vocab.encode(["<pad>", "<unk>"]) == [1, 1]
+
 
 class TestBow:
     def test_features_count_tokens(self):
@@ -800,6 +822,16 @@ class TestBow:
         assert sorted(built) == sorted(d.id for d in train + dev)
         for d in dev:  # the cached vectors score as a fresh build would
             assert result.model.predict_features(features(result.model.vocab, d)) == result.model.predict(d)
+
+    def test_dev_predictions_are_the_chosen_models(self):
+        rng = np.random.default_rng(3)
+        train, dev = vocab_corpus(30, rng), vocab_corpus(20, rng)
+        result = train_bow(tiny_config(mode="bow"), train, dev)
+        assert len(set(result.dev_accuracy_by_c.values())) > 1  # the choice of C matters here
+        assert result.dev_predictions == [
+            PredictionRecord(d.id, d.label, result.model.predict(d)) for d in dev
+        ]
+        assert accuracy_of(result.dev_predictions) == result.dev_accuracy
 
     def test_deterministic(self):
         train, dev = sentiment_corpus()
