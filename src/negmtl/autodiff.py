@@ -11,16 +11,16 @@ Elementwise ops need equal shapes: a mismatch fails loudly at the
 offending operation rather than producing silently misaligned gradients.
 
 The module holds only the primitives the model and its CLI record:
-``add``, ``sub``, ``mul`` and ``tanh``; ``concat``, ``stack_rows`` and
-the gather ``rows``; ``sum_all``, ``max_over_time`` and
-``softmax_cross_entropy``.  The fused ops build on the same
-``_make_output`` hook and run their work in numpy with a hand-written
-backward pass, each recorded as a single node: ``layers.lstm_sequence``
-(one LSTM direction), ``layers.affine`` (a linear map plus bias, on a
-vector or on every row of a matrix) and the log-partition and
-gold-path score in ``crf``.  The generic primitives that step-by-step
-references in the tests compose (matrix products, transpose, sigmoid)
-live with those references in ``tests/oracles.py``.
+``add``, ``mul`` and ``tanh``; ``stack_rows`` and the gather ``rows``;
+``sum_all``, ``max_over_time`` and ``softmax_cross_entropy``.  The
+fused layer ops build on the same ``_make_output`` hook and run their
+work in numpy with a hand-written backward pass, each recorded as a
+single node: ``layers.bilstm`` (both LSTM directions),
+``layers.affine`` (a linear map plus bias, on a vector or on every row
+of a matrix) and ``crf.crf_nll`` (the CRF negative log-likelihood).
+The generic primitives that step-by-step references in the tests
+compose (subtraction, concatenation, matrix products, transpose,
+sigmoid) live with those references in ``tests/oracles.py``.
 
 The gather ``rows`` is the one op whose gradient is row-sparse: its
 backward pass returns a ``RowGrad`` (the unique indices plus one summed
@@ -169,6 +169,14 @@ def backward(loss: Tensor):
     Repeated calls keep accumulating; reset with ``zero_grads`` between
     passes.  The walk is the exact reverse of recording order, so
     gradients are bitwise reproducible for identical forward passes.
+
+    A node's backward may return its input gradients as a tuple or
+    yield them from a generator, in the order of ``node.inputs``; None
+    marks an input without a gradient.  The walk reads them through
+    ``zip``, so each yielded gradient is folded into its leaf (or its
+    node's pending sum) before the next one is computed: a layer with
+    many parameters, such as ``layers.bilstm``, never holds all of its
+    weight gradients at once.
     """
     if loss.data.size != 1:
         raise AutodiffError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -218,11 +226,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make_output(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_shapes(a, b, "sub")
-    return _make_output(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shapes(a, b, "mul")
     na, nb = a.requires_grad, b.requires_grad
@@ -238,16 +241,6 @@ def tanh(a: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # Shape and indexing
-
-
-def concat(a: Tensor, b: Tensor, axis: int = 0) -> Tensor:
-    if a.data.ndim != b.data.ndim:
-        raise AutodiffError(f"concat: rank mismatch {a.data.shape} vs {b.data.shape}")
-    split = a.data.shape[axis]
-    def bw(g):
-        lead = (slice(None),) * (axis % g.ndim)
-        return g[lead + (slice(None, split),)], g[lead + (slice(split, None),)]
-    return _make_output(np.concatenate([a.data, b.data], axis=axis), (a, b), bw)
 
 
 def stack_rows(rows: Sequence[Tensor]) -> Tensor:

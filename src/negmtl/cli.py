@@ -100,8 +100,11 @@ def _effective_config(args) -> TrainConfig:
         obj.update(loaded)
     if getattr(args, "mode", None):
         obj["mode"] = args.mode
-    if getattr(args, "seeds", None):
-        obj["seeds"] = [int(s) for s in args.seeds.split(",") if s.strip()]
+    if getattr(args, "seeds", None) is not None:
+        try:
+            obj["seeds"] = [int(s) for s in args.seeds.split(",") if s.strip()]
+        except ValueError as e:
+            raise ValueError(f"--seeds expects comma-separated integers, got {args.seeds!r}") from e
     for item in getattr(args, "overrides", None) or []:
         key, value = _parse_override(item)
         obj[key] = value
@@ -538,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_config_flags(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--mode", choices=("stl", "mtl", "bow"))
-        p.add_argument("--seeds", help="comma-separated seed list")
         p.add_argument(
             "--set", dest="overrides", action="append", metavar="KEY=VALUE",
             help="override one config field (repeatable)",
@@ -553,6 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ens = sub.add_parser("ensemble", help="train per-seed models and majority-vote")
     add_config_flags(p_ens)
+    p_ens.add_argument("--seeds", help="comma-separated seed list")
     p_ens.add_argument("--train", required=True)
     p_ens.add_argument("--dev", required=True)
     p_ens.add_argument("--test")

@@ -34,16 +34,18 @@ class CorpusError(Exception):
 class ParseError(CorpusError):
     """A line of the corpus file is not a well-formed document record."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, path, line_no: int, message: str):
+        super().__init__(f"{path}: line {line_no}: {message}")
+        self.path = path
         self.line_no = line_no
 
 
 class ValidationError(CorpusError):
     """A structurally valid record violates a document invariant."""
 
-    def __init__(self, doc_id: str, message: str):
-        super().__init__(f"document {doc_id!r}: {message}")
+    def __init__(self, path, doc_id: str, message: str):
+        super().__init__(f"{path}: document {doc_id!r}: {message}")
+        self.path = path
         self.doc_id = doc_id
 
 
@@ -206,7 +208,10 @@ def from_bio(tags: Sequence[BioTag]) -> FlatSpans:
 
 
 def parse_corpus(path) -> list[Document]:
-    """Load and validate a JSON-lines corpus: one Document per non-blank line."""
+    """Load and validate a JSON-lines corpus: one Document per non-blank line.
+
+    A bad line raises ``ParseError`` or ``ValidationError``; both name
+    ``path`` and the line."""
     docs: list[Document] = []
     seen_ids: set[str] = set()
     with open(path, encoding="utf-8") as fh:
@@ -216,23 +221,24 @@ def parse_corpus(path) -> list[Document]:
             try:
                 record = json.loads(line)
             except ValueError as e:  # a JSONDecodeError, or an integer too long to convert
-                raise ParseError(line_no, f"invalid JSON ({getattr(e, 'msg', e)})") from e
-            docs.append(_document_from_record(record, line_no, seen_ids))
+                raise ParseError(path, line_no, f"invalid JSON ({getattr(e, 'msg', e)})") from e
+            docs.append(_document_from_record(record, path, line_no, seen_ids))
     return docs
 
 
-def _document_from_record(record, line_no: int, seen_ids: set[str]) -> Document:
+def _document_from_record(record, path, line_no: int, seen_ids: set[str]) -> Document:
     if not isinstance(record, dict):
-        raise ParseError(line_no, "document record must be a JSON object")
+        raise ParseError(path, line_no, "document record must be a JSON object")
     doc_id = record.get("id")
     if not isinstance(doc_id, str) or not doc_id:
-        raise ParseError(line_no, "missing or non-string 'id'")
-    if doc_id in seen_ids:
-        raise ValidationError(doc_id, "duplicate document id in corpus")
-    seen_ids.add(doc_id)
+        raise ParseError(path, line_no, "missing or non-string 'id'")
 
     def bad(msg: str) -> ValidationError:
-        return ValidationError(doc_id, f"{msg} (line {line_no})")
+        return ValidationError(path, doc_id, f"{msg} (line {line_no})")
+
+    if doc_id in seen_ids:
+        raise bad("duplicate document id in corpus")
+    seen_ids.add(doc_id)
 
     domain = record.get("domain")
     if not isinstance(domain, str):
@@ -264,7 +270,7 @@ def _document_from_record(record, line_no: int, seen_ids: set[str]) -> Document:
             if not isinstance(raw_negs, list):
                 raise bad(f"sentence {s_idx}: 'negations' must be a list")
             negations = tuple(
-                _negation_from_record(n, doc_id, s_idx, n_idx, line_no)
+                _negation_from_record(n, s_idx, n_idx, bad)
                 for n_idx, n in enumerate(raw_negs)
             )
         try:
@@ -278,9 +284,9 @@ def _document_from_record(record, line_no: int, seen_ids: set[str]) -> Document:
         raise bad(str(e)) from e
 
 
-def _negation_from_record(raw, doc_id, s_idx, n_idx, line_no) -> NegationStructure:
+def _negation_from_record(raw, s_idx, n_idx, document_error) -> NegationStructure:
     def bad(msg: str) -> ValidationError:
-        return ValidationError(doc_id, f"sentence {s_idx}, negation {n_idx}: {msg} (line {line_no})")
+        return document_error(f"sentence {s_idx}, negation {n_idx}: {msg}")
 
     if not isinstance(raw, dict):
         raise bad("must be an object")

@@ -3,11 +3,11 @@
 The transition matrix has two virtual states appended after the K real
 tags: row START scores how sequences begin, column STOP scores how they
 end.  Training goes through the differentiable negative log-likelihood,
-which records three tape nodes whatever the sentence length: the
-log-partition (forward algorithm in log space, with the node and pair
-marginals of a backward recursion as its hand-written gradient), the
-gold-path score (gradient: the path's indicator counts) and their
-difference.  Decoding is plain numpy Viterbi.  A brute-force enumerator
+``crf_nll``, one tape node whatever the sentence length: the
+log-partition (``log_partition``, the forward algorithm in log space)
+minus the gold path's score.  Its hand-written gradient is the node and
+pair marginals of a backward recursion minus the gold path's indicator
+counts.  Decoding is plain numpy Viterbi.  A brute-force enumerator
 over all K^T paths provides an independent check of both.
 """
 
@@ -69,55 +69,53 @@ def _check_tags(num_tags: int, t_len: int, tags: Sequence[int]):
             raise ValueError(f"tag id {tag} out of range [0, {num_tags})")
 
 
-def score_sequence(crf: CrfParams, emissions: Tensor, tags: Sequence[int]) -> Tensor:
-    """Unnormalized path score: emissions along ``tags`` plus transitions
-    including the START and STOP bookends, as one tape node whose
-    gradient is the gold path's indicator counts."""
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    m = a.max(axis=axis, keepdims=True)
+    return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
+
+
+def log_partition(transitions: np.ndarray, emissions: np.ndarray) -> tuple[float, np.ndarray]:
+    """log of the summed exp-scores of all K^T tag sequences, by the
+    forward recursion in log space (numpy, no gradients).
+
+    Also returns the (T, K) forward table: ``alpha[t, j]`` is the log of
+    the summed exp-scores of every tag prefix that ends in tag j at
+    position t, START transition included."""
+    transitions = np.asarray(transitions, dtype=np.float64)
+    emissions = np.asarray(emissions, dtype=np.float64)
+    k = transitions.shape[0] - 2
+    _check_emissions(k, emissions.shape)
+    inner = transitions[:k, :k]  # [from, to]
+    alpha = np.empty(emissions.shape)
+    alpha[0] = transitions[k, :k] + emissions[0]
+    for t in range(1, emissions.shape[0]):
+        alpha[t] = _logsumexp(alpha[t - 1][:, None] + inner, axis=0) + emissions[t]
+    return float(_logsumexp(alpha[-1] + transitions[:k, k + 1], axis=0)), alpha
+
+
+def crf_nll(crf: CrfParams, emissions: Tensor, tags: Sequence[int]) -> Tensor:
+    """Negative log-likelihood of ``tags``: the log-partition minus the
+    gold path's score (emissions along ``tags`` plus transitions
+    including the START and STOP bookends), as one tape node.
+
+    The gradient is the node and pair marginals of a backward recursion
+    times g, plus the gold path's indicator counts times -g."""
     k = crf.num_tags
-    t_len = emissions.data.shape[0]
-    _check_emissions(k, emissions.data.shape)
+    trans = crf.transitions.data
+    em = emissions.data
+    log_z, alpha = log_partition(trans, em)
+    t_len = em.shape[0]
     _check_tags(k, t_len, tags)
 
     steps = np.arange(t_len)
     tag_ids = np.asarray(tags, dtype=np.intp)
     src = np.concatenate(([crf.start], tag_ids))
     dst = np.concatenate((tag_ids, [crf.stop]))
-    total = crf.transitions.data[src, dst].sum() + emissions.data[steps, tag_ids].sum()
+    gold = trans[src, dst].sum() + em[steps, tag_ids].sum()
 
     def bw(g):
-        g_trans = np.zeros_like(crf.transitions.data)
-        np.add.at(g_trans, (src, dst), g)
-        g_em = np.zeros_like(emissions.data)
-        g_em[steps, tag_ids] = g
-        return g_trans, g_em
-
-    return ad._make_output(np.asarray(total), (crf.transitions, emissions), bw)
-
-
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = a.max(axis=axis, keepdims=True)
-    return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
-
-
-def log_partition(crf: CrfParams, emissions: Tensor) -> Tensor:
-    """log of the summed exp-scores of all K^T tag sequences, as one tape
-    node.  The forward recursion in log space gives the value; its
-    gradient is the node and pair marginals from a backward recursion."""
-    k = crf.num_tags
-    _check_emissions(k, emissions.data.shape)
-    t_len = emissions.data.shape[0]
-    trans = crf.transitions.data
-    em = emissions.data
-    inner = trans[:k, :k]  # [from, to]
-    stop = trans[:k, crf.stop]
-
-    alpha = np.empty((t_len, k))
-    alpha[0] = trans[crf.start, :k] + em[0]
-    for t in range(1, t_len):
-        alpha[t] = _logsumexp(alpha[t - 1][:, None] + inner, axis=0) + em[t]
-    log_z = _logsumexp(alpha[-1] + stop, axis=0)
-
-    def bw(g):
+        inner = trans[:k, :k]
+        stop = trans[:k, crf.stop]
         # beta[t, i]: log-sum of the scores of every continuation after
         # tag i at position t, up to and including STOP
         beta = np.empty((t_len, k))
@@ -127,17 +125,14 @@ def log_partition(crf: CrfParams, emissions: Tensor) -> Tensor:
         node = np.exp(alpha + beta - log_z) * g
         pair = np.exp(alpha[:-1, :, None] + inner + (em[1:] + beta[1:])[:, None, :] - log_z)
         g_trans = np.zeros_like(trans)
-        g_trans[:k, :k] = pair.sum(axis=0) * g
-        g_trans[crf.start, :k] = node[0]
-        g_trans[:k, crf.stop] = node[-1]
+        np.add.at(g_trans, (src, dst), -g)
+        g_trans[:k, :k] += pair.sum(axis=0) * g
+        g_trans[crf.start, :k] += node[0]
+        g_trans[:k, crf.stop] += node[-1]
+        node[steps, tag_ids] -= g
         return g_trans, node
 
-    return ad._make_output(np.asarray(log_z), (crf.transitions, emissions), bw)
-
-
-def crf_nll(crf: CrfParams, emissions: Tensor, tags: Sequence[int]) -> Tensor:
-    """Negative log-likelihood of ``tags``: log_partition - path score."""
-    return ad.sub(log_partition(crf, emissions), score_sequence(crf, emissions, tags))
+    return ad._make_output(np.asarray(log_z - gold), (crf.transitions, emissions), bw)
 
 
 def viterbi_decode(transitions: np.ndarray, emissions: np.ndarray) -> list[int]:

@@ -1,10 +1,12 @@
 """Neural network building blocks: embeddings, LSTMs, affine maps, dropout.
 
-An LSTM direction is one fused tape op, ``lstm_sequence``: the input
+Every layer records exactly one tape node.  A bidirectional LSTM is
+``bilstm``: each direction runs the untaped kernel ``lstm_sequence``,
+which writes its hidden states into its half of one (T, 2d) output and
+returns its hand-written backpropagation through time.  The input
 projection for every timestep is a single matmul ahead of the
-recurrence, only ``U @ h`` and the gates run step by step in numpy, and
-the backward pass is hand-written backpropagation through time.  A
-per-step reference built from generic primitives lives in the tests.
+recurrence, so only ``U @ h`` and the gates run step by step in numpy.
+A per-step reference built from generic primitives lives in the tests.
 
 Both heads end in ``affine``, one tape node computing ``x @ w.T + b``
 for an (in,) vector (the sentiment output layer) or a (T, in) matrix
@@ -88,22 +90,19 @@ class LstmParams:
         return self.u.data.shape[1]
 
 
-def lstm_sequence(p: LstmParams, inputs: Tensor, reverse: bool = False) -> Tensor:
-    """Run one direction over a (T, input_dim) matrix from zero initial
-    state, recorded as a single tape node.  Returns the (T, d) hidden
-    states in input order regardless of direction.
+def lstm_sequence(p: LstmParams, x: np.ndarray, out: np.ndarray, reverse: bool = False):
+    """Run one direction over a (T, input_dim) array from zero initial
+    state, writing the (T, d) hidden states into ``out`` in input order
+    regardless of direction.  Untaped: ``bilstm`` records the node.
 
     The input projection ``X @ W.T + b`` is one (T, 4d) matmul ahead of
     the recurrence, so only ``U @ h`` and the gate nonlinearities run
-    step by step.  The backward pass is hand-written backpropagation
-    through time over the cached gates and cell states.
+    step by step.  Returns the backward pass, a generator function of
+    the gradient of ``out``: it runs backpropagation through time over
+    the cached gates and cell states, then yields the gradients of x,
+    w, u and b (None for a weight that needs none).
     """
-    x = inputs.data
     d = p.hidden_dim
-    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != p.w.data.shape[1]:
-        raise ad.AutodiffError(
-            f"lstm_sequence: inputs {x.shape} do not match w {p.w.data.shape}"
-        )
     t_len = x.shape[0]
     xs = x[::-1] if reverse else x  # processing order
     # sigmoid(z) = 0.5 * tanh(0.5 z) + 0.5, the overflow-free form the
@@ -120,7 +119,7 @@ def lstm_sequence(p: LstmParams, inputs: Tensor, reverse: bool = False) -> Tenso
     gates = np.empty((t_len, 4 * d))  # i, f, g, o after their nonlinearity
     cells = np.empty((t_len, d))
     tanh_cells = np.empty((t_len, d))
-    hidden = np.empty((t_len, d))
+    hidden = out[::-1] if reverse else out  # processing order
     h = c = np.zeros(d)
     for s in range(t_len):
         act = gates[s]
@@ -132,10 +131,9 @@ def lstm_sequence(p: LstmParams, inputs: Tensor, reverse: bool = False) -> Tenso
         tc = np.tanh(c, out=tanh_cells[s])
         h = np.multiply(act[3 * d :], tc, out=hidden[s])
 
-    def bw(g_out):
+    def bptt(g_out):
         i, f, g, o = (gates[:, k * d : (k + 1) * d] for k in range(4))
         c_prev = np.vstack([np.zeros((1, d)), cells[:-1]])
-        h_prev = np.vstack([np.zeros((1, d)), hidden[:-1]])
         # per-step factors that do not depend on the recursion
         sig_i, sig_f, sig_o = i * (1.0 - i), f * (1.0 - f), o * (1.0 - o)
         dc_from_h = o * (1.0 - tanh_cells * tanh_cells)
@@ -153,26 +151,43 @@ def lstm_sequence(p: LstmParams, inputs: Tensor, reverse: bool = False) -> Tenso
             np.multiply(dh, dz_from_h[s], out=dz[s, 3 * d :])
             dh_next = dz[s] @ u
             dc_next = dc * f[s]
-        g_inputs = None
-        if inputs.requires_grad:
-            g_inputs = dz @ p.w.data
-            if reverse:
-                g_inputs = g_inputs[::-1]
-        return (
-            g_inputs,
-            dz.T @ xs if p.w.requires_grad else None,
-            dz.T @ h_prev if p.u.requires_grad else None,
-            dz.sum(axis=0) if p.b.requires_grad else None,
-        )
+        g_inputs = dz @ p.w.data
+        yield g_inputs[::-1] if reverse else g_inputs
+        yield dz.T @ xs if p.w.requires_grad else None
+        h_prev = np.vstack([np.zeros((1, d)), hidden[:-1]])
+        yield dz.T @ h_prev if p.u.requires_grad else None
+        yield dz.sum(axis=0) if p.b.requires_grad else None
 
-    out = hidden[::-1] if reverse else hidden
-    return ad._make_output(out, (inputs, p.w, p.u, p.b), bw)
+    return bptt
 
 
 def bilstm(fwd: LstmParams, bwd: LstmParams, inputs: Tensor) -> Tensor:
     """Bidirectional encoding of a (T, input_dim) matrix into (T, 2d):
-    forward and backward hidden states concatenated per position."""
-    return ad.concat(lstm_sequence(fwd, inputs), lstm_sequence(bwd, inputs, reverse=True), axis=1)
+    forward and backward hidden states side by side per position,
+    recorded as a single tape node.
+
+    Each direction's ``lstm_sequence`` writes its half of the output.
+    The backward pass yields the input gradient (the backward
+    direction's part plus the forward direction's), then the six weight
+    gradients one at a time, so ``autodiff.backward`` folds each into
+    its leaf before the next one is computed.
+    """
+    x = inputs.data
+    for p in (fwd, bwd):
+        if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != p.w.data.shape[1]:
+            raise ad.AutodiffError(f"bilstm: inputs {x.shape} do not match w {p.w.data.shape}")
+    d_fwd = fwd.hidden_dim
+    out = np.empty((x.shape[0], d_fwd + bwd.hidden_dim))
+    bptt_fwd = lstm_sequence(fwd, x, out[:, :d_fwd])
+    bptt_bwd = lstm_sequence(bwd, x, out[:, d_fwd:], reverse=True)
+
+    def bw(g):
+        grads_bwd, grads_fwd = bptt_bwd(g[:, d_fwd:]), bptt_fwd(g[:, :d_fwd])
+        yield next(grads_bwd) + next(grads_fwd)
+        yield from grads_fwd
+        yield from grads_bwd
+
+    return ad._make_output(out, (inputs, fwd.w, fwd.u, fwd.b, bwd.w, bwd.u, bwd.b), bw)
 
 
 @dataclass

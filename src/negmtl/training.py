@@ -108,6 +108,8 @@ class TrainConfig:
         require(self.seed >= 0, "seed", ">= 0")
         if not self.seeds or min(self.seeds) < 0:
             raise ValueError(f"seeds must be non-empty and >= 0, got {list(self.seeds)}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
 
     def to_dict(self) -> dict:
         # JSON-shaped: sequences as lists, so a dict that went through a

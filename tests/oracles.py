@@ -85,8 +85,24 @@ def weighted_sum(t: Tensor, seed: int = 7) -> Tensor:
 # ---------------------------------------------------------------------------
 # Generic tape primitives that only the step-by-step references compose.
 # The library records fused ops in their place (``layers.affine``,
-# ``layers.lstm_sequence``, the CRF nodes), so these live here, their
-# code as it was in ``negmtl.autodiff``.
+# ``layers.bilstm``, ``crf.crf_nll``), so these live here, their code as
+# it was in ``negmtl.autodiff``.
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.shape != b.data.shape:
+        raise ad.AutodiffError(f"sub: shapes {a.data.shape} and {b.data.shape} differ")
+    return ad._make_output(a.data - b.data, (a, b), lambda g: (g, -g))
+
+
+def concat(a: Tensor, b: Tensor, axis: int = 0) -> Tensor:
+    if a.data.ndim != b.data.ndim:
+        raise ad.AutodiffError(f"concat: rank mismatch {a.data.shape} vs {b.data.shape}")
+    split = a.data.shape[axis]
+    def bw(g):
+        lead = (slice(None),) * (axis % g.ndim)
+        return g[lead + (slice(None, split),)], g[lead + (slice(split, None),)]
+    return ad._make_output(np.concatenate([a.data, b.data], axis=axis), (a, b), bw)
 
 
 def neg(a: Tensor) -> Tensor:
@@ -172,8 +188,13 @@ def lstm_reference(p, inputs: Tensor, reverse: bool = False) -> Tensor:
         out[t] = h
     stacked = out[0]
     for h in out[1:]:
-        stacked = ad.concat(stacked, h)
+        stacked = concat(stacked, h)
     return stacked
+
+
+def bilstm_reference(fwd, bwd, inputs: Tensor) -> Tensor:
+    """Both per-step directions side by side, (T, 2d)."""
+    return concat(lstm_reference(fwd, inputs), lstm_reference(bwd, inputs, reverse=True), axis=1)
 
 
 def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
@@ -229,7 +250,7 @@ def crf_score_reference(transitions: Tensor, emissions: Tensor, tags) -> Tensor:
 
 
 def crf_nll_reference(transitions: Tensor, emissions: Tensor, tags) -> Tensor:
-    return ad.sub(
+    return sub(
         crf_log_partition_reference(transitions, emissions),
         crf_score_reference(transitions, emissions, tags),
     )

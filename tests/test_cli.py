@@ -247,7 +247,37 @@ class TestTrain:
         assert not (tmp_path / "x").exists()
 
 
+    def test_seeds_flag_is_rejected(self, corpus, tmp_path, capsys):
+        # train runs the config's seed; a --seeds list would be ignored
+        train, dev = corpus
+        argv = ["train", "--seeds", "7", "--train", str(train), "--dev", str(dev),
+                "--out", str(tmp_path / "x")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seeds 7" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
 class TestEnsemble:
+    @pytest.mark.parametrize(
+        "seeds, message",
+        [
+            ("1,1,1", "seeds must be distinct, got [1, 1, 1]"),
+            ("1,x", "--seeds expects comma-separated integers, got '1,x'"),
+            ("", "seeds must be non-empty and >= 0, got []"),
+        ],
+    )
+    def test_bad_seed_list_prints_one_error(self, corpus, tmp_path, capsys, seeds, message):
+        train, dev = corpus
+        rc = main([
+            "ensemble", "--train", str(train), "--dev", str(dev),
+            "--out", str(tmp_path / "e"), "--seeds", seeds, *SMALL,
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "e").exists()
+
     def test_three_seeds_make_four_prediction_files(self, corpus, tmp_path):
         train, dev = corpus
         out = tmp_path / "ens"
@@ -294,6 +324,36 @@ class TestEnsemble:
         ])
         assert rc == 1
         assert "odd" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("defect", ["json", "label"])
+@pytest.mark.parametrize("command", ["train", "stats", "predict"])
+def test_corpus_errors_name_their_file(command, defect, corpus, tmp_path, capsys):
+    """A bad corpus file, read next to a good one, fails with one
+    ``error:`` line that names the bad file."""
+    train, dev = corpus
+    bad = tmp_path / "bad.jsonl"
+    if defect == "json":
+        bad.write_text('{"id": "a",\n')
+        where = f"{bad}: line 1: invalid JSON"
+    else:
+        write_jsonl(bad, [doc("a", "neutral", [("so so", [])])])
+        where = f"{bad}: document 'a': label must be one of"
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--train", str(train), "--dev", str(bad), "--out", str(out), *SMALL]
+    elif command == "stats":
+        argv = ["stats", "--train", str(train), "--dev", str(bad)]
+    else:
+        run = tmp_path / "run"
+        assert main(["train", "--train", str(train), "--dev", str(dev), "--out", str(run), *SMALL]) == 0
+        capsys.readouterr()
+        argv = ["predict", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(bad),
+                "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {where}"), err
+    assert not out.exists()
 
 
 class TestPredict:
@@ -540,7 +600,7 @@ def test_undecodable_json_fails_with_the_sites_own_error(site, corpus, tmp_path,
     train_args = ["--train", str(train), "--dev", str(dev), *out]
     if site == "corpus":
         bad.write_text(train.read_text() + f'{{"id": {HUGE_INT}}}\n')  # line 7
-        call, error, where = (lambda: parse_corpus(bad)), ParseError, "line 7: invalid JSON"
+        call, error, where = (lambda: parse_corpus(bad)), ParseError, f"{bad}: line 7: invalid JSON"
         argv = ["stats", "--train", str(bad)]
     elif site == "predictions":
         bad.write_text('{"id": "a", "gold": null, "pred": "positive"}\n' + f'{{"id": {HUGE_INT}}}\n')

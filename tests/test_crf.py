@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from negmtl import autodiff as ad
 from negmtl.autodiff import Tape, Tensor, backward
 from negmtl.crf import (
     BruteForceResult,
@@ -12,14 +11,13 @@ from negmtl.crf import (
     brute_force,
     crf_nll,
     log_partition,
-    score_sequence,
+    path_score,
     viterbi_decode,
 )
 from oracles import (
     assert_op_grads,
     crf_log_partition_reference,
     crf_nll_reference,
-    crf_score_reference,
 )
 
 
@@ -34,6 +32,8 @@ def make_crf(transitions):
 
 
 class TestScoreSequence:
+    """The gold-path score inside ``crf_nll``: the NLL is log Z minus it."""
+
     def test_hand_computed_two_step(self):
         # K=2: states 0,1 with START=2, STOP=3
         trans = np.zeros((4, 4))
@@ -41,50 +41,61 @@ class TestScoreSequence:
         trans[0, 1] = 1.5   # 0 -> 1
         trans[1, 3] = -0.25  # 1 -> STOP
         em = np.array([[2.0, -1.0], [0.5, 3.0]])
-        crf = make_crf(trans)
-        score = score_sequence(crf, Tensor(em), [0, 1])
         # 0.5 (start) + 2.0 (em) + 1.5 (trans) + 3.0 (em) - 0.25 (stop)
-        np.testing.assert_allclose(score.data, 6.75)
+        np.testing.assert_allclose(path_score(trans, em, [0, 1]), 6.75)
+        nll = crf_nll(make_crf(trans), Tensor(em), [0, 1])
+        np.testing.assert_allclose(nll.data, log_partition(trans, em)[0] - 6.75, rtol=1e-12)
 
     def test_matches_brute_force_path_scores(self):
         rng = np.random.default_rng(0)
         trans, em = random_instance(rng, 4, 3)
         crf = make_crf(trans)
+        log_z = brute_force(trans, em).log_partition
         for tags in [(0, 0, 0, 0), (2, 1, 0, 2), (1, 1, 2, 2)]:
-            got = score_sequence(crf, Tensor(em), list(tags)).item()
+            got = crf_nll(crf, Tensor(em), list(tags)).item()
             want = trans[3, tags[0]] + em[0, tags[0]] + trans[tags[-1], 4]
             for t in range(1, 4):
                 want += trans[tags[t - 1], tags[t]] + em[t, tags[t]]
-            np.testing.assert_allclose(got, want, rtol=1e-12)
+            np.testing.assert_allclose(log_z - got, want, rtol=1e-12)
 
     def test_gradient_is_gold_path_indicator(self):
+        # the NLL gradient plus the gold path's counts is the gradient of
+        # log Z alone, taken from the step-by-step reference
         rng = np.random.default_rng(5)
         trans, em = random_instance(rng, 5, 3)
         tags = [1, 1, 1, 0, 2]  # 1 -> 1 twice: counts, not flags
+        counts_trans = np.zeros((5, 5))
+        for a, b in zip([3, *tags], [*tags, 4]):
+            counts_trans[a, b] += 1.0
+        assert counts_trans[1, 1] == 2.0
+        counts_em = np.zeros((5, 3))
+        counts_em[np.arange(5), tags] = 1.0
         grads = []
-        for score in (score_sequence, lambda crf, e, t: crf_score_reference(crf.transitions, e, t)):
+        for f in (lambda c, e: crf_nll(c, e, tags), lambda c, e: crf_log_partition_reference(c.transitions, e)):
             crf = make_crf(trans)
             em_t = Tensor(em, requires_grad=True)
             with Tape():
-                backward(score(crf, em_t, tags))
+                backward(f(crf, em_t))
             grads.append((crf.transitions.grad, em_t.grad))
-        (g_trans, g_em), (ref_trans, ref_em) = grads
-        np.testing.assert_array_equal(g_trans, ref_trans)
-        np.testing.assert_array_equal(g_em, ref_em)
-        assert g_trans[1, 1] == 2.0 and g_trans[3, 1] == 1.0 and g_trans[2, 4] == 1.0
+        (g_trans, g_em), (logz_trans, logz_em) = grads
+        np.testing.assert_allclose(g_trans + counts_trans, logz_trans, atol=1e-12)
+        np.testing.assert_allclose(g_em + counts_em, logz_em, atol=1e-12)
 
     def test_rejects_bad_tags(self):
         crf = make_crf(np.zeros((4, 4)))
         em = Tensor(np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="out of range"):
-            score_sequence(crf, em, [0, 2])
-        with pytest.raises(ValueError, match="expected 2 tags"):
-            score_sequence(crf, em, [0])
+        for score in (lambda t: crf_nll(crf, em, t), lambda t: path_score(np.zeros((4, 4)), em.data, t)):
+            with pytest.raises(ValueError, match="out of range"):
+                score([0, 2])
+            with pytest.raises(ValueError, match="expected 2 tags"):
+                score([0])
 
     def test_rejects_bad_emission_width(self):
         crf = make_crf(np.zeros((4, 4)))
         with pytest.raises(ValueError, match="emissions"):
-            score_sequence(crf, Tensor(np.zeros((2, 3))), [0, 1])
+            crf_nll(crf, Tensor(np.zeros((2, 3))), [0, 1])
+        with pytest.raises(ValueError, match="emissions"):
+            log_partition(np.zeros((4, 4)), np.zeros((2, 3)))
 
 
 class TestLogPartition:
@@ -106,30 +117,39 @@ class TestLogPartition:
             (1, 1): 0.8 + 2.0 + 0.5 + 4.0 + 0.6,
         }
         want = math.log(sum(math.exp(s) for s in paths.values()))
-        crf = make_crf(trans)
-        np.testing.assert_allclose(log_partition(crf, Tensor(em)).item(), want, rtol=1e-12)
+        log_z, alpha = log_partition(trans, em)
+        np.testing.assert_allclose(log_z, want, rtol=1e-12)
+        # the forward table: prefixes ending in each tag
+        np.testing.assert_allclose(alpha[0], [0.7 + 1.0, 0.8 + 2.0], rtol=1e-12)
+        np.testing.assert_allclose(
+            alpha[1],
+            [np.logaddexp(paths[0, 0] - 0.3, paths[1, 0] - 0.3),
+             np.logaddexp(paths[0, 1] - 0.6, paths[1, 1] - 0.6)],
+            rtol=1e-12,
+        )
 
     def test_single_token_sequence(self):
         rng = np.random.default_rng(1)
         trans, em = random_instance(rng, 1, 3)
-        crf = make_crf(trans)
         scores = trans[3, :3] + em[0] + trans[:3, 4]
         want = np.log(np.exp(scores).sum())
-        np.testing.assert_allclose(log_partition(crf, Tensor(em)).item(), want, rtol=1e-12)
+        np.testing.assert_allclose(log_partition(trans, em)[0], want, rtol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 5), st.integers(2, 5))
     def test_agrees_with_enumeration(self, seed, t_len, k):
         rng = np.random.default_rng(seed)
         trans, em = random_instance(rng, t_len, k, scale=2.0)
+        tags = [int(x) for x in rng.integers(0, k, size=t_len)]
         want = brute_force(trans, em).log_partition
+        np.testing.assert_allclose(log_partition(trans, em)[0], want, atol=1e-10)
         grads = []
-        for log_z in (log_partition, lambda crf, e: crf_log_partition_reference(crf.transitions, e)):
+        for nll in (crf_nll, lambda crf, e, t: crf_nll_reference(crf.transitions, e, t)):
             crf = make_crf(trans)
             em_t = Tensor(em, requires_grad=True)
             with Tape():
-                out = log_z(crf, em_t)
-            np.testing.assert_allclose(out.item(), want, atol=1e-10)
+                out = nll(crf, em_t, tags)
+            np.testing.assert_allclose(out.item(), want - path_score(trans, em, tags), atol=1e-10)
             backward(out)
             grads.append((crf.transitions.grad, em_t.grad))
         # the forward-backward marginals equal the gradients of the
@@ -140,22 +160,24 @@ class TestLogPartition:
     def test_constant_emission_shift_moves_logz_by_constant(self):
         rng = np.random.default_rng(7)
         trans, em = random_instance(rng, 4, 3)
-        crf = make_crf(trans)
-        base = log_partition(crf, Tensor(em)).item()
+        base = log_partition(trans, em)[0]
         shifted = em.copy()
         shifted[2] += 1.75  # every tag at step 2
-        np.testing.assert_allclose(
-            log_partition(crf, Tensor(shifted)).item(), base + 1.75, rtol=1e-12
-        )
+        np.testing.assert_allclose(log_partition(trans, shifted)[0], base + 1.75, rtol=1e-12)
         assert viterbi_decode(trans, em) == viterbi_decode(trans, shifted)
 
     def test_stable_under_large_scores(self):
         trans = np.zeros((4, 4))
         em = np.full((3, 2), 500.0)
-        crf = make_crf(trans)
         with np.errstate(over="raise"):
-            got = log_partition(crf, Tensor(em)).item()
+            got = log_partition(trans, em)[0]
         np.testing.assert_allclose(got, 1500.0 + 3 * math.log(2.0), rtol=1e-12)
+        with np.errstate(over="raise"):
+            crf = make_crf(trans)
+            em_t = Tensor(em, requires_grad=True)
+            with Tape():
+                backward(crf_nll(crf, em_t, [0, 1, 0]))
+        np.testing.assert_allclose(em_t.grad, np.array([[-0.5, 0.5], [0.5, -0.5], [-0.5, 0.5]]))
 
 
 class TestNll:
@@ -165,7 +187,7 @@ class TestNll:
         crf = make_crf(trans)
         tags = [2, 0, 1]
         nll = crf_nll(crf, Tensor(em), tags).item()
-        want = log_partition(crf, Tensor(em)).item() - score_sequence(crf, Tensor(em), tags).item()
+        want = log_partition(trans, em)[0] - path_score(trans, em, tags)
         np.testing.assert_allclose(nll, want, rtol=1e-12)
 
     @settings(max_examples=20, deadline=None)
@@ -189,13 +211,13 @@ class TestNll:
         assert_op_grads(build, {"trans": trans, "em": em}, tol=1e-6)
 
     @pytest.mark.parametrize("t_len", [1, 2, 40])
-    def test_three_tape_nodes_at_any_length(self, t_len):
+    def test_one_tape_node_at_any_length(self, t_len):
         rng = np.random.default_rng(t_len)
         trans, em = random_instance(rng, t_len, 5)
         crf = make_crf(trans)
         with Tape() as tape:
             crf_nll(crf, Tensor(em, requires_grad=True), [0] * t_len)
-        assert len(tape) == 3
+        assert len(tape) == 1
 
     def test_matches_composed_reference(self):
         rng = np.random.default_rng(6)
@@ -252,10 +274,7 @@ class TestViterbi:
         result = brute_force(trans, em)
         path = viterbi_decode(trans, em)
         assert tuple(path) == result.best_tags
-        crf = make_crf(trans)
-        np.testing.assert_allclose(
-            score_sequence(crf, Tensor(em), path).item(), result.best_score, rtol=1e-10
-        )
+        np.testing.assert_allclose(path_score(trans, em, path), result.best_score, rtol=1e-10)
 
     def test_all_zero_scores_tie_to_tag_zero(self):
         trans = np.zeros((5, 5))
@@ -282,10 +301,7 @@ class TestViterbi:
         path = viterbi_decode(trans, em)
         assert path in ([0, 1], [1, 0])
         assert result.best_tags == (0, 1)
-        crf = make_crf(trans)
-        np.testing.assert_allclose(
-            score_sequence(crf, Tensor(em), path).item(), result.best_score, rtol=1e-12
-        )
+        np.testing.assert_allclose(path_score(trans, em, path), result.best_score, rtol=1e-12)
 
 
 class TestBruteForce:

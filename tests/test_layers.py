@@ -10,10 +10,9 @@ from negmtl.layers import (
     affine,
     bilstm,
     dropout,
-    lstm_sequence,
     xavier_uniform,
 )
-from oracles import assert_op_grads, lstm_reference, weighted_sum
+from oracles import assert_op_grads, bilstm_reference, weighted_sum
 
 
 def rng(seed=0):
@@ -93,19 +92,51 @@ def sig(v):
     return 1.0 / (1.0 + np.exp(-v))
 
 
+def bilstm_leaves(r, t_len, input_dim, hidden):
+    leaves = {"x": r.normal(size=(t_len, input_dim))}
+    for side in ("f", "b"):
+        leaves["w" + side] = r.normal(size=(4 * hidden, input_dim)) * 0.6
+        leaves["u" + side] = r.normal(size=(4 * hidden, hidden)) * 0.6
+        leaves["b" + side] = r.normal(size=(4 * hidden,)) * 0.6
+    return leaves
+
+
+def assert_matches_reference(leaves, weights) -> dict:
+    """``bilstm`` against the per-step reference on the loss
+    weighted_sum(out * weights): equal outputs and leaf gradients within
+    1e-10.  Returns the fused gradients."""
+    results = []
+    for run in (bilstm, bilstm_reference):
+        t = {k: Tensor(v.copy(), requires_grad=True) for k, v in leaves.items()}
+        with Tape():
+            out = run(LstmParams(t["wf"], t["uf"], t["bf"]), LstmParams(t["wb"], t["ub"], t["bb"]), t["x"])
+            backward(weighted_sum(ad.mul(out, Tensor(weights))))
+        results.append((out.data, {k: v.grad for k, v in t.items()}))
+    (fused, fused_grads), (ref, ref_grads) = results
+    np.testing.assert_allclose(fused, ref, rtol=1e-12, atol=1e-12)
+    for name in leaves:
+        np.testing.assert_allclose(
+            fused_grads[name], ref_grads[name], rtol=1e-10, atol=1e-12, err_msg=name
+        )
+    return fused_grads
+
+
 class TestLstm:
+    """One direction of ``bilstm``: each half of its output is checked
+    against a direct formula or the per-step reference."""
+
     def test_step_shapes(self):
         p = LstmParams.init(3, 4, rng())
-        h = lstm_sequence(p, Tensor(np.ones((1, 3))))
-        assert h.data.shape == (1, 4)
+        h = bilstm(p, p, Tensor(np.ones((1, 3))))
+        assert h.data.shape == (1, 8)
         assert np.all(np.abs(h.data) < 1.0)  # tanh-squashed
-        assert lstm_sequence(p, Tensor(np.ones((5, 3))), reverse=True).data.shape == (5, 4)
+        assert bilstm(p, p, Tensor(np.ones((5, 3)))).data.shape == (5, 8)
 
     def test_step_matches_direct_formula(self):
         # two steps: the second starts from the nonzero state of the first
         p = LstmParams.init(2, 2, rng(3))
         x = np.array([[0.3, -0.7], [-1.1, 0.4]])
-        h = lstm_sequence(p, Tensor(x))
+        h = bilstm(p, LstmParams.init(2, 2, rng(4)), Tensor(x))
 
         h_prev = c_prev = np.zeros(2)
         for t in range(2):
@@ -113,14 +144,13 @@ class TestLstm:
             i, f, g, o = z[0:2], z[2:4], z[4:6], z[6:8]
             c_prev = sig(f) * c_prev + sig(i) * np.tanh(g)
             h_prev = sig(o) * np.tanh(c_prev)
-            np.testing.assert_allclose(h.data[t], h_prev, rtol=1e-12)
+            np.testing.assert_allclose(h.data[t, :2], h_prev, rtol=1e-12)
 
     def test_all_zero_parameters_keep_zero_state(self):
         zero = lambda *shape: Tensor(np.zeros(shape), requires_grad=True)
         p = LstmParams(zero(8, 3), zero(8, 2), zero(8))
-        for reverse in (False, True):
-            h = lstm_sequence(p, Tensor(np.ones((4, 3))), reverse=reverse)
-            np.testing.assert_array_equal(h.data, 0.0)
+        h = bilstm(p, p, Tensor(np.ones((4, 3))))
+        np.testing.assert_array_equal(h.data, 0.0)
 
     def test_saturated_gates_carry_cell_state(self):
         # the first token opens the input gate, every later one shuts it;
@@ -132,12 +162,17 @@ class TestLstm:
         b[2:4] = 100.0  # forget gate -> 1
         b[6:8] = 100.0  # output gate -> 1
         p = LstmParams(Tensor(w), Tensor(np.zeros((8, 2))), Tensor(b))
-        h = lstm_sequence(p, Tensor(np.array([[1.0], [-1.0], [-1.0], [-1.0]]))).data
-        np.testing.assert_array_equal(h[0], np.tanh(np.tanh([0.5, -0.8])))
+        h = bilstm(p, p, Tensor(np.array([[1.0], [-1.0], [-1.0], [-1.0]]))).data
+        np.testing.assert_array_equal(h[0, :2], np.tanh(np.tanh([0.5, -0.8])))
         for t in range(1, 4):
-            np.testing.assert_array_equal(h[t], h[0])
+            np.testing.assert_array_equal(h[t, :2], h[0, :2])
+        # the reverse direction meets the opening token last
+        np.testing.assert_array_equal(h[1:, 2:], 0.0)
+        np.testing.assert_array_equal(h[0, 2:], h[0, :2])
 
     def test_step_gradients(self):
+        # both directions share one parameter set, so each weight
+        # gradient sums the two directions' contributions
         r = rng(1)
         arrays = {
             "w": r.normal(size=(8, 3)) * 0.5,
@@ -145,72 +180,62 @@ class TestLstm:
             "b": r.normal(size=(8,)) * 0.5,
             "x": r.normal(size=(4, 3)),
         }
-        for reverse in (False, True):
-            def build(t, reverse=reverse):
-                p = LstmParams(t["w"], t["u"], t["b"])
-                return weighted_sum(lstm_sequence(p, t["x"], reverse=reverse))
 
-            assert_op_grads(build, arrays, tol=1e-5)
+        def build(t):
+            p = LstmParams(t["w"], t["u"], t["b"])
+            return weighted_sum(bilstm(p, p, t["x"]))
+
+        assert_op_grads(build, arrays, tol=1e-5)
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_step_reference(self, reverse, seed):
+        """The loss reads one direction's half of the output (``reverse``
+        picks the backward one), so each direction's values and gradients
+        meet the per-step reference on their own; the other direction's
+        weights get exact zeros on both sides."""
         r = rng(seed)
         t_len = 1 if seed == 0 else int(r.integers(2, 7))
         input_dim, hidden = (int(n) for n in r.integers(1, 6, size=2))
-        leaves = {
-            "x": r.normal(size=(t_len, input_dim)),
-            "w": r.normal(size=(4 * hidden, input_dim)) * 0.6,
-            "u": r.normal(size=(4 * hidden, hidden)) * 0.6,
-            "b": r.normal(size=(4 * hidden,)) * 0.6,
-        }
-        results = []
-        for run in (lstm_sequence, lstm_reference):
-            t = {k: Tensor(v.copy(), requires_grad=True) for k, v in leaves.items()}
-            with Tape():
-                out = run(LstmParams(t["w"], t["u"], t["b"]), t["x"], reverse=reverse)
-                backward(weighted_sum(out))
-            results.append((out.data, {k: v.grad for k, v in t.items()}))
-        (fused, fused_grads), (ref, ref_grads) = results
-        np.testing.assert_allclose(fused, ref, rtol=1e-12, atol=1e-12)
-        for name in leaves:
-            np.testing.assert_allclose(
-                fused_grads[name], ref_grads[name], rtol=1e-10, atol=1e-12, err_msg=name
-            )
+        half = np.zeros((t_len, 2 * hidden))
+        half[:, slice(hidden, None) if reverse else slice(None, hidden)] = 1.0
+        grads = assert_matches_reference(bilstm_leaves(r, t_len, input_dim, hidden), half)
+        for name in (("wf", "uf", "bf") if reverse else ("wb", "ub", "bb")):
+            np.testing.assert_array_equal(grads[name], 0.0)
 
-    def test_one_tape_node_per_direction(self):
+    def test_one_tape_node_per_layer(self):
         p = LstmParams.init(2, 3, rng(5))
         inputs = Tensor(rng(6).normal(size=(6, 2)), requires_grad=True)
         with Tape() as tape:
-            lstm_sequence(p, inputs)
-            assert len(tape) == 1
             bilstm(p, p, inputs)
-            assert len(tape) == 4  # two directions and their concatenation
+            assert len(tape) == 1  # both directions, one node
             with ad.no_grad():
                 bilstm(p, p, inputs)
-            assert len(tape) == 4
+            assert len(tape) == 1
 
     def test_rejects_mismatched_input_width(self):
         p = LstmParams.init(3, 2, rng())
-        with pytest.raises(ad.AutodiffError, match=r"lstm_sequence: inputs \(4, 2\)"):
-            lstm_sequence(p, Tensor(np.ones((4, 2))))
+        with pytest.raises(ad.AutodiffError, match=r"bilstm: inputs \(4, 2\)"):
+            bilstm(p, p, Tensor(np.ones((4, 2))))
+        with pytest.raises(ad.AutodiffError, match=r"bilstm: inputs \(4, 3\) do not match w \(8, 2\)"):
+            bilstm(p, LstmParams.init(2, 2, rng()), Tensor(np.ones((4, 3))))
 
     def test_run_preserves_input_order(self):
         p = LstmParams.init(2, 3, rng(5))
         inputs = Tensor(rng(6).normal(size=(4, 2)))
-        fwd = lstm_sequence(p, inputs)
-        assert fwd.data.shape == (4, 3)
+        fwd = bilstm(p, p, inputs)
+        assert fwd.data.shape == (4, 6)
         # position 0 of the forward pass sees only token 0
-        single = lstm_sequence(p, ad.rows(inputs, [0]))
-        np.testing.assert_allclose(fwd.data[0], single.data[0])
+        single = bilstm(p, p, ad.rows(inputs, [0]))
+        np.testing.assert_allclose(fwd.data[0, :3], single.data[0, :3])
 
     def test_run_reverse_positions_align_with_input(self):
         p = LstmParams.init(2, 3, rng(5))
         inputs = Tensor(rng(6).normal(size=(4, 2)))
-        bwd = lstm_sequence(p, inputs, reverse=True)
+        bwd = bilstm(p, p, inputs)
         # last position of the reverse pass sees only the last token
-        single = lstm_sequence(p, ad.rows(inputs, [3]), reverse=True)
-        np.testing.assert_allclose(bwd.data[3], single.data[0])
+        single = bilstm(p, p, ad.rows(inputs, [3]))
+        np.testing.assert_allclose(bwd.data[3, 3:], single.data[0, 3:])
 
 
 class TestBilstm:
@@ -251,6 +276,10 @@ class TestBilstm:
             bumped = x.copy()
             bumped[t] += 0.5
             assert not np.allclose(bilstm(f, b, Tensor(bumped)).data, base)
+
+    def test_matches_per_step_reference(self):
+        # the input gradient sums both directions' parts
+        assert_matches_reference(bilstm_leaves(rng(8), 5, 3, 2), np.ones((5, 4)))
 
     def test_gradients(self):
         def build(t):

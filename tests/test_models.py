@@ -151,7 +151,25 @@ class TestNegationPath:
         assert report.passed, str(report)
 
 
+    def test_loss_records_one_node_per_layer(self):
+        # lookup, dropout, BiLSTM, emissions, CRF NLL
+        with Tape() as tape:
+            negation_loss(tiny_model(), [2, 3, 4, 5], [0, 1, 3, 4], dropout_p=0.5,
+                          rng=np.random.default_rng(1))
+        assert len(tape) == 5
+
+
 class TestSentimentPath:
+    @pytest.mark.parametrize("n_sentences", [1, 3])
+    def test_loss_records_one_node_per_layer(self, n_sentences):
+        # per sentence: lookup, dropout, BiLSTM, max-pool; then stack,
+        # document BiLSTM, max-pool, output layer, cross-entropy
+        doc = [[2, 3, 4], [5], [6, 2]][:n_sentences]
+        with Tape() as tape:
+            sentiment_loss(tiny_model(), doc, POSITIVE_CLASS, dropout_p=0.5,
+                           rng=np.random.default_rng(1))
+        assert len(tape) == 4 * n_sentences + 5
+
     def test_logit_shape_and_single_sentence_doc(self):
         m = tiny_model()
         assert sentiment_forward(m, [[2, 3]]).data.shape == (2,)

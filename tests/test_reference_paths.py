@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from negmtl import autodiff as ad
-from negmtl import cli, layers, models, training
+from negmtl import cli, models, training
 from negmtl.autodiff import Tape, Tensor, backward, zero_grads
 from negmtl.corpus import build_vocab
 from negmtl.layers import Linear, affine
@@ -302,19 +302,19 @@ def test_predict_tags_runs_one_prediction_per_document(tmp_path, monkeypatch, pr
 def test_predict_tags_encodes_each_sentence_once(tmp_path, monkeypatch, predict_inputs):
     checkpoint, data, docs = predict_inputs
     input_dims = []
-    lstm_sequence = layers.lstm_sequence
+    bilstm = models.bilstm
 
-    def counting(p, inputs, reverse=False):
+    def counting(fwd, bwd, inputs):
         input_dims.append(inputs.data.shape[1])
-        return lstm_sequence(p, inputs, reverse)
+        return bilstm(fwd, bwd, inputs)
 
-    monkeypatch.setattr(layers, "lstm_sequence", counting)
+    monkeypatch.setattr(models, "bilstm", counting)
     run_predict(checkpoint, data, tmp_path / "out", tags=True)
     n_sentences = sum(len(d.sentences) for d in docs)
     # embedding dim 4 feeds the sentence BiLSTM, 2 x hidden dim 3 the document one
-    assert input_dims.count(4) == 2 * n_sentences
-    assert input_dims.count(6) == 2 * len(docs)
-    assert len(input_dims) == 2 * (n_sentences + len(docs))
+    assert input_dims.count(4) == n_sentences
+    assert input_dims.count(6) == len(docs)
+    assert len(input_dims) == n_sentences + len(docs)
 
 
 @pytest.mark.parametrize("in_dim, out_dim", [(5, 2), (12, 5), (40, 2), (200, 5)])

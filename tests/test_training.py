@@ -127,6 +127,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"^{key} must be "):
             TrainConfig.from_dict({key: value})
 
+    def test_repeated_seeds_rejected(self):
+        # an ensemble would train one seed several times and count it as many
+        with pytest.raises(ValueError, match=r"^seeds must be distinct, got \[1, 1, 1\]$"):
+            TrainConfig(seeds=(1, 1, 1))
+        with pytest.raises(ValueError, match="distinct"):
+            TrainConfig.from_dict({"seeds": [3, 5, 3]})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys.*momentum"):
             TrainConfig.from_dict({"momentum": 0.9})
