@@ -33,6 +33,7 @@ from .evaluation import (
     confusion_csv,
     read_predictions,
     relative_confusion,
+    require_same_documents,
     stats_report,
     write_predictions,
 )
@@ -356,6 +357,9 @@ def _score(records: list[PredictionRecord], name: str) -> dict:
 
 def cmd_eval(args) -> int:
     records = read_predictions(args.pred)
+    if args.compare:  # checked before anything is printed
+        other = read_predictions(args.compare)
+        require_same_documents(records, other, args.pred, args.compare)
     scored = _score(records, args.pred)
     print(f"{args.pred}: accuracy {scored['accuracy']:.4f} over {len(records)} documents")
     print(f"confusion (gold x pred, negative/positive): {scored['confusion']}")
@@ -365,7 +369,6 @@ def cmd_eval(args) -> int:
     }
     csv_text = None
     if args.compare:
-        other = read_predictions(args.compare)
         other_scored = _score(other, args.compare)
         diff = relative_confusion(scored["_cm"], other_scored["_cm"])
         csv_text = confusion_csv(diff)
@@ -406,6 +409,11 @@ def _gradcheck_cases(seed: int, inject_bug: bool):
     rng = np.random.default_rng(seed)
     params = ModelParams.init(7, 4, 3, rng, with_negation_head=True)
     named = params.named_parameters()
+    groups = params.parameter_groups()
+
+    def of_groups(*names: str) -> dict[str, Tensor]:
+        return {n: named[n] for group in names for n in groups[group]}
+
     doc_ids = [[1, 2, 3], [4, 5], [6, 2, 4]]
     tags = [int(BioTag.B_CUE), int(BioTag.B_SCOPE), int(BioTag.I_SCOPE)]
 
@@ -415,11 +423,8 @@ def _gradcheck_cases(seed: int, inject_bug: bool):
         return ad.add(loss, Tensor(np.asarray(0.001 * float(leaf.data.sum()))))
 
     def layers_case():
-        subset = {
-            n: named[n]
-            for n in ("embedding.weights", "sent_fwd.w", "sent_fwd.u", "sent_fwd.b",
-                      "sent_bwd.w", "sent_bwd.u", "sent_bwd.b", "emission.w", "emission.b")
-        }
+        # the shared group and the emission layer; the CRF has its own case
+        subset = {**of_groups("shared"), "emission.w": params.emission.w, "emission.b": params.emission.b}
 
         def f():
             # a repeated id: duplicate rows accumulate into one gradient row
@@ -441,7 +446,7 @@ def _gradcheck_cases(seed: int, inject_bug: bool):
         return f, subset
 
     def sentiment_case():
-        subset = {n: p for n, p in named.items() if not n.startswith(("emission", "crf"))}
+        subset = of_groups("shared", "sentiment")
 
         def f():
             return sabotage(
@@ -452,9 +457,7 @@ def _gradcheck_cases(seed: int, inject_bug: bool):
         return f, subset
 
     def negation_case():
-        subset = {
-            n: p for n, p in named.items() if not n.startswith(("doc_", "out"))
-        }
+        subset = of_groups("shared", "negation")
 
         def f():
             return sabotage(

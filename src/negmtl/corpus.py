@@ -314,7 +314,6 @@ class Vocabulary:
     identical corpus always produces an identical vocabulary.
     """
 
-    PAD_ID = 0
     UNK_ID = 1
     PAD_TOKEN = "<pad>"
     UNK_TOKEN = "<unk>"

@@ -35,6 +35,11 @@ class CrfParams:
 
     transitions: Tensor
 
+    @staticmethod
+    def shapes(num_tags: int) -> dict[str, tuple[int, ...]]:
+        """The shape ``init`` gives each field."""
+        return {"transitions": (num_tags + 2, num_tags + 2)}
+
     @classmethod
     def init(cls, num_tags: int, rng: np.random.Generator) -> "CrfParams":
         """Draw order: one uniform(-0.1, 0.1) matrix."""

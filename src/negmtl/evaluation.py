@@ -18,8 +18,6 @@ import numpy as np
 from .atomic import atomic_open
 from .corpus import LABELS, BioTag, CorpusStats
 
-CLASS_ORDER = ("negative", "positive")  # row/column order of confusion matrices
-
 
 class EvaluationError(Exception):
     pass
@@ -48,17 +46,42 @@ def write_predictions(records: Sequence[PredictionRecord], path):
 
 
 def read_predictions(path) -> list[PredictionRecord]:
+    """Records in file order; each document id may occur once."""
     records = []
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-                records.append(PredictionRecord(obj["id"], obj["gold"], obj["pred"]))
+                record = PredictionRecord(obj["id"], obj["gold"], obj["pred"])
+                seen = first_line.setdefault(record.id, line_no)
             except (ValueError, KeyError, TypeError) as e:  # ValueError: bad JSON or a too-long integer
                 raise EvaluationError(f"{path}: line {line_no}: bad prediction record ({e})") from e
+            if seen != line_no:
+                raise EvaluationError(f"{path}: line {line_no}: document {record.id!r} repeats line {seen}")
+            records.append(record)
     return records
+
+
+def require_same_documents(
+    a: Sequence[PredictionRecord], b: Sequence[PredictionRecord], name_a: str, name_b: str
+):
+    """Two prediction lists are comparable when they hold the same
+    document ids with the same gold labels, in any order."""
+    gold_a = {r.id: r.gold for r in a}
+    gold_b = {r.id: r.gold for r in b}
+    for doc_id, gold in gold_a.items():
+        if doc_id not in gold_b:
+            raise EvaluationError(f"document {doc_id!r} is in {name_a} but not in {name_b}")
+        if gold_b[doc_id] != gold:
+            raise EvaluationError(
+                f"document {doc_id!r} has gold {gold!r} in {name_a} but {gold_b[doc_id]!r} in {name_b}"
+            )
+    for doc_id in gold_b:
+        if doc_id not in gold_a:
+            raise EvaluationError(f"document {doc_id!r} is in {name_b} but not in {name_a}")
 
 
 def accuracy(gold: Sequence[str], pred: Sequence[str]) -> float:
@@ -77,7 +100,7 @@ def accuracy_of(records: Sequence[PredictionRecord]) -> float:
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """2x2 counts indexed (gold, predicted) in CLASS_ORDER."""
+    """2x2 counts indexed (gold, predicted) in ``corpus.LABELS`` order."""
 
     counts: tuple[tuple[int, int], tuple[int, int]]
 
@@ -87,7 +110,7 @@ class ConfusionMatrix:
         for r in records:
             if r.gold is None:
                 raise EvaluationError(f"record {r.id!r} has no gold label")
-            counts[CLASS_ORDER.index(r.gold)][CLASS_ORDER.index(r.pred)] += 1
+            counts[LABELS.index(r.gold)][LABELS.index(r.pred)] += 1
         return cls(tuple(tuple(row) for row in counts))
 
     @property
@@ -109,8 +132,8 @@ def relative_confusion(cm_a: ConfusionMatrix, cm_b: ConfusionMatrix) -> np.ndarr
 
 def confusion_csv(matrix: np.ndarray) -> str:
     """CSV rendering of a (relative) confusion matrix for external plotting."""
-    lines = ["gold\\pred," + ",".join(CLASS_ORDER)]
-    for label, row in zip(CLASS_ORDER, np.asarray(matrix)):
+    lines = ["gold\\pred," + ",".join(LABELS)]
+    for label, row in zip(LABELS, np.asarray(matrix)):
         lines.append(label + "," + ",".join(str(int(v)) for v in row))
     return "\n".join(lines) + "\n"
 
@@ -217,7 +240,7 @@ class RunReport:
             "mean_accuracy": self.mean_accuracy,
             "std_accuracy": self.std_accuracy,
             "std_kind": "population",
-            "formatted": f"{self.mean_accuracy * 100:.1f} ({self.std_accuracy * 100:.1f})",
+            "formatted": format_mean_std(self.per_seed_accuracies),
             "ensemble_accuracy": self.ensemble_accuracy,
             "per_seed_confusions": [
                 [list(row) for row in cm.counts] for cm in self.per_seed_confusions
@@ -231,7 +254,7 @@ class RunReport:
             f"{format_mean_std(self.per_seed_accuracies)}  [mean (population std), x100]",
             "per-seed: " + ", ".join(f"{a:.4f}" for a in self.per_seed_accuracies),
             f"majority-vote ensemble: {self.ensemble_accuracy:.4f}",
-            f"ensemble confusion (gold x pred, order {'/'.join(CLASS_ORDER)}): "
+            f"ensemble confusion (gold x pred, order {'/'.join(LABELS)}): "
             + str([list(row) for row in self.ensemble_confusion.counts]),
         ]
         return "\n".join(lines) + "\n"

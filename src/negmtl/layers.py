@@ -48,6 +48,11 @@ class EmbeddingTable:
 
     weights: Tensor  # (vocab, dim)
 
+    @staticmethod
+    def shapes(vocab_size: int, dim: int) -> dict[str, tuple[int, ...]]:
+        """The shape ``init`` gives each field."""
+        return {"weights": (vocab_size, dim)}
+
     @classmethod
     def init(cls, vocab_size: int, dim: int, rng: np.random.Generator) -> "EmbeddingTable":
         w = rng.uniform(-0.1, 0.1, size=(vocab_size, dim))
@@ -71,6 +76,12 @@ class LstmParams:
     w: Tensor  # (4d, input_dim)
     u: Tensor  # (4d, d)
     b: Tensor  # (4d,)
+
+    @staticmethod
+    def shapes(input_dim: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
+        """The shape ``init`` gives each field."""
+        gates = 4 * hidden_dim
+        return {"w": (gates, input_dim), "u": (gates, hidden_dim), "b": (gates,)}
 
     @classmethod
     def init(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator) -> "LstmParams":
@@ -194,6 +205,11 @@ def bilstm(fwd: LstmParams, bwd: LstmParams, inputs: Tensor) -> Tensor:
 class Linear:
     w: Tensor  # (out, in)
     b: Tensor  # (out,)
+
+    @staticmethod
+    def shapes(input_dim: int, output_dim: int) -> dict[str, tuple[int, ...]]:
+        """The shape ``init`` gives each field."""
+        return {"w": (output_dim, input_dim), "b": (output_dim,)}
 
     @classmethod
     def init(cls, input_dim: int, output_dim: int, rng: np.random.Generator) -> "Linear":

@@ -7,12 +7,18 @@ emission scores; the sentiment head max-pools each sentence encoding,
 runs a document-level BiLSTM over the sentence vectors, max-pools again
 and maps to 2 class logits.  Class index 0 is negative, 1 is positive,
 fixed and serialized; exact logit ties resolve to positive.
+
+``LAYERS`` declares the network once: each layer's field, task group
+(shared, sentiment or negation), type and ``init`` arguments.  The
+initialization draw order, the parameter names and their manifest
+order, the task groups, checkpoint loading with its shape checks and
+the gradient-check subsets all follow from that table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,16 +47,48 @@ class ModelError(Exception):
     pass
 
 
+@dataclass(frozen=True)
+class LayerSpec:
+    """One layer of the network: the ``ModelParams`` field that holds it,
+    its task group, its type, and the arguments its ``init`` takes (after
+    the rng) as a function of (vocab size, embedding dim, hidden dim)."""
+
+    field: str
+    group: str
+    kind: type
+    init_args: Callable[[int, int, int], tuple[int, ...]]
+
+    def leaf_names(self) -> list[tuple[str, str]]:
+        """(parameter name, attribute of the layer) for each leaf tensor."""
+        return [(f"{self.field}.{f.name}", f.name) for f in fields(self.kind)]
+
+
+# The network layout, in draw order and manifest order: shared layers
+# first, then the sentiment head, then the optional negation head, so
+# a sentiment-only and a multi-task model from one seed share every
+# draw they have in common.
+LAYERS = (
+    LayerSpec("embedding", "shared", EmbeddingTable, lambda v, e, d: (v, e)),
+    LayerSpec("sent_fwd", "shared", LstmParams, lambda v, e, d: (e, d)),
+    LayerSpec("sent_bwd", "shared", LstmParams, lambda v, e, d: (e, d)),
+    LayerSpec("doc_fwd", "sentiment", LstmParams, lambda v, e, d: (2 * d, d)),
+    LayerSpec("doc_bwd", "sentiment", LstmParams, lambda v, e, d: (2 * d, d)),
+    LayerSpec("out", "sentiment", Linear, lambda v, e, d: (2 * d, NUM_CLASSES)),
+    LayerSpec("emission", "negation", Linear, lambda v, e, d: (2 * d, NUM_TAGS)),
+    LayerSpec("crf", "negation", CrfParams, lambda v, e, d: (NUM_TAGS,)),
+)
+GROUPS = tuple(dict.fromkeys(spec.group for spec in LAYERS))
+HEAD_GROUP = "negation"  # present in multi-task models only
+
+
 @dataclass
 class ModelParams:
-    """Named parameter registry for one model instance.
+    """Named parameter registry for one model instance, laid out by
+    ``LAYERS``.
 
     The shared group (embedding + sentence BiLSTM) is physically one set
     of tensors used by both task paths.  The negation head is optional:
-    single-task sentiment models do not carry it.  Initialization draws
-    the head last, so a sentiment-only model and a multi-task model built
-    from the same seed hold bitwise-identical shared and sentiment
-    parameters.
+    single-task sentiment models do not carry it.
     """
 
     embedding: EmbeddingTable
@@ -71,32 +109,25 @@ class ModelParams:
         rng: np.random.Generator,
         with_negation_head: bool,
     ) -> "ModelParams":
-        """Draw order: embedding, sent_fwd, sent_bwd, doc_fwd, doc_bwd,
-        out, then (if present) emission and CRF transitions."""
+        """Draws each layer of ``LAYERS`` in table order."""
         if vocab_size < 2 or embedding_dim < 1 or hidden_dim < 1:
             raise ModelError(
                 f"bad model dimensions: vocab {vocab_size}, "
                 f"embedding {embedding_dim}, hidden {hidden_dim}"
             )
-        embedding = EmbeddingTable.init(vocab_size, embedding_dim, rng)
-        sent_fwd = LstmParams.init(embedding_dim, hidden_dim, rng)
-        sent_bwd = LstmParams.init(embedding_dim, hidden_dim, rng)
-        doc_fwd = LstmParams.init(2 * hidden_dim, hidden_dim, rng)
-        doc_bwd = LstmParams.init(2 * hidden_dim, hidden_dim, rng)
-        out = Linear.init(2 * hidden_dim, NUM_CLASSES, rng)
-        emission = crf = None
-        if with_negation_head:
-            emission = Linear.init(2 * hidden_dim, NUM_TAGS, rng)
-            crf = CrfParams.init(NUM_TAGS, rng)
-        return cls(embedding, sent_fwd, sent_bwd, doc_fwd, doc_bwd, out, emission, crf)
+        return cls(**{
+            spec.field: spec.kind.init(*spec.init_args(vocab_size, embedding_dim, hidden_dim), rng)
+            for spec in LAYERS
+            if with_negation_head or spec.group != HEAD_GROUP
+        })
+
+    def _layers(self) -> list[tuple[LayerSpec, object]]:
+        """(spec, layer) for every layer this model holds, in table order."""
+        return [(spec, layer) for spec in LAYERS if (layer := getattr(self, spec.field)) is not None]
 
     @property
     def has_negation_head(self) -> bool:
-        return self.emission is not None
-
-    @property
-    def vocab_size(self) -> int:
-        return self.embedding.weights.data.shape[0]
+        return any(spec.group == HEAD_GROUP for spec, _ in self._layers())
 
     @property
     def embedding_dim(self) -> int:
@@ -109,37 +140,18 @@ class ModelParams:
     def named_parameters(self) -> dict[str, Tensor]:
         """All parameters in manifest order (insertion order is the
         serialization order)."""
-        named: dict[str, Tensor] = {"embedding.weights": self.embedding.weights}
-        for prefix, lstm in (
-            ("sent_fwd", self.sent_fwd),
-            ("sent_bwd", self.sent_bwd),
-            ("doc_fwd", self.doc_fwd),
-            ("doc_bwd", self.doc_bwd),
-        ):
-            named[f"{prefix}.w"] = lstm.w
-            named[f"{prefix}.u"] = lstm.u
-            named[f"{prefix}.b"] = lstm.b
-        named["out.w"] = self.out.w
-        named["out.b"] = self.out.b
-        if self.emission is not None and self.crf is not None:
-            named["emission.w"] = self.emission.w
-            named["emission.b"] = self.emission.b
-            named["crf.transitions"] = self.crf.transitions
-        return named
+        return {
+            name: getattr(layer, attr)
+            for spec, layer in self._layers()
+            for name, attr in spec.leaf_names()
+        }
 
     def parameter_groups(self) -> dict[str, list[str]]:
         """Partition of parameter names into shared / sentiment / negation."""
-        shared = ["embedding.weights"]
-        for prefix in ("sent_fwd", "sent_bwd"):
-            shared += [f"{prefix}.w", f"{prefix}.u", f"{prefix}.b"]
-        sentiment = []
-        for prefix in ("doc_fwd", "doc_bwd"):
-            sentiment += [f"{prefix}.w", f"{prefix}.u", f"{prefix}.b"]
-        sentiment += ["out.w", "out.b"]
-        negation = []
-        if self.has_negation_head:
-            negation = ["emission.w", "emission.b", "crf.transitions"]
-        return {"shared": shared, "sentiment": sentiment, "negation": negation}
+        groups: dict[str, list[str]] = {group: [] for group in GROUPS}
+        for spec, _ in self._layers():
+            groups[spec.group] += [name for name, _ in spec.leaf_names()]
+        return groups
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data for name, t in self.named_parameters().items()}
@@ -147,31 +159,23 @@ class ModelParams:
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "ModelParams":
         """Rebuild a model from named arrays (dimensions are implied by
-        the shapes; the negation head is present iff its arrays are).
+        the shapes; the negation head is present iff any of its arrays is).
 
         The shapes must fit together: the vocabulary size and embedding
         dim come from ``embedding.weights`` and the hidden dim from
         ``sent_fwd.u``; every other shape follows from those three."""
-        def t(name):
-            return Tensor(arrays[name], requires_grad=True)
-
-        def lstm(prefix):
-            return LstmParams(t(f"{prefix}.w"), t(f"{prefix}.u"), t(f"{prefix}.b"))
-
-        try:
-            params = cls(
-                EmbeddingTable(t("embedding.weights")),
-                lstm("sent_fwd"),
-                lstm("sent_bwd"),
-                lstm("doc_fwd"),
-                lstm("doc_bwd"),
-                Linear(t("out.w"), t("out.b")),
-            )
-            if "emission.w" in arrays:
-                params.emission = Linear(t("emission.w"), t("emission.b"))
-                params.crf = CrfParams(t("crf.transitions"))
-        except KeyError as e:
-            raise ModelError(f"parameter set is missing {e.args[0]!r}") from e
+        head = any(
+            name in arrays for spec in LAYERS if spec.group == HEAD_GROUP for name, _ in spec.leaf_names()
+        )
+        specs = [spec for spec in LAYERS if head or spec.group != HEAD_GROUP]
+        layers = {}
+        for spec in specs:
+            try:
+                leaves = {attr: Tensor(arrays[name], requires_grad=True) for name, attr in spec.leaf_names()}
+            except KeyError as e:
+                raise ModelError(f"parameter set is missing {e.args[0]!r}") from e
+            layers[spec.field] = spec.kind(**leaves)
+        params = cls(**layers)
         named = params.named_parameters()
         extra = set(arrays) - set(named)
         if extra:
@@ -181,25 +185,13 @@ class ModelParams:
                 raise ModelError(
                     f"parameter {name!r} has shape {named[name].data.shape}, expected a matrix"
                 )
-        vocab_size, e = named["embedding.weights"].data.shape
-        d = named["sent_fwd.u"].data.shape[1]
-        expected = {
-            "embedding.weights": (vocab_size, e),
-            "out.w": (NUM_CLASSES, 2 * d),
-            "out.b": (NUM_CLASSES,),
-            "emission.w": (NUM_TAGS, 2 * d),
-            "emission.b": (NUM_TAGS,),
-            "crf.transitions": (NUM_TAGS + 2, NUM_TAGS + 2),
-        }
-        for prefix, input_dim in (("sent_fwd", e), ("sent_bwd", e), ("doc_fwd", 2 * d), ("doc_bwd", 2 * d)):
-            expected[f"{prefix}.w"] = (4 * d, input_dim)
-            expected[f"{prefix}.u"] = (4 * d, d)
-            expected[f"{prefix}.b"] = (4 * d,)
-        for name, tensor in named.items():
-            if tensor.data.shape != expected[name]:
-                raise ModelError(
-                    f"parameter {name!r} has shape {tensor.data.shape}, expected {expected[name]}"
-                )
+        dims = (*named["embedding.weights"].data.shape, params.hidden_dim)
+        for spec, layer in params._layers():
+            shapes = spec.kind.shapes(*spec.init_args(*dims))
+            for name, attr in spec.leaf_names():
+                shape, expected = getattr(layer, attr).data.shape, shapes[attr]
+                if shape != expected:
+                    raise ModelError(f"parameter {name!r} has shape {shape}, expected {expected}")
         return params
 
 

@@ -600,10 +600,6 @@ class EnsembleResult:
     dev_vote: list[PredictionRecord]
     test_vote: list[PredictionRecord] | None
 
-    @property
-    def dev_accuracies(self) -> list[float]:
-        return [accuracy_of(r.dev_predictions) for r in self.runs]
-
 
 def majority_vote(per_run: Sequence[Sequence[PredictionRecord]]) -> list[PredictionRecord]:
     """Per-document majority over an odd number of prediction lists.
@@ -634,6 +630,8 @@ def run_ensemble(
     """``train_seed`` at every seed, then a majority vote over their predictions."""
     if len(config.seeds) % 2 == 0:
         raise TrainingError(f"ensemble needs an odd seed count, got {len(config.seeds)}")
+    if test_docs is not None:  # train and dev are checked by train_neural
+        _require_labeled(test_docs, "test")
 
     runs = [
         train_seed(dataclasses.replace(config, seed=seed), train_docs, dev_docs, test_docs)
@@ -657,9 +655,6 @@ class BowModel:
     weights: np.ndarray  # (V,)
     bias: float
     c: float
-
-    def predict(self, doc: Document) -> str:
-        return self.predict_features(bow_features(self.vocab, doc))
 
     def predict_features(self, x: np.ndarray) -> str:
         """Label of one document's ``bow_features`` vector."""
@@ -752,10 +747,9 @@ def fit_bow(
     c: float,
     init: tuple[np.ndarray, float] | None = None,
     max_iters: int = 100,
-    grad_tol: float = BOW_GRAD_TOL,
 ) -> tuple[np.ndarray, float, float, int]:
     """Damped Newton on the convex objective of ``bow_loss_and_grad``.
-    Stops when the gradient 2-norm falls below ``grad_tol``.  Returns
+    Stops when the gradient 2-norm falls below ``BOW_GRAD_TOL``.  Returns
     (w, b, loss, iters), iters counting the steps taken.
 
     The Newton system is solved in document space: the weight block of
@@ -773,7 +767,7 @@ def fit_bow(
     gram = xs @ xs.T
     loss, grad_w, grad_b = bow_loss_and_grad(w, b, xs, ys, c)
     iters = 0
-    while iters < max_iters and math.sqrt(float(grad_w @ grad_w) + grad_b**2) >= grad_tol:
+    while iters < max_iters and math.sqrt(float(grad_w @ grad_w) + grad_b**2) >= BOW_GRAD_TOL:
         dw, db, slope = _bow_direction(w, b, xs, gram, c, grad_w, grad_b)
         for halvings in range(60):
             step = 0.5**halvings

@@ -363,13 +363,11 @@ def test_bow_convergence_and_separable_accuracy(capsys):
     train = separable_corpus(20, np.random.default_rng(21))
 
     result = train_bow(TrainConfig(mode="bow"), train, train)
-    train_acc = accuracy(
-        [d.label for d in train], [result.model.predict(d) for d in train]
-    )
-
-    # two optimizations of the same convex objective land on one loss
     vocab = result.model.vocab
     xs = np.stack([bow_features(vocab, d) for d in train])
+    train_acc = accuracy([d.label for d in train], [result.model.predict_features(x) for x in xs])
+
+    # two optimizations of the same convex objective land on one loss
     ys = np.array([1.0 if d.label == "positive" else 0.0 for d in train])
     rng = np.random.default_rng(3)
     _, _, loss_zero, _ = fit_bow(xs, ys, c=1.0)

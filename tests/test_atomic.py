@@ -110,7 +110,7 @@ def _eval_argv(tmp_path):
     pred, compare = tmp_path / "pred.jsonl", tmp_path / "compare.jsonl"
     for path, flip in ((pred, False), (compare, True)):
         write_predictions(
-            [PredictionRecord(f"d{i}", "positive" if (i % 2) ^ flip else "negative", "positive")
+            [PredictionRecord(f"d{i}", "positive" if i % 2 else "negative", "positive" if flip else "negative")
              for i in range(4)],
             path,
         )

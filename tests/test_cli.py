@@ -21,6 +21,7 @@ from negmtl.autodiff import Tensor
 from negmtl.cli import main
 from negmtl.corpus import ParseError, parse_corpus
 from negmtl.evaluation import EvaluationError, read_predictions, write_predictions
+from negmtl.models import ModelParams
 
 
 def write_jsonl(path, docs):
@@ -278,6 +279,22 @@ class TestEnsemble:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "e").exists()
 
+    def test_unlabeled_test_split_fails_before_training(self, corpus, tmp_path, capsys):
+        train, dev = corpus
+        test = tmp_path / "test.jsonl"
+        write_jsonl(test, [doc("te-0", None, [("good fun", [])])])
+        out = tmp_path / "e"
+        rc = main([
+            "ensemble", "--mode", "stl", "--seeds", "1,2,3", "--train", str(train), "--dev", str(dev),
+            "--test", str(test), "--out", str(out), *SMALL,
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: test document 'te-0' has no sentiment label"
+        ]
+        assert not list((out / "checkpoints").iterdir())
+        assert not (out / "preds").exists() and not (out / "metrics.jsonl").exists()
+
     def test_three_seeds_make_four_prediction_files(self, corpus, tmp_path):
         train, dev = corpus
         out = tmp_path / "ens"
@@ -463,6 +480,44 @@ class TestEval:
         report = json.loads((out / "report.json").read_text())
         assert report["relative_confusion"] == [[1, -1], [0, 0]]
 
+    @pytest.mark.parametrize(
+        "other, message",
+        [
+            ([("x", "negative"), ("z", "negative")], "document 'y' is in {a} but not in {b}"),
+            ([("x", "negative"), ("y", "negative"), ("z", "positive")], "document 'z' is in {b} but not in {a}"),
+            ([("y", "negative"), ("x", "positive")], "document 'x' has gold 'negative' in {a} but 'positive' in {b}"),
+        ],
+        ids=["missing", "extra", "other-gold"],
+    )
+    def test_compare_needs_the_same_documents(self, tmp_path, capsys, other, message):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        self.write_preds(a, [{"id": i, "gold": "negative", "pred": "negative"} for i in ("x", "y")])
+        self.write_preds(b, [{"id": i, "gold": g, "pred": "positive"} for i, g in other])
+        assert main(["eval", "--pred", str(a), "--compare", str(b), "--out", str(tmp_path / "r")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: " + message.format(a=a, b=b)]
+        assert captured.out == ""
+        assert not (tmp_path / "r").exists()
+
+    def test_compare_accepts_another_order(self, tmp_path):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        self.write_preds(a, [{"id": i, "gold": "negative", "pred": "negative"} for i in ("x", "y")])
+        self.write_preds(b, [{"id": i, "gold": "negative", "pred": "positive"} for i in ("y", "x")])
+        assert main(["eval", "--pred", str(a), "--compare", str(b)]) == 0
+
+    @pytest.mark.parametrize("flag", ["--pred", "--compare"])
+    def test_repeated_id_rejected(self, tmp_path, capsys, flag):
+        good, repeated = tmp_path / "good.jsonl", tmp_path / "repeated.jsonl"
+        self.write_preds(good, [{"id": "x", "gold": "negative", "pred": "negative"}])
+        self.write_preds(repeated, [
+            {"id": "x", "gold": "negative", "pred": "negative"},
+            {"id": "y", "gold": "negative", "pred": "negative"},
+            {"id": "x", "gold": "negative", "pred": "positive"},
+        ])
+        files = [repeated, good] if flag == "--pred" else [good, repeated]
+        assert main(["eval", "--pred", str(files[0]), "--compare", str(files[1])]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {repeated}: line 3: document 'x' repeats line 1"]
+
     def test_missing_gold_rejected(self, tmp_path, capsys):
         p = tmp_path / "p.jsonl"
         self.write_preds(p, [{"id": "a", "gold": None, "pred": "positive"}])
@@ -487,6 +542,16 @@ class TestGradcheck:
         assert main(["gradcheck", "--component", "layers"]) == 0
         out = capsys.readouterr().out
         assert "layers" in out and "sentiment" not in out
+
+    def test_each_component_checks_exactly_its_groups(self):
+        groups = ModelParams.init(7, 4, 3, np.random.default_rng(0), with_negation_head=True).parameter_groups()
+        subsets = {name: list(case()[1]) for name, case in cli._gradcheck_cases(1, inject_bug=False).items()}
+        assert subsets == {
+            "layers": groups["shared"] + ["emission.w", "emission.b"],
+            "crf": ["emissions", "crf.transitions"],
+            "sentiment": groups["shared"] + groups["sentiment"],
+            "negation": groups["shared"] + groups["negation"],
+        }
 
     def test_report_artifact(self, tmp_path):
         assert main(["gradcheck", "--component", "crf", "--out", str(tmp_path / "gc")]) == 0

@@ -1,6 +1,7 @@
 """Every name a module of ``negmtl`` imports is used in that module,
-every top-level function or class is referenced by some module, and
-every JSON decode can fail only with the module's own error.
+every top-level function or class is referenced by some module, every
+method, property and class constant is read by some module, and every
+JSON decode can fail only with the module's own error.
 
 AST scans stand in for a linter: an unused import survives every other
 test and makes a module look coupled to code it never calls, and a
@@ -11,6 +12,7 @@ no file or line in its message.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -138,6 +140,73 @@ def test_scan_finds_an_unreferenced_definition():
         ),
     }
     assert unreferenced_definitions(trees) == {("a", "recursive"), ("a", "Dead"), ("b", "K")}
+
+
+# Methods, properties and class constants no module of the package reads
+# as an attribute, kept on purpose.
+UNREFERENCED_MEMBERS_KEPT = {
+    ("corpus", "BioTag.from_string"): "scoring tags.jsonl against a gold corpus parses tags with it",
+    ("evaluation", "ClassScore.f1"): "the negation-F1 report reads it; tests score tagging with it",
+}
+
+
+def unreferenced_members(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    """``(module, "Class.member")`` for each method, property or class
+    constant (a plain assignment in the class body) of a top-level class
+    whose name no module reads as an attribute outside the member itself.
+    Dunders are exempt: the interpreter calls them.  Annotated class-body
+    names are dataclass fields, which the constructor sets."""
+    attrs = Counter(n.attr for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+    dead = set()
+    for module, tree in trees.items():
+        for cls in (stmt for stmt in tree.body if isinstance(stmt, ast.ClassDef)):
+            for member in cls.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [member.name]
+                elif isinstance(member, ast.Assign):
+                    names = [t.id for t in member.targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                own = Counter(n.attr for n in ast.walk(member) if isinstance(n, ast.Attribute))
+                dead |= {
+                    (module, f"{cls.name}.{name}")
+                    for name in names
+                    if not (name.startswith("__") and name.endswith("__")) and attrs[name] == own[name]
+                }
+    return dead
+
+
+def test_no_unreferenced_members():
+    dead = sorted(unreferenced_members(package_trees()) - set(UNREFERENCED_MEMBERS_KEPT))
+    assert not dead, "\n".join(f"{m}.{name} is defined and never read" for m, name in dead)
+
+
+@pytest.mark.parametrize("key", sorted(UNREFERENCED_MEMBERS_KEPT), ids=lambda k: ".".join(k))
+def test_kept_members_are_still_unreferenced(key):
+    assert key in unreferenced_members(package_trees()), (
+        f"{'.'.join(key)} is gone or read now; drop it from UNREFERENCED_MEMBERS_KEPT"
+    )
+
+
+def test_scan_finds_an_unreferenced_member():
+    trees = {
+        "a": ast.parse(
+            "class A:\n"
+            "    LIMIT = 3\n"  # read below
+            "    SPARE = 4\n"
+            "    field: int = 0\n"  # a dataclass field, not a constant
+            "    def __len__(self): return 0\n"
+            "    def used(self): return self.LIMIT\n"
+            "    def recursive(self): return self.recursive()\n"
+            "    @property\n"
+            "    def unread(self): return 1\n"
+            "def f(a): return a.used()\n"
+        ),
+        "b": ast.parse("class B:\n    def go(self, x): return x.unread_elsewhere\n"),
+    }
+    assert unreferenced_members(trees) == {
+        ("a", "A.SPARE"), ("a", "A.recursive"), ("a", "A.unread"), ("b", "B.go"),
+    }
 
 
 # handler names that catch ValueError: the class itself or a superclass

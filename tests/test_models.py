@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from negmtl import autodiff as ad
 from negmtl.autodiff import Tape, Tensor, backward, grad_check, zero_grads
 from negmtl.corpus import BioTag
 from negmtl.models import (
+    GROUPS,
     LABEL_TO_CLASS,
+    LAYERS,
     ModelError,
     ModelParams,
     NEGATIVE_CLASS,
@@ -110,6 +115,42 @@ class TestModelParams:
     def test_bad_dimensions_rejected(self):
         with pytest.raises(ModelError):
             ModelParams.init(1, 4, 3, np.random.default_rng(0), with_negation_head=False)
+
+    def test_fields_follow_the_layer_table(self):
+        assert [f.name for f in dataclasses.fields(ModelParams)] == [spec.field for spec in LAYERS]
+        assert GROUPS == ("shared", "sentiment", "negation")
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        vocab=st.integers(2, 12), e=st.integers(1, 5), d=st.integers(1, 4),
+        head=st.booleans(), seed=st.integers(0, 2**16),
+    )
+    def test_layer_table_round_trips_and_fixes_every_shape(self, vocab, e, d, head, seed):
+        m = ModelParams.init(vocab, e, d, np.random.default_rng(seed), with_negation_head=head)
+        arrays = m.to_arrays()
+        clone = ModelParams.from_arrays(dict(arrays))
+        assert clone.has_negation_head == head
+        assert list(clone.to_arrays()) == list(arrays)
+        for name, arr in clone.to_arrays().items():
+            assert arr.tobytes() == arrays[name].tobytes(), name
+        groups = m.parameter_groups()
+        assert list(groups) == list(GROUPS)
+        assert sorted(n for names in groups.values() for n in names) == sorted(arrays)
+        assert bool(groups["negation"]) == head
+        for name, arr in arrays.items():
+            without = {k: v for k, v in arrays.items() if k != name}
+            with pytest.raises(ModelError, match=f"parameter set is missing '{name}'"):
+                ModelParams.from_arrays(without)
+            for axis in range(arr.ndim):
+                for delta in (-1, 1):
+                    shape = list(arr.shape)
+                    shape[axis] += delta
+                    changed = {**arrays, name: np.zeros(shape)}
+                    if (name, axis) == ("embedding.weights", 0):  # any vocabulary size fits
+                        assert ModelParams.from_arrays(changed).has_negation_head == head
+                        continue
+                    with pytest.raises(ModelError, match=r"has shape \(.*\), expected \("):
+                        ModelParams.from_arrays(changed)
 
 
 class TestNegationPath:

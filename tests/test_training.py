@@ -58,6 +58,10 @@ def doc(doc_id, label, *sents, annotated=True):
     return Document(doc_id, "toy", label, tuple(sentences), annotated)
 
 
+def bow_label(model, d):
+    return model.predict_features(bow_features(model.vocab, d))
+
+
 def sentiment_corpus():
     train = [
         doc("t1", "positive", "good fun story"),
@@ -700,7 +704,7 @@ class TestRunEnsemble:
         cfg = tiny_config(seeds=(1, 2, 3))
         result = run_ensemble(cfg, train, dev, test_docs=train)
         assert [r.seed for r in result.runs] == [1, 2, 3]
-        assert len(result.dev_accuracies) == 3
+        assert [len(r.dev_predictions) for r in result.runs] == [len(dev)] * 3
         assert [r.id for r in result.dev_vote] == [d.id for d in dev]
         assert result.test_vote is not None
         assert [r.id for r in result.test_vote] == [d.id for d in train]
@@ -798,7 +802,7 @@ class TestBow:
         train, dev = sentiment_corpus()
         result = train_bow(tiny_config(mode="bow"), train, dev)
         assert result.dev_accuracy == 1.0
-        assert all(result.model.predict(d) == d.label for d in train)
+        assert all(bow_label(result.model, d) == d.label for d in train)
 
     def test_tiny_c_regularizes_to_prior_class(self):
         train = [
@@ -811,7 +815,7 @@ class TestBow:
         result = train_bow(tiny_config(mode="bow", bow_c_grid=(1e-6,)), train, dev)
         assert np.max(np.abs(result.model.weights)) < 1e-3
         assert result.model.bias < 0  # log-odds of the 1/4-positive prior
-        assert all(result.model.predict(d) == "negative" for d in train + dev)
+        assert all(bow_label(result.model, d) == "negative" for d in train + dev)
 
     def test_c_ties_resolve_to_smallest(self):
         train, dev = sentiment_corpus()  # separable: every C scores 100
@@ -827,8 +831,8 @@ class TestBow:
         result = train_bow(tiny_config(mode="bow"), train, dev)
         assert len(result.dev_accuracy_by_c) == 6
         assert sorted(built) == sorted(d.id for d in train + dev)
-        for d in dev:  # the cached vectors score as a fresh build would
-            assert result.model.predict_features(features(result.model.vocab, d)) == result.model.predict(d)
+        for d, rec in zip(dev, result.dev_predictions):  # the cached vectors score as a fresh build would
+            assert result.model.predict_features(features(result.model.vocab, d)) == rec.pred
 
     def test_dev_predictions_are_the_chosen_models(self):
         rng = np.random.default_rng(3)
@@ -836,7 +840,7 @@ class TestBow:
         result = train_bow(tiny_config(mode="bow"), train, dev)
         assert len(set(result.dev_accuracy_by_c.values())) > 1  # the choice of C matters here
         assert result.dev_predictions == [
-            PredictionRecord(d.id, d.label, result.model.predict(d)) for d in dev
+            PredictionRecord(d.id, d.label, bow_label(result.model, d)) for d in dev
         ]
         assert accuracy_of(result.dev_predictions) == result.dev_accuracy
 
