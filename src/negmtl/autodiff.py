@@ -11,16 +11,18 @@ Elementwise ops need equal shapes: a mismatch fails loudly at the
 offending operation rather than producing silently misaligned gradients.
 
 The module holds only the primitives the model and its CLI record:
-``add``, ``mul`` and ``tanh``; ``stack_rows`` and the gather ``rows``;
-``sum_all``, ``max_over_time`` and ``softmax_cross_entropy``.  The
-fused layer ops build on the same ``_make_output`` hook and run their
-work in numpy with a hand-written backward pass, each recorded as a
-single node: ``layers.bilstm`` (both LSTM directions),
-``layers.affine`` (a linear map plus bias, on a vector or on every row
-of a matrix) and ``crf.crf_nll`` (the CRF negative log-likelihood).
-The generic primitives that step-by-step references in the tests
-compose (subtraction, concatenation, matrix products, transpose,
-sigmoid) live with those references in ``tests/oracles.py``.
+``add``, ``mul`` and ``tanh``; the gather ``rows``; ``sum_all``,
+``max_over_time`` (over a whole matrix, or over each of its row
+segments in one node) and ``softmax_cross_entropy``.  The fused layer
+ops build on the same ``_make_output`` hook and run their work in
+numpy with a hand-written backward pass, each recorded as a single
+node: ``layers.bilstm`` (both LSTM directions over every sentence of a
+document), ``layers.affine`` (a linear map plus bias, on a vector or
+on every row of a matrix) and ``crf.crf_nll`` (the CRF negative
+log-likelihood).  The generic primitives that step-by-step references
+in the tests compose (subtraction, concatenation, row stacking, matrix
+products, transpose, sigmoid) live with those references in
+``tests/oracles.py``.
 
 The gather ``rows`` is the one op whose gradient is row-sparse: its
 backward pass returns a ``RowGrad`` (the unique indices plus one summed
@@ -243,17 +245,6 @@ def tanh(a: Tensor) -> Tensor:
 # Shape and indexing
 
 
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack T same-length vectors into a (T, d) matrix."""
-    if not rows:
-        raise AutodiffError("stack_rows: empty input")
-    if any(r.data.ndim != 1 or r.data.shape != rows[0].data.shape for r in rows):
-        raise AutodiffError("stack_rows: all inputs must be 1-d vectors of equal length")
-    def bw(g):
-        return tuple(g[i] for i in range(len(rows)))
-    return _make_output(np.stack([r.data for r in rows]), tuple(rows), bw)
-
-
 @dataclass(frozen=True)
 class RowGrad:
     """Gradient of a matrix that is zero outside a few rows: ``values[k]``
@@ -299,18 +290,26 @@ def sum_all(a: Tensor) -> Tensor:
     return _make_output(np.asarray(a.data.sum()), (a,), bw)
 
 
-def max_over_time(h: Tensor) -> Tensor:
-    """Column-wise max of a (T, d) matrix; ties route gradient to the
-    earliest maximal row."""
-    if h.data.ndim != 2 or h.data.shape[0] < 1:
-        raise AutodiffError(f"max_over_time: expected a non-empty matrix, got {h.data.shape}")
-    winners = h.data.argmax(axis=0)
-    out = h.data[winners, np.arange(h.data.shape[1])]
+def max_over_time(h: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
+    """Column-wise max of a (T, d) matrix, shape (d,); with ``lengths``,
+    of each run of that many consecutive rows, shape (S, d), one node for
+    all runs.  Ties route gradient to the earliest maximal row of a run."""
+    x = h.data
+    if x.ndim != 2 or x.shape[0] < 1:
+        raise AutodiffError(f"max_over_time: expected a non-empty matrix, got {x.shape}")
+    cols = np.arange(x.shape[1])
+    if lengths is None:
+        winners = x.argmax(axis=0)
+    else:
+        if len(lengths) == 0 or min(lengths) < 1 or sum(lengths) != x.shape[0]:
+            raise AutodiffError(f"max_over_time: lengths {list(lengths)} do not split {x.shape[0]} rows")
+        ends = np.cumsum(lengths).tolist()
+        winners = np.stack([x[b - n : b].argmax(axis=0) + (b - n) for n, b in zip(lengths, ends)])
     def bw(g):
-        gh = np.zeros_like(h.data)
-        gh[winners, np.arange(h.data.shape[1])] = g
+        gh = np.zeros_like(x)
+        gh[winners, cols] = g
         return (gh,)
-    return _make_output(out, (h,), bw)
+    return _make_output(x[winners, cols], (h,), bw)
 
 
 def softmax_cross_entropy(logits: Tensor, gold: int) -> Tensor:

@@ -3,8 +3,9 @@
 Subcommands: stats, train, ensemble, predict, eval, gradcheck.  Every
 artifact-producing run writes a manifest.json recording the subcommand,
 the effective configuration, the seeds, a sha256 digest of each input
-file, and the Python and numpy versions, so any output directory can be reproduced from its manifest
-and the original data.  Inputs are only ever read.
+file, and the environment (Python and numpy versions, the BLAS build
+and its thread variables), so any output directory can be reproduced
+from its manifest and the original data.  Inputs are only ever read.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
 import sys
 from pathlib import Path
@@ -133,9 +135,24 @@ def _write_manifest(out_dir: Path, subcommand: str, *, config=None, seeds=None,
         },
         "options": options or {},
         "outputs": outputs or [],
-        "environment": {"python": platform.python_version(), "numpy": np.__version__},
+        "environment": _environment(),
     }
     _write_json(out_dir / "manifest.json", manifest)
+
+
+def _environment() -> dict:
+    """Python, numpy, the BLAS build numpy links and the BLAS thread
+    variables (None where unset): outputs are byte-identical for one
+    BLAS build and one thread count."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_threads": {
+            var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        },
+    }
 
 
 def _write_json(path: Path, obj):
@@ -263,11 +280,10 @@ def cmd_ensemble(args) -> int:
     train_docs = _read_split(args.train, "train")
     dev_docs = _read_split(args.dev, "dev")
     test_docs = _read_split(args.test, "test") if args.test else None
-    out = _out_dir(args)
-    (out / "checkpoints").mkdir(exist_ok=True)
-
     result = run_ensemble(config, train_docs, dev_docs, test_docs)
 
+    out = _out_dir(args)  # created only once every seed has trained
+    (out / "checkpoints").mkdir(exist_ok=True)
     outputs = []
     metrics = []
     for run in result.runs:
@@ -541,23 +557,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--out", help="optional directory for stats.txt + manifest")
     p_stats.set_defaults(fn=cmd_stats)
 
-    def add_config_flags(p):
+    def add_config_flags(p, modes):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--mode", choices=("stl", "mtl", "bow"))
+        p.add_argument("--mode", choices=modes)
         p.add_argument(
             "--set", dest="overrides", action="append", metavar="KEY=VALUE",
             help="override one config field (repeatable)",
         )
 
     p_train = sub.add_parser("train", help="train one model")
-    add_config_flags(p_train)
+    add_config_flags(p_train, ("stl", "mtl", "bow"))
     p_train.add_argument("--train", required=True)
     p_train.add_argument("--dev", required=True)
     p_train.add_argument("--out", required=True)
     p_train.set_defaults(fn=cmd_train)
 
     p_ens = sub.add_parser("ensemble", help="train per-seed models and majority-vote")
-    add_config_flags(p_ens)
+    add_config_flags(p_ens, ("stl", "mtl"))
     p_ens.add_argument("--seeds", help="comma-separated seed list")
     p_ens.add_argument("--train", required=True)
     p_ens.add_argument("--dev", required=True)

@@ -1,12 +1,18 @@
 """Neural network building blocks: embeddings, LSTMs, affine maps, dropout.
 
 Every layer records exactly one tape node.  A bidirectional LSTM is
-``bilstm``: each direction runs the untaped kernel ``lstm_sequence``,
-which writes its hidden states into its half of one (T, 2d) output and
-returns its hand-written backpropagation through time.  The input
-projection for every timestep is a single matmul ahead of the
-recurrence, so only ``U @ h`` and the gates run step by step in numpy.
-A per-step reference built from generic primitives lives in the tests.
+``bilstm``: one node that encodes every sequence whose rows it is
+given, in both directions.  Like PyTorch's ``pack_padded_sequence`` it
+orders the sequences by length and at step s runs only those longer
+than s, so nothing is padded or masked; per step each direction does
+one (live rows, d) @ (d, 4d) product and the gate nonlinearities run
+once over both directions' rows.  The input projection for every
+timestep is one matmul per direction ahead of the recurrence, and the
+hand-written backpropagation through time is batched the same way.  On
+one sequence it does the products of the per-sequence BiLSTM it
+replaced in the same order, so it gives the same bits; that
+per-sequence op and a per-step reference built from generic
+primitives live in the tests.
 
 Both heads end in ``affine``, one tape node computing ``x @ w.T + b``
 for an (in,) vector (the sentiment output layer) or a (T, in) matrix
@@ -22,6 +28,7 @@ makes same-seed runs bitwise reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -42,8 +49,9 @@ class EmbeddingTable:
     """Token embedding matrix, one row per vocabulary id.
 
     Row 0 belongs to the padding token and is kept at zero: sequences are
-    processed one at a time so id 0 is never looked up, but the row is
-    part of the parameter manifest and must stay stable across save/load.
+    packed by length rather than padded, so id 0 is never looked up, but
+    the row is part of the parameter manifest and must stay stable across
+    save/load.
     """
 
     weights: Tensor  # (vocab, dim)
@@ -101,102 +109,150 @@ class LstmParams:
         return self.u.data.shape[1]
 
 
-def lstm_sequence(p: LstmParams, x: np.ndarray, out: np.ndarray, reverse: bool = False):
-    """Run one direction over a (T, input_dim) array from zero initial
-    state, writing the (T, d) hidden states into ``out`` in input order
-    regardless of direction.  Untaped: ``bilstm`` records the node.
+def _packing(lengths: Sequence[int] | None, n_rows: int):
+    """The step plan for sequences of ``lengths`` rows laid end to end
+    (one sequence of ``n_rows`` when None): the sequences are ordered by
+    length with a stable sort, and step s runs the first n_s of them,
+    those longer than s.  State rows are step-major: step s owns rows
+    [2a, 2a + 2n_s), the forward direction's n_s rows first, where a
+    counts one direction's rows in earlier steps.  Returns
 
-    The input projection ``X @ W.T + b`` is one (T, 4d) matmul ahead of
-    the recurrence, so only ``U @ h`` and the gate nonlinearities run
-    step by step.  Returns the backward pass, a generator function of
-    the gradient of ``out``: it runs backpropagation through time over
-    the cached gates and cell states, then yields the gradients of x,
-    w, u and b (None for a weight that needs none).
+    - ``read``: per direction, the input row of each packed row (token
+      s of its sequence forward, token L - 1 - s backward);
+    - ``slots``: per direction, the state row of each packed row;
+    - ``steps``: (2a, n_s) per step;
+    - ``prev``: the state rows after the first step, and the rows of the
+      same sequence and direction one step earlier.
+
+    One sequence needs no sort and no gather: every index is a slice.
     """
-    d = p.hidden_dim
-    t_len = x.shape[0]
-    xs = x[::-1] if reverse else x  # processing order
-    # sigmoid(z) = 0.5 * tanh(0.5 z) + 0.5, the overflow-free form the
-    # per-step reference's sigmoid in tests/oracles.py also uses, and
-    # tanh(z) = 1.0 * tanh(1.0 z) + 0.0, so one tanh over the (4d,)
-    # pre-activation yields all four gates.  Scaling by 0.5 is exact, so
-    # folding it into the projection and U changes no bits.
-    scale = np.full(4 * d, 0.5)
-    scale[2 * d : 3 * d] = 1.0
-    offset = 1.0 - scale
-    projected = (xs @ p.w.data.T + p.b.data) * scale
-    u_scaled = p.u.data * scale[:, None]
-
-    gates = np.empty((t_len, 4 * d))  # i, f, g, o after their nonlinearity
-    cells = np.empty((t_len, d))
-    tanh_cells = np.empty((t_len, d))
-    hidden = out[::-1] if reverse else out  # processing order
-    h = c = np.zeros(d)
-    for s in range(t_len):
-        act = gates[s]
-        np.tanh(projected[s] + u_scaled @ h, out=act)
-        act *= scale
-        act += offset
-        c = np.multiply(act[d : 2 * d], c, out=cells[s])
-        c += act[:d] * act[2 * d : 3 * d]
-        tc = np.tanh(c, out=tanh_cells[s])
-        h = np.multiply(act[3 * d :], tc, out=hidden[s])
-
-    def bptt(g_out):
-        i, f, g, o = (gates[:, k * d : (k + 1) * d] for k in range(4))
-        c_prev = np.vstack([np.zeros((1, d)), cells[:-1]])
-        # per-step factors that do not depend on the recursion
-        sig_i, sig_f, sig_o = i * (1.0 - i), f * (1.0 - f), o * (1.0 - o)
-        dc_from_h = o * (1.0 - tanh_cells * tanh_cells)
-        dz_from_c = np.stack([g * sig_i, c_prev * sig_f, i * (1.0 - g * g)], axis=1)  # (T, 3, d)
-        dz_from_h = tanh_cells * sig_o
-        g_seq = g_out[::-1] if reverse else g_out
-        dz = np.empty((t_len, 4 * d))
-        dz_cell = dz[:, : 3 * d].reshape(t_len, 3, d)
-        dh_next = dc_next = np.zeros(d)
-        u = p.u.data
-        for s in range(t_len - 1, -1, -1):
-            dh = g_seq[s] + dh_next
-            dc = dh * dc_from_h[s] + dc_next
-            np.multiply(dc, dz_from_c[s], out=dz_cell[s])
-            np.multiply(dh, dz_from_h[s], out=dz[s, 3 * d :])
-            dh_next = dz[s] @ u
-            dc_next = dc * f[s]
-        g_inputs = dz @ p.w.data
-        yield g_inputs[::-1] if reverse else g_inputs
-        yield dz.T @ xs if p.w.requires_grad else None
-        h_prev = np.vstack([np.zeros((1, d)), hidden[:-1]])
-        yield dz.T @ h_prev if p.u.requires_grad else None
-        yield dz.sum(axis=0) if p.b.requires_grad else None
-
-    return bptt
+    if lengths is None or len(lengths) == 1:
+        return (
+            (slice(None), slice(None, None, -1)),
+            (slice(0, None, 2), slice(1, None, 2)),
+            [(2 * s, 1) for s in range(n_rows)],
+            (slice(2, None), slice(None, -2)),
+        )
+    lengths = np.asarray(lengths, dtype=np.intp)
+    order = np.argsort(-lengths, kind="stable")
+    sorted_len = lengths[order]
+    first_token = (np.cumsum(lengths) - lengths)[order]
+    step, seq = np.nonzero(sorted_len > np.arange(sorted_len[0])[:, None])
+    live = np.bincount(step)
+    before = np.cumsum(live) - live  # packed rows of one direction before each step
+    fwd = before[step] + np.arange(n_rows)
+    bwd = fwd + live[step]
+    later = step > 0
+    back = 2 * before[step[later] - 1] + seq[later]
+    prev = (
+        np.concatenate([fwd[later], bwd[later]]),
+        np.concatenate([back, back + live[step[later] - 1]]),
+    )
+    read = (first_token[seq] + step, first_token[seq] + sorted_len[seq] - 1 - step)
+    return read, (fwd, bwd), list(zip((2 * before).tolist(), live.tolist())), prev
 
 
-def bilstm(fwd: LstmParams, bwd: LstmParams, inputs: Tensor) -> Tensor:
-    """Bidirectional encoding of a (T, input_dim) matrix into (T, 2d):
-    forward and backward hidden states side by side per position,
-    recorded as a single tape node.
+def bilstm(
+    fwd: LstmParams, bwd: LstmParams, inputs: Tensor, lengths: Sequence[int] | None = None
+) -> Tensor:
+    """Bidirectional encoding of the sequences laid end to end in the
+    rows of ``inputs``, ``lengths`` rows each (one sequence when None),
+    into (N, 2d): forward and backward hidden states side by side per
+    row, each sequence from zero initial state, as one tape node.
 
-    Each direction's ``lstm_sequence`` writes its half of the output.
-    The backward pass yields the input gradient (the backward
-    direction's part plus the forward direction's), then the six weight
-    gradients one at a time, so ``autodiff.backward`` folds each into
-    its leaf before the next one is computed.
+    All sequences and both directions advance in one step loop over the
+    layout of ``_packing``.  sigmoid(z) = 0.5 * tanh(0.5 z) + 0.5, the
+    overflow-free form the per-step reference's sigmoid in
+    tests/oracles.py also uses, and tanh(z) = 1.0 * tanh(1.0 z) + 0.0,
+    so one tanh yields all four gates; scaling by 0.5 is exact, so
+    folding it into the projection and U changes no bits.  The backward
+    pass yields the input gradient (both directions' parts summed), then
+    the six weight gradients one at a time, so ``autodiff.backward``
+    folds each into its leaf before the next one is computed.
     """
     x = inputs.data
     for p in (fwd, bwd):
         if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != p.w.data.shape[1]:
             raise ad.AutodiffError(f"bilstm: inputs {x.shape} do not match w {p.w.data.shape}")
-    d_fwd = fwd.hidden_dim
-    out = np.empty((x.shape[0], d_fwd + bwd.hidden_dim))
-    bptt_fwd = lstm_sequence(fwd, x, out[:, :d_fwd])
-    bptt_bwd = lstm_sequence(bwd, x, out[:, d_fwd:], reverse=True)
+    if fwd.u.data.shape != bwd.u.data.shape:
+        raise ad.AutodiffError(f"bilstm: directions differ, u {fwd.u.data.shape} and {bwd.u.data.shape}")
+    n_rows, d = x.shape[0], fwd.hidden_dim
+    if lengths is not None and (
+        len(lengths) == 0 or min(lengths) < 1 or sum(lengths) != n_rows
+    ):
+        raise ad.AutodiffError(f"bilstm: lengths {list(lengths)} do not split {n_rows} rows")
+    read, slots, steps, prev = _packing(lengths, n_rows)
+    directions = tuple(zip((fwd, bwd), read, slots))
 
-    def bw(g):
-        grads_bwd, grads_fwd = bptt_bwd(g[:, d_fwd:]), bptt_fwd(g[:, :d_fwd])
-        yield next(grads_bwd) + next(grads_fwd)
-        yield from grads_fwd
-        yield from grads_bwd
+    scale = np.full(4 * d, 0.5)
+    scale[2 * d : 3 * d] = 1.0
+    offset = 1.0 - scale
+    gates = np.empty((2 * n_rows, 4 * d))  # i, f, g, o after their nonlinearity
+    for p, rows, slot in directions:
+        gates[slot] = (x[rows] @ p.w.data.T + p.b.data) * scale
+    # U.T per direction, (2, d, 4d).  One sequence multiplies by a view
+    # of U, a matrix-vector product per step; several multiply by a
+    # contiguous copy, for which BLAS runs a few rows about three times
+    # faster than through the view.
+    u_scaled = np.empty((2, d, 4 * d)) if steps[0][1] > 1 else np.empty((2, 4 * d, d)).transpose(0, 2, 1)
+    for k, p in enumerate((fwd, bwd)):
+        u_scaled[k] = (p.u.data * scale[:, None]).T
+    cells, tanh_cells, hidden = (np.empty((2 * n_rows, d)) for _ in range(3))
+    h = c = np.zeros((2, steps[0][1], d))
+    for a, n in steps:
+        rows = slice(a, a + 2 * n)
+        z = gates[rows].reshape(2, n, 4 * d)
+        z += h[:, :n] @ u_scaled
+        np.tanh(z, out=z)
+        z *= scale
+        z += offset
+        c = np.multiply(z[..., d : 2 * d], c[:, :n], out=cells[rows].reshape(2, n, d))
+        c += z[..., :d] * z[..., 2 * d : 3 * d]
+        tc = np.tanh(c, out=tanh_cells[rows].reshape(2, n, d))
+        h = np.multiply(z[..., 3 * d :], tc, out=hidden[rows].reshape(2, n, d))
+    out = np.empty((n_rows, 2 * d))
+    for k, (_, rows, slot) in enumerate(directions):
+        out[rows, k * d : (k + 1) * d] = hidden[slot]
+
+    def earlier(states):
+        """Each state row's value one step earlier; zero at the first step."""
+        shifted = np.zeros_like(states)
+        shifted[prev[0]] = states[prev[1]]
+        return shifted
+
+    def bw(g_out):
+        i, f, g, o = (gates[:, k * d : (k + 1) * d] for k in range(4))
+        # per-step factors that do not depend on the recursion
+        sig_i, sig_f, sig_o = i * (1.0 - i), f * (1.0 - f), o * (1.0 - o)
+        dc_from_h = o * (1.0 - tanh_cells * tanh_cells)
+        dz_from_c = np.stack([g * sig_i, earlier(cells) * sig_f, i * (1.0 - g * g)], axis=1)
+        dz_from_h = tanh_cells * sig_o
+        g_states = np.empty((2 * n_rows, d))
+        for k, (_, rows, slot) in enumerate(directions):
+            g_states[slot] = g_out[rows, k * d : (k + 1) * d]
+        dz = np.empty((2 * n_rows, 4 * d))
+        dz_cell = dz[:, : 3 * d].reshape(2 * n_rows, 3, d)
+        dh_next, dc_next = (np.zeros((2, steps[0][1], d)) for _ in range(2))
+        u = np.stack([fwd.u.data, bwd.u.data])
+        for a, n in reversed(steps):
+            rows = slice(a, a + 2 * n)
+            dh = g_states[rows].reshape(2, n, d) + dh_next[:, :n]
+            dc = dh * dc_from_h[rows].reshape(2, n, d) + dc_next[:, :n]
+            np.multiply(dc[:, :, None], dz_from_c[rows].reshape(2, n, 3, d),
+                        out=dz_cell[rows].reshape(2, n, 3, d))
+            np.multiply(dh, dz_from_h[rows].reshape(2, n, d), out=dz[rows, 3 * d :].reshape(2, n, d))
+            np.matmul(dz[rows].reshape(2, n, 4 * d), u, out=dh_next[:, :n])
+            np.multiply(dc, f[rows].reshape(2, n, d), out=dc_next[:, :n])
+        g_inputs = np.empty_like(x)
+        g_inputs[read[1]] = dz[slots[1]] @ bwd.w.data
+        g_inputs[read[0]] += dz[slots[0]] @ fwd.w.data
+        yield g_inputs
+        h_prev = earlier(hidden)
+        for p, rows, slot in directions:
+            dz_p = dz[slot]
+            yield dz_p.T @ x[rows] if p.w.requires_grad else None
+            yield dz_p.T @ h_prev[slot] if p.u.requires_grad else None
+            yield dz_p.sum(axis=0) if p.b.requires_grad else None
 
     return ad._make_output(out, (inputs, fwd.w, fwd.u, fwd.b, bwd.w, bwd.u, bwd.b), bw)
 

@@ -2,11 +2,16 @@
 hard-sharing multi-task combination.
 
 Both task paths run through one embedding table and one sentence-level
-BiLSTM.  The negation head projects the shared token encodings to 5 CRF
-emission scores; the sentiment head max-pools each sentence encoding,
-runs a document-level BiLSTM over the sentence vectors, max-pools again
-and maps to 2 class logits.  Class index 0 is negative, 1 is positive,
-fixed and serialized; exact logit ties resolve to positive.
+BiLSTM, which encodes a whole document at once: one lookup over its
+tokens laid end to end, one dropout mask, one packed ``bilstm`` over
+all of its sentences (a negation example is a one-sentence document).
+The negation head projects the shared token encodings to 5 CRF
+emission scores; the sentiment head max-pools each sentence's rows
+(one segment max-pool node), runs a document-level BiLSTM over the
+sentence vectors, max-pools again and maps to 2 class logits, so a
+sentiment loss records 8 tape nodes for any number of sentences.
+Class index 0 is negative, 1 is positive, fixed and serialized; exact
+logit ties resolve to positive.
 
 ``LAYERS`` declares the network once: each layer's field, task group
 (shared, sentiment or negation), type and ``init`` arguments.  The
@@ -202,27 +207,34 @@ class SentimentPrediction:
     tags: list[list[BioTag]] | None = None  # per sentence, when requested
 
 
-def _encode_sentence(
+def _encode_document(
     params: ModelParams,
-    token_ids: Sequence[int],
+    doc_ids: Sequence[Sequence[int]],
     train: bool,
     dropout_p: float,
     rng: np.random.Generator | None,
-) -> Tensor:
-    """Shared lower path: embed, dropout, sentence BiLSTM -> (T, 2d)."""
-    if len(token_ids) == 0:
+) -> tuple[Tensor, list[int]]:
+    """Shared lower path for every sentence of a document at once: one
+    embedding gather over the concatenated tokens, one dropout mask (the
+    same draws as one mask per sentence in order), one packed sentence
+    BiLSTM.  Returns the (N, 2d) encodings, sentence after sentence, and
+    the sentence lengths."""
+    if len(doc_ids) == 0:
+        raise ModelError("cannot encode an empty document")
+    lengths = [len(ids) for ids in doc_ids]
+    if min(lengths) == 0:
         raise ModelError("cannot encode an empty sentence")
     if train and dropout_p > 0.0 and rng is None:
         raise ModelError("training-mode dropout needs an rng")
-    emb = params.embedding.lookup(token_ids)
+    emb = params.embedding.lookup([t for ids in doc_ids for t in ids])
     emb = dropout(emb, dropout_p, rng, train)
-    return bilstm(params.sent_fwd, params.sent_bwd, emb)
+    return bilstm(params.sent_fwd, params.sent_bwd, emb, lengths), lengths
 
 
-def _viterbi_tags(params: ModelParams, encoded: Tensor) -> list[BioTag]:
-    """Eval-mode negation head: the best tag path of one encoded sentence."""
-    emissions = affine(params.emission, encoded)
-    return [BioTag(t) for t in viterbi_decode(params.crf.transitions.data, emissions.data)]
+def _viterbi_tags(params: ModelParams, emissions: np.ndarray) -> list[BioTag]:
+    """Eval-mode negation head: the best tag path of one sentence's
+    emission scores."""
+    return [BioTag(t) for t in viterbi_decode(params.crf.transitions.data, emissions)]
 
 
 def negation_forward(
@@ -235,7 +247,7 @@ def negation_forward(
     """Per-token CRF emission scores, shape (T, 5)."""
     if not params.has_negation_head:
         raise ModelError("model has no negation head")
-    encoded = _encode_sentence(params, token_ids, train, dropout_p, rng)
+    encoded, _ = _encode_document(params, [token_ids], train, dropout_p, rng)
     return affine(params.emission, encoded)
 
 
@@ -255,21 +267,17 @@ def negation_loss(
 def negation_tag(params: ModelParams, token_ids: Sequence[int]) -> list[BioTag]:
     """Eval-mode Viterbi tagging of one sentence (the one-sentence case
     of ``predict_document(..., tags=True)``)."""
-    if not params.has_negation_head:
-        raise ModelError("model has no negation head")
     with ad.no_grad():
-        return _viterbi_tags(params, _encode_sentence(params, token_ids, False, 0.0, None))
+        return _viterbi_tags(params, negation_forward(params, token_ids).data)
 
 
-def _document_logits(params: ModelParams, encodings: Sequence[Tensor]) -> Tensor:
-    """Sentiment head over sentence encodings: each sentence becomes the
-    max over time of its encoding; the document BiLSTM runs over the
+def _document_logits(params: ModelParams, encoded: Tensor, lengths: list[int]) -> Tensor:
+    """Sentiment head over a document's sentence encodings: each
+    sentence becomes the max over time of its rows (one segment max-pool
+    node for all of them); the document BiLSTM runs over the (S, 2d)
     sentence vectors and is max-pooled the same way before the output
     projection to class logits, shape (2,)."""
-    if len(encodings) == 0:
-        raise ModelError("cannot classify an empty document")
-    stacked = ad.stack_rows([ad.max_over_time(encoded) for encoded in encodings])
-    doc_states = bilstm(params.doc_fwd, params.doc_bwd, stacked)
+    doc_states = bilstm(params.doc_fwd, params.doc_bwd, ad.max_over_time(encoded, lengths))
     return affine(params.out, ad.max_over_time(doc_states))
 
 
@@ -281,8 +289,7 @@ def sentiment_forward(
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Two-level document encoding to class logits, shape (2,)."""
-    encodings = [_encode_sentence(params, ids, train, dropout_p, rng) for ids in doc_ids]
-    return _document_logits(params, encodings)
+    return _document_logits(params, *_encode_document(params, doc_ids, train, dropout_p, rng))
 
 
 def sentiment_loss(
@@ -303,13 +310,18 @@ def predict_document(
     """Eval-mode classification; an exact logit tie resolves to positive.
 
     With ``tags``, the prediction also carries each sentence's Viterbi
-    negation tags, decoded from the same sentence encodings that feed
-    the sentiment head, so every sentence is encoded once."""
+    negation tags, decoded from the same encodings that feed the
+    sentiment head: one ``affine`` gives the whole document's emission
+    scores, and Viterbi runs on each sentence's rows."""
     if tags and not params.has_negation_head:
         raise ModelError("model has no negation head")
     with ad.no_grad():
-        encodings = [_encode_sentence(params, ids, False, 0.0, None) for ids in doc_ids]
-        logits = _document_logits(params, encodings)
-        sentence_tags = [_viterbi_tags(params, e) for e in encodings] if tags else None
+        encoded, lengths = _encode_document(params, doc_ids, False, 0.0, None)
+        logits = _document_logits(params, encoded, lengths)
+        sentence_tags = None
+        if tags:
+            emissions = affine(params.emission, encoded).data
+            ends = np.cumsum(lengths)
+            sentence_tags = [_viterbi_tags(params, emissions[b - n : b]) for n, b in zip(lengths, ends)]
     cls = POSITIVE_CLASS if logits.data[POSITIVE_CLASS] >= logits.data[NEGATIVE_CLASS] else NEGATIVE_CLASS
     return SentimentPrediction(CLASS_TO_LABEL[cls], logits.data.copy(), sentence_tags)

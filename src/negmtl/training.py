@@ -628,6 +628,8 @@ def run_ensemble(
     test_docs: Sequence[Document] | None = None,
 ) -> EnsembleResult:
     """``train_seed`` at every seed, then a majority vote over their predictions."""
+    if config.mode not in ("stl", "mtl"):
+        raise TrainingError(f"ensemble supports stl and mtl modes, got {config.mode!r}")
     if len(config.seeds) % 2 == 0:
         raise TrainingError(f"ensemble needs an odd seed count, got {len(config.seeds)}")
     if test_docs is not None:  # train and dev are checked by train_neural

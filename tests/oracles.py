@@ -8,13 +8,15 @@ from negmtl import autodiff as ad
 from negmtl.autodiff import Tape, Tensor, backward, no_grad, zero_grads
 from negmtl.corpus import BioTag, Document, build_vocab, to_bio
 from negmtl.crf import viterbi_decode
-from negmtl.layers import bilstm
+from negmtl.layers import affine, dropout
 from negmtl.models import (
+    CLASS_TO_LABEL,
     LABEL_TO_CLASS,
+    NEGATIVE_CLASS,
+    POSITIVE_CLASS,
     ModelError,
     ModelParams,
-    _encode_sentence,
-    negation_forward,
+    SentimentPrediction,
     negation_loss,
     sentiment_loss,
 )
@@ -103,6 +105,17 @@ def concat(a: Tensor, b: Tensor, axis: int = 0) -> Tensor:
         lead = (slice(None),) * (axis % g.ndim)
         return g[lead + (slice(None, split),)], g[lead + (slice(split, None),)]
     return ad._make_output(np.concatenate([a.data, b.data], axis=axis), (a, b), bw)
+
+
+def stack_rows(rows: Sequence[Tensor]) -> Tensor:
+    """Stack T same-length vectors into a (T, d) matrix."""
+    if not rows:
+        raise ad.AutodiffError("stack_rows: empty input")
+    if any(r.data.ndim != 1 or r.data.shape != rows[0].data.shape for r in rows):
+        raise ad.AutodiffError("stack_rows: all inputs must be 1-d vectors of equal length")
+    def bw(g):
+        return tuple(g[i] for i in range(len(rows)))
+    return ad._make_output(np.stack([r.data for r in rows]), tuple(rows), bw)
 
 
 def neg(a: Tensor) -> Tensor:
@@ -195,6 +208,108 @@ def lstm_reference(p, inputs: Tensor, reverse: bool = False) -> Tensor:
 def bilstm_reference(fwd, bwd, inputs: Tensor) -> Tensor:
     """Both per-step directions side by side, (T, 2d)."""
     return concat(lstm_reference(fwd, inputs), lstm_reference(bwd, inputs, reverse=True), axis=1)
+
+
+# ---------------------------------------------------------------------------
+# The one-sequence fused BiLSTM that the packed ``layers.bilstm``
+# replaced: each direction runs ``lstm_sequence`` over one sentence,
+# writing its half of one (T, 2d) output.  Kept verbatim so tests can
+# require the packed op's bits on one sentence, and its values within
+# rounding on several.
+
+
+def lstm_sequence(p, x: np.ndarray, out: np.ndarray, reverse: bool = False):
+    """Run one direction over a (T, input_dim) array from zero initial
+    state, writing the (T, d) hidden states into ``out`` in input order
+    regardless of direction.  Untaped: ``bilstm_sequence`` records the
+    node.  Returns the backward pass, a generator function of the
+    gradient of ``out`` that yields the gradients of x, w, u and b."""
+    d = p.hidden_dim
+    t_len = x.shape[0]
+    xs = x[::-1] if reverse else x  # processing order
+    scale = np.full(4 * d, 0.5)
+    scale[2 * d : 3 * d] = 1.0
+    offset = 1.0 - scale
+    projected = (xs @ p.w.data.T + p.b.data) * scale
+    u_scaled = p.u.data * scale[:, None]
+
+    gates = np.empty((t_len, 4 * d))  # i, f, g, o after their nonlinearity
+    cells = np.empty((t_len, d))
+    tanh_cells = np.empty((t_len, d))
+    hidden = out[::-1] if reverse else out  # processing order
+    h = c = np.zeros(d)
+    for s in range(t_len):
+        act = gates[s]
+        np.tanh(projected[s] + u_scaled @ h, out=act)
+        act *= scale
+        act += offset
+        c = np.multiply(act[d : 2 * d], c, out=cells[s])
+        c += act[:d] * act[2 * d : 3 * d]
+        tc = np.tanh(c, out=tanh_cells[s])
+        h = np.multiply(act[3 * d :], tc, out=hidden[s])
+
+    def bptt(g_out):
+        i, f, g, o = (gates[:, k * d : (k + 1) * d] for k in range(4))
+        c_prev = np.vstack([np.zeros((1, d)), cells[:-1]])
+        sig_i, sig_f, sig_o = i * (1.0 - i), f * (1.0 - f), o * (1.0 - o)
+        dc_from_h = o * (1.0 - tanh_cells * tanh_cells)
+        dz_from_c = np.stack([g * sig_i, c_prev * sig_f, i * (1.0 - g * g)], axis=1)  # (T, 3, d)
+        dz_from_h = tanh_cells * sig_o
+        g_seq = g_out[::-1] if reverse else g_out
+        dz = np.empty((t_len, 4 * d))
+        dz_cell = dz[:, : 3 * d].reshape(t_len, 3, d)
+        dh_next = dc_next = np.zeros(d)
+        u = p.u.data
+        for s in range(t_len - 1, -1, -1):
+            dh = g_seq[s] + dh_next
+            dc = dh * dc_from_h[s] + dc_next
+            np.multiply(dc, dz_from_c[s], out=dz_cell[s])
+            np.multiply(dh, dz_from_h[s], out=dz[s, 3 * d :])
+            dh_next = dz[s] @ u
+            dc_next = dc * f[s]
+        g_inputs = dz @ p.w.data
+        yield g_inputs[::-1] if reverse else g_inputs
+        yield dz.T @ xs if p.w.requires_grad else None
+        h_prev = np.vstack([np.zeros((1, d)), hidden[:-1]])
+        yield dz.T @ h_prev if p.u.requires_grad else None
+        yield dz.sum(axis=0) if p.b.requires_grad else None
+
+    return bptt
+
+
+def bilstm_sequence(fwd, bwd, inputs: Tensor) -> Tensor:
+    """One sequence through both directions' ``lstm_sequence``, one tape
+    node: the input gradient, then the six weight gradients."""
+    x = inputs.data
+    for p in (fwd, bwd):
+        if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != p.w.data.shape[1]:
+            raise ad.AutodiffError(f"bilstm: inputs {x.shape} do not match w {p.w.data.shape}")
+    d_fwd = fwd.hidden_dim
+    out = np.empty((x.shape[0], d_fwd + bwd.hidden_dim))
+    bptt_fwd = lstm_sequence(fwd, x, out[:, :d_fwd])
+    bptt_bwd = lstm_sequence(bwd, x, out[:, d_fwd:], reverse=True)
+
+    def bw(g):
+        grads_bwd, grads_fwd = bptt_bwd(g[:, d_fwd:]), bptt_fwd(g[:, :d_fwd])
+        yield next(grads_bwd) + next(grads_fwd)
+        yield from grads_fwd
+        yield from grads_bwd
+
+    return ad._make_output(out, (inputs, fwd.w, fwd.u, fwd.b, bwd.w, bwd.u, bwd.b), bw)
+
+
+def bilstm_per_sentence(fwd, bwd, inputs: Tensor, lengths: Sequence[int]) -> Tensor:
+    """``bilstm_sequence`` on each run of ``lengths`` consecutive rows,
+    the outputs stacked back in input order."""
+    starts = np.cumsum([0, *lengths])
+    outs = [
+        bilstm_sequence(fwd, bwd, ad.rows(inputs, range(a, b)))
+        for a, b in zip(starts[:-1], starts[1:])
+    ]
+    stacked = outs[0]
+    for out in outs[1:]:
+        stacked = concat(stacked, out)
+    return stacked
 
 
 def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
@@ -446,12 +561,48 @@ def train_mtl_reference(config: TrainConfig, train_docs: Sequence[Document], dev
     return TrainResult(tracker.checkpoint, history, tracker.best_epoch, tracker.best_accuracy, epochs_run)
 
 
+def encode_sentence_reference(
+    params: ModelParams,
+    token_ids: Sequence[int],
+    train: bool,
+    dropout_p: float,
+    rng: np.random.Generator | None,
+) -> Tensor:
+    """Shared lower path for one sentence: embed, dropout, the
+    one-sequence ``bilstm_sequence`` -> (T, 2d)."""
+    if len(token_ids) == 0:
+        raise ModelError("cannot encode an empty sentence")
+    if train and dropout_p > 0.0 and rng is None:
+        raise ModelError("training-mode dropout needs an rng")
+    emb = params.embedding.lookup(token_ids)
+    emb = dropout(emb, dropout_p, rng, train)
+    return bilstm_sequence(params.sent_fwd, params.sent_bwd, emb)
+
+
+def negation_forward_reference(
+    params: ModelParams,
+    token_ids: Sequence[int],
+    train: bool = False,
+    dropout_p: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> Tensor:
+    """Per-token CRF emission scores of one sentence, shape (T, 5)."""
+    return affine(params.emission, encode_sentence_reference(params, token_ids, train, dropout_p, rng))
+
+
 def negation_tag_reference(params: ModelParams, token_ids: Sequence[int]) -> list[BioTag]:
     """Eval-mode Viterbi tagging of one sentence."""
     with no_grad():
-        emissions = negation_forward(params, token_ids)
+        emissions = negation_forward_reference(params, token_ids)
     path = viterbi_decode(params.crf.transitions.data, emissions.data)
     return [BioTag(t) for t in path]
+
+
+def _document_logits_reference(params: ModelParams, sentence_vectors: list[Tensor]) -> Tensor:
+    if len(sentence_vectors) == 0:
+        raise ModelError("cannot classify an empty document")
+    doc_states = bilstm_sequence(params.doc_fwd, params.doc_bwd, stack_rows(sentence_vectors))
+    return linear_vec(params.out, ad.max_over_time(doc_states))
 
 
 def sentiment_forward_reference(
@@ -463,19 +614,31 @@ def sentiment_forward_reference(
 ) -> Tensor:
     """Two-level document encoding to class logits, shape (2,).
 
-    Each sentence becomes the max over time of its shared BiLSTM
-    encoding; the document BiLSTM runs over the sentence vectors and is
-    max-pooled the same way before the output projection.
+    Each sentence is encoded on its own and becomes the max over time of
+    its encoding, one pooling node per sentence, stacked by
+    ``stack_rows``; the document BiLSTM runs over the sentence vectors
+    and is max-pooled the same way before the output projection.
     """
-    if len(doc_ids) == 0:
-        raise ModelError("cannot classify an empty document")
-    sentence_vectors = [
-        ad.max_over_time(_encode_sentence(params, ids, train, dropout_p, rng))
+    return _document_logits_reference(params, [
+        ad.max_over_time(encode_sentence_reference(params, ids, train, dropout_p, rng))
         for ids in doc_ids
-    ]
-    stacked = ad.stack_rows(sentence_vectors)
-    doc_states = bilstm(params.doc_fwd, params.doc_bwd, stacked)
-    return linear_vec(params.out, ad.max_over_time(doc_states))
+    ])
+
+
+def predict_document_reference(
+    params: ModelParams, doc_ids: Sequence[Sequence[int]], tags: bool = False
+) -> SentimentPrediction:
+    """Eval-mode classification from per-sentence encodings; with
+    ``tags``, each sentence's Viterbi tags from its own emissions."""
+    with no_grad():
+        encodings = [encode_sentence_reference(params, ids, False, 0.0, None) for ids in doc_ids]
+        logits = _document_logits_reference(params, [ad.max_over_time(e) for e in encodings])
+        sentence_tags = [
+            [BioTag(t) for t in viterbi_decode(params.crf.transitions.data, affine(params.emission, e).data)]
+            for e in encodings
+        ] if tags else None
+    cls = POSITIVE_CLASS if logits.data[POSITIVE_CLASS] >= logits.data[NEGATIVE_CLASS] else NEGATIVE_CLASS
+    return SentimentPrediction(CLASS_TO_LABEL[cls], logits.data.copy(), sentence_tags)
 
 
 def fit_bow_reference(

@@ -31,6 +31,7 @@ from oracles import (
     matvec,
     neg,
     sigmoid,
+    stack_rows,
     sub,
     transpose,
     weighted_sum,
@@ -138,7 +139,7 @@ GRAPHS = {
     "mul": lambda: ad.mul(_param(3), _param(3)),
     "tanh": lambda: ad.tanh(_param(3)),
     "concat": lambda: concat(_param(2, 3), _param(1, 3)),
-    "stack_rows": lambda: ad.stack_rows([_param(3), _param(3)]),
+    "stack_rows": lambda: stack_rows([_param(3), _param(3)]),
     "rows": lambda: ad.rows(_param(5, 3), [4, 0, 4]),
     "sum_all": lambda: ad.sum_all(_param(2, 3)),
     "max_over_time": lambda: ad.max_over_time(_param(4, 3)),
@@ -256,6 +257,38 @@ class TestAnalytic:
             backward(ad.sum_all(ad.max_over_time(h)))
         np.testing.assert_array_equal(h.grad, [[1.0, 1.0], [0.0, 0.0]])
 
+    def test_segment_max_is_each_segments_max_over_time(self):
+        h = Tensor(RNG.normal(size=(7, 4)), requires_grad=True)
+        g = RNG.normal(size=(3, 4))
+        with Tape():
+            pooled = ad.max_over_time(h, [2, 1, 4])
+            backward(ad.sum_all(ad.mul(pooled, Tensor(g))))
+        rows = [ad.max_over_time(Tensor(h.data[a:b])).data for a, b in [(0, 2), (2, 3), (3, 7)]]
+        assert pooled.data.tobytes() == np.stack(rows).tobytes()
+        want = np.zeros((7, 4))
+        for k, (a, b) in enumerate([(0, 2), (2, 3), (3, 7)]):
+            want[a + h.data[a:b].argmax(axis=0), np.arange(4)] = g[k]
+        np.testing.assert_array_equal(h.grad, want)
+
+    def test_one_segment_keeps_the_bits_and_tie_rule(self):
+        h = Tensor(np.array([[1.0, 5.0, -0.0], [1.0, 2.0, 0.0], [0.5, 5.0, 0.0]]), requires_grad=True)
+        g = np.array([0.25, -3.0, 7.0])
+        grads = []
+        for lengths in (None, [3]):
+            h.grad = None
+            with Tape():
+                pooled = ad.max_over_time(h, lengths)
+                backward(ad.sum_all(ad.mul(pooled, Tensor(g.reshape(pooled.data.shape)))))
+            assert pooled.data.reshape(-1).tobytes() == np.array([1.0, 5.0, -0.0]).tobytes()
+            grads.append(h.grad)
+        np.testing.assert_array_equal(grads[0], [[0.25, -3.0, 7.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        assert grads[0].tobytes() == grads[1].tobytes()
+
+    @pytest.mark.parametrize("lengths", [[], [2, 2], [3, 0], [-1, 4]])
+    def test_segment_max_rejects_lengths_that_do_not_split_the_rows(self, lengths):
+        with pytest.raises(AutodiffError, match=r"max_over_time: lengths .* do not split 3 rows"):
+            ad.max_over_time(Tensor(np.ones((3, 2))), lengths)
+
 
 # ---------------------------------------------------------------------------
 # Finite-difference verification of every primitive
@@ -320,7 +353,7 @@ class TestPrimitiveGradients:
 
     def test_stack_rows(self):
         assert_op_grads(
-            lambda t: weighted_sum(ad.stack_rows([t["a"], t["b"], t["a"]])),
+            lambda t: weighted_sum(stack_rows([t["a"], t["b"], t["a"]])),
             {"a": RNG.normal(size=(3,)), "b": RNG.normal(size=(3,))},
         )
 
@@ -361,6 +394,11 @@ class TestPrimitiveGradients:
         x = np.arange(12.0).reshape(4, 3)
         RNG.shuffle(x.reshape(-1))
         assert_op_grads(lambda t: weighted_sum(ad.max_over_time(t["x"])), {"x": x})
+
+    def test_segment_max_over_time(self):
+        x = np.arange(21.0).reshape(7, 3)
+        RNG.shuffle(x.reshape(-1))
+        assert_op_grads(lambda t: weighted_sum(ad.max_over_time(t["x"], [3, 1, 3])), {"x": x})
 
     def test_softmax_cross_entropy(self):
         assert_op_grads(
@@ -408,7 +446,7 @@ class TestShapeErrors:
 
     def test_stack_rows_rejects_ragged(self):
         with pytest.raises(AutodiffError, match="stack_rows"):
-            ad.stack_rows([Tensor([1.0, 2.0]), Tensor([1.0])])
+            stack_rows([Tensor([1.0, 2.0]), Tensor([1.0])])
 
 
 # ---------------------------------------------------------------------------

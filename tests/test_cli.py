@@ -109,11 +109,29 @@ class TestTrain:
         assert manifest["seeds"] == [1]
         assert manifest["inputs"]["train"]["sha256"] == sha(train)
         assert set(manifest["outputs"]) >= {"checkpoint.bin", "metrics.jsonl", "report.json"}
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert manifest["environment"] == {
             "python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "blas_threads": {
+                var: os.environ.get(var)
+                for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+            },
         }
         metrics = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
         assert [m["epoch"] for m in metrics] == [1, 2]
+
+    def test_manifest_records_the_blas_thread_variables(self, corpus, tmp_path, monkeypatch):
+        train, dev = corpus
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "run"
+        assert main(["train", "--train", str(train), "--dev", str(dev), "--out", str(out), *SMALL]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["environment"]["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None,
+        }
 
     @pytest.mark.parametrize("mode", ["stl", "mtl"])
     def test_writes_the_dev_predictions_of_train_seed(self, corpus, tmp_path, mode):
@@ -292,8 +310,36 @@ class TestEnsemble:
         assert capsys.readouterr().err.splitlines() == [
             "error: test document 'te-0' has no sentiment label"
         ]
-        assert not list((out / "checkpoints").iterdir())
-        assert not (out / "preds").exists() and not (out / "metrics.jsonl").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--set", "mode=bow", "--seeds", "1"], "ensemble supports stl and mtl modes, got 'bow'"),
+            (["--mode", "stl", "--seeds", "1", "--test", "UNLABELED"], "test document 'te-0' has no sentiment label"),
+            (["--mode", "stl", "--seeds", "1,2"], "ensemble needs an odd seed count, got 2"),
+        ],
+        ids=["bow", "unlabeled-test", "even-seeds"],
+    )
+    def test_rejected_ensemble_leaves_no_output_directory(self, corpus, tmp_path, capsys, flags, message):
+        train, dev = corpus
+        test = tmp_path / "test.jsonl"
+        write_jsonl(test, [doc("te-0", None, [("good fun", [])])])
+        flags = [str(test) if f == "UNLABELED" else f for f in flags]
+        out = tmp_path / "e"
+        rc = main(["ensemble", "--train", str(train), "--dev", str(dev), "--out", str(out), *flags, *SMALL])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    def test_mode_flag_offers_only_neural_modes(self, corpus, tmp_path, capsys):
+        train, dev = corpus
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ensemble", "--mode", "bow", "--train", str(train), "--dev", str(dev),
+                  "--out", str(tmp_path / "e")])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bow'" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
 
     def test_three_seeds_make_four_prediction_files(self, corpus, tmp_path):
         train, dev = corpus

@@ -7,12 +7,19 @@ from negmtl.layers import (
     EmbeddingTable,
     Linear,
     LstmParams,
+    _packing,
     affine,
     bilstm,
     dropout,
     xavier_uniform,
 )
-from oracles import assert_op_grads, bilstm_reference, weighted_sum
+from oracles import (
+    assert_op_grads,
+    bilstm_per_sentence,
+    bilstm_reference,
+    bilstm_sequence,
+    weighted_sum,
+)
 
 
 def rng(seed=0):
@@ -301,6 +308,95 @@ class TestBilstm:
             },
             tol=1e-5,
         )
+
+
+def packed_results(run, leaves, lengths):
+    """Output and leaf gradients of ``run`` (a bilstm-like op taking
+    ``lengths``) under a weighted-sum loss, the leaves copied fresh."""
+    t = {k: Tensor(v.copy(), requires_grad=True) for k, v in leaves.items()}
+    with Tape():
+        out = run(LstmParams(t["wf"], t["uf"], t["bf"]), LstmParams(t["wb"], t["ub"], t["bb"]), t["x"], lengths)
+        backward(weighted_sum(out))
+    return {"out": out.data, **{k: v.grad for k, v in t.items()}}
+
+
+class TestPackedBilstm:
+    """Several sequences in one call against ``bilstm_sequence`` (the
+    one-sequence op it replaced) run on each sequence's rows."""
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [(3, 1, 3), (1, 1, 1), (2, 5, 1, 5, 3), (4, 6), (6, 4), (12, 30, 5, 40, 22, 8, 17, 33, 9, 26)],
+        ids=["ties", "all-one", "unsorted", "ascending", "descending", "review"],
+    )
+    def test_matches_per_sentence_reference(self, lengths):
+        wide = len(lengths) == 10  # the review shape runs at the default dims
+        input_dim, hidden = (100, 100) if wide else (3, 4)
+        leaves = bilstm_leaves(rng(sum(lengths)), sum(lengths), input_dim, hidden)
+        if wide:
+            leaves = {k: v * (0.1 if k[0] in "wu" else 1.0) for k, v in leaves.items()}
+        got = packed_results(bilstm, leaves, list(lengths))
+        want = packed_results(bilstm_per_sentence, leaves, list(lengths))
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize(
+        "t_len, input_dim, hidden", [(1, 3, 2), (6, 3, 4), (40, 100, 100), (10, 200, 100), (9, 64, 64)]
+    )
+    @pytest.mark.parametrize("lengths", ["none", "one"])
+    def test_one_sequence_gives_the_reference_bytes(self, t_len, input_dim, hidden, lengths):
+        leaves = bilstm_leaves(rng(t_len + input_dim), t_len, input_dim, hidden)
+        got = packed_results(bilstm, leaves, None if lengths == "none" else [t_len])
+        want = packed_results(lambda f, b, x, _: bilstm_sequence(f, b, x), leaves, None)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_gradients_with_lengths(self):
+        def build(t):
+            f = LstmParams(t["wf"], t["uf"], t["bf"])
+            b = LstmParams(t["wb"], t["ub"], t["bb"])
+            return weighted_sum(bilstm(f, b, t["x"], [3, 1, 3]))
+
+        assert_op_grads(build, bilstm_leaves(rng(10), 7, 3, 2), tol=1e-5)
+
+    def test_sequences_are_independent(self):
+        f, b = LstmParams.init(3, 2, rng(1)), LstmParams.init(3, 2, rng(2))
+        x = rng(3).normal(size=(7, 3))
+        base = bilstm(f, b, Tensor(x), [3, 1, 3]).data
+        bumped = x.copy()
+        bumped[3] += 1.0  # the one-token middle sequence
+        moved = bilstm(f, b, Tensor(bumped), [3, 1, 3]).data
+        np.testing.assert_array_equal(np.delete(moved, 3, axis=0), np.delete(base, 3, axis=0))
+        assert not np.allclose(moved[3], base[3])
+
+    def test_packing_orders_by_length_keeping_ties_in_order(self):
+        # tokens 0-1, 2-4 and 5-6: the 3-long sequence first, then the two
+        # 2-long ones in document order; step 2 runs the longest alone
+        read, slots, steps, prev = _packing([2, 3, 2], 7)
+        np.testing.assert_array_equal(read[0], [2, 0, 5, 3, 1, 6, 4])
+        np.testing.assert_array_equal(read[1], [4, 1, 6, 3, 0, 5, 2])
+        assert steps == [(0, 3), (6, 3), (12, 1)]
+        np.testing.assert_array_equal(slots[0], [0, 1, 2, 6, 7, 8, 12])
+        np.testing.assert_array_equal(slots[1], [3, 4, 5, 9, 10, 11, 13])
+        np.testing.assert_array_equal(prev[0], [6, 7, 8, 12, 9, 10, 11, 13])
+        np.testing.assert_array_equal(prev[1], [0, 1, 2, 6, 3, 4, 5, 9])
+
+    def test_one_tape_node_for_every_sequence(self):
+        p = LstmParams.init(2, 3, rng(5))
+        inputs = Tensor(rng(6).normal(size=(6, 2)), requires_grad=True)
+        with Tape() as tape:
+            bilstm(p, p, inputs, [2, 1, 3])
+            assert len(tape) == 1
+
+    @pytest.mark.parametrize("lengths", [[], [2, 3], [6, 0], [7], [3, -1, 4]])
+    def test_rejects_lengths_that_do_not_split_the_rows(self, lengths):
+        p = LstmParams.init(2, 3, rng(5))
+        with pytest.raises(ad.AutodiffError, match=r"bilstm: lengths .* do not split 6 rows"):
+            bilstm(p, p, Tensor(np.ones((6, 2))), lengths)
+
+    def test_rejects_directions_of_different_widths(self):
+        with pytest.raises(ad.AutodiffError, match="bilstm: directions differ"):
+            bilstm(LstmParams.init(2, 3, rng()), LstmParams.init(2, 2, rng()), Tensor(np.ones((4, 2))))
 
 
 class TestLinear:

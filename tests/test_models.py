@@ -203,13 +203,13 @@ class TestNegationPath:
 class TestSentimentPath:
     @pytest.mark.parametrize("n_sentences", [1, 3])
     def test_loss_records_one_node_per_layer(self, n_sentences):
-        # per sentence: lookup, dropout, BiLSTM, max-pool; then stack,
-        # document BiLSTM, max-pool, output layer, cross-entropy
+        # for the whole document: lookup, dropout, packed BiLSTM, segment
+        # max-pool, document BiLSTM, max-pool, output layer, cross-entropy
         doc = [[2, 3, 4], [5], [6, 2]][:n_sentences]
         with Tape() as tape:
             sentiment_loss(tiny_model(), doc, POSITIVE_CLASS, dropout_p=0.5,
                            rng=np.random.default_rng(1))
-        assert len(tape) == 4 * n_sentences + 5
+        assert len(tape) == 8
 
     def test_logit_shape_and_single_sentence_doc(self):
         m = tiny_model()

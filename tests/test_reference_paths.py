@@ -1,12 +1,16 @@
 """Bit-identity of refactored paths against the references in
 ``tests/oracles.py``: the dense, allocating embedding gradient and
 Adam; the separate stl and mtl training loops; the two-pass
-``predict --tags``; and the one-node affine map.
+``predict --tags``; the one-node affine map; and the per-sentence
+encoding that the packed sentence BiLSTM replaced.
 
 Each library path is a refactor of its reference: every test here
-requires equal bytes, not closeness.  The one exception is the affine
-map on a matrix, which multiplies by a view of ``w`` where the composed
-reference multiplied by a transposed copy, so the two agree to rounding.
+requires equal bytes, not closeness, with two exceptions.  The affine
+map on a matrix multiplies by a view of ``w`` where the composed
+reference multiplied by a transposed copy, and a document of several
+sentences runs them through one packed recurrence, whose matrix
+products over several rows round differently from one row's; both
+agree with their references to rounding.
 """
 
 import contextlib
@@ -22,7 +26,8 @@ from negmtl.autodiff import Tape, Tensor, backward, zero_grads
 from negmtl.corpus import build_vocab
 from negmtl.layers import Linear, affine
 from negmtl.evaluation import write_predictions
-from negmtl.models import ModelParams, negation_loss, sentiment_loss
+from negmtl.crf import crf_nll
+from negmtl.models import ModelParams, negation_loss, negation_tag, predict_document, sentiment_loss
 from negmtl.training import (
     AdamState,
     Checkpoint,
@@ -37,7 +42,9 @@ from oracles import (
     adam_step_reference,
     linear_rows,
     linear_vec,
+    negation_forward_reference,
     negation_tag_reference,
+    predict_document_reference,
     rows_reference,
     sentiment_forward_reference,
     train_mtl_reference,
@@ -230,6 +237,87 @@ def test_one_loop_matches_separate_loops(tmp_path, monkeypatch, overrides):
     assert (tmp_path / "new.bin").read_bytes() == (tmp_path / "old.bin").read_bytes()
 
 
+class TestPerSentenceEncoding:
+    """The packed sentence BiLSTM against the per-sentence encoding it
+    replaced: the parent's bytes on one sentence, rounding on several."""
+
+    def model(self):
+        return ModelParams.init(9, 12, 10, np.random.default_rng(21), with_negation_head=True)
+
+    def loss_and_grads(self, params, loss_fn):
+        named = params.named_parameters()
+        zero_grads(named.values())
+        with Tape():
+            loss = loss_fn()
+            backward(loss)
+        return {"loss": loss.data, **{n: p.grad for n, p in named.items() if p.grad is not None}}
+
+    def test_negation_loss_and_tags_keep_the_reference_bits(self):
+        params = self.model()
+        ids, tags = [1, 5, 2, 5, 8, 3, 1], [0, 1, 2, 2, 0, 3, 4]
+
+        def run(forward):
+            rng = np.random.default_rng(4)
+            return lambda: crf_nll(params.crf, forward(params, ids, True, 0.3, rng), tags)
+
+        got = self.loss_and_grads(params, run(models.negation_forward))
+        want = self.loss_and_grads(params, run(negation_forward_reference))
+        assert list(got) == list(want)
+        for name in want:
+            assert same_bits(got[name], want[name]), name
+        assert negation_tag(params, ids) == negation_tag_reference(params, ids)
+
+    def test_one_sentence_document_keeps_the_reference_bits(self):
+        params = self.model()
+        got, want = (
+            self.loss_and_grads(params, lambda: ad.softmax_cross_entropy(
+                forward(params, [[3, 1, 4, 1, 5]], True, 0.3, np.random.default_rng(4)), 0))
+            for forward in (models.sentiment_forward, sentiment_forward_reference)
+        )
+        assert list(got) == list(want)
+        for name in want:
+            assert same_bits(got[name], want[name]), name
+        new, old = predict_document(params, [[3, 1, 4]], True), predict_document_reference(params, [[3, 1, 4]], True)
+        assert same_bits(new.logits, old.logits) and new.tags == old.tags
+
+    def test_several_sentences_match_the_reference_to_rounding(self):
+        params = self.model()
+        doc_ids = [[1, 2, 1, 3], [2, 2, 4, 8, 7, 6], [4, 1], [5], [6, 3, 2, 1, 1, 7]]
+        got, want = (
+            self.loss_and_grads(params, lambda: ad.softmax_cross_entropy(
+                forward(params, doc_ids, True, 0.3, np.random.default_rng(4)), 1))
+            for forward in (models.sentiment_forward, sentiment_forward_reference)
+        )
+        assert list(got) == list(want)
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=1e-13, err_msg=name)
+        new, old = predict_document(params, doc_ids, True), predict_document_reference(params, doc_ids, True)
+        np.testing.assert_allclose(new.logits, old.logits, rtol=1e-12, atol=1e-13)
+        assert new.tags == old.tags
+
+    @pytest.mark.parametrize("mode", ["stl", "mtl"])
+    def test_one_sentence_corpus_checkpoints_keep_the_reference_bytes(self, tmp_path, monkeypatch, mode):
+        train = [
+            doc("s1", "positive", ("it is not a bad film", [((2,), (3, 4, 5))])),
+            doc("s2", "positive", "good fun story , good"),
+            doc("s3", "negative", ("never a good moment", [((0,), (1, 2, 3))])),
+            doc("s4", "negative", "bad boring mess"),
+            doc("s5", "positive", ("not bad at all", [((0,), (1,))])),
+        ]
+        dev = [doc("e1", "positive", "good story"), doc("e2", "negative", "not good")]
+        config = TrainConfig(mode=mode, seed=5, epochs=3, embedding_dim=12, hidden_dim=10,
+                             dropout_p=0.2, patience=10)
+        new = (train_stl if mode == "stl" else train_mtl)(config, train, dev)
+        monkeypatch.setattr(models, "sentiment_forward", sentiment_forward_reference)
+        monkeypatch.setattr(models, "negation_forward", negation_forward_reference)
+        monkeypatch.setattr(training, "predict_document", predict_document_reference)
+        old = (train_stl if mode == "stl" else train_mtl)(config, train, dev)
+        assert new.history == old.history
+        save_checkpoint(new.checkpoint, tmp_path / "new.bin")
+        save_checkpoint(old.checkpoint, tmp_path / "old.bin")
+        assert (tmp_path / "new.bin").read_bytes() == (tmp_path / "old.bin").read_bytes()
+
+
 @pytest.fixture
 def predict_inputs(tmp_path):
     """An mtl checkpoint (embedding dim 4, hidden dim 3) and a corpus
@@ -300,21 +388,24 @@ def test_predict_tags_runs_one_prediction_per_document(tmp_path, monkeypatch, pr
 
 
 def test_predict_tags_encodes_each_sentence_once(tmp_path, monkeypatch, predict_inputs):
+    """One packed sentence BiLSTM call per document, whose lengths are
+    that document's sentences, and one document BiLSTM call."""
     checkpoint, data, docs = predict_inputs
-    input_dims = []
+    calls = []
     bilstm = models.bilstm
 
-    def counting(fwd, bwd, inputs):
-        input_dims.append(inputs.data.shape[1])
-        return bilstm(fwd, bwd, inputs)
+    def counting(fwd, bwd, inputs, lengths=None):
+        calls.append((inputs.data.shape, lengths))
+        return bilstm(fwd, bwd, inputs, lengths)
 
     monkeypatch.setattr(models, "bilstm", counting)
     run_predict(checkpoint, data, tmp_path / "out", tags=True)
-    n_sentences = sum(len(d.sentences) for d in docs)
     # embedding dim 4 feeds the sentence BiLSTM, 2 x hidden dim 3 the document one
-    assert input_dims.count(4) == n_sentences
-    assert input_dims.count(6) == len(docs)
-    assert len(input_dims) == n_sentences + len(docs)
+    want = []
+    for d in docs:
+        lengths = [len(s.tokens) for s in d.sentences]
+        want += [((sum(lengths), 4), lengths), ((len(lengths), 6), None)]
+    assert calls == want
 
 
 @pytest.mark.parametrize("in_dim, out_dim", [(5, 2), (12, 5), (40, 2), (200, 5)])
