@@ -19,10 +19,12 @@ numpy with a hand-written backward pass, each recorded as a single
 node: ``layers.bilstm`` (both LSTM directions over every sentence of a
 document), ``layers.affine`` (a linear map plus bias, on a vector or
 on every row of a matrix) and ``crf.crf_nll`` (the CRF negative
-log-likelihood).  The generic primitives that step-by-step references
-in the tests compose (subtraction, concatenation, row stacking, matrix
-products, transpose, sigmoid) live with those references in
-``tests/oracles.py``.
+log-likelihood).  ``records`` is the one test of whether an op is
+recorded; ``_make_output`` applies it, and ``layers.bilstm`` asks it
+first so an untaped call builds no backward state.  The generic
+primitives that step-by-step references in the tests compose
+(subtraction, concatenation, row stacking, matrix products, transpose,
+sigmoid) live with those references in ``tests/oracles.py``.
 
 The gather ``rows`` is the one op whose gradient is row-sparse: its
 backward pass returns a ``RowGrad`` (the unique indices plus one summed
@@ -144,13 +146,19 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{suffix})"
 
 
+def records(inputs: Iterable[Tensor]) -> bool:
+    """Whether an op on ``inputs`` is recorded: a tape is active and some
+    input requires a gradient.  An op that keeps state only for its
+    backward pass asks this before building that state."""
+    return _active_tape() is not None and any(t.requires_grad for t in inputs)
+
+
 def _make_output(data: np.ndarray, inputs: tuple[Tensor, ...], backward: Callable) -> Tensor:
     out = Tensor(data)
-    tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if records(inputs):
         out.requires_grad = True
         out.node = Node(inputs, backward)
-        tape.count += 1
+        _TAPE_STACK[-1].count += 1
     return out
 
 

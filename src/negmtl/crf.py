@@ -7,20 +7,28 @@ end.  Training goes through the differentiable negative log-likelihood,
 log-partition (``log_partition``, the forward algorithm in log space)
 minus the gold path's score.  Its hand-written gradient is the node and
 pair marginals of a backward recursion minus the gold path's indicator
-counts.  Decoding is plain numpy Viterbi.  A brute-force enumerator
-over all K^T paths provides an independent check of both.
+counts.
+
+Decoding is plain numpy Viterbi.  ``viterbi_paths`` decodes every
+sentence of a document in one step loop, packed like the sentence
+BiLSTM (``layers._packing``): sentences ordered by length, step s
+extends the ones longer than s, each with the additions and the tie
+rule of decoding it alone; ``viterbi_decode`` is its one-sentence case.
+A brute-force enumerator over all K^T paths in the tests checks both
+the forward algorithm and Viterbi.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .layers import _packing
 
 
 @dataclass
@@ -141,91 +149,72 @@ def crf_nll(crf: CrfParams, emissions: Tensor, tags: Sequence[int]) -> Tensor:
 
 
 def viterbi_decode(transitions: np.ndarray, emissions: np.ndarray) -> list[int]:
-    """Highest-scoring tag sequence; score ties resolve to the lowest tag
-    id at each argmax.
+    """Highest-scoring tag sequence of one sentence; score ties resolve
+    to the lowest tag id at each argmax (the one-sentence case of
+    ``viterbi_paths``).
 
     Pure numpy, no gradient involvement.  On exact ties between distinct
     optimal paths the per-step rule may differ from the lexicographically
     smallest optimum, but the returned path always attains the optimal
     score.
     """
-    transitions = np.asarray(transitions, dtype=np.float64)
-    emissions = np.asarray(emissions, dtype=np.float64)
-    k = transitions.shape[0] - 2
-    _check_emissions(k, emissions.shape)
-    t_len = emissions.shape[0]
-    start, stop = k, k + 1
-
-    inner = transitions[:k, :k]
-    delta = transitions[start, :k] + emissions[0]
-    backptr = np.zeros((t_len, k), dtype=np.intp)
-    for t in range(1, t_len):
-        scores = delta[:, None] + inner  # [from, to]
-        backptr[t] = scores.argmax(axis=0)  # argmax takes the first (lowest) index on ties
-        delta = scores[backptr[t], np.arange(k)] + emissions[t]
-    delta = delta + transitions[:k, stop]
-
-    best = int(delta.argmax())
-    path = [best]
-    for t in range(t_len - 1, 0, -1):
-        best = int(backptr[t, best])
-        path.append(best)
-    path.reverse()
-    return path
+    return viterbi_paths(transitions, emissions)[0]
 
 
-def path_score(transitions: np.ndarray, emissions: np.ndarray, tags: Sequence[int]) -> float:
-    """Plain left-to-right score of one tag path (numpy, no gradients).
+def viterbi_paths(
+    transitions: np.ndarray, emissions: np.ndarray, lengths: Sequence[int] | None = None
+) -> list[list[int]]:
+    """The ``viterbi_decode`` path of each sentence whose emission rows
+    are laid end to end in ``emissions``, ``lengths`` rows each (one
+    sentence when None), decoded in one step loop.
 
-    The single scoring convention shared by enumeration and by checks
-    that re-score a decoded path, so equal paths give bitwise-equal
-    scores."""
-    transitions = np.asarray(transitions, dtype=np.float64)
-    emissions = np.asarray(emissions, dtype=np.float64)
-    k = transitions.shape[0] - 2
-    _check_emissions(k, emissions.shape)
-    _check_tags(k, emissions.shape[0], tags)
-    s = transitions[k, tags[0]] + emissions[0, tags[0]]
-    for t in range(1, len(tags)):
-        s += transitions[tags[t - 1], tags[t]] + emissions[t, tags[t]]
-    s += transitions[tags[-1], k + 1]
-    return float(s)
-
-
-class BruteForceResult(NamedTuple):
-    log_partition: float
-    best_tags: tuple[int, ...]
-    best_score: float
-
-
-def brute_force(transitions: np.ndarray, emissions: np.ndarray, limit: int = 1_000_000) -> BruteForceResult:
-    """Exhaustive enumeration of every tag sequence.
-
-    Independent of both the forward recursion and Viterbi: scores are
-    summed per path and combined with a single log-sum-exp at the end.
-    Ties on the best path resolve to the lexicographically smallest
-    sequence.  Refuses to enumerate more than ``limit`` paths.
+    The sentences follow the step plan of ``layers._packing``, the one
+    ``layers.bilstm`` runs: ordered by length, step s extends the n_s
+    sentences longer than s, so each step scores ``delta[:n_s, :, None]
+    + inner`` and takes its first-index argmax over the previous tag,
+    the additions and the tie rule of one sentence on its own.  A
+    sentence's best last tag is chosen when it drops out of the live
+    set, and every path is traced back in one more loop.
     """
     transitions = np.asarray(transitions, dtype=np.float64)
     emissions = np.asarray(emissions, dtype=np.float64)
     k = transitions.shape[0] - 2
     _check_emissions(k, emissions.shape)
-    t_len = emissions.shape[0]
-    if k**t_len > limit:
-        raise ValueError(f"{k}^{t_len} paths exceed the enumeration limit of {limit}")
+    n_rows = emissions.shape[0]
+    if lengths is not None and (len(lengths) == 0 or min(lengths) < 1 or sum(lengths) != n_rows):
+        raise ValueError(f"lengths {list(lengths)} do not split {n_rows} emission rows")
+    read, _, steps, _ = _packing(lengths, n_rows)
+    starts = [a // 2 for a, _ in steps]  # packed row of each step's first sentence
+    live = [n for _, n in steps]
     start, stop = k, k + 1
 
-    scores = np.empty(k**t_len)
-    best_tags: tuple[int, ...] | None = None
-    best_score = -np.inf
-    for n, tags in enumerate(itertools.product(range(k), repeat=t_len)):
-        s = path_score(transitions, emissions, tags)
-        scores[n] = s
-        if s > best_score:  # strict: first maximum wins, product order is lexicographic
-            best_score = s
-            best_tags = tags
+    inner = transitions[:k, :k]
+    end_scores = transitions[:k, stop]
+    packed = emissions[read[0]]  # step-major: step s owns rows starts[s]..+live[s]
+    sentences, tag_ids = np.arange(live[0])[:, None], np.arange(k)
+    delta = transitions[start, :k] + packed[: live[0]]
+    best = np.empty(live[0], dtype=np.intp)  # each sentence's last tag
+    backptr = np.empty((n_rows, k), dtype=np.intp)
+    for s in range(1, len(steps)):
+        a, n = starts[s], live[s]
+        if n < live[s - 1]:
+            best[n : live[s - 1]] = (delta[n:] + end_scores).argmax(axis=1)
+        scores = delta[:n, :, None] + inner  # [sentence, from, to]
+        bp = backptr[a : a + n] = scores.argmax(axis=1)  # first (lowest) index on ties
+        delta = scores[sentences[:n], bp, tag_ids] + packed[a : a + n]
+    best[: live[-1]] = (delta + end_scores).argmax(axis=1)
 
-    m = scores.max()
-    log_z = float(m + np.log(np.exp(scores - m).sum()))
-    assert best_tags is not None
-    return BruteForceResult(log_z, best_tags, float(best_score))
+    # trace back in packed order: row starts[s] + j holds sentence j's tag at step s
+    back, last = backptr.tolist(), best.tolist()
+    tags = [0] * n_rows
+    for s in range(len(steps) - 1, 0, -1):
+        a = starts[s]
+        for j in range(live[s]):
+            tag = tags[a + j] = last[j]
+            last[j] = back[a + j][tag]
+    tags[: live[0]] = last
+    in_order = np.empty(n_rows, dtype=np.intp)
+    in_order[read[0]] = tags
+    flat = in_order.tolist()
+    sizes = [n_rows] if lengths is None else list(lengths)
+    return [flat[b - n : b] for n, b in zip(sizes, itertools.accumulate(sizes))]

@@ -12,7 +12,10 @@ hand-written backpropagation through time is batched the same way.  On
 one sequence it does the products of the per-sequence BiLSTM it
 replaced in the same order, so it gives the same bits; that
 per-sequence op and a per-step reference built from generic
-primitives live in the tests.
+primitives live in the tests.  It keeps the cell states its backward
+pass reads only when the call is recorded (``autodiff.records``):
+inference allocates the gates, the hidden states and its output, and
+nothing per token beyond them.
 
 Both heads end in ``affine``, one tape node computing ``x @ w.T + b``
 for an (in,) vector (the sentiment output layer) or a (T, in) matrix
@@ -152,6 +155,41 @@ def _packing(lengths: Sequence[int] | None, n_rows: int):
     return read, (fwd, bwd), list(zip((2 * before).tolist(), live.tolist())), prev
 
 
+def _recurrence(gates: np.ndarray, u_scaled: np.ndarray, steps, scale: np.ndarray, taped: bool):
+    """The forward recursion of ``bilstm`` over the step plan of
+    ``_packing``, in place on the projected ``gates``: each row ends as
+    its i, f, g, o after the nonlinearity.  Returns the (2N, d) hidden
+    states and, when ``taped``, the cell states and their tanh, which the
+    backward pass reads; untaped, the cell state and its tanh are
+    updated in place in two (2, width, d) buffers and None is returned
+    for both."""
+    d, width = u_scaled.shape[1], steps[0][1]
+    offset = 1.0 - scale
+    hidden = np.empty((gates.shape[0], d))
+    h = c = np.zeros((2, width, d))
+    if taped:
+        cells, tanh_cells = np.empty_like(hidden), np.empty_like(hidden)
+    else:
+        cells = tanh_cells = None
+        c, tanh_c = np.zeros((2, width, d)), np.empty((2, width, d))
+    for a, n in steps:
+        rows = slice(a, a + 2 * n)
+        if taped:
+            c_to, tc_to = cells[rows].reshape(2, n, d), tanh_cells[rows].reshape(2, n, d)
+        else:  # each row is read before it is written
+            c_to, tc_to = c[:, :n], tanh_c[:, :n]
+        z = gates[rows].reshape(2, n, 4 * d)
+        z += h[:, :n] @ u_scaled
+        np.tanh(z, out=z)
+        z *= scale
+        z += offset
+        c = np.multiply(z[..., d : 2 * d], c[:, :n], out=c_to)
+        c += z[..., :d] * z[..., 2 * d : 3 * d]
+        tc = np.tanh(c, out=tc_to)
+        h = np.multiply(z[..., 3 * d :], tc, out=hidden[rows].reshape(2, n, d))
+    return hidden, cells, tanh_cells
+
+
 def bilstm(
     fwd: LstmParams, bwd: LstmParams, inputs: Tensor, lengths: Sequence[int] | None = None
 ) -> Tensor:
@@ -169,6 +207,11 @@ def bilstm(
     pass yields the input gradient (both directions' parts summed), then
     the six weight gradients one at a time, so ``autodiff.backward``
     folds each into its leaf before the next one is computed.
+
+    When ``autodiff.records`` says the call is not recorded (no tape, or
+    ``no_grad``), it keeps nothing for a backward pass: no cell or
+    tanh-cell rows, the gate buffer freed before the output is built,
+    and a plain tensor returned.  The output has the same bits either way.
     """
     x = inputs.data
     for p in (fwd, bwd):
@@ -183,36 +226,34 @@ def bilstm(
         raise ad.AutodiffError(f"bilstm: lengths {list(lengths)} do not split {n_rows} rows")
     read, slots, steps, prev = _packing(lengths, n_rows)
     directions = tuple(zip((fwd, bwd), read, slots))
+    params = (inputs, fwd.w, fwd.u, fwd.b, bwd.w, bwd.u, bwd.b)
+    taped = ad.records(params)
 
     scale = np.full(4 * d, 0.5)
     scale[2 * d : 3 * d] = 1.0
-    offset = 1.0 - scale
     gates = np.empty((2 * n_rows, 4 * d))  # i, f, g, o after their nonlinearity
+    projected = np.empty((n_rows, 4 * d))
     for p, rows, slot in directions:
-        gates[slot] = (x[rows] @ p.w.data.T + p.b.data) * scale
+        np.matmul(x[rows], p.w.data.T, out=projected)
+        projected += p.b.data
+        projected *= scale
+        gates[slot] = projected
+    del projected
     # U.T per direction, (2, d, 4d).  One sequence multiplies by a view
     # of U, a matrix-vector product per step; several multiply by a
     # contiguous copy, for which BLAS runs a few rows about three times
     # faster than through the view.
     u_scaled = np.empty((2, d, 4 * d)) if steps[0][1] > 1 else np.empty((2, 4 * d, d)).transpose(0, 2, 1)
     for k, p in enumerate((fwd, bwd)):
-        u_scaled[k] = (p.u.data * scale[:, None]).T
-    cells, tanh_cells, hidden = (np.empty((2 * n_rows, d)) for _ in range(3))
-    h = c = np.zeros((2, steps[0][1], d))
-    for a, n in steps:
-        rows = slice(a, a + 2 * n)
-        z = gates[rows].reshape(2, n, 4 * d)
-        z += h[:, :n] @ u_scaled
-        np.tanh(z, out=z)
-        z *= scale
-        z += offset
-        c = np.multiply(z[..., d : 2 * d], c[:, :n], out=cells[rows].reshape(2, n, d))
-        c += z[..., :d] * z[..., 2 * d : 3 * d]
-        tc = np.tanh(c, out=tanh_cells[rows].reshape(2, n, d))
-        h = np.multiply(z[..., 3 * d :], tc, out=hidden[rows].reshape(2, n, d))
+        np.multiply(p.u.data.T, scale, out=u_scaled[k])
+    hidden, cells, tanh_cells = _recurrence(gates, u_scaled, steps, scale, taped)
+    if not taped:
+        del gates  # an untaped call keeps only its output
     out = np.empty((n_rows, 2 * d))
     for k, (_, rows, slot) in enumerate(directions):
         out[rows, k * d : (k + 1) * d] = hidden[slot]
+    if not taped:
+        return Tensor(out)
 
     def earlier(states):
         """Each state row's value one step earlier; zero at the first step."""
@@ -254,7 +295,7 @@ def bilstm(
             yield dz_p.T @ h_prev[slot] if p.u.requires_grad else None
             yield dz_p.sum(axis=0) if p.b.requires_grad else None
 
-    return ad._make_output(out, (inputs, fwd.w, fwd.u, fwd.b, bwd.w, bwd.u, bwd.b), bw)
+    return ad._make_output(out, params, bw)
 
 
 @dataclass

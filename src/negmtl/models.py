@@ -10,6 +10,9 @@ emission scores; the sentiment head max-pools each sentence's rows
 (one segment max-pool node), runs a document-level BiLSTM over the
 sentence vectors, max-pools again and maps to 2 class logits, so a
 sentiment loss records 8 tape nodes for any number of sentences.
+``predict_document`` runs untaped, so neither BiLSTM keeps backward
+caches, and with ``tags`` it decodes every sentence in one packed
+Viterbi loop (``crf.viterbi_paths``).
 Class index 0 is negative, 1 is positive, fixed and serialized; exact
 logit ties resolve to positive.
 
@@ -30,7 +33,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import NEGATIVE, POSITIVE, NUM_TAGS, BioTag
-from .crf import CrfParams, crf_nll, viterbi_decode
+from .crf import CrfParams, crf_nll, viterbi_decode, viterbi_paths
 from .layers import (
     EmbeddingTable,
     Linear,
@@ -231,10 +234,11 @@ def _encode_document(
     return bilstm(params.sent_fwd, params.sent_bwd, emb, lengths), lengths
 
 
-def _viterbi_tags(params: ModelParams, emissions: np.ndarray) -> list[BioTag]:
-    """Eval-mode negation head: the best tag path of one sentence's
-    emission scores."""
-    return [BioTag(t) for t in viterbi_decode(params.crf.transitions.data, emissions)]
+_BIO_TAGS = tuple(BioTag)  # indexed by tag id, cheaper than calling BioTag(id)
+
+
+def _as_tags(path: list[int]) -> list[BioTag]:
+    return [_BIO_TAGS[t] for t in path]
 
 
 def negation_forward(
@@ -268,7 +272,8 @@ def negation_tag(params: ModelParams, token_ids: Sequence[int]) -> list[BioTag]:
     """Eval-mode Viterbi tagging of one sentence (the one-sentence case
     of ``predict_document(..., tags=True)``)."""
     with ad.no_grad():
-        return _viterbi_tags(params, negation_forward(params, token_ids).data)
+        emissions = negation_forward(params, token_ids).data
+    return _as_tags(viterbi_decode(params.crf.transitions.data, emissions))
 
 
 def _document_logits(params: ModelParams, encoded: Tensor, lengths: list[int]) -> Tensor:
@@ -312,7 +317,9 @@ def predict_document(
     With ``tags``, the prediction also carries each sentence's Viterbi
     negation tags, decoded from the same encodings that feed the
     sentiment head: one ``affine`` gives the whole document's emission
-    scores, and Viterbi runs on each sentence's rows."""
+    scores, and one ``viterbi_paths`` call decodes every sentence over
+    the step plan of the packed sentence BiLSTM.  Nothing here is taped,
+    so the BiLSTMs keep no backward caches."""
     if tags and not params.has_negation_head:
         raise ModelError("model has no negation head")
     with ad.no_grad():
@@ -321,7 +328,7 @@ def predict_document(
         sentence_tags = None
         if tags:
             emissions = affine(params.emission, encoded).data
-            ends = np.cumsum(lengths)
-            sentence_tags = [_viterbi_tags(params, emissions[b - n : b]) for n, b in zip(lengths, ends)]
+            paths = viterbi_paths(params.crf.transitions.data, emissions, lengths)
+            sentence_tags = [_as_tags(path) for path in paths]
     cls = POSITIVE_CLASS if logits.data[POSITIVE_CLASS] >= logits.data[NEGATIVE_CLASS] else NEGATIVE_CLASS
     return SentimentPrediction(CLASS_TO_LABEL[cls], logits.data.copy(), sentence_tags)

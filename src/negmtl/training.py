@@ -385,20 +385,20 @@ def load_checkpoint(path) -> Checkpoint:
     pos += header_len
     blobs = _check_header(path, header)
 
-    body = raw[pos:]
+    body_len = len(raw) - pos  # blob offsets count from here; read in place, not copied
     arrays: dict[str, np.ndarray] = {}
     end = 0
     for name, shape, lo, n_bytes in blobs:
         end = lo + n_bytes
-        if end > len(body):
+        if end > body_len:
             raise CheckpointError(f"{path}: truncated blob for parameter {name!r}")
         arrays[name] = (
-            np.frombuffer(body, dtype="<f4", count=n_bytes // 4, offset=lo)
+            np.frombuffer(raw, dtype="<f4", count=n_bytes // 4, offset=pos + lo)
             .reshape(shape)
             .astype(np.float32)
         )
-    if end != len(body):
-        raise CheckpointError(f"{path}: {len(body) - end} trailing bytes after parameter blobs")
+    if end != body_len:
+        raise CheckpointError(f"{path}: {body_len - end} trailing bytes after parameter blobs")
     return Checkpoint(header["config"], header["vocabulary"], arrays, header["version"], str(path))
 
 

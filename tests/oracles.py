@@ -1,13 +1,14 @@
 """Shared test-side oracles, kept independent of the library's own checkers."""
 
-from typing import Sequence
+import itertools
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from negmtl import autodiff as ad
 from negmtl.autodiff import Tape, Tensor, backward, no_grad, zero_grads
 from negmtl.corpus import BioTag, Document, build_vocab, to_bio
-from negmtl.crf import viterbi_decode
+from negmtl.crf import _check_emissions, _check_tags
 from negmtl.layers import affine, dropout
 from negmtl.models import (
     CLASS_TO_LABEL,
@@ -371,6 +372,83 @@ def crf_nll_reference(transitions: Tensor, emissions: Tensor, tags) -> Tensor:
     )
 
 
+def viterbi_reference(transitions: np.ndarray, emissions: np.ndarray) -> list[int]:
+    """Per-sentence Viterbi, one (K, K) score matrix per token: the loop
+    ``crf.viterbi_decode`` ran before it became the one-sentence case of
+    ``crf.viterbi_paths``.  Ties go to the lowest tag id at each argmax."""
+    k = transitions.shape[0] - 2
+    inner = transitions[:k, :k]
+    delta = transitions[k, :k] + emissions[0]
+    backptr = np.zeros((emissions.shape[0], k), dtype=np.intp)
+    for t in range(1, emissions.shape[0]):
+        scores = delta[:, None] + inner  # [from, to]
+        backptr[t] = scores.argmax(axis=0)
+        delta = scores[backptr[t], np.arange(k)] + emissions[t]
+    best = int((delta + transitions[:k, k + 1]).argmax())
+    path = [best]
+    for t in range(emissions.shape[0] - 1, 0, -1):
+        best = int(backptr[t, best])
+        path.append(best)
+    return path[::-1]
+
+
+def path_score(transitions: np.ndarray, emissions: np.ndarray, tags: Sequence[int]) -> float:
+    """Plain left-to-right score of one tag path (numpy, no gradients).
+
+    The single scoring convention shared by enumeration and by checks
+    that re-score a decoded path, so equal paths give bitwise-equal
+    scores."""
+    transitions = np.asarray(transitions, dtype=np.float64)
+    emissions = np.asarray(emissions, dtype=np.float64)
+    k = transitions.shape[0] - 2
+    _check_emissions(k, emissions.shape)
+    _check_tags(k, emissions.shape[0], tags)
+    s = transitions[k, tags[0]] + emissions[0, tags[0]]
+    for t in range(1, len(tags)):
+        s += transitions[tags[t - 1], tags[t]] + emissions[t, tags[t]]
+    s += transitions[tags[-1], k + 1]
+    return float(s)
+
+
+class BruteForceResult(NamedTuple):
+    log_partition: float
+    best_tags: tuple[int, ...]
+    best_score: float
+
+
+def brute_force(transitions: np.ndarray, emissions: np.ndarray, limit: int = 1_000_000) -> BruteForceResult:
+    """Exhaustive enumeration of every tag sequence.
+
+    Independent of both the forward recursion and Viterbi: scores are
+    summed per path and combined with a single log-sum-exp at the end.
+    Ties on the best path resolve to the lexicographically smallest
+    sequence.  Refuses to enumerate more than ``limit`` paths.
+    """
+    transitions = np.asarray(transitions, dtype=np.float64)
+    emissions = np.asarray(emissions, dtype=np.float64)
+    k = transitions.shape[0] - 2
+    _check_emissions(k, emissions.shape)
+    t_len = emissions.shape[0]
+    if k**t_len > limit:
+        raise ValueError(f"{k}^{t_len} paths exceed the enumeration limit of {limit}")
+    start, stop = k, k + 1
+
+    scores = np.empty(k**t_len)
+    best_tags: tuple[int, ...] | None = None
+    best_score = -np.inf
+    for n, tags in enumerate(itertools.product(range(k), repeat=t_len)):
+        s = path_score(transitions, emissions, tags)
+        scores[n] = s
+        if s > best_score:  # strict: first maximum wins, product order is lexicographic
+            best_score = s
+            best_tags = tags
+
+    m = scores.max()
+    log_z = float(m + np.log(np.exp(scores - m).sum()))
+    assert best_tags is not None
+    return BruteForceResult(log_z, best_tags, float(best_score))
+
+
 # ---------------------------------------------------------------------------
 # Allocating references for the embedding and optimizer path.  The library
 # versions accumulate the embedding gradient row-sparsely and run Adam in
@@ -594,7 +672,7 @@ def negation_tag_reference(params: ModelParams, token_ids: Sequence[int]) -> lis
     """Eval-mode Viterbi tagging of one sentence."""
     with no_grad():
         emissions = negation_forward_reference(params, token_ids)
-    path = viterbi_decode(params.crf.transitions.data, emissions.data)
+    path = viterbi_reference(params.crf.transitions.data, emissions.data)
     return [BioTag(t) for t in path]
 
 
@@ -629,12 +707,13 @@ def predict_document_reference(
     params: ModelParams, doc_ids: Sequence[Sequence[int]], tags: bool = False
 ) -> SentimentPrediction:
     """Eval-mode classification from per-sentence encodings; with
-    ``tags``, each sentence's Viterbi tags from its own emissions."""
+    ``tags``, each sentence's Viterbi tags from its own emissions,
+    decoded by ``viterbi_reference``."""
     with no_grad():
         encodings = [encode_sentence_reference(params, ids, False, 0.0, None) for ids in doc_ids]
         logits = _document_logits_reference(params, [ad.max_over_time(e) for e in encodings])
         sentence_tags = [
-            [BioTag(t) for t in viterbi_decode(params.crf.transitions.data, affine(params.emission, e).data)]
+            [BioTag(t) for t in viterbi_reference(params.crf.transitions.data, affine(params.emission, e).data)]
             for e in encodings
         ] if tags else None
     cls = POSITIVE_CLASS if logits.data[POSITIVE_CLASS] >= logits.data[NEGATIVE_CLASS] else NEGATIVE_CLASS

@@ -31,7 +31,7 @@ from negmtl.corpus import (
     parse_corpus,
     to_bio,
 )
-from negmtl.crf import brute_force, log_partition, path_score, viterbi_decode
+from negmtl.crf import log_partition, viterbi_decode
 from negmtl.evaluation import accuracy, build_run_report, mean_std, read_predictions, write_predictions
 from negmtl.models import ModelParams, negation_loss, negation_tag
 from negmtl.training import (
@@ -49,6 +49,7 @@ from negmtl.training import (
     train_mtl,
     train_stl,
 )
+from oracles import brute_force, path_score
 from synth import scope_flip_corpus, separable_corpus, single_negation_sentence
 
 # The scope-flip comparison (criterion 5).  Dims are modest so five

@@ -110,6 +110,18 @@ class TestTape:
         backward(loss)
         np.testing.assert_allclose(x.grad, [5.0])
 
+    def test_records_names_the_calls_make_output_records(self):
+        x, c = Tensor([1.0], requires_grad=True), Tensor([2.0])
+        for a, b in [(x, x), (c, c), (c, x)]:
+            expected = a.requires_grad or b.requires_grad
+            assert not ad.records((a, b))  # no tape
+            with Tape() as tape:
+                assert ad.records((a, b)) is expected
+                ad.mul(a, b)
+                assert len(tape) == int(expected)
+                with no_grad():
+                    assert not ad.records((a, b))
+
     def test_nested_tapes_record_innermost(self):
         x = Tensor([1.0], requires_grad=True)
         with Tape() as outer:

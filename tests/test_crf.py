@@ -5,19 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from negmtl.autodiff import Tape, Tensor, backward
-from negmtl.crf import (
-    BruteForceResult,
-    CrfParams,
-    brute_force,
-    crf_nll,
-    log_partition,
-    path_score,
-    viterbi_decode,
-)
+from negmtl.crf import CrfParams, crf_nll, log_partition, viterbi_decode, viterbi_paths
 from oracles import (
+    BruteForceResult,
     assert_op_grads,
+    brute_force,
     crf_log_partition_reference,
     crf_nll_reference,
+    path_score,
+    viterbi_reference,
 )
 
 
@@ -302,6 +298,68 @@ class TestViterbi:
         assert path in ([0, 1], [1, 0])
         assert result.best_tags == (0, 1)
         np.testing.assert_allclose(path_score(trans, em, path), result.best_score, rtol=1e-12)
+
+
+def ragged_documents(kind: str, count: int, seed: int):
+    """Seeded documents of ragged sentences: (transitions, emissions laid
+    end to end, lengths)."""
+    r = np.random.default_rng(seed)
+    for _ in range(count):
+        k = int(r.integers(1, 6))
+        n_sent = int(r.integers(1, 9))
+        if kind == "length-one":
+            lengths = r.choice([1, 1, 2, 3], size=n_sent).tolist()
+        elif kind == "equal-lengths":
+            lengths = [int(r.integers(1, 8))] * n_sent
+        else:
+            lengths = r.integers(1, 14, size=n_sent).tolist()
+        shape = (sum(lengths), k)
+        if kind == "integer-ties":  # few distinct values: exact ties at every step
+            trans = r.integers(-1, 2, size=(k + 2, k + 2)).astype(float)
+            em = r.integers(-1, 2, size=shape).astype(float)
+        else:
+            trans, em = r.normal(size=(k + 2, k + 2)), r.normal(size=shape)
+        yield trans, em, lengths
+
+
+def sentence_rows(em, lengths):
+    ends = np.cumsum(lengths)
+    return [em[b - n : b] for n, b in zip(lengths, ends)]
+
+
+class TestViterbiPaths:
+    """One packed Viterbi loop over a document's sentences."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "integer-ties", "length-one", "equal-lengths"])
+    def test_equals_per_sentence_decoding(self, kind):
+        for trans, em, lengths in ragged_documents(kind, 250, seed=len(kind)):
+            want = [viterbi_decode(trans, rows) for rows in sentence_rows(em, lengths)]
+            assert viterbi_paths(trans, em, lengths) == want, lengths
+
+    @pytest.mark.parametrize("kind", ["gaussian", "integer-ties"])
+    def test_one_sentence_is_the_reference_decoder(self, kind):
+        # viterbi_decode is viterbi_paths on one sentence; the reference
+        # is the per-sentence loop it replaced
+        for trans, em, lengths in ragged_documents(kind, 100, seed=11):
+            for rows in sentence_rows(em, lengths):
+                assert viterbi_decode(trans, rows) == viterbi_reference(trans, rows)
+                assert viterbi_paths(trans, rows) == viterbi_paths(trans, rows, [len(rows)])
+
+    def test_paths_attain_the_optimal_score_under_ties(self):
+        for trans, em, lengths in ragged_documents("integer-ties", 40, seed=3):
+            paths = viterbi_paths(trans, em, lengths)
+            for path, rows in zip(paths, sentence_rows(em, lengths)):
+                if rows.shape[1] ** rows.shape[0] <= 20_000:
+                    assert path_score(trans, rows, path) == brute_force(trans, rows).best_score
+
+    @pytest.mark.parametrize("lengths", [[], [2, 3], [6, 0], [7], [3, -1, 4]])
+    def test_rejects_lengths_that_do_not_split_the_rows(self, lengths):
+        with pytest.raises(ValueError, match=r"lengths .* do not split 6 emission rows"):
+            viterbi_paths(np.zeros((5, 5)), np.zeros((6, 3)), lengths)
+
+    def test_rejects_bad_emission_width(self):
+        with pytest.raises(ValueError, match="emissions must be"):
+            viterbi_paths(np.zeros((5, 5)), np.zeros((6, 2)), [3, 3])
 
 
 class TestBruteForce:

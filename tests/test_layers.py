@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -397,6 +399,72 @@ class TestPackedBilstm:
     def test_rejects_directions_of_different_widths(self):
         with pytest.raises(ad.AutodiffError, match="bilstm: directions differ"):
             bilstm(LstmParams.init(2, 3, rng()), LstmParams.init(2, 2, rng()), Tensor(np.ones((4, 2))))
+
+
+REVIEW_LENGTHS = (12, 30, 5, 40, 22, 8, 17, 33, 9, 26)  # 10 sentences, 202 tokens
+
+
+def review_layers(hidden=100):
+    """Both directions' parameters at d = e = ``hidden`` and the inputs
+    of a 10-sentence, 202-token document, all leaves that require
+    gradients."""
+    r = rng(7)
+    fwd, bwd = LstmParams.init(hidden, hidden, r), LstmParams.init(hidden, hidden, r)
+    x = Tensor(r.normal(size=(sum(REVIEW_LENGTHS), hidden)), requires_grad=True)
+    return fwd, bwd, x
+
+
+class TestUntapedBilstm:
+    """A call no tape records keeps nothing for a backward pass and gives
+    the recorded call's bits."""
+
+    @pytest.mark.parametrize(
+        "lengths", [None, (7,), (3, 1, 3), (1, 1, 1), REVIEW_LENGTHS], ids=["none", "one", "ties", "all-one", "review"]
+    )
+    @pytest.mark.parametrize("untaped", ["no-tape", "no-grad", "constants"])
+    def test_output_bytes_equal_the_taped_forward(self, lengths, untaped):
+        n_rows = 7 if lengths is None else sum(lengths)
+        fwd, bwd, _ = review_layers(hidden=6)
+        x = Tensor(rng(n_rows).normal(size=(n_rows, 6)), requires_grad=True)
+        with Tape() as tape:
+            taped = bilstm(fwd, bwd, x, lengths)
+        assert len(tape) == 1 and taped.node is not None
+        if untaped == "no-tape":
+            out = bilstm(fwd, bwd, x, lengths)
+        elif untaped == "no-grad":
+            with Tape(), ad.no_grad():
+                out = bilstm(fwd, bwd, x, lengths)
+        else:
+            constant = lambda p: LstmParams(*(Tensor(t.data) for t in (p.w, p.u, p.b)))
+            with Tape():
+                out = bilstm(constant(fwd), constant(bwd), Tensor(x.data), lengths)
+        assert out.node is None and not out.requires_grad
+        assert out.data.tobytes() == taped.data.tobytes()
+
+    def test_untaped_call_keeps_no_cell_caches(self):
+        # the recorded forward keeps cells and tanh-cells, 2N x d floats
+        # each, for its backward pass; an untaped call must not
+        fwd, bwd, x = review_layers()
+        n_rows, d = x.data.shape[0], fwd.hidden_dim
+
+        def peak(run) -> int:
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def taped():
+            with Tape():
+                bilstm(fwd, bwd, x, REVIEW_LENGTHS)
+
+        def untaped():
+            with ad.no_grad():
+                bilstm(fwd, bwd, x, REVIEW_LENGTHS)
+
+        caches = 2 * (2 * n_rows * d * 8)
+        assert peak(untaped) <= peak(taped) - caches
 
 
 class TestLinear:
