@@ -337,7 +337,11 @@ class Vocabulary:
         return self.token_to_id.get(token, self.UNK_ID)
 
     def encode(self, tokens: Iterable[str]) -> list[int]:
-        return [self.lookup(t) for t in tokens]
+        """``lookup`` of each token, in one pass over the dictionary."""
+        get, unk = self.token_to_id.get, self.UNK_ID
+        if self.lowercase:
+            return [get(t.lower(), unk) for t in tokens]
+        return [get(t, unk) for t in tokens]
 
     def to_json_obj(self) -> dict:
         return {"tokens": self.id_to_token[2:], "lowercase": self.lowercase}
@@ -356,16 +360,13 @@ def build_vocab(
         raise ValueError("cannot build a vocabulary from an empty corpus")
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
-    counts: Counter[str] = Counter()
-    for doc in train_docs:
-        for sent in doc.sentences:
-            counts.update((t.lower() for t in sent.tokens) if lowercase else sent.tokens)
+    tokens = (t for doc in train_docs for sent in doc.sentences for t in sent.tokens)
+    counts = Counter(map(str.lower, tokens) if lowercase else tokens)
     for reserved in (Vocabulary.PAD_TOKEN, Vocabulary.UNK_TOKEN):
         counts.pop(reserved, None)
-    kept = sorted(
-        (t for t, c in counts.items() if c >= min_count),
-        key=lambda t: (-counts[t], t),
-    )
+    # by token, then stably by descending count: the (-count, token) order
+    kept = sorted(t for t, c in counts.items() if c >= min_count)
+    kept.sort(key=counts.__getitem__, reverse=True)
     return Vocabulary([Vocabulary.PAD_TOKEN, Vocabulary.UNK_TOKEN] + kept, lowercase)
 
 

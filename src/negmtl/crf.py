@@ -170,11 +170,12 @@ def viterbi_paths(
 
     The sentences follow the step plan of ``layers._packing``, the one
     ``layers.bilstm`` runs: ordered by length, step s extends the n_s
-    sentences longer than s, so each step scores ``delta[:n_s, :, None]
-    + inner`` and takes its first-index argmax over the previous tag,
-    the additions and the tie rule of one sentence on its own.  A
-    sentence's best last tag is chosen when it drops out of the live
-    set, and every path is traced back in one more loop.
+    sentences longer than s, so each step scores ``delta[:n_s, None, :]
+    + inner.T`` and takes its first-index argmax and its max over the
+    previous tag, the additions and the tie rule of one sentence on its
+    own.  A sentence's best last tag is chosen when it drops out of the
+    live set, and every path is traced back in one more loop.  One
+    sentence needs no plan: step s is row s.
     """
     transitions = np.asarray(transitions, dtype=np.float64)
     emissions = np.asarray(emissions, dtype=np.float64)
@@ -183,38 +184,44 @@ def viterbi_paths(
     n_rows = emissions.shape[0]
     if lengths is not None and (len(lengths) == 0 or min(lengths) < 1 or sum(lengths) != n_rows):
         raise ValueError(f"lengths {list(lengths)} do not split {n_rows} emission rows")
-    read, _, steps, _ = _packing(lengths, n_rows)
-    starts = [a // 2 for a, _ in steps]  # packed row of each step's first sentence
-    live = [n for _, n in steps]
+    one = lengths is None or len(lengths) == 1
+    if one:  # step s is row s: no plan, no reordering
+        packed, starts, live = emissions, range(n_rows), [1] * n_rows
+    else:
+        read, _, steps, _ = _packing(lengths, n_rows)
+        packed = emissions[read[0]]  # step-major: step s owns rows starts[s]..+live[s]
+        starts = [a // 2 for a, _ in steps]  # packed row of each step's first sentence
+        live = [n for _, n in steps]
     start, stop = k, k + 1
 
-    inner = transitions[:k, :k]
+    # [to, from]: each step reduces over contiguous rows
+    inner_to_from = np.ascontiguousarray(transitions[:k, :k].T)
     end_scores = transitions[:k, stop]
-    packed = emissions[read[0]]  # step-major: step s owns rows starts[s]..+live[s]
-    sentences, tag_ids = np.arange(live[0])[:, None], np.arange(k)
     delta = transitions[start, :k] + packed[: live[0]]
     best = np.empty(live[0], dtype=np.intp)  # each sentence's last tag
     backptr = np.empty((n_rows, k), dtype=np.intp)
-    for s in range(1, len(steps)):
+    for s in range(1, len(live)):
         a, n = starts[s], live[s]
         if n < live[s - 1]:
             best[n : live[s - 1]] = (delta[n:] + end_scores).argmax(axis=1)
-        scores = delta[:n, :, None] + inner  # [sentence, from, to]
-        bp = backptr[a : a + n] = scores.argmax(axis=1)  # first (lowest) index on ties
-        delta = scores[sentences[:n], bp, tag_ids] + packed[a : a + n]
+        scores = delta[:n, None, :] + inner_to_from  # [sentence, to, from]
+        backptr[a : a + n] = scores.argmax(axis=2)  # first (lowest) index on ties
+        # the value at that first argmax: the same number, NaN included
+        delta = scores.max(axis=2) + packed[a : a + n]
     best[: live[-1]] = (delta + end_scores).argmax(axis=1)
 
     # trace back in packed order: row starts[s] + j holds sentence j's tag at step s
     back, last = backptr.tolist(), best.tolist()
     tags = [0] * n_rows
-    for s in range(len(steps) - 1, 0, -1):
+    for s in range(len(live) - 1, 0, -1):
         a = starts[s]
         for j in range(live[s]):
             tag = tags[a + j] = last[j]
             last[j] = back[a + j][tag]
     tags[: live[0]] = last
+    if one:
+        return [tags]
     in_order = np.empty(n_rows, dtype=np.intp)
     in_order[read[0]] = tags
     flat = in_order.tolist()
-    sizes = [n_rows] if lengths is None else list(lengths)
-    return [flat[b - n : b] for n, b in zip(sizes, itertools.accumulate(sizes))]
+    return [flat[b - n : b] for n, b in zip(lengths, itertools.accumulate(lengths))]

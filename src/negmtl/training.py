@@ -104,6 +104,9 @@ class TrainConfig:
         require(self.learning_rate > 0, "learning_rate", "positive")
         require(0.0 <= self.dropout_p < 1.0, "dropout_p", "in [0, 1)")
         require(bool(self.bow_c_grid) and min(self.bow_c_grid) > 0, "bow_c_grid", "non-empty and positive")
+        # a repeated C would be fit twice and scored under one key
+        if len(set(self.bow_c_grid)) != len(self.bow_c_grid):
+            raise ValueError(f"bow_c_grid must be distinct, got {list(self.bow_c_grid)}")
         # numpy's SeedSequence takes non-negative seeds only
         require(self.seed >= 0, "seed", ">= 0")
         if not self.seeds or min(self.seeds) < 0:
@@ -659,7 +662,7 @@ class BowModel:
     c: float
 
     def predict_features(self, x: np.ndarray) -> str:
-        """Label of one document's ``bow_features`` vector."""
+        """Label of one document's count vector, a ``bow_matrix`` row."""
         # sigmoid(z) >= 0.5 iff z >= 0; ties resolve to positive
         return "positive" if float(self.weights @ x + self.bias) >= 0.0 else "negative"
 
@@ -673,14 +676,22 @@ class BowResult:
     dev_predictions: list[PredictionRecord]  # at the chosen C
 
 
-def bow_features(vocab: Vocabulary, doc: Document) -> np.ndarray:
-    """Token-count vector over the vocabulary; unknown tokens count into
-    the unknown bucket."""
-    x = np.zeros(len(vocab))
-    for sent in doc.sentences:
-        for token in sent.tokens:
-            x[vocab.lookup(token)] += 1.0
+def bow_matrix(vocab: Vocabulary, docs: Sequence[Document]) -> np.ndarray:
+    """(len(docs), V) token counts, one row per document; unknown tokens
+    count into the unknown bucket.  One ``encode`` over the split's
+    tokens, one scatter-add of 1.0: counts are small integers, exact in
+    float64 in any order of addition."""
+    sizes = [sum(len(sent.tokens) for sent in doc.sentences) for doc in docs]
+    ids = vocab.encode(t for doc in docs for sent in doc.sentences for t in sent.tokens)
+    rows = np.repeat(np.arange(len(docs)), sizes)
+    x = np.zeros((len(docs), len(vocab)))
+    np.add.at(x, (rows, np.asarray(ids, dtype=np.intp)), 1.0)
     return x
+
+
+def bow_features(vocab: Vocabulary, doc: Document) -> np.ndarray:
+    """Token-count vector of one document: its ``bow_matrix`` row."""
+    return bow_matrix(vocab, [doc])[0]
 
 
 # gradient 2-norm at which a bag-of-words fit counts as converged
@@ -691,28 +702,36 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (np.tanh(0.5 * z) + 1.0)
 
 
+def _bow_objective(
+    w: np.ndarray, b: float, xs: np.ndarray, ys: np.ndarray, c: float
+) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """``bow_loss_and_grad`` plus the probabilities p = σ(Xw + b) it
+    computed on the way, which the Newton direction at (w, b) reuses."""
+    z = xs @ w + b
+    margins = np.where(ys == 1.0, z, -z)
+    loss = float(np.mean(np.logaddexp(0.0, -margins)) + 0.5 / c * (w @ w))
+    p = _sigmoid(z)
+    delta = p - ys
+    grad_w = xs.T @ delta / len(ys) + w / c
+    grad_b = float(delta.mean())
+    return loss, grad_w, grad_b, p
+
+
 def bow_loss_and_grad(
     w: np.ndarray, b: float, xs: np.ndarray, ys: np.ndarray, c: float
 ) -> tuple[float, np.ndarray, float]:
     """Mean cross-entropy plus (1/C)·½‖w‖² (bias unregularized)."""
-    z = xs @ w + b
-    margins = np.where(ys == 1.0, z, -z)
-    loss = float(np.mean(np.logaddexp(0.0, -margins)) + 0.5 / c * (w @ w))
-    delta = _sigmoid(z) - ys
-    grad_w = xs.T @ delta / len(ys) + w / c
-    grad_b = float(delta.mean())
-    return loss, grad_w, grad_b
+    return _bow_objective(w, b, xs, ys, c)[:3]
 
 
 def _bow_direction(
-    w: np.ndarray, b: float, xs: np.ndarray, gram: np.ndarray, c: float,
-    grad_w: np.ndarray, grad_b: float,
+    p: np.ndarray, xs: np.ndarray, gram: np.ndarray, c: float, grad_w: np.ndarray, grad_b: float
 ) -> tuple[np.ndarray, float, float]:
-    """Newton direction (dw, db) and its slope gᵀd, or the negative
-    gradient scaled to the minimum of the quadratic model along it when
-    the Newton direction is undefined, non-finite or not a descent one."""
+    """Newton direction (dw, db) and its slope gᵀd at the iterate whose
+    probabilities are ``p``, or the negative gradient scaled to the
+    minimum of the quadratic model along it when the Newton direction is
+    undefined, non-finite or not a descent one."""
     n = len(xs)
-    p = _sigmoid(xs @ w + b)
     s = p * (1.0 - p)
     root = np.sqrt(s / n)
     # A = XᵀSX/n + I/C = RᵀR + I/C with R = diag(root)·X; by Woodbury
@@ -749,6 +768,7 @@ def fit_bow(
     c: float,
     init: tuple[np.ndarray, float] | None = None,
     max_iters: int = 100,
+    gram: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, float, int]:
     """Damped Newton on the convex objective of ``bow_loss_and_grad``.
     Stops when the gradient 2-norm falls below ``BOW_GRAD_TOL``.  Returns
@@ -763,31 +783,40 @@ def fit_bow(
     undefined (every p rounded to 0 or 1 leaves a zero Schur complement),
     non-finite or not a descent direction steps along the negative
     gradient instead.  A step that no backtracking can make decrease the
-    loss ends the fit early, unconverged."""
+    loss ends the fit early, unconverged.
+
+    ``gram`` is XXᵀ, the document-space matrix of every solve; a caller
+    fitting several C on one ``xs`` passes it to build it once.  None
+    computes it here."""
     w = np.zeros(xs.shape[1]) if init is None else init[0].astype(np.float64).copy()
     b = 0.0 if init is None else float(init[1])
-    gram = xs @ xs.T
-    loss, grad_w, grad_b = bow_loss_and_grad(w, b, xs, ys, c)
+    if gram is None:
+        gram = xs @ xs.T
+    loss, grad_w, grad_b, p = _bow_objective(w, b, xs, ys, c)
     iters = 0
     while iters < max_iters and math.sqrt(float(grad_w @ grad_w) + grad_b**2) >= BOW_GRAD_TOL:
-        dw, db, slope = _bow_direction(w, b, xs, gram, c, grad_w, grad_b)
+        dw, db, slope = _bow_direction(p, xs, gram, c, grad_w, grad_b)
         for halvings in range(60):
             step = 0.5**halvings
             w_new = w + step * dw
             b_new = b + step * db
-            loss_new, gw_new, gb_new = bow_loss_and_grad(w_new, b_new, xs, ys, c)
+            loss_new, gw_new, gb_new, p_new = _bow_objective(w_new, b_new, xs, ys, c)
             if loss_new <= loss + 1e-4 * step * slope:
                 break
         else:
             break  # no step length decreases the loss: stop unconverged
-        w, b, loss, grad_w, grad_b = w_new, b_new, loss_new, gw_new, gb_new
+        w, b, loss, grad_w, grad_b, p = w_new, b_new, loss_new, gw_new, gb_new, p_new
         iters += 1
     return w, b, loss, iters
 
 
 def train_bow(config: TrainConfig, train_docs: Sequence[Document], dev_docs: Sequence[Document]) -> BowResult:
     """L2-regularized logistic regression on token counts; C picked by
-    dev accuracy over the grid, ties to the smaller C."""
+    dev accuracy over the grid, ties to the smaller C.
+
+    Each split's count matrix (``bow_matrix``) and the train Gram matrix
+    XXᵀ are built once and shared by every C; each C is one call of
+    this module's ``fit_bow``."""
     if config.mode != "bow":
         raise TrainingError(f"train_bow requires mode=bow, got {config.mode!r}")
     _require_labeled(train_docs, "train")
@@ -796,14 +825,15 @@ def train_bow(config: TrainConfig, train_docs: Sequence[Document], dev_docs: Seq
     if len(vocab) <= 2:
         raise TrainingError("bow training found an empty vocabulary")
 
-    xs = np.stack([bow_features(vocab, doc) for doc in train_docs])
+    xs = bow_matrix(vocab, train_docs)
     ys = np.array([float(LABEL_TO_CLASS[doc.label]) for doc in train_docs])
-    dev_xs = [bow_features(vocab, doc) for doc in dev_docs]  # built once, scored at every C
+    dev_xs = bow_matrix(vocab, dev_docs)  # built once, scored at every C
+    gram = xs @ xs.T
 
     best: BowResult | None = None
     by_c: dict[float, float] = {}
     for c in sorted(config.bow_c_grid):
-        w, b, _, iters = fit_bow(xs, ys, c)
+        w, b, _, iters = fit_bow(xs, ys, c, gram=gram)
         _, grad_w, grad_b = bow_loss_and_grad(w, b, xs, ys, c)
         grad_norm = math.sqrt(float(grad_w @ grad_w) + grad_b**2)
         if not grad_norm < BOW_GRAD_TOL:

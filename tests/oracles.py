@@ -1,14 +1,18 @@
 """Shared test-side oracles, kept independent of the library's own checkers."""
 
+import dataclasses
 import itertools
+import math
+from collections import Counter
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from negmtl import autodiff as ad
 from negmtl.autodiff import Tape, Tensor, backward, no_grad, zero_grads
-from negmtl.corpus import BioTag, Document, build_vocab, to_bio
+from negmtl.corpus import BioTag, Document, Vocabulary, build_vocab, to_bio
 from negmtl.crf import _check_emissions, _check_tags
+from negmtl.evaluation import PredictionRecord
 from negmtl.layers import affine, dropout
 from negmtl.models import (
     CLASS_TO_LABEL,
@@ -22,14 +26,19 @@ from negmtl.models import (
     sentiment_loss,
 )
 from negmtl.training import (
+    BOW_GRAD_TOL,
     AdamState,
+    BowModel,
+    BowResult,
     OptimizerError,
     TrainConfig,
     TrainingError,
     TrainResult,
     _BestTracker,
+    _bow_direction,
     _encode_docs,
     _require_labeled,
+    _sigmoid,
     accuracy_of,
     apply_updates,
     bow_loss_and_grad,
@@ -751,3 +760,84 @@ def fit_bow_reference(
             step *= 0.5
         w, b, loss, grad_w, grad_b = w_new, b_new, loss_new, gw_new, gb_new
     return w, b, loss, iters
+
+
+def vocab_order_reference(train_docs: Sequence[Document], min_count: int, lowercase: bool) -> list[str]:
+    """The kept tokens of ``build_vocab`` under the (-count, token) key
+    sort it ran before its two stable sorts, counted one sentence at a
+    time."""
+    counts: Counter[str] = Counter()
+    for doc in train_docs:
+        for sent in doc.sentences:
+            counts.update((t.lower() for t in sent.tokens) if lowercase else sent.tokens)
+    for reserved in (Vocabulary.PAD_TOKEN, Vocabulary.UNK_TOKEN):
+        counts.pop(reserved, None)
+    return sorted((t for t, c in counts.items() if c >= min_count), key=lambda t: (-counts[t], t))
+
+
+def bow_features_reference(vocab: Vocabulary, doc: Document) -> np.ndarray:
+    """Token-count vector of one document, one ``lookup`` and one
+    addition per token: the loop ``training.bow_matrix`` replaced."""
+    x = np.zeros(len(vocab))
+    for sent in doc.sentences:
+        for token in sent.tokens:
+            x[vocab.lookup(token)] += 1.0
+    return x
+
+
+def fit_bow_newton_reference(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    c: float,
+    init: tuple[np.ndarray, float] | None = None,
+    max_iters: int = 100,
+) -> tuple[np.ndarray, float, float, int]:
+    """``training.fit_bow`` before it shared work: XXᵀ built in every
+    fit, and each Newton direction recomputing σ(Xw + b) from (w, b)."""
+    w = np.zeros(xs.shape[1]) if init is None else init[0].astype(np.float64).copy()
+    b = 0.0 if init is None else float(init[1])
+    gram = xs @ xs.T
+    loss, grad_w, grad_b = bow_loss_and_grad(w, b, xs, ys, c)
+    iters = 0
+    while iters < max_iters and math.sqrt(float(grad_w @ grad_w) + grad_b**2) >= BOW_GRAD_TOL:
+        p = _sigmoid(xs @ w + b)
+        dw, db, slope = _bow_direction(p, xs, gram, c, grad_w, grad_b)
+        for halvings in range(60):
+            step = 0.5**halvings
+            w_new = w + step * dw
+            b_new = b + step * db
+            loss_new, gw_new, gb_new = bow_loss_and_grad(w_new, b_new, xs, ys, c)
+            if loss_new <= loss + 1e-4 * step * slope:
+                break
+        else:
+            break
+        w, b, loss, grad_w, grad_b = w_new, b_new, loss_new, gw_new, gb_new
+        iters += 1
+    return w, b, loss, iters
+
+
+def train_bow_reference(config: TrainConfig, train_docs: Sequence[Document], dev_docs: Sequence[Document]) -> BowResult:
+    """``training.train_bow`` before it shared work: per-document count
+    vectors (``bow_features_reference``) and ``fit_bow_newton_reference``
+    at each C."""
+    _require_labeled(train_docs, "train")
+    _require_labeled(dev_docs, "dev")
+    vocab = build_vocab(train_docs, config.min_count, config.lowercase)
+    xs = np.stack([bow_features_reference(vocab, doc) for doc in train_docs])
+    ys = np.array([float(LABEL_TO_CLASS[doc.label]) for doc in train_docs])
+    dev_xs = [bow_features_reference(vocab, doc) for doc in dev_docs]
+    best: BowResult | None = None
+    by_c: dict[float, float] = {}
+    for c in sorted(config.bow_c_grid):
+        w, b, _, iters = fit_bow_newton_reference(xs, ys, c)
+        _, grad_w, grad_b = bow_loss_and_grad(w, b, xs, ys, c)
+        grad_norm = math.sqrt(float(grad_w @ grad_w) + grad_b**2)
+        if not grad_norm < BOW_GRAD_TOL:
+            raise TrainingError(f"bow fit at C={c} did not converge")
+        model = BowModel(vocab, w, b, c)
+        preds = [PredictionRecord(d.id, d.label, model.predict_features(x)) for d, x in zip(dev_docs, dev_xs)]
+        by_c[c] = dev_acc = accuracy_of(preds)
+        if best is None or dev_acc > best.dev_accuracy:
+            best = BowResult(model, c, dev_acc, by_c, preds)
+    assert best is not None
+    return dataclasses.replace(best, dev_accuracy_by_c=by_c)

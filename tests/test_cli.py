@@ -209,7 +209,7 @@ class TestTrain:
 
     def test_unconverged_bow_fit_prints_one_error(self, corpus, tmp_path, monkeypatch, capsys):
         fit = training.fit_bow
-        monkeypatch.setattr(training, "fit_bow", lambda xs, ys, c: fit(xs, ys, c, max_iters=0))
+        monkeypatch.setattr(training, "fit_bow", lambda xs, ys, c, gram=None: fit(xs, ys, c, max_iters=0, gram=gram))
         train, dev = corpus
         out = tmp_path / "bow"
         rc = main(["train", "--mode", "bow", "--train", str(train), "--dev", str(dev), "--out", str(out)])
@@ -265,6 +265,15 @@ class TestTrain:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "x").exists()
 
+
+    def test_repeated_c_values_print_one_error(self, corpus, tmp_path, capsys):
+        train, dev = corpus
+        out = tmp_path / "x"
+        argv = ["train", "--mode", "bow", "--set", "bow_c_grid=[1,1.0]",
+                "--train", str(train), "--dev", str(dev), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: bow_c_grid must be distinct, got [1, 1.0]"]
+        assert not out.exists()
 
     def test_seeds_flag_is_rejected(self, corpus, tmp_path, capsys):
         # train runs the config's seed; a --seeds list would be ignored

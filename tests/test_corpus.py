@@ -19,6 +19,7 @@ from negmtl.corpus import (
     parse_corpus,
     to_bio,
 )
+from oracles import vocab_order_reference
 
 
 def make_doc(doc_id="d1", label="positive", sentences=None, annotated=True):
@@ -324,6 +325,10 @@ class TestParseCorpus:
 # Vocabulary
 
 
+# case variants, reserved names and a non-ASCII pair
+VOCAB_TOKENS = ["a", "A", "b", "B", "c", "ab", "Ab", "<pad>", "<unk>", "<PAD>", "Ñu", "ñu"]
+
+
 class TestVocabulary:
     def corpus(self, *sentences):
         sents = tuple(Sentence(tuple(s.split())) for s in sentences)
@@ -379,6 +384,32 @@ class TestVocabulary:
     def test_encode(self):
         vocab = build_vocab(self.corpus("a b"))
         assert vocab.encode(["a", "b", "q"]) == [2, 3, 1]
+
+    @given(
+        train=st.lists(st.lists(st.sampled_from(VOCAB_TOKENS), min_size=1, max_size=8), min_size=1, max_size=6),
+        tokens=st.lists(st.sampled_from(VOCAB_TOKENS + ["never-seen", "NEVER-seen"]), max_size=30),
+        lowercase=st.booleans(),
+    )
+    def test_encode_is_lookup_of_each_token(self, train, tokens, lowercase):
+        vocab = build_vocab(self.corpus(*map(" ".join, train)), lowercase=lowercase)
+        assert vocab.encode(tokens) == [vocab.lookup(t) for t in tokens]
+        assert vocab.encode(iter(tokens)) == vocab.encode(tokens)
+
+    @given(
+        # few forms, short sentences: most counts are tied
+        docs=st.lists(
+            st.lists(st.lists(st.sampled_from(VOCAB_TOKENS), min_size=1, max_size=5), min_size=1, max_size=4),
+            min_size=1, max_size=5,
+        ),
+        min_count=st.integers(1, 3),
+        lowercase=st.booleans(),
+    )
+    def test_order_is_the_count_then_token_key_sort(self, docs, min_count, lowercase):
+        train = [
+            make_doc(f"d{i}", sentences=tuple(Sentence(tuple(s)) for s in sents)) for i, sents in enumerate(docs)
+        ]
+        vocab = build_vocab(train, min_count, lowercase)
+        assert vocab.id_to_token[2:] == vocab_order_reference(train, min_count, lowercase)
 
     def test_json_round_trip(self):
         vocab = build_vocab(self.corpus("b a b"), lowercase=True)

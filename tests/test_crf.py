@@ -317,6 +317,9 @@ def ragged_documents(kind: str, count: int, seed: int):
         if kind == "integer-ties":  # few distinct values: exact ties at every step
             trans = r.integers(-1, 2, size=(k + 2, k + 2)).astype(float)
             em = r.integers(-1, 2, size=shape).astype(float)
+        elif kind == "non-finite":  # NaN and infinities among integer scores
+            trans = r.integers(-1, 2, size=(k + 2, k + 2)).astype(float)
+            em = r.choice([-1.0, 0.0, 1.0, np.nan, np.inf, -np.inf], p=[0.3, 0.3, 0.25, 0.05, 0.05, 0.05], size=shape)
         else:
             trans, em = r.normal(size=(k + 2, k + 2)), r.normal(size=shape)
         yield trans, em, lengths
@@ -344,6 +347,15 @@ class TestViterbiPaths:
             for rows in sentence_rows(em, lengths):
                 assert viterbi_decode(trans, rows) == viterbi_reference(trans, rows)
                 assert viterbi_paths(trans, rows) == viterbi_paths(trans, rows, [len(rows)])
+
+    def test_non_finite_scores_give_the_reference_tags(self):
+        # a step's max is the value at its first argmax, NaN included
+        with np.errstate(invalid="ignore"):  # inf - inf
+            for trans, em, lengths in ragged_documents("non-finite", 150, seed=5):
+                rows = sentence_rows(em, lengths)
+                assert viterbi_paths(trans, em, lengths) == [viterbi_reference(trans, r) for r in rows]
+                for r in rows:
+                    assert viterbi_decode(trans, r) == viterbi_reference(trans, r)
 
     def test_paths_attain_the_optimal_score_under_ties(self):
         for trans, em, lengths in ragged_documents("integer-ties", 40, seed=3):

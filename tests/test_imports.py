@@ -74,6 +74,7 @@ UNREFERENCED_KEPT = {
     ("training", "train_mtl"): "bench/workloads.py runs it; criterion 5 trains with it",
     ("evaluation", "negation_token_f1"): "bench/microbench.py times it; per-epoch dev negation F1 is to use it",
     ("corpus", "from_bio"): "the BIO round-trip check (criterion 3) inverts to_bio with it",
+    ("training", "bow_features"): "bench/microbench.py times it; the tests score one document with it",
 }
 
 

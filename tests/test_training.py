@@ -29,6 +29,7 @@ from negmtl.training import (
     apply_updates,
     bow_features,
     bow_loss_and_grad,
+    bow_matrix,
     fit_bow,
     load_checkpoint,
     majority_vote,
@@ -41,7 +42,7 @@ from negmtl.training import (
     train_seed,
     train_stl,
 )
-from oracles import fit_bow_reference
+from oracles import bow_features_reference, fit_bow_newton_reference, fit_bow_reference, train_bow_reference
 from synth import separable_corpus, vocab_corpus
 
 
@@ -137,6 +138,14 @@ class TestTrainConfig:
             TrainConfig(seeds=(1, 1, 1))
         with pytest.raises(ValueError, match="distinct"):
             TrainConfig.from_dict({"seeds": [3, 5, 3]})
+
+    def test_repeated_c_values_rejected(self):
+        # 1 and 1.0 are one C: train_bow would fit it twice under one key
+        with pytest.raises(ValueError, match=r"^bow_c_grid must be distinct, got \[1\.0, 1, 10\.0\]$"):
+            TrainConfig(mode="bow", bow_c_grid=(1.0, 1, 10.0))
+        with pytest.raises(ValueError, match="distinct"):
+            TrainConfig.from_dict({"bow_c_grid": [0.5, 2.0, 0.5]})
+        assert TrainConfig(bow_c_grid=(1.0, 10.0)).bow_c_grid == (1.0, 10.0)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys.*momentum"):
@@ -826,13 +835,13 @@ class TestBow:
     def test_features_built_once_per_document(self, monkeypatch):
         train, dev = sentiment_corpus()
         built = []
-        features = training.bow_features
-        monkeypatch.setattr(training, "bow_features", lambda v, d: built.append(d.id) or features(v, d))
+        matrix = training.bow_matrix
+        monkeypatch.setattr(training, "bow_matrix", lambda v, ds: built.extend(d.id for d in ds) or matrix(v, ds))
         result = train_bow(tiny_config(mode="bow"), train, dev)
         assert len(result.dev_accuracy_by_c) == 6
         assert sorted(built) == sorted(d.id for d in train + dev)
         for d, rec in zip(dev, result.dev_predictions):  # the cached vectors score as a fresh build would
-            assert result.model.predict_features(features(result.model.vocab, d)) == rec.pred
+            assert result.model.predict_features(bow_features(result.model.vocab, d)) == rec.pred
 
     def test_dev_predictions_are_the_chosen_models(self):
         rng = np.random.default_rng(3)
@@ -910,7 +919,7 @@ class TestBow:
     def test_unconverged_fit_raises_naming_c_and_gradient(self, monkeypatch):
         train, dev = sentiment_corpus()
         fit = training.fit_bow
-        monkeypatch.setattr(training, "fit_bow", lambda xs, ys, c: fit(xs, ys, c, max_iters=0))
+        monkeypatch.setattr(training, "fit_bow", lambda xs, ys, c, gram=None: fit(xs, ys, c, max_iters=0, gram=gram))
         with pytest.raises(TrainingError, match=r"C=0\.001 .*gradient norm \d\.\d+e-\d+"):
             train_bow(tiny_config(mode="bow"), train, dev)
 
@@ -971,7 +980,7 @@ class TestBowMatchesGradientDescent:
         result = train_bow(tiny_config(mode="bow"), train, dev)
         ref_fits = {}
 
-        def recording_reference(xs, ys, c):
+        def recording_reference(xs, ys, c, gram=None):  # gradient descent needs no Gram matrix
             w, b, loss, iters = fit_bow_reference(xs, ys, c)
             ref_fits[c] = (w, b)
             return w, b, loss, iters
@@ -985,3 +994,85 @@ class TestBowMatchesGradientDescent:
             assert gap <= tied / len(dev) + 1e-12, (c, tied)
             if tied == 0:
                 assert result.dev_accuracy_by_c[c] == ref.dev_accuracy_by_c[c]
+
+
+# train tokens; a split adds case variants, reserved names and unseen forms
+BOW_TRAIN_TOKENS = ["good", "Good", "bad", "plot", "fun", "<PAD>"]
+BOW_TOKENS = BOW_TRAIN_TOKENS + ["GOOD", "BAD", "<pad>", "<unk>", "never-seen", "Ñandú", "ñandú"]
+
+
+def token_documents(tokens, max_docs):
+    sentence = st.lists(st.sampled_from(tokens), min_size=1, max_size=12).map(lambda ts: Sentence(tuple(ts)))
+    return st.lists(st.lists(sentence, min_size=1, max_size=25), max_size=max_docs).map(
+        lambda docs: [Document(f"d{i}", "toy", "positive", tuple(sents)) for i, sents in enumerate(docs)]
+    )
+
+
+class TestBowSharedWork:
+    """``train_bow`` builds each split's counts, the Gram matrix and
+    each iterate's probabilities once, and keeps the bits of the
+    per-document, per-fit path (``oracles.train_bow_reference``)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        train=token_documents(BOW_TRAIN_TOKENS, 4).filter(bool),
+        docs=token_documents(BOW_TOKENS, 6),
+        lowercase=st.booleans(),
+        min_count=st.integers(1, 3),
+    )
+    def test_matrix_rows_are_the_per_document_loop(self, train, docs, lowercase, min_count):
+        vocab = build_vocab(train, min_count, lowercase)
+        xs = bow_matrix(vocab, docs)
+        assert xs.shape == (len(docs), len(vocab)) and xs.dtype == np.float64
+        for x, d in zip(xs, docs):
+            assert x.tobytes() == bow_features_reference(vocab, d).tobytes()
+            assert bow_features(vocab, d).tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("name", ["sentiment", "separable", "vocab"])
+    def test_shared_gram_keeps_the_fit_bytes(self, name):
+        train, _ = bow_corpora()[name]
+        xs, ys = bow_arrays(train, train)
+        gram = xs @ xs.T
+        for c in TrainConfig().bow_c_grid:
+            w, b, loss, iters = fit_bow(xs, ys, c, gram=gram)
+            for ref_w, ref_b, ref_loss, ref_iters in (fit_bow(xs, ys, c), fit_bow_newton_reference(xs, ys, c)):
+                assert w.tobytes() == ref_w.tobytes()
+                assert (b, loss, iters) == (ref_b, ref_loss, ref_iters)
+
+    @pytest.mark.parametrize("lowercase", [False, True])
+    @pytest.mark.parametrize("name", ["sentiment", "separable", "vocab"])
+    def test_train_bow_is_the_per_document_path(self, name, lowercase):
+        train, dev = bow_corpora()[name]
+        config = tiny_config(mode="bow", lowercase=lowercase)
+        got, want = train_bow(config, train, dev), train_bow_reference(config, train, dev)
+        assert got.model.vocab.id_to_token == want.model.vocab.id_to_token
+        assert got.model.weights.tobytes() == want.model.weights.tobytes()
+        assert got.model.bias == want.model.bias
+        assert got.dev_accuracy_by_c == want.dev_accuracy_by_c
+        assert (got.chosen_c, got.model.c, got.dev_accuracy) == (want.chosen_c, want.model.c, want.dev_accuracy)
+        assert got.dev_predictions == want.dev_predictions
+
+    def test_fits_as_the_benchmark_records_them(self, monkeypatch):
+        # bench/workloads.py VocabTrain replaces training.fit_bow with a
+        # wrapper taking (xs, ys, c, *a, **k) and reads max_iters' default
+        assert isinstance(inspect.signature(fit_bow).parameters["max_iters"].default, int)
+        train, dev = bow_corpora()["vocab"]
+        config = tiny_config(mode="bow")
+        fits = []
+
+        def recording_fit_bow(xs, ys, c, *args, **kwargs):
+            out = fit_bow(xs, ys, c, *args, **kwargs)
+            assert isinstance(out, tuple) and len(out) == 4
+            fits.append((c, args, out))
+            return out
+
+        monkeypatch.setattr(training, "fit_bow", recording_fit_bow)
+        recorded = train_bow(config, train, dev)
+        assert [c for c, _, _ in fits] == sorted(config.bow_c_grid)
+        assert all(args == () for _, args, _ in fits)  # keyword arguments only after c
+        monkeypatch.undo()
+        plain = train_bow(config, train, dev)
+        assert recorded.model.weights.tobytes() == plain.model.weights.tobytes()
+        assert recorded.dev_accuracy_by_c == plain.dev_accuracy_by_c
+        chosen = next(out for c, _, out in fits if c == plain.chosen_c)
+        assert chosen[0].tobytes() == plain.model.weights.tobytes() and chosen[1] == plain.model.bias
