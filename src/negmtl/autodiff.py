@@ -1,4 +1,14 @@
-"""Reverse-mode automatic differentiation over numpy float64 buffers.
+"""Reverse-mode automatic differentiation over numpy float32 or float64
+buffers.
+
+Every op computes in the dtype of its inputs and allocates its outputs
+and its gradients in that dtype, so one code path serves both
+precisions: a model trained or loaded for prediction holds float32
+parameters and runs float32 throughout, while the gradient checks build
+float64 models and get float64 results.  Numpy's promotion rules keep a
+float32 array float32 when it meets a Python float, but not when it
+meets a float64 array or an ``np.float64`` scalar, so nothing here mixes
+them in.
 
 While a ``Tape`` is the innermost active tape, each operation on a tensor
 that requires a gradient records a ``Node``.  The tensors own the graph:
@@ -111,8 +121,16 @@ class Node:
         self.seq = next(_SEQUENCE)
 
 
+def as_floats(data) -> np.ndarray:
+    """``data`` as an array: a float32 or float64 array as given, anything
+    else converted to float64."""
+    arr = np.asarray(data)
+    return arr if arr.dtype in (np.float32, np.float64) else arr.astype(np.float64)
+
+
 class Tensor:
-    """A numpy float64 array plus gradient metadata.
+    """A numpy float32 or float64 array plus gradient metadata; other
+    data (lists, integers, Python floats) becomes float64.
 
     Leaf tensors are created directly (parameters, inputs); non-leaf
     tensors are produced by recorded operations and hold the ``Node``
@@ -122,7 +140,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = as_floats(data)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self.node: Node | None = None
@@ -282,7 +300,7 @@ def rows(a: Tensor, indices) -> Tensor:
         raise AutodiffError(f"rows: index out of range for {a.data.shape[0]} rows")
     def bw(g):
         unique, inverse = np.unique(idx, return_inverse=True)
-        summed = np.zeros((unique.size, a.data.shape[1]))
+        summed = np.zeros((unique.size, a.data.shape[1]), dtype=a.data.dtype)
         np.add.at(summed, inverse, g)
         return (RowGrad(unique, summed),)
     return _make_output(a.data[idx], (a,), bw)
@@ -294,7 +312,7 @@ def rows(a: Tensor, indices) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     def bw(g):
-        return (np.full(a.data.shape, float(g)),)
+        return (np.full(a.data.shape, g, dtype=a.data.dtype),)
     return _make_output(np.asarray(a.data.sum()), (a,), bw)
 
 

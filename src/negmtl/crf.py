@@ -94,12 +94,11 @@ def log_partition(transitions: np.ndarray, emissions: np.ndarray) -> tuple[float
     Also returns the (T, K) forward table: ``alpha[t, j]`` is the log of
     the summed exp-scores of every tag prefix that ends in tag j at
     position t, START transition included."""
-    transitions = np.asarray(transitions, dtype=np.float64)
-    emissions = np.asarray(emissions, dtype=np.float64)
+    transitions, emissions = ad.as_floats(transitions), ad.as_floats(emissions)
     k = transitions.shape[0] - 2
     _check_emissions(k, emissions.shape)
     inner = transitions[:k, :k]  # [from, to]
-    alpha = np.empty(emissions.shape)
+    alpha = np.empty(emissions.shape, dtype=np.result_type(transitions, emissions))
     alpha[0] = transitions[k, :k] + emissions[0]
     for t in range(1, emissions.shape[0]):
         alpha[t] = _logsumexp(alpha[t - 1][:, None] + inner, axis=0) + emissions[t]
@@ -131,7 +130,7 @@ def crf_nll(crf: CrfParams, emissions: Tensor, tags: Sequence[int]) -> Tensor:
         stop = trans[:k, crf.stop]
         # beta[t, i]: log-sum of the scores of every continuation after
         # tag i at position t, up to and including STOP
-        beta = np.empty((t_len, k))
+        beta = np.empty((t_len, k), dtype=alpha.dtype)
         beta[-1] = stop
         for t in range(t_len - 2, -1, -1):
             beta[t] = _logsumexp(inner + (em[t + 1] + beta[t + 1]), axis=1)
@@ -177,8 +176,7 @@ def viterbi_paths(
     live set, and every path is traced back in one more loop.  One
     sentence needs no plan: step s is row s.
     """
-    transitions = np.asarray(transitions, dtype=np.float64)
-    emissions = np.asarray(emissions, dtype=np.float64)
+    transitions, emissions = ad.as_floats(transitions), ad.as_floats(emissions)
     k = transitions.shape[0] - 2
     _check_emissions(k, emissions.shape)
     n_rows = emissions.shape[0]

@@ -99,7 +99,7 @@ class LstmParams:
         """Draw order: w, then u. Biases start at zero except forget = 1."""
         w = xavier_uniform((4 * hidden_dim, input_dim), rng)
         u = xavier_uniform((4 * hidden_dim, hidden_dim), rng)
-        b = np.zeros(4 * hidden_dim)
+        b = np.zeros(4 * hidden_dim, dtype=w.dtype)
         b[hidden_dim : 2 * hidden_dim] = 1.0
         return cls(
             Tensor(w, requires_grad=True),
@@ -163,15 +163,15 @@ def _recurrence(gates: np.ndarray, u_scaled: np.ndarray, steps, scale: np.ndarra
     backward pass reads; untaped, the cell state and its tanh are
     updated in place in two (2, width, d) buffers and None is returned
     for both."""
-    d, width = u_scaled.shape[1], steps[0][1]
+    d, width, dtype = u_scaled.shape[1], steps[0][1], gates.dtype
     offset = 1.0 - scale
-    hidden = np.empty((gates.shape[0], d))
-    h = c = np.zeros((2, width, d))
+    hidden = np.empty((gates.shape[0], d), dtype=dtype)
+    h = c = np.zeros((2, width, d), dtype=dtype)
     if taped:
         cells, tanh_cells = np.empty_like(hidden), np.empty_like(hidden)
     else:
         cells = tanh_cells = None
-        c, tanh_c = np.zeros((2, width, d)), np.empty((2, width, d))
+        c, tanh_c = np.zeros((2, width, d), dtype=dtype), np.empty((2, width, d), dtype=dtype)
     for a, n in steps:
         rows = slice(a, a + 2 * n)
         if taped:
@@ -219,7 +219,7 @@ def bilstm(
             raise ad.AutodiffError(f"bilstm: inputs {x.shape} do not match w {p.w.data.shape}")
     if fwd.u.data.shape != bwd.u.data.shape:
         raise ad.AutodiffError(f"bilstm: directions differ, u {fwd.u.data.shape} and {bwd.u.data.shape}")
-    n_rows, d = x.shape[0], fwd.hidden_dim
+    n_rows, d, dtype = x.shape[0], fwd.hidden_dim, x.dtype
     if lengths is not None and (
         len(lengths) == 0 or min(lengths) < 1 or sum(lengths) != n_rows
     ):
@@ -229,10 +229,10 @@ def bilstm(
     params = (inputs, fwd.w, fwd.u, fwd.b, bwd.w, bwd.u, bwd.b)
     taped = ad.records(params)
 
-    scale = np.full(4 * d, 0.5)
+    scale = np.full(4 * d, 0.5, dtype=dtype)
     scale[2 * d : 3 * d] = 1.0
-    gates = np.empty((2 * n_rows, 4 * d))  # i, f, g, o after their nonlinearity
-    projected = np.empty((n_rows, 4 * d))
+    gates = np.empty((2 * n_rows, 4 * d), dtype=dtype)  # i, f, g, o after their nonlinearity
+    projected = np.empty((n_rows, 4 * d), dtype=dtype)
     for p, rows, slot in directions:
         np.matmul(x[rows], p.w.data.T, out=projected)
         projected += p.b.data
@@ -243,13 +243,17 @@ def bilstm(
     # of U, a matrix-vector product per step; several multiply by a
     # contiguous copy, for which BLAS runs a few rows about three times
     # faster than through the view.
-    u_scaled = np.empty((2, d, 4 * d)) if steps[0][1] > 1 else np.empty((2, 4 * d, d)).transpose(0, 2, 1)
+    u_scaled = (
+        np.empty((2, d, 4 * d), dtype=dtype)
+        if steps[0][1] > 1
+        else np.empty((2, 4 * d, d), dtype=dtype).transpose(0, 2, 1)
+    )
     for k, p in enumerate((fwd, bwd)):
         np.multiply(p.u.data.T, scale, out=u_scaled[k])
     hidden, cells, tanh_cells = _recurrence(gates, u_scaled, steps, scale, taped)
     if not taped:
         del gates  # an untaped call keeps only its output
-    out = np.empty((n_rows, 2 * d))
+    out = np.empty((n_rows, 2 * d), dtype=dtype)
     for k, (_, rows, slot) in enumerate(directions):
         out[rows, k * d : (k + 1) * d] = hidden[slot]
     if not taped:
@@ -268,12 +272,12 @@ def bilstm(
         dc_from_h = o * (1.0 - tanh_cells * tanh_cells)
         dz_from_c = np.stack([g * sig_i, earlier(cells) * sig_f, i * (1.0 - g * g)], axis=1)
         dz_from_h = tanh_cells * sig_o
-        g_states = np.empty((2 * n_rows, d))
+        g_states = np.empty((2 * n_rows, d), dtype=dtype)
         for k, (_, rows, slot) in enumerate(directions):
             g_states[slot] = g_out[rows, k * d : (k + 1) * d]
-        dz = np.empty((2 * n_rows, 4 * d))
+        dz = np.empty((2 * n_rows, 4 * d), dtype=dtype)
         dz_cell = dz[:, : 3 * d].reshape(2 * n_rows, 3, d)
-        dh_next, dc_next = (np.zeros((2, steps[0][1], d)) for _ in range(2))
+        dh_next, dc_next = (np.zeros((2, steps[0][1], d), dtype=dtype) for _ in range(2))
         u = np.stack([fwd.u.data, bwd.u.data])
         for a, n in reversed(steps):
             rows = slice(a, a + 2 * n)
@@ -312,7 +316,8 @@ class Linear:
     def init(cls, input_dim: int, output_dim: int, rng: np.random.Generator) -> "Linear":
         """Draw order: w only; bias starts at zero."""
         w = xavier_uniform((output_dim, input_dim), rng)
-        return cls(Tensor(w, requires_grad=True), Tensor(np.zeros(output_dim), requires_grad=True))
+        b = np.zeros(output_dim, dtype=w.dtype)
+        return cls(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
 
 
 def affine(p: Linear, x: Tensor) -> Tensor:
@@ -343,5 +348,5 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool) -> Tenso
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not train or p == 0.0:
         return x
-    mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
+    mask = np.divide(rng.random(x.data.shape) >= p, 1.0 - p, dtype=x.data.dtype)
     return ad.mul(x, Tensor(mask))

@@ -158,8 +158,13 @@ def rng_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator, np
 class AdamState:
     """Per-parameter moment estimates, lazily allocated by name, plus the
     update's scratch space: two flat buffers sized to the largest
-    parameter stepped so far, used through reshaped views, so a step
-    allocates nothing once every parameter has been seen."""
+    parameter stepped so far, in the parameters' dtype, used through
+    reshaped views, so a step allocates nothing once every parameter has
+    been seen.
+
+    The hyperparameters are kept as Python floats: against a float32
+    parameter a numpy float64 scalar would promote every update to
+    float64."""
 
     lr: float = 0.001
     beta1: float = 0.9
@@ -172,6 +177,11 @@ class AdamState:
         default_factory=lambda: (np.empty(0), np.empty(0)), repr=False, compare=False
     )
 
+    def __post_init__(self):
+        self.lr, self.beta1, self.beta2, self.epsilon = map(
+            float, (self.lr, self.beta1, self.beta2, self.epsilon)
+        )
+
     @classmethod
     def for_config(cls, config: TrainConfig) -> "AdamState":
         return cls(config.learning_rate, config.beta1, config.beta2, config.epsilon)
@@ -180,7 +190,7 @@ class AdamState:
         """Two scratch views shaped like ``p``, growing the buffers if needed."""
         n = p.size
         if self.scratch[0].size < n:
-            self.scratch = (np.empty(n), np.empty(n))
+            self.scratch = (np.empty(n, dtype=p.dtype), np.empty(n, dtype=p.dtype))
         a, b = self.scratch
         return a[:n].reshape(p.shape), b[:n].reshape(p.shape)
 
@@ -243,7 +253,13 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class Checkpoint:
-    """Frozen 32-bit snapshot of a model plus everything needed to use it."""
+    """Frozen 32-bit snapshot of a model plus everything needed to use it.
+
+    Training and prediction run in float32, so a trained model is stored
+    without rounding: ``from_model`` copies its float32 arrays and
+    ``to_model`` rebuilds a float32 model from copies of them, bit for
+    bit the model the run held in memory.  (A float64 model, such as a
+    fresh ``ModelParams.init``, is rounded to float32 on the way in.)"""
 
     config: dict
     vocabulary: dict
@@ -261,8 +277,9 @@ class Checkpoint:
         that cannot form a model, or a NaN or inf, is a ``CheckpointError``."""
         where = self.source or "checkpoint"
         try:
+            # copies: training the rebuilt model must not write into the checkpoint
             params = ModelParams.from_arrays(
-                {name: arr.astype(np.float64) for name, arr in self.arrays.items()}
+                {name: arr.astype(np.float32) for name, arr in self.arrays.items()}
             )
             vocab = Vocabulary.from_json_obj(self.vocabulary)
         except (ModelError, ValueError) as e:
@@ -495,6 +512,8 @@ def train_neural(config: TrainConfig, train_docs: Sequence[Document], dev_docs: 
         len(vocab), config.embedding_dim, config.hidden_dim, init_rng, with_negation_head=mtl
     )
     named = params.named_parameters()
+    for p in named.values():  # the arrays a checkpoint stores: training runs in float32
+        p.data = p.data.astype(np.float32)
     groups = params.parameter_groups()
     adam = AdamState.for_config(config)
 
@@ -705,8 +724,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def _bow_objective(
     w: np.ndarray, b: float, xs: np.ndarray, ys: np.ndarray, c: float
 ) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """``bow_loss_and_grad`` plus the probabilities p = σ(Xw + b) it
-    computed on the way, which the Newton direction at (w, b) reuses."""
+    """The bag-of-words objective at (w, b), mean cross-entropy plus
+    (1/C)·½‖w‖² (bias unregularized): its value, its gradient in w and
+    in b, and the probabilities p = σ(Xw + b) computed on the way, which
+    the Newton direction at (w, b) reuses."""
     z = xs @ w + b
     margins = np.where(ys == 1.0, z, -z)
     loss = float(np.mean(np.logaddexp(0.0, -margins)) + 0.5 / c * (w @ w))
@@ -715,13 +736,6 @@ def _bow_objective(
     grad_w = xs.T @ delta / len(ys) + w / c
     grad_b = float(delta.mean())
     return loss, grad_w, grad_b, p
-
-
-def bow_loss_and_grad(
-    w: np.ndarray, b: float, xs: np.ndarray, ys: np.ndarray, c: float
-) -> tuple[float, np.ndarray, float]:
-    """Mean cross-entropy plus (1/C)·½‖w‖² (bias unregularized)."""
-    return _bow_objective(w, b, xs, ys, c)[:3]
 
 
 def _bow_direction(
@@ -770,9 +784,11 @@ def fit_bow(
     max_iters: int = 100,
     gram: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, float, int]:
-    """Damped Newton on the convex objective of ``bow_loss_and_grad``.
+    """Damped Newton on the convex objective of ``_bow_objective``.
     Stops when the gradient 2-norm falls below ``BOW_GRAD_TOL``.  Returns
-    (w, b, loss, iters), iters counting the steps taken.
+    (w, b, loss, iters), iters counting the steps taken; a fit that ends
+    above the tolerance is a ``TrainingError`` naming C and the gradient
+    norm.
 
     The Newton system is solved in document space: the weight block of
     the Hessian is A = XᵀSX/n + I/C (S the curvatures p(1−p)), inverted
@@ -783,7 +799,7 @@ def fit_bow(
     undefined (every p rounded to 0 or 1 leaves a zero Schur complement),
     non-finite or not a descent direction steps along the negative
     gradient instead.  A step that no backtracking can make decrease the
-    loss ends the fit early, unconverged.
+    loss ends the fit early, unconverged, and so do ``max_iters`` steps.
 
     ``gram`` is XXᵀ, the document-space matrix of every solve; a caller
     fitting several C on one ``xs`` passes it to build it once.  None
@@ -794,7 +810,9 @@ def fit_bow(
         gram = xs @ xs.T
     loss, grad_w, grad_b, p = _bow_objective(w, b, xs, ys, c)
     iters = 0
-    while iters < max_iters and math.sqrt(float(grad_w @ grad_w) + grad_b**2) >= BOW_GRAD_TOL:
+    while (
+        grad_norm := math.sqrt(float(grad_w @ grad_w) + grad_b**2)
+    ) >= BOW_GRAD_TOL and iters < max_iters:
         dw, db, slope = _bow_direction(p, xs, gram, c, grad_w, grad_b)
         for halvings in range(60):
             step = 0.5**halvings
@@ -807,6 +825,11 @@ def fit_bow(
             break  # no step length decreases the loss: stop unconverged
         w, b, loss, grad_w, grad_b, p = w_new, b_new, loss_new, gw_new, gb_new, p_new
         iters += 1
+    if not grad_norm < BOW_GRAD_TOL:  # NaN included
+        raise TrainingError(
+            f"bow fit at C={c} did not converge: gradient norm {grad_norm:.3e} "
+            f"after {iters} iterations (tolerance {BOW_GRAD_TOL:g})"
+        )
     return w, b, loss, iters
 
 
@@ -816,7 +839,8 @@ def train_bow(config: TrainConfig, train_docs: Sequence[Document], dev_docs: Seq
 
     Each split's count matrix (``bow_matrix``) and the train Gram matrix
     XXᵀ are built once and shared by every C; each C is one call of
-    this module's ``fit_bow``."""
+    this module's ``fit_bow``, which raises if that fit does not
+    converge."""
     if config.mode != "bow":
         raise TrainingError(f"train_bow requires mode=bow, got {config.mode!r}")
     _require_labeled(train_docs, "train")
@@ -833,14 +857,7 @@ def train_bow(config: TrainConfig, train_docs: Sequence[Document], dev_docs: Seq
     best: BowResult | None = None
     by_c: dict[float, float] = {}
     for c in sorted(config.bow_c_grid):
-        w, b, _, iters = fit_bow(xs, ys, c, gram=gram)
-        _, grad_w, grad_b = bow_loss_and_grad(w, b, xs, ys, c)
-        grad_norm = math.sqrt(float(grad_w @ grad_w) + grad_b**2)
-        if not grad_norm < BOW_GRAD_TOL:
-            raise TrainingError(
-                f"bow fit at C={c} did not converge: gradient norm {grad_norm:.3e} "
-                f"after {iters} iterations (tolerance {BOW_GRAD_TOL:g})"
-            )
+        w, b, _, _ = fit_bow(xs, ys, c, gram=gram)
         model = BowModel(vocab, w, b, c)
         preds = [PredictionRecord(d.id, d.label, model.predict_features(x)) for d, x in zip(dev_docs, dev_xs)]
         by_c[c] = dev_acc = accuracy_of(preds)

@@ -36,12 +36,12 @@ from negmtl.training import (
     TrainResult,
     _BestTracker,
     _bow_direction,
+    _bow_objective,
     _encode_docs,
     _require_labeled,
     _sigmoid,
     accuracy_of,
     apply_updates,
-    bow_loss_and_grad,
     predict_corpus,
     rng_streams,
 )
@@ -235,19 +235,19 @@ def lstm_sequence(p, x: np.ndarray, out: np.ndarray, reverse: bool = False):
     node.  Returns the backward pass, a generator function of the
     gradient of ``out`` that yields the gradients of x, w, u and b."""
     d = p.hidden_dim
-    t_len = x.shape[0]
+    t_len, dtype = x.shape[0], x.dtype
     xs = x[::-1] if reverse else x  # processing order
-    scale = np.full(4 * d, 0.5)
+    scale = np.full(4 * d, 0.5, dtype=dtype)
     scale[2 * d : 3 * d] = 1.0
     offset = 1.0 - scale
     projected = (xs @ p.w.data.T + p.b.data) * scale
     u_scaled = p.u.data * scale[:, None]
 
-    gates = np.empty((t_len, 4 * d))  # i, f, g, o after their nonlinearity
-    cells = np.empty((t_len, d))
-    tanh_cells = np.empty((t_len, d))
+    gates = np.empty((t_len, 4 * d), dtype=dtype)  # i, f, g, o after their nonlinearity
+    cells = np.empty((t_len, d), dtype=dtype)
+    tanh_cells = np.empty((t_len, d), dtype=dtype)
     hidden = out[::-1] if reverse else out  # processing order
-    h = c = np.zeros(d)
+    h = c = np.zeros(d, dtype=dtype)
     for s in range(t_len):
         act = gates[s]
         np.tanh(projected[s] + u_scaled @ h, out=act)
@@ -260,15 +260,15 @@ def lstm_sequence(p, x: np.ndarray, out: np.ndarray, reverse: bool = False):
 
     def bptt(g_out):
         i, f, g, o = (gates[:, k * d : (k + 1) * d] for k in range(4))
-        c_prev = np.vstack([np.zeros((1, d)), cells[:-1]])
+        c_prev = np.vstack([np.zeros((1, d), dtype=dtype), cells[:-1]])
         sig_i, sig_f, sig_o = i * (1.0 - i), f * (1.0 - f), o * (1.0 - o)
         dc_from_h = o * (1.0 - tanh_cells * tanh_cells)
         dz_from_c = np.stack([g * sig_i, c_prev * sig_f, i * (1.0 - g * g)], axis=1)  # (T, 3, d)
         dz_from_h = tanh_cells * sig_o
         g_seq = g_out[::-1] if reverse else g_out
-        dz = np.empty((t_len, 4 * d))
+        dz = np.empty((t_len, 4 * d), dtype=dtype)
         dz_cell = dz[:, : 3 * d].reshape(t_len, 3, d)
-        dh_next = dc_next = np.zeros(d)
+        dh_next = dc_next = np.zeros(d, dtype=dtype)
         u = p.u.data
         for s in range(t_len - 1, -1, -1):
             dh = g_seq[s] + dh_next
@@ -280,7 +280,7 @@ def lstm_sequence(p, x: np.ndarray, out: np.ndarray, reverse: bool = False):
         g_inputs = dz @ p.w.data
         yield g_inputs[::-1] if reverse else g_inputs
         yield dz.T @ xs if p.w.requires_grad else None
-        h_prev = np.vstack([np.zeros((1, d)), hidden[:-1]])
+        h_prev = np.vstack([np.zeros((1, d), dtype=dtype), hidden[:-1]])
         yield dz.T @ h_prev if p.u.requires_grad else None
         yield dz.sum(axis=0) if p.b.requires_grad else None
 
@@ -295,7 +295,7 @@ def bilstm_sequence(fwd, bwd, inputs: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != p.w.data.shape[1]:
             raise ad.AutodiffError(f"bilstm: inputs {x.shape} do not match w {p.w.data.shape}")
     d_fwd = fwd.hidden_dim
-    out = np.empty((x.shape[0], d_fwd + bwd.hidden_dim))
+    out = np.empty((x.shape[0], d_fwd + bwd.hidden_dim), dtype=x.dtype)
     bptt_fwd = lstm_sequence(fwd, x, out[:, :d_fwd])
     bptt_bwd = lstm_sequence(bwd, x, out[:, d_fwd:], reverse=True)
 
@@ -525,6 +525,8 @@ def train_stl_reference(config: TrainConfig, train_docs: Sequence[Document], dev
         len(vocab), config.embedding_dim, config.hidden_dim, init_rng, with_negation_head=False
     )
     named = params.named_parameters()
+    for p in named.values():  # float32 from the first step, as train_neural rounds
+        p.data = p.data.astype(np.float32)
     groups = params.parameter_groups()
     step_names = groups["shared"] + groups["sentiment"]
     adam = AdamState.for_config(config)
@@ -585,6 +587,8 @@ def train_mtl_reference(config: TrainConfig, train_docs: Sequence[Document], dev
         len(vocab), config.embedding_dim, config.hidden_dim, init_rng, with_negation_head=True
     )
     named = params.named_parameters()
+    for p in named.values():  # float32 from the first step, as train_neural rounds
+        p.data = p.data.astype(np.float32)
     groups = params.parameter_groups()
     neg_names = groups["shared"] + groups["negation"]
     sent_names = groups["shared"] + groups["sentiment"]
@@ -727,6 +731,15 @@ def predict_document_reference(
         ] if tags else None
     cls = POSITIVE_CLASS if logits.data[POSITIVE_CLASS] >= logits.data[NEGATIVE_CLASS] else NEGATIVE_CLASS
     return SentimentPrediction(CLASS_TO_LABEL[cls], logits.data.copy(), sentence_tags)
+
+
+def bow_loss_and_grad(
+    w: np.ndarray, b: float, xs: np.ndarray, ys: np.ndarray, c: float
+) -> tuple[float, np.ndarray, float]:
+    """Mean cross-entropy plus (1/C)·½‖w‖² (bias unregularized), and its
+    gradient in w and in b: ``training._bow_objective`` without the
+    probabilities, which only the library's Newton direction reuses."""
+    return _bow_objective(w, b, xs, ys, c)[:3]
 
 
 def fit_bow_reference(

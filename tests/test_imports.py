@@ -8,7 +8,9 @@ test and makes a module look coupled to code it never calls, and a
 definition nothing references is dead code that the tests keep alive.
 A ``json.load`` outside a ``try`` that catches ``ValueError`` lets a
 plain ``ValueError`` (an integer too long to convert, say) escape with
-no file or line in its message.
+no file or line in its message.  A numpy allocation without a ``dtype``
+in the modules that train and predict is float64, and would quietly
+put float32 training back into float64.
 """
 
 import ast
@@ -268,3 +270,63 @@ def test_scan_finds_an_unguarded_json_decode():
         "    pass\n"
     )
     assert unguarded_json_decodes(tree) == [2, 4, 10]
+
+
+# The modules whose buffers hold the working precision of training and
+# prediction; every allocation there takes its dtype from its inputs.
+PRECISION_MODULES = ("autodiff", "layers", "crf")
+ALLOCATORS = {"empty", "zeros", "ones", "full"}
+FLOAT64_SPELLINGS = {"float64", "double", "float_", "float", "f8", "<f8"}
+
+
+def float64_allocations(tree: ast.Module) -> list[int]:
+    """Lines of ``np.empty``/``zeros``/``ones``/``full`` calls without a
+    ``dtype=`` keyword (the ``*_like`` forms take their input's dtype),
+    and of any ``dtype=`` naming float64 outright."""
+
+    def is_float64(value: ast.expr) -> bool:
+        name = getattr(value, "attr", getattr(value, "id", getattr(value, "value", None)))
+        return isinstance(name, str) and name in FLOAT64_SPELLINGS
+
+    lines = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        dtypes = [k.value for k in node.keywords if k.arg == "dtype"]
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "np"
+            and func.attr in ALLOCATORS
+            and not dtypes
+        ):
+            lines.add(node.lineno)
+        if any(map(is_float64, dtypes)):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("module", PRECISION_MODULES)
+def test_allocations_take_their_dtype(module):
+    path = PACKAGE / f"{module}.py"
+    lines = float64_allocations(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, "\n".join(
+        f"{path.name}:{line} allocates float64: pass dtype= from an input, or use a *_like call"
+        for line in lines
+    )
+
+
+def test_scan_finds_a_float64_allocation():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "a = np.empty((2, 3))\n"  # 2: no dtype
+        "b = np.zeros_like(a)\n"
+        "c = np.full(3, 0.5, dtype=a.dtype)\n"
+        "d = np.ones(3, dtype=np.float64)\n"  # 5: float64 by name
+        "e = np.asarray(a, dtype=float)\n"  # 6: float64 by another name
+        "f = np.empty(3, dtype=np.intp)\n"
+        "g = np.zeros(3, np.float32)\n"  # 8: a positional dtype does not count
+        "h = np.asarray(a, dtype='f8')\n"  # 9
+    )
+    assert float64_allocations(tree) == [2, 5, 6, 8, 9]

@@ -28,7 +28,6 @@ from negmtl.training import (
     adam_step,
     apply_updates,
     bow_features,
-    bow_loss_and_grad,
     bow_matrix,
     fit_bow,
     load_checkpoint,
@@ -42,7 +41,13 @@ from negmtl.training import (
     train_seed,
     train_stl,
 )
-from oracles import bow_features_reference, fit_bow_newton_reference, fit_bow_reference, train_bow_reference
+from oracles import (
+    bow_features_reference,
+    bow_loss_and_grad,
+    fit_bow_newton_reference,
+    fit_bow_reference,
+    train_bow_reference,
+)
 from synth import separable_corpus, vocab_corpus
 
 
@@ -307,6 +312,42 @@ class TestCheckpoint:
         r1 = predict_corpus(m1, v1, train + dev)
         r2 = predict_corpus(m2, v2, train + dev)
         assert r1 == r2
+
+    def test_float32_model_round_trips_without_rounding_or_aliasing(self):
+        params, vocab = self.model_and_vocab()
+        for p in params.named_parameters().values():
+            p.data = p.data.astype(np.float32)
+        ckpt = Checkpoint.from_model(params, vocab, tiny_config(mode="mtl"))
+        model, _ = ckpt.to_model()
+        before = {name: arr.copy() for name, arr in ckpt.arrays.items()}
+        for name, arr in model.to_arrays().items():
+            assert arr.dtype == np.float32 and arr.tobytes() == params.to_arrays()[name].tobytes(), name
+        # neither the model saved nor the model rebuilt shares an array with the checkpoint
+        for p in (*params.named_parameters().values(), *model.named_parameters().values()):
+            p.data += 1.0
+        for name, arr in ckpt.arrays.items():
+            assert arr.tobytes() == before[name].tobytes(), name
+
+    def test_train_seed_predicts_with_the_in_memory_best_model(self, monkeypatch):
+        # the arrays each new best epoch hands to the checkpoint; the last is the best
+        snapshots = []
+        from_model = Checkpoint.from_model.__func__
+
+        def recording(cls, params, vocab, config):
+            snapshots.append({name: arr.copy() for name, arr in params.to_arrays().items()})
+            return from_model(cls, params, vocab, config)
+
+        monkeypatch.setattr(Checkpoint, "from_model", classmethod(recording))
+        train, dev = sentiment_corpus()
+        run = train_seed(tiny_config(epochs=3), train, dev, test_docs=train)
+        in_memory = snapshots[-1]
+        assert all(arr.dtype == np.float32 for arr in in_memory.values())
+        for name, arr in run.result.checkpoint.arrays.items():
+            assert arr.tobytes() == in_memory[name].tobytes(), name
+        model = ModelParams.from_arrays(in_memory)
+        vocab = run.result.checkpoint.to_model()[1]
+        assert run.dev_predictions == predict_corpus(model, vocab, dev)
+        assert run.test_predictions == predict_corpus(model, vocab, train)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.bin"
