@@ -481,6 +481,12 @@ class _BestTracker:
         return self._since_best >= self.patience
 
 
+# The precision neural training runs in: that of the arrays a checkpoint
+# stores.  Every op computes in its parameters' dtype, so with float64
+# here the same loop runs on ModelParams.init's own float64 draws.
+TRAIN_DTYPE = np.float32
+
+
 def train_neural(config: TrainConfig, train_docs: Sequence[Document], dev_docs: Sequence[Document]) -> TrainResult:
     """Neural training for both modes.  Each epoch runs an optional
     negation phase, then the sentiment phase, then a dev evaluation.
@@ -512,8 +518,8 @@ def train_neural(config: TrainConfig, train_docs: Sequence[Document], dev_docs: 
         len(vocab), config.embedding_dim, config.hidden_dim, init_rng, with_negation_head=mtl
     )
     named = params.named_parameters()
-    for p in named.values():  # the arrays a checkpoint stores: training runs in float32
-        p.data = p.data.astype(np.float32)
+    for p in named.values():
+        p.data = p.data.astype(TRAIN_DTYPE)
     groups = params.parameter_groups()
     adam = AdamState.for_config(config)
 

@@ -9,6 +9,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from negmtl import autodiff as ad
+from negmtl import training
 from negmtl.autodiff import Tape, Tensor, backward, no_grad, zero_grads
 from negmtl.corpus import BioTag, Document, Vocabulary, build_vocab, to_bio
 from negmtl.crf import _check_emissions, _check_tags
@@ -525,8 +526,8 @@ def train_stl_reference(config: TrainConfig, train_docs: Sequence[Document], dev
         len(vocab), config.embedding_dim, config.hidden_dim, init_rng, with_negation_head=False
     )
     named = params.named_parameters()
-    for p in named.values():  # float32 from the first step, as train_neural rounds
-        p.data = p.data.astype(np.float32)
+    for p in named.values():  # the precision train_neural rounds to
+        p.data = p.data.astype(training.TRAIN_DTYPE)
     groups = params.parameter_groups()
     step_names = groups["shared"] + groups["sentiment"]
     adam = AdamState.for_config(config)
@@ -587,8 +588,8 @@ def train_mtl_reference(config: TrainConfig, train_docs: Sequence[Document], dev
         len(vocab), config.embedding_dim, config.hidden_dim, init_rng, with_negation_head=True
     )
     named = params.named_parameters()
-    for p in named.values():  # float32 from the first step, as train_neural rounds
-        p.data = p.data.astype(np.float32)
+    for p in named.values():  # the precision train_neural rounds to
+        p.data = p.data.astype(training.TRAIN_DTYPE)
     groups = params.parameter_groups()
     neg_names = groups["shared"] + groups["negation"]
     sent_names = groups["shared"] + groups["sentiment"]

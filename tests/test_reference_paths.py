@@ -205,28 +205,25 @@ def test_training_checkpoint_bytes_match_reference(tmp_path, reference_path, mod
     assert (tmp_path / "new.bin").read_bytes() == (tmp_path / "old.bin").read_bytes()
 
 
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        dict(mode="stl"),
-        dict(mode="mtl", mtl_schedule="alternating"),
-        dict(mode="mtl", mtl_schedule="warmup_once"),
-        dict(mode="stl", epochs=6, patience=1),
-        dict(mode="mtl", epochs=6, patience=1),
-    ],
-    ids=["stl", "mtl-alternating", "mtl-warmup_once", "stl-early-stop", "mtl-early-stop"],
-)
-def test_one_loop_matches_separate_loops(tmp_path, overrides):
+LOOP_CASES = [
+    dict(mode="stl"),
+    dict(mode="mtl", mtl_schedule="alternating"),
+    dict(mode="mtl", mtl_schedule="warmup_once"),
+    dict(mode="stl", epochs=6, patience=1),
+    dict(mode="mtl", epochs=6, patience=1),
+]
+LOOP_IDS = ["stl", "mtl-alternating", "mtl-warmup_once", "stl-early-stop", "mtl-early-stop"]
+
+
+def assert_same_runs(tmp_path, overrides, before_reference=lambda: None):
+    """Train with the library's one loop, then (after
+    ``before_reference``) with the separate reference loop of the mode,
+    and require equal history, selection and checkpoint bytes."""
     base = dict(seed=4, epochs=3, embedding_dim=6, hidden_dim=4, dropout_p=0.2, patience=10)
     config = TrainConfig(**{**base, **overrides})
     train, dev = corpus()
     new = (train_stl if config.mode == "stl" else train_mtl)(config, train, dev)
-    # Both loops run the library's packed forward pass: on these
-    # two-sentence documents the per-sentence reference forward gives
-    # other gradient bits (products over several rows round differently
-    # from one row's), which float32 training carries into the
-    # checkpoint.  TestPerSentenceEncoding compares the two forward
-    # passes on their own.
+    before_reference()
     old = (train_stl_reference if config.mode == "stl" else train_mtl_reference)(config, train, dev)
     if config.patience == 1:
         assert old.epochs_run < config.epochs  # the case stops early
@@ -240,9 +237,32 @@ def test_one_loop_matches_separate_loops(tmp_path, overrides):
     assert (tmp_path / "new.bin").read_bytes() == (tmp_path / "old.bin").read_bytes()
 
 
+@pytest.mark.parametrize("overrides", LOOP_CASES, ids=LOOP_IDS)
+def test_one_loop_matches_separate_loops(tmp_path, overrides):
+    # float32, both loops on the library's packed forward pass: on these
+    # two-sentence documents the per-sentence reference forward gives
+    # other gradient bits (products over several rows round differently
+    # from one row's), which float32 training carries into the
+    # checkpoint.  The next test runs the reference forward in float64.
+    assert_same_runs(tmp_path, overrides)
+
+
+@pytest.mark.parametrize("overrides", LOOP_CASES, ids=LOOP_IDS)
+def test_float64_loop_matches_separate_loops_on_the_per_sentence_forward(tmp_path, monkeypatch, overrides):
+    # The same loops on float64 parameters, the reference loop through the
+    # per-sentence sentiment forward pass whose tape interleaves each
+    # sentence's encoding with its pooling: whole training runs of the
+    # packed forward against that oracle, whose rounding differences
+    # float64 keeps below the float32 rounding of the checkpoint.
+    monkeypatch.setattr(training, "TRAIN_DTYPE", np.float64)
+    assert_same_runs(tmp_path, overrides, lambda: monkeypatch.setattr(
+        models, "sentiment_forward", sentiment_forward_reference))
+
+
 class TestPerSentenceEncoding:
     """The packed sentence BiLSTM against the per-sentence encoding it
-    replaced: the parent's bytes on one sentence, rounding on several."""
+    replaced: the parent's bytes on one sentence, rounding on several, in
+    float64 and in float32."""
 
     def model(self):
         return ModelParams.init(9, 12, 10, np.random.default_rng(21), with_negation_head=True)
@@ -283,8 +303,10 @@ class TestPerSentenceEncoding:
         new, old = predict_document(params, [[3, 1, 4]], True), predict_document_reference(params, [[3, 1, 4]], True)
         assert same_bits(new.logits, old.logits) and new.tags == old.tags
 
-    def test_several_sentences_match_the_reference_to_rounding(self):
-        params = self.model()
+    def several_sentences(self, params):
+        """Loss and gradients of one training step on a five-sentence
+        document, and its tagged prediction, from the packed forward pass
+        and from the per-sentence reference."""
         doc_ids = [[1, 2, 1, 3], [2, 2, 4, 8, 7, 6], [4, 1], [5], [6, 3, 2, 1, 1, 7]]
         got, want = (
             self.loss_and_grads(params, lambda: ad.softmax_cross_entropy(
@@ -292,11 +314,28 @@ class TestPerSentenceEncoding:
             for forward in (models.sentiment_forward, sentiment_forward_reference)
         )
         assert list(got) == list(want)
+        new, old = predict_document(params, doc_ids, True), predict_document_reference(params, doc_ids, True)
+        assert new.tags == old.tags
+        return got, want, new.logits, old.logits
+
+    def test_several_sentences_match_the_reference_to_rounding(self):
+        got, want, new_logits, old_logits = self.several_sentences(self.model())
         for name in want:
             np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=1e-13, err_msg=name)
-        new, old = predict_document(params, doc_ids, True), predict_document_reference(params, doc_ids, True)
-        np.testing.assert_allclose(new.logits, old.logits, rtol=1e-12, atol=1e-13)
-        assert new.tags == old.tags
+        np.testing.assert_allclose(new_logits, old_logits, rtol=1e-12, atol=1e-13)
+
+    def test_several_sentences_match_the_reference_to_rounding_in_float32(self):
+        # the precision training and predict run in; the tolerance is
+        # about 80 float32 ulps of each array's largest element
+        params = self.model()
+        for p in params.named_parameters().values():
+            p.data = p.data.astype(np.float32)
+        got, want, new_logits, old_logits = self.several_sentences(params)
+        got["logits"], want["logits"] = new_logits, old_logits
+        for name in want:
+            assert got[name].dtype == want[name].dtype == np.float32, name
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-5,
+                                       atol=1e-5 * np.abs(want[name]).max(), err_msg=name)
 
     @pytest.mark.parametrize("mode", ["stl", "mtl"])
     def test_one_sentence_corpus_checkpoints_keep_the_reference_bytes(self, tmp_path, monkeypatch, mode):
