@@ -17,24 +17,26 @@ inputs but not its output, and the tape only counts, so a finished graph
 is freed by reference counting when its loss is dropped.  ``backward``
 walks the loss's ancestors in exact reverse recording order, accumulating
 vector-Jacobian products into the ``grad`` buffers of leaf tensors.
-Elementwise ops need equal shapes: a mismatch fails loudly at the
-offending operation rather than producing silently misaligned gradients.
 
-The module holds only the primitives the model and its CLI record:
-``add``, ``mul`` and ``tanh``; the gather ``rows``; ``sum_all``,
+The module holds four primitives: the gather ``rows``, which can scale
+what it gathers by a mask (the model's inverted dropout on its
+embeddings, one node rather than a gather and a multiply);
 ``max_over_time`` (over a whole matrix, or over each of its row
-segments in one node) and ``softmax_cross_entropy``.  The fused layer
-ops build on the same ``_make_output`` hook and run their work in
-numpy with a hand-written backward pass, each recorded as a single
-node: ``layers.bilstm`` (both LSTM directions over every sentence of a
-document), ``layers.affine`` (a linear map plus bias, on a vector or
-on every row of a matrix) and ``crf.crf_nll`` (the CRF negative
-log-likelihood).  ``records`` is the one test of whether an op is
+segments in one node); ``softmax_cross_entropy``; and ``sum_all``,
+which only the per-layer benchmark records.  The fused layer ops build
+on the same ``_make_output`` hook and run their work in numpy with a
+hand-written backward pass, each recorded as a single node:
+``layers.bilstm`` (both LSTM directions over every sentence of a
+document), ``layers.affine`` (a linear map plus bias, on a vector or on
+every row of a matrix) and ``crf.crf_nll`` (the CRF negative
+log-likelihood).  No module other than this one, ``layers`` and ``crf``
+records a tape node.  ``records`` is the one test of whether an op is
 recorded; ``_make_output`` applies it, and ``layers.bilstm`` asks it
 first so an untaped call builds no backward state.  The generic
 primitives that step-by-step references in the tests compose
-(subtraction, concatenation, row stacking, matrix products, transpose,
-sigmoid) live with those references in ``tests/oracles.py``.
+(addition, subtraction, multiplication, tanh, sigmoid, concatenation,
+row stacking, matrix products, transpose) live with those references
+in ``tests/oracles.py``.
 
 The gather ``rows`` is the one op whose gradient is row-sparse: its
 backward pass returns a ``RowGrad`` (the unique indices plus one summed
@@ -241,33 +243,6 @@ def zero_grads(tensors: Iterable[Tensor]):
 
 
 # ---------------------------------------------------------------------------
-# Elementwise primitives
-
-
-def _same_shapes(a: Tensor, b: Tensor, op: str):
-    if a.data.shape != b.data.shape:
-        raise AutodiffError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _same_shapes(a, b, "add")
-    return _make_output(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _same_shapes(a, b, "mul")
-    na, nb = a.requires_grad, b.requires_grad
-    def bw(g):
-        return (g * b.data if na else None), (g * a.data if nb else None)
-    return _make_output(a.data * b.data, (a, b), bw)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-    return _make_output(out, (a,), lambda g: (g * (1.0 - out * out),))
-
-
-# ---------------------------------------------------------------------------
 # Shape and indexing
 
 
@@ -285,25 +260,36 @@ class RowGrad:
         return out
 
 
-def rows(a: Tensor, indices) -> Tensor:
-    """Gather matrix rows by index; duplicate indices accumulate gradient.
+def rows(a: Tensor, indices, mask: np.ndarray | None = None) -> Tensor:
+    """Gather matrix rows by index, each entry scaled by ``mask`` (shape
+    (len(indices), D), a plain array) when one is given; duplicate
+    indices accumulate gradient.
 
-    The gradient is a ``RowGrad``: each looked-up row's incoming
-    gradients are summed by ``np.add.at`` in index order starting from
-    +0.0, the same additions in the same order as a dense accumulation,
-    so a leaf's ``grad`` gets the same bits either way.
+    The gradient is a ``RowGrad``: the incoming gradient, times the mask,
+    is summed per looked-up row by ``np.add.at`` in index order starting
+    from +0.0, the same additions in the same order as a dense
+    accumulation, so a leaf's ``grad`` gets the same bits either way.  A
+    gather followed by an elementwise multiply by the mask does the same
+    operations in the same order, so it gives the same bits too.
     """
     idx = np.asarray(indices, dtype=np.intp)
     if a.data.ndim != 2 or idx.ndim != 1:
         raise AutodiffError(f"rows: expected matrix and index vector, got {a.data.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
         raise AutodiffError(f"rows: index out of range for {a.data.shape[0]} rows")
+    out = a.data[idx]
+    if mask is not None:
+        if mask.shape != out.shape:
+            raise AutodiffError(f"rows: mask {mask.shape} does not match the gathered {out.shape}")
+        out *= mask
     def bw(g):
+        if mask is not None:
+            g = g * mask
         unique, inverse = np.unique(idx, return_inverse=True)
         summed = np.zeros((unique.size, a.data.shape[1]), dtype=a.data.dtype)
         np.add.at(summed, inverse, g)
         return (RowGrad(unique, summed),)
-    return _make_output(a.data[idx], (a,), bw)
+    return _make_output(out, (a,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import json
 import os
 import platform
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ from .evaluation import (
     stats_report,
     write_predictions,
 )
-from .layers import affine, bilstm
+from .layers import EmbeddingTable, Linear, affine, bilstm
 # negation_tag is not called here; bench/tracing.py wraps cli.negation_tag
 from .models import ModelError, ModelParams, negation_loss, negation_tag, sentiment_loss
 from .training import (
@@ -371,10 +372,17 @@ def _score(records: list[PredictionRecord], name: str) -> dict:
     return {"accuracy": accuracy_of(records), "confusion": [list(row) for row in cm.counts], "_cm": cm}
 
 
+def _read_scorable(path) -> list[PredictionRecord]:
+    records = read_predictions(path)
+    if not records:
+        raise EvaluationError(f"{path}: cannot score an empty prediction list")
+    return records
+
+
 def cmd_eval(args) -> int:
-    records = read_predictions(args.pred)
+    records = _read_scorable(args.pred)
     if args.compare:  # checked before anything is printed
-        other = read_predictions(args.compare)
+        other = _read_scorable(args.compare)
         require_same_documents(records, other, args.pred, args.compare)
     scored = _score(records, args.pred)
     print(f"{args.pred}: accuracy {scored['accuracy']:.4f} over {len(records)} documents")
@@ -416,11 +424,13 @@ def cmd_eval(args) -> int:
 
 
 def _gradcheck_cases(seed: int, inject_bug: bool):
-    """Toy-sized gradient checks per component.
+    """Toy-sized gradient checks per component, each a loss built from
+    the ops the model records.
 
-    The injected bug adds an untracked copy of a parameter sum to the
-    loss: finite differences see it, reverse mode does not, so the
-    harness must flag it.
+    The injected bug cuts one checked leaf out of the tape: the loss
+    reads it through a plain tensor over the same buffer, so finite
+    differences see the leaf and reverse mode does not, and the harness
+    must flag it.
     """
     rng = np.random.default_rng(seed)
     params = ModelParams.init(7, 4, 3, rng, with_negation_head=True)
@@ -430,24 +440,23 @@ def _gradcheck_cases(seed: int, inject_bug: bool):
     def of_groups(*names: str) -> dict[str, Tensor]:
         return {n: named[n] for group in names for n in groups[group]}
 
+    def cut(leaf: Tensor) -> Tensor:
+        return Tensor(leaf.data) if inject_bug else leaf
+
     doc_ids = [[1, 2, 3], [4, 5], [6, 2, 4]]
     tags = [int(BioTag.B_CUE), int(BioTag.B_SCOPE), int(BioTag.I_SCOPE)]
 
-    def sabotage(loss: Tensor, leaf: Tensor) -> Tensor:
-        if not inject_bug:
-            return loss
-        return ad.add(loss, Tensor(np.asarray(0.001 * float(leaf.data.sum()))))
-
     def layers_case():
-        # the shared group and the emission layer; the CRF has its own case
+        # the shared group and the emission layer, scalarized by the CRF
+        # NLL; the CRF has its own case
         subset = {**of_groups("shared"), "emission.w": params.emission.w, "emission.b": params.emission.b}
+        ids = [1, 2, 1, 4]  # a repeated id: duplicate rows accumulate into one gradient row
+        token_tags = [int(BioTag.B_CUE), int(BioTag.O), int(BioTag.B_SCOPE), int(BioTag.I_SCOPE)]
+        embedding = EmbeddingTable(cut(params.embedding.weights))
 
         def f():
-            # a repeated id: duplicate rows accumulate into one gradient row
-            emb = ad.rows(named["embedding.weights"], [1, 2, 1, 4])
-            enc = bilstm(params.sent_fwd, params.sent_bwd, emb)
-            scores = affine(params.emission, enc)
-            return sabotage(ad.sum_all(ad.tanh(scores)), named["embedding.weights"])
+            enc = bilstm(params.sent_fwd, params.sent_bwd, embedding.lookup(ids))
+            return crf_nll(params.crf, affine(params.emission, enc), token_tags)
 
         return f, subset
 
@@ -457,29 +466,25 @@ def _gradcheck_cases(seed: int, inject_bug: bool):
         subset = {"emissions": em, "crf.transitions": crf.transitions}
 
         def f():
-            return sabotage(crf_nll(crf, em, tags), em)
+            return crf_nll(crf, cut(em), tags)
 
         return f, subset
 
     def sentiment_case():
         subset = of_groups("shared", "sentiment")
+        model = replace(params, out=Linear(cut(params.out.w), params.out.b))
 
         def f():
-            return sabotage(
-                sentiment_loss(params, doc_ids, 1, train=False),
-                named["out.w"],
-            )
+            return sentiment_loss(model, doc_ids, 1, train=False)
 
         return f, subset
 
     def negation_case():
         subset = of_groups("shared", "negation")
+        model = replace(params, crf=CrfParams(cut(params.crf.transitions)))
 
         def f():
-            return sabotage(
-                negation_loss(params, doc_ids[0], tags, train=False),
-                named["crf.transitions"],
-            )
+            return negation_loss(model, doc_ids[0], tags, train=False)
 
         return f, subset
 
@@ -492,6 +497,8 @@ def _gradcheck_cases(seed: int, inject_bug: bool):
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     cases = _gradcheck_cases(args.seed, args.inject_bug)
     selected = list(cases) if args.component == "all" else [args.component]
     rows = []

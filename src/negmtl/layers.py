@@ -1,4 +1,4 @@
-"""Neural network building blocks: embeddings, LSTMs, affine maps, dropout.
+"""Neural network building blocks: embeddings, LSTMs and affine maps.
 
 Every layer records exactly one tape node.  A bidirectional LSTM is
 ``bilstm``: one node that encodes every sequence whose rows it is
@@ -20,6 +20,9 @@ nothing per token beyond them.
 Both heads end in ``affine``, one tape node computing ``x @ w.T + b``
 for an (in,) vector (the sentiment output layer) or a (T, in) matrix
 (the per-token CRF emissions).
+
+Dropout is not a layer of its own: ``EmbeddingTable.lookup`` takes the
+inverted-dropout mask and scales the rows it gathers, in its one node.
 
 All parameters live in small dataclasses of leaf tensors so that model
 code can enumerate, initialize and update them by name.  Initialization
@@ -70,9 +73,11 @@ class EmbeddingTable:
         w[0] = 0.0
         return cls(Tensor(w, requires_grad=True))
 
-    def lookup(self, ids) -> Tensor:
-        """Gather embeddings for a token id sequence, shape (T, dim)."""
-        return ad.rows(self.weights, ids)
+    def lookup(self, ids, mask: np.ndarray | None = None) -> Tensor:
+        """Gather embeddings for a token id sequence, shape (T, dim), each
+        entry scaled by ``mask`` when one is given: training applies its
+        inverted-dropout mask here, in the gather's one tape node."""
+        return ad.rows(self.weights, ids, mask)
 
 
 @dataclass
@@ -338,15 +343,3 @@ def affine(p: Linear, x: Tensor) -> Tensor:
         )
 
     return ad._make_output(x.data @ w.T + p.b.data, (x, p.w, p.b), bw)
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool) -> Tensor:
-    """Inverted dropout: zero entries with probability p and scale the
-    survivors by 1/(1-p), so evaluation needs no rescaling.  Identity when
-    not training or p == 0."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not train or p == 0.0:
-        return x
-    mask = np.divide(rng.random(x.data.shape) >= p, 1.0 - p, dtype=x.data.dtype)
-    return ad.mul(x, Tensor(mask))

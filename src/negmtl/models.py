@@ -3,13 +3,17 @@ hard-sharing multi-task combination.
 
 Both task paths run through one embedding table and one sentence-level
 BiLSTM, which encodes a whole document at once: one lookup over its
-tokens laid end to end, one dropout mask, one packed ``bilstm`` over
-all of its sentences (a negation example is a one-sentence document).
-The negation head projects the shared token encodings to 5 CRF
-emission scores; the sentiment head max-pools each sentence's rows
-(one segment max-pool node), runs a document-level BiLSTM over the
-sentence vectors, max-pools again and maps to 2 class logits, so a
-sentiment loss records 8 tape nodes for any number of sentences.
+tokens laid end to end, one packed ``bilstm`` over all of its sentences
+(a negation example is a one-sentence document).  Training applies
+inverted dropout (Srivastava et al., 2014) to the embeddings only:
+``dropout_mask`` draws one mask for the document, the one place a mask
+is drawn, and the lookup scales what it gathers by it in its own tape
+node.  The negation head projects the shared token encodings to 5 CRF
+emission scores, so a negation loss records 4 tape nodes; the
+sentiment head max-pools each sentence's rows (one segment max-pool
+node), runs a document-level BiLSTM over the sentence vectors,
+max-pools again and maps to 2 class logits, so a sentiment loss
+records 7 tape nodes for any number of sentences.
 ``predict_document`` runs untaped, so neither BiLSTM keeps backward
 caches, and with ``tags`` it decodes every sentence in one packed
 Viterbi loop (``crf.viterbi_paths``).
@@ -34,14 +38,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import NEGATIVE, POSITIVE, NUM_TAGS, BioTag
 from .crf import CrfParams, crf_nll, viterbi_decode, viterbi_paths
-from .layers import (
-    EmbeddingTable,
-    Linear,
-    LstmParams,
-    affine,
-    bilstm,
-    dropout,
-)
+from .layers import EmbeddingTable, Linear, LstmParams, affine, bilstm
 
 NEGATIVE_CLASS = 0
 POSITIVE_CLASS = 1
@@ -210,6 +207,23 @@ class SentimentPrediction:
     tags: list[list[BioTag]] | None = None  # per sentence, when requested
 
 
+def dropout_mask(
+    shape: tuple[int, int], dtype: np.dtype, p: float, rng: np.random.Generator | None, train: bool
+) -> np.ndarray | None:
+    """The inverted-dropout scale of a (T, D) embedding matrix: each
+    entry is dropped with probability ``p`` (one ``rng.random`` draw per
+    entry, row-major) and the survivors scaled by 1/(1-p), so evaluation
+    needs no rescaling.  None, with nothing drawn, when not training or
+    p == 0."""
+    if not 0.0 <= p < 1.0:
+        raise ModelError(f"dropout probability must be in [0, 1), got {p}")
+    if not train or p == 0.0:
+        return None
+    if rng is None:
+        raise ModelError("training-mode dropout needs an rng")
+    return np.divide(rng.random(shape) >= p, 1.0 - p, dtype=dtype)
+
+
 def _encode_document(
     params: ModelParams,
     doc_ids: Sequence[Sequence[int]],
@@ -218,19 +232,18 @@ def _encode_document(
     rng: np.random.Generator | None,
 ) -> tuple[Tensor, list[int]]:
     """Shared lower path for every sentence of a document at once: one
-    embedding gather over the concatenated tokens, one dropout mask (the
-    same draws as one mask per sentence in order), one packed sentence
-    BiLSTM.  Returns the (N, 2d) encodings, sentence after sentence, and
-    the sentence lengths."""
+    embedding gather over the concatenated tokens, scaled by one dropout
+    mask (the same draws as one mask per sentence in order), one packed
+    sentence BiLSTM.  Returns the (N, 2d) encodings, sentence after
+    sentence, and the sentence lengths."""
     if len(doc_ids) == 0:
         raise ModelError("cannot encode an empty document")
     lengths = [len(ids) for ids in doc_ids]
     if min(lengths) == 0:
         raise ModelError("cannot encode an empty sentence")
-    if train and dropout_p > 0.0 and rng is None:
-        raise ModelError("training-mode dropout needs an rng")
-    emb = params.embedding.lookup([t for ids in doc_ids for t in ids])
-    emb = dropout(emb, dropout_p, rng, train)
+    weights = params.embedding.weights.data
+    mask = dropout_mask((sum(lengths), weights.shape[1]), weights.dtype, dropout_p, rng, train)
+    emb = params.embedding.lookup([t for ids in doc_ids for t in ids], mask)
     return bilstm(params.sent_fwd, params.sent_bwd, emb, lengths), lengths
 
 

@@ -14,7 +14,7 @@ from negmtl.autodiff import Tape, Tensor, backward, no_grad, zero_grads
 from negmtl.corpus import BioTag, Document, Vocabulary, build_vocab, to_bio
 from negmtl.crf import _check_emissions, _check_tags
 from negmtl.evaluation import PredictionRecord
-from negmtl.layers import affine, dropout
+from negmtl.layers import affine
 from negmtl.models import (
     CLASS_TO_LABEL,
     LABEL_TO_CLASS,
@@ -92,19 +92,41 @@ def weighted_sum(t: Tensor, seed: int = 7) -> Tensor:
     entry contributes a distinct gradient path."""
     rng = np.random.default_rng(seed)
     w = Tensor(rng.normal(size=t.data.shape))
-    return ad.sum_all(ad.mul(t, w))
+    return ad.sum_all(mul(t, w))
 
 
 # ---------------------------------------------------------------------------
 # Generic tape primitives that only the step-by-step references compose.
 # The library records fused ops in their place (``layers.affine``,
-# ``layers.bilstm``, ``crf.crf_nll``), so these live here, their code as
-# it was in ``negmtl.autodiff``.
+# ``layers.bilstm``, ``crf.crf_nll``, the masked gather ``ad.rows``), so
+# these live here, their code as it was in ``negmtl.autodiff``.
+
+
+def _same_shapes(a: Tensor, b: Tensor, op: str):
+    if a.data.shape != b.data.shape:
+        raise ad.AutodiffError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    _same_shapes(a, b, "add")
+    return ad._make_output(a.data + b.data, (a, b), lambda g: (g, g))
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    _same_shapes(a, b, "mul")
+    na, nb = a.requires_grad, b.requires_grad
+    def bw(g):
+        return (g * b.data if na else None), (g * a.data if nb else None)
+    return ad._make_output(a.data * b.data, (a, b), bw)
+
+
+def tanh(a: Tensor) -> Tensor:
+    out = np.tanh(a.data)
+    return ad._make_output(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ad.AutodiffError(f"sub: shapes {a.data.shape} and {b.data.shape} differ")
+    _same_shapes(a, b, "sub")
     return ad._make_output(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
@@ -176,7 +198,7 @@ def transpose(a: Tensor) -> Tensor:
 
 def linear_vec(p, x: Tensor) -> Tensor:
     """The sentiment output layer as two nodes, ``w @ x`` then ``+ b``."""
-    return ad.add(matvec(p.w, x), p.b)
+    return add(matvec(p.w, x), p.b)
 
 
 def linear_rows(p, x: Tensor) -> Tensor:
@@ -202,13 +224,13 @@ def lstm_reference(p, inputs: Tensor, reverse: bool = False) -> Tensor:
     h = c = Tensor(np.zeros((1, d)))
     out: list = [None] * t_len
     for t in (range(t_len - 1, -1, -1) if reverse else range(t_len)):
-        z = add_rowvec(ad.add(matmul(ad.rows(inputs, [t]), w_t), matmul(h, u_t)), p.b)
+        z = add_rowvec(add(matmul(ad.rows(inputs, [t]), w_t), matmul(h, u_t)), p.b)
         i, f, g, o = (
             act(matmul(z, sel))
-            for act, sel in zip((sigmoid, sigmoid, ad.tanh, sigmoid), gate)
+            for act, sel in zip((sigmoid, sigmoid, tanh, sigmoid), gate)
         )
-        c = ad.add(ad.mul(f, c), ad.mul(i, g))
-        h = ad.mul(o, ad.tanh(c))
+        c = add(mul(f, c), mul(i, g))
+        h = mul(o, tanh(c))
         out[t] = h
     stacked = out[0]
     for h in out[1:]:
@@ -355,10 +377,10 @@ def crf_log_partition_reference(transitions: Tensor, emissions: Tensor) -> Tenso
     start = matvec(real, _pick(trans_t, k))
     stop = matvec(real, _pick(transitions, k + 1))
     inner_t = matmul(matmul(real, trans_t), transpose(real))  # [to, from]
-    alpha = ad.add(start, _pick(em_t, 0))
+    alpha = add(start, _pick(em_t, 0))
     for t in range(1, t_len):
-        alpha = ad.add(logsumexp(add_rowvec(inner_t, alpha), axis=1), _pick(em_t, t))
-    return logsumexp(ad.add(alpha, stop))
+        alpha = add(logsumexp(add_rowvec(inner_t, alpha), axis=1), _pick(em_t, t))
+    return logsumexp(add(alpha, stop))
 
 
 def crf_score_reference(transitions: Tensor, emissions: Tensor, tags) -> Tensor:
@@ -369,9 +391,9 @@ def crf_score_reference(transitions: Tensor, emissions: Tensor, tags) -> Tensor:
     trans_counts = np.zeros((k + 2, k + 2))
     for a, b in zip([k, *tags], [*tags, k + 1]):
         trans_counts[a, b] += 1.0
-    return ad.add(
-        ad.sum_all(ad.mul(emissions, Tensor(em_mask))),
-        ad.sum_all(ad.mul(transitions, Tensor(trans_counts))),
+    return add(
+        ad.sum_all(mul(emissions, Tensor(em_mask))),
+        ad.sum_all(mul(transitions, Tensor(trans_counts))),
     )
 
 
@@ -466,18 +488,20 @@ def brute_force(transitions: np.ndarray, emissions: np.ndarray, limit: int = 1_0
 # kept verbatim so tests can require equal bits.
 
 
-def rows_reference(a: Tensor, indices) -> Tensor:
-    """Gather matrix rows by index; duplicate indices accumulate gradient."""
+def rows_reference(a: Tensor, indices, mask: np.ndarray | None = None) -> Tensor:
+    """Gather matrix rows by index, scaled by ``mask`` when one is given;
+    duplicate indices accumulate gradient into a dense (V, D) array."""
     idx = np.asarray(indices, dtype=np.intp)
     if a.data.ndim != 2 or idx.ndim != 1:
         raise ad.AutodiffError(f"rows: expected matrix and index vector, got {a.data.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
         raise ad.AutodiffError(f"rows: index out of range for {a.data.shape[0]} rows")
+    out = a.data[idx] if mask is None else a.data[idx] * mask
     def bw(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
+        np.add.at(ga, idx, g if mask is None else g * mask)
         return (ga,)
-    return ad._make_output(a.data[idx], (a,), bw)
+    return ad._make_output(out, (a,), bw)
 
 
 def adam_step_reference(state, params: dict, names):
@@ -653,6 +677,18 @@ def train_mtl_reference(config: TrainConfig, train_docs: Sequence[Document], dev
     return TrainResult(tracker.checkpoint, history, tracker.best_epoch, tracker.best_accuracy, epochs_run)
 
 
+def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool) -> Tensor:
+    """Inverted dropout as its own node after the gather: zero entries
+    with probability p and scale the survivors by 1/(1-p), so evaluation
+    needs no rescaling.  Identity when not training or p == 0."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    if not train or p == 0.0:
+        return x
+    mask = np.divide(rng.random(x.data.shape) >= p, 1.0 - p, dtype=x.data.dtype)
+    return mul(x, Tensor(mask))
+
+
 def encode_sentence_reference(
     params: ModelParams,
     token_ids: Sequence[int],
@@ -660,8 +696,8 @@ def encode_sentence_reference(
     dropout_p: float,
     rng: np.random.Generator | None,
 ) -> Tensor:
-    """Shared lower path for one sentence: embed, dropout, the
-    one-sequence ``bilstm_sequence`` -> (T, 2d)."""
+    """Shared lower path for one sentence: embed, dropout as a second
+    node after the gather, the one-sequence ``bilstm_sequence`` -> (T, 2d)."""
     if len(token_ids) == 0:
         raise ModelError("cannot encode an empty sentence")
     if train and dropout_p > 0.0 and rng is None:

@@ -23,16 +23,19 @@ from negmtl.models import ModelParams, negation_loss, sentiment_loss
 
 
 from oracles import (
+    add,
     add_rowvec,
     assert_op_grads,
     concat,
     logsumexp,
     matmul,
     matvec,
+    mul,
     neg,
     sigmoid,
     stack_rows,
     sub,
+    tanh,
     transpose,
     weighted_sum,
 )
@@ -47,7 +50,7 @@ RNG = np.random.default_rng(20260819)
 class TestTape:
     def test_no_recording_without_tape(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        y = ad.tanh(x)
+        y = tanh(x)
         assert y.node is None
         assert not y.requires_grad
         with pytest.raises(AutodiffError, match="tape"):
@@ -57,29 +60,29 @@ class TestTape:
         x = Tensor([1.0], requires_grad=True)
         with Tape() as tape:
             with no_grad():
-                ad.tanh(x)
+                tanh(x)
             assert len(tape) == 0
-            y = ad.tanh(x)
+            y = tanh(x)
             assert len(tape) == 1
         assert y.requires_grad
 
     def test_constants_do_not_record(self):
         x = Tensor([1.0, 2.0])
         with Tape() as tape:
-            ad.tanh(x)
+            tanh(x)
         assert len(tape) == 0
 
     def test_backward_requires_scalar(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape():
-            y = ad.tanh(x)
+            y = tanh(x)
         with pytest.raises(AutodiffError, match="scalar"):
             backward(y)
 
     def test_repeated_backward_accumulates(self):
         x = Tensor([3.0], requires_grad=True)
         with Tape():
-            loss = ad.sum_all(ad.mul(x, x))
+            loss = ad.sum_all(mul(x, x))
         backward(loss)
         first = x.grad.copy()
         backward(loss)
@@ -93,7 +96,7 @@ class TestTape:
         def run():
             zero_grads([x])
             with Tape():
-                h = ad.tanh(matmul(x, Tensor(RNG2.normal(size=(3, 2)))))
+                h = tanh(matmul(x, Tensor(RNG2.normal(size=(3, 2)))))
                 backward(weighted_sum(h))
             return x.grad.copy()
         RNG2 = np.random.default_rng(5)
@@ -106,7 +109,7 @@ class TestTape:
         # y = x*x + x  =>  dy/dx = 2x + 1
         x = Tensor([2.0], requires_grad=True)
         with Tape():
-            loss = ad.sum_all(ad.add(ad.mul(x, x), x))
+            loss = ad.sum_all(add(mul(x, x), x))
         backward(loss)
         np.testing.assert_allclose(x.grad, [5.0])
 
@@ -117,7 +120,7 @@ class TestTape:
             assert not ad.records((a, b))  # no tape
             with Tape() as tape:
                 assert ad.records((a, b)) is expected
-                ad.mul(a, b)
+                mul(a, b)
                 assert len(tape) == int(expected)
                 with no_grad():
                     assert not ad.records((a, b))
@@ -126,7 +129,7 @@ class TestTape:
         x = Tensor([1.0], requires_grad=True)
         with Tape() as outer:
             with Tape() as inner:
-                y = ad.tanh(x)
+                y = tanh(x)
             assert len(inner) == 1
             assert len(outer) == 0
             assert y.node is not None
@@ -146,13 +149,14 @@ def _model(negation: bool) -> ModelParams:
 
 # each builds, inside a tape, the op's output and a scalar loss over it
 GRAPHS = {
-    "add": lambda: ad.add(_param(3), _param(3)),
+    "add": lambda: add(_param(3), _param(3)),
     "sub": lambda: sub(_param(3), _param(3)),
-    "mul": lambda: ad.mul(_param(3), _param(3)),
-    "tanh": lambda: ad.tanh(_param(3)),
+    "mul": lambda: mul(_param(3), _param(3)),
+    "tanh": lambda: tanh(_param(3)),
     "concat": lambda: concat(_param(2, 3), _param(1, 3)),
     "stack_rows": lambda: stack_rows([_param(3), _param(3)]),
     "rows": lambda: ad.rows(_param(5, 3), [4, 0, 4]),
+    "masked_rows": lambda: ad.rows(_param(5, 3), [4, 0, 4], RNG.random((3, 3))),
     "sum_all": lambda: ad.sum_all(_param(2, 3)),
     "max_over_time": lambda: ad.max_over_time(_param(4, 3)),
     "softmax_cross_entropy": lambda: ad.softmax_cross_entropy(_param(3), 1),
@@ -205,14 +209,14 @@ class TestAnalytic:
         x = Tensor([2.0], requires_grad=True)
         y = Tensor([5.0], requires_grad=True)
         with Tape():
-            backward(ad.sum_all(ad.mul(x, y)))
+            backward(ad.sum_all(mul(x, y)))
         np.testing.assert_allclose(x.grad, [5.0])
         np.testing.assert_allclose(y.grad, [2.0])
 
     def test_tanh_grad_at_zero_is_one(self):
         x = Tensor([0.0], requires_grad=True)
         with Tape():
-            backward(ad.sum_all(ad.tanh(x)))
+            backward(ad.sum_all(tanh(x)))
         np.testing.assert_allclose(x.grad, [1.0])
 
     def test_sigmoid_at_zero(self):
@@ -274,7 +278,7 @@ class TestAnalytic:
         g = RNG.normal(size=(3, 4))
         with Tape():
             pooled = ad.max_over_time(h, [2, 1, 4])
-            backward(ad.sum_all(ad.mul(pooled, Tensor(g))))
+            backward(ad.sum_all(mul(pooled, Tensor(g))))
         rows = [ad.max_over_time(Tensor(h.data[a:b])).data for a, b in [(0, 2), (2, 3), (3, 7)]]
         assert pooled.data.tobytes() == np.stack(rows).tobytes()
         want = np.zeros((7, 4))
@@ -290,7 +294,7 @@ class TestAnalytic:
             h.grad = None
             with Tape():
                 pooled = ad.max_over_time(h, lengths)
-                backward(ad.sum_all(ad.mul(pooled, Tensor(g.reshape(pooled.data.shape)))))
+                backward(ad.sum_all(mul(pooled, Tensor(g.reshape(pooled.data.shape)))))
             assert pooled.data.reshape(-1).tobytes() == np.array([1.0, 5.0, -0.0]).tobytes()
             grads.append(h.grad)
         np.testing.assert_array_equal(grads[0], [[0.25, -3.0, 7.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -309,21 +313,21 @@ class TestAnalytic:
 class TestPrimitiveGradients:
     def test_add_sub_neg(self):
         assert_op_grads(
-            lambda t: weighted_sum(sub(ad.add(t["a"], t["b"]), neg(t["c"]))),
+            lambda t: weighted_sum(sub(add(t["a"], t["b"]), neg(t["c"]))),
             {"a": RNG.normal(size=(3, 2)), "b": RNG.normal(size=(3, 2)), "c": RNG.normal(size=(3, 2))},
         )
 
     def test_scalar_broadcast(self):
         # elementwise ops need equal shapes: a 0-d tensor does not broadcast
         a, s = Tensor(RNG.normal(size=(4,))), Tensor(0.7)
-        for op in (ad.add, sub, ad.mul):
+        for op in (add, sub, mul):
             for x, y in ((a, s), (s, a)):
                 with pytest.raises(AutodiffError, match=r"\(4,\) and \(\)|\(\) and \(4,\)"):
                     op(x, y)
 
     def test_tanh_sigmoid_chain(self):
         assert_op_grads(
-            lambda t: weighted_sum(sigmoid(ad.tanh(t["x"]))),
+            lambda t: weighted_sum(sigmoid(tanh(t["x"]))),
             {"x": RNG.normal(size=(5,))},
         )
 
@@ -375,20 +379,27 @@ class TestPrimitiveGradients:
             {"m": RNG.normal(size=(3, 4))},
         )
 
+    def test_masked_rows_with_duplicates(self):
+        mask = np.where(RNG.random((4, 3)) < 0.3, 0.0, 1.0 / 0.7)
+        assert_op_grads(
+            lambda t: weighted_sum(ad.rows(t["m"], [2, 0, 2, 2], mask)),
+            {"m": RNG.normal(size=(3, 3))},
+        )
+
     def test_rows_of_non_leaf(self):
         # the row-sparse gradient is densified for a recorded input
         assert_op_grads(
-            lambda t: weighted_sum(ad.rows(ad.tanh(t["m"]), [2, 0, 2])),
+            lambda t: weighted_sum(ad.rows(tanh(t["m"]), [2, 0, 2])),
             {"m": RNG.normal(size=(3, 4))},
         )
 
     def test_rows_mixed_with_dense_gradient(self):
         # one leaf and one non-leaf, each reached by rows and by a dense op
         def build(t):
-            h = ad.tanh(t["m"])
-            return ad.add(
-                weighted_sum(ad.add(h, ad.rows(h, [1, 1, 0])), seed=3),
-                weighted_sum(ad.add(t["m"], ad.rows(t["m"], [2, 2, 2])), seed=4),
+            h = tanh(t["m"])
+            return add(
+                weighted_sum(add(h, ad.rows(h, [1, 1, 0])), seed=3),
+                weighted_sum(add(t["m"], ad.rows(t["m"], [2, 2, 2])), seed=4),
             )
 
         assert_op_grads(build, {"m": RNG.normal(size=(3, 4))})
@@ -423,8 +434,8 @@ class TestPrimitiveGradients:
     def test_random_compositions(self, seed):
         rng = np.random.default_rng(seed)
         def build(t):
-            h = ad.tanh(add_rowvec(matmul(t["x"], t["w"]), t["b"]))
-            pooled = ad.max_over_time(ad.mul(h, h))
+            h = tanh(add_rowvec(matmul(t["x"], t["w"]), t["b"]))
+            pooled = ad.max_over_time(mul(h, h))
             return ad.softmax_cross_entropy(pooled, 1)
         # spread values to avoid near-ties at the max
         x = rng.permutation(np.linspace(-2, 2, 12)).reshape(4, 3)
@@ -442,7 +453,7 @@ class TestPrimitiveGradients:
 class TestShapeErrors:
     def test_mismatched_elementwise(self):
         with pytest.raises(AutodiffError, match="shapes"):
-            ad.add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
+            add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
 
     def test_matmul_requires_2d(self):
         with pytest.raises(AutodiffError, match="matmul"):
@@ -455,6 +466,10 @@ class TestShapeErrors:
     def test_rows_out_of_range(self):
         with pytest.raises(AutodiffError, match="out of range"):
             ad.rows(Tensor(np.ones((2, 2))), [0, 2])
+
+    def test_rows_mask_must_match_the_gather(self):
+        with pytest.raises(AutodiffError, match=r"rows: mask \(3, 2\) does not match the gathered \(2, 2\)"):
+            ad.rows(Tensor(np.ones((4, 2))), [0, 3], np.ones((3, 2)))
 
     def test_stack_rows_rejects_ragged(self):
         with pytest.raises(AutodiffError, match="stack_rows"):
@@ -470,7 +485,7 @@ class TestGradCheck:
         x = Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
         w = Tensor(RNG.normal(size=(2, 2)), requires_grad=True)
         def f():
-            return weighted_sum(ad.tanh(matmul(x, w)))
+            return weighted_sum(tanh(matmul(x, w)))
         report = grad_check(f, {"x": x, "w": w})
         assert isinstance(report, GradCheckReport)
         assert report.passed, str(report)
@@ -492,7 +507,7 @@ class TestGradCheck:
         counter = {"n": 0}
         def f():
             counter["n"] += 1
-            return ad.sum_all(ad.mul(x, Tensor([float(counter["n"])])))
+            return ad.sum_all(mul(x, Tensor([float(counter["n"])])))
         with pytest.raises(DeterminismError):
             grad_check(f, {"x": x})
 
@@ -504,5 +519,5 @@ class TestGradCheck:
     def test_restores_parameter_values(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         before = x.data.copy()
-        grad_check(lambda: ad.sum_all(ad.mul(x, x)), {"x": x})
+        grad_check(lambda: ad.sum_all(mul(x, x)), {"x": x})
         np.testing.assert_array_equal(x.data, before)

@@ -22,6 +22,7 @@ from negmtl.cli import main
 from negmtl.corpus import ParseError, parse_corpus
 from negmtl.evaluation import EvaluationError, read_predictions, write_predictions
 from negmtl.models import ModelParams
+from oracles import mul
 
 
 def write_jsonl(path, docs):
@@ -178,7 +179,7 @@ class TestTrain:
         sentiment_loss = training.sentiment_loss
 
         def nan_loss(*args, **kwargs):
-            return ad.mul(sentiment_loss(*args, **kwargs), Tensor(np.array(np.nan)))
+            return mul(sentiment_loss(*args, **kwargs), Tensor(np.array(np.nan)))
 
         monkeypatch.setattr(training, "sentiment_loss", nan_loss)
         train, dev = corpus
@@ -573,6 +574,18 @@ class TestEval:
         assert main(["eval", "--pred", str(files[0]), "--compare", str(files[1])]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {repeated}: line 3: document 'x' repeats line 1"]
 
+    @pytest.mark.parametrize("flag", ["--pred", "--compare"])
+    def test_empty_file_is_named(self, tmp_path, capsys, flag):
+        good, empty = tmp_path / "good.jsonl", tmp_path / "empty.jsonl"
+        self.write_preds(good, [{"id": "x", "gold": "negative", "pred": "negative"}])
+        empty.write_text("")
+        args = ["--pred", str(empty)] if flag == "--pred" else ["--pred", str(good), "--compare", str(empty)]
+        assert main(["eval", *args, "--out", str(tmp_path / "r")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {empty}: cannot score an empty prediction list"]
+        assert captured.out == ""
+        assert not (tmp_path / "r").exists()
+
     def test_missing_gold_rejected(self, tmp_path, capsys):
         p = tmp_path / "p.jsonl"
         self.write_preds(p, [{"id": "a", "gold": None, "pred": "positive"}])
@@ -589,9 +602,32 @@ class TestGradcheck:
         assert "max rel err" in out
         assert out.strip().endswith("PASS")
 
-    def test_injected_bug_fails(self, capsys):
-        assert main(["gradcheck", "--component", "crf", "--inject-bug"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "component, leaf",
+        [("layers", "embedding.weights"), ("crf", "emissions"), ("sentiment", "out.w"),
+         ("negation", "crf.transitions")],
+        ids=["layers", "crf", "sentiment", "negation"],
+    )
+    def test_injected_bug_fails(self, tmp_path, capsys, component, leaf):
+        # the bug cuts one checked leaf out of the tape, so its entries fail
+        def run(*flags):
+            out = tmp_path / "-".join(("gc",) + flags)
+            status = main(["gradcheck", "--component", component, "--out", str(out), *flags])
+            (row,) = json.loads((out / "gradcheck.json").read_text())["components"]
+            return status, row
+
+        status, row = run()
+        assert status == 0 and row["passed"]
+        status, row = run("--inject-bug")
+        assert status == 1 and not row["passed"]
+        assert row["worst"].startswith(leaf + "[")
+        assert capsys.readouterr().out.splitlines()[-1] == "gradient check: FAIL"
+
+    def test_negative_seed_names_the_flag(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be >= 0, got -1\n"
+        assert captured.out == ""
 
     def test_component_selector(self, capsys):
         assert main(["gradcheck", "--component", "layers"]) == 0

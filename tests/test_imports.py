@@ -1,7 +1,8 @@
 """Every name a module of ``negmtl`` imports is used in that module,
 every top-level function or class is referenced by some module, every
 method, property and class constant is read by some module, and every
-JSON decode can fail only with the module's own error.
+JSON decode can fail only with the module's own error, and only the
+modules that hold the tape's ops record tape nodes.
 
 AST scans stand in for a linter: an unused import survives every other
 test and makes a module look coupled to code it never calls, and a
@@ -10,7 +11,10 @@ A ``json.load`` outside a ``try`` that catches ``ValueError`` lets a
 plain ``ValueError`` (an integer too long to convert, say) escape with
 no file or line in its message.  A numpy allocation without a ``dtype``
 in the modules that train and predict is float64, and would quietly
-put float32 training back into float64.
+put float32 training back into float64.  A call to
+``autodiff._make_output`` outside ``autodiff``, ``layers`` and ``crf``
+is a generic op growing back where the model and the CLI should only
+compose the ones the model records.
 """
 
 import ast
@@ -77,6 +81,7 @@ UNREFERENCED_KEPT = {
     ("evaluation", "negation_token_f1"): "bench/microbench.py times it; per-epoch dev negation F1 is to use it",
     ("corpus", "from_bio"): "the BIO round-trip check (criterion 3) inverts to_bio with it",
     ("training", "bow_features"): "bench/microbench.py times it; the tests score one document with it",
+    ("autodiff", "sum_all"): "bench/microbench.py scalarizes layer outputs with it; no model path records it",
 }
 
 
@@ -330,3 +335,48 @@ def test_scan_finds_a_float64_allocation():
         "h = np.asarray(a, dtype='f8')\n"  # 9
     )
     assert float64_allocations(tree) == [2, 5, 6, 8, 9]
+
+
+# The modules that hold the ops the tape records: the autodiff primitives
+# and the fused layer and CRF ops.
+RECORDING_MODULES = ("autodiff", "layers", "crf")
+
+
+def make_output_uses(tree: ast.Module) -> list[int]:
+    """Lines that name ``_make_output``: a call, an attribute read such
+    as ``ad._make_output``, or an import of it under any alias."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "_make_output":
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "_make_output":
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(a.name == "_make_output" for a in node.names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(PACKAGE.glob("*.py")) if p.stem not in RECORDING_MODULES],
+    ids=lambda p: p.stem,
+)
+def test_only_the_op_modules_record_tape_nodes(path):
+    lines = make_output_uses(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, "\n".join(
+        f"{path.name}:{line} records a tape node: compose the ops of {', '.join(RECORDING_MODULES)}"
+        for line in lines
+    )
+
+
+def test_scan_finds_a_make_output_use():
+    tree = ast.parse(
+        "from . import autodiff as ad\n"
+        "from .autodiff import _make_output as record\n"  # 2
+        "def mul(a, b):\n"
+        "    return ad._make_output(a.data * b.data, (a, b), None)\n"  # 4
+        "op = _make_output\n"  # 5
+        "make_output(a)\n"
+        "ad.make_output_later(a)\n"
+    )
+    assert make_output_uses(tree) == [2, 4, 5]

@@ -12,14 +12,17 @@ from negmtl.layers import (
     _packing,
     affine,
     bilstm,
-    dropout,
     xavier_uniform,
 )
+from negmtl.models import ModelError, dropout_mask
 from oracles import (
+    add,
     assert_op_grads,
     bilstm_per_sentence,
     bilstm_reference,
     bilstm_sequence,
+    dropout,
+    mul,
     weighted_sum,
 )
 
@@ -119,7 +122,7 @@ def assert_matches_reference(leaves, weights) -> dict:
         t = {k: Tensor(v.copy(), requires_grad=True) for k, v in leaves.items()}
         with Tape():
             out = run(LstmParams(t["wf"], t["uf"], t["bf"]), LstmParams(t["wb"], t["ub"], t["bb"]), t["x"])
-            backward(weighted_sum(ad.mul(out, Tensor(weights))))
+            backward(weighted_sum(mul(out, Tensor(weights))))
         results.append((out.data, {k: v.grad for k, v in t.items()}))
     (fused, fused_grads), (ref, ref_grads) = results
     np.testing.assert_allclose(fused, ref, rtol=1e-12, atol=1e-12)
@@ -496,7 +499,7 @@ class TestLinear:
     def test_gradients(self):
         def build(t):
             p = Linear(t["w"], t["b"])
-            return ad.add(
+            return add(
                 weighted_sum(affine(p, t["x"])),
                 weighted_sum(affine(p, ad.max_over_time(t["x"])), seed=3),
             )
@@ -526,44 +529,88 @@ class TestLinear:
             affine(p, Tensor(np.ones(shape)))
 
 
+def constant_table(value: float, shape=(3, 1000), dtype=np.float64) -> EmbeddingTable:
+    return EmbeddingTable(Tensor(np.full(shape, value, dtype=dtype), requires_grad=True))
+
+
+def masked_lookup(table: EmbeddingTable, ids, p: float, r, train: bool = True) -> Tensor:
+    """The model's embedding path: one mask for the gathered matrix, then
+    the gather that scales by it."""
+    w = table.weights.data
+    return table.lookup(ids, dropout_mask((len(ids), w.shape[1]), w.dtype, p, r, train))
+
+
 class TestDropout:
+    """Inverted dropout on the embeddings: ``models.dropout_mask`` draws
+    the mask and ``EmbeddingTable.lookup`` applies it inside the gather."""
+
     def test_identity_when_eval_or_zero(self):
-        x = Tensor(np.ones((3, 2)))
-        assert dropout(x, 0.3, rng(), train=False) is x
-        assert dropout(x, 0.0, rng(), train=True) is x
+        table = EmbeddingTable.init(6, 3, rng())
+        for p, train in [(0.3, False), (0.0, True)]:
+            r = rng(5)
+            state = r.bit_generator.state
+            with Tape() as tape:
+                out = masked_lookup(table, [1, 2, 1, 5], p, r, train)
+            assert r.bit_generator.state == state  # nothing drawn
+            assert len(tape) == 1
+            assert out.data.tobytes() == table.weights.data[[1, 2, 1, 5]].tobytes()
 
     def test_mask_values_are_zero_or_scaled(self):
-        x = Tensor(np.ones((50, 20)))
-        out = dropout(x, 0.3, rng(0), train=True).data
+        out = masked_lookup(constant_table(1.0, (2, 20)), [1] * 50, 0.3, rng(0)).data
         vals = np.unique(out)
         np.testing.assert_allclose(sorted(vals), [0.0, 1.0 / 0.7])
         dropped = (out == 0).mean()
         assert 0.2 < dropped < 0.4
 
     def test_seeded_mask_is_deterministic(self):
-        x = Tensor(np.ones((10, 10)))
-        a = dropout(x, 0.5, rng(7), train=True).data
-        b = dropout(x, 0.5, rng(7), train=True).data
+        table = constant_table(1.0, (2, 10))
+        a = masked_lookup(table, [1] * 10, 0.5, rng(7)).data
+        b = masked_lookup(table, [1] * 10, 0.5, rng(7)).data
         assert a.tobytes() == b.tobytes()
 
     def test_expectation_preserved(self):
         # inverted scaling keeps the element mean near the input value
-        x = Tensor(np.full(100_000, 2.0))
-        out = dropout(x, 0.3, rng(123), train=True).data
+        out = masked_lookup(constant_table(2.0), [1] * 100, 0.3, rng(123)).data
+        assert out.size == 100_000
         assert abs(out.mean() - 2.0) / 2.0 < 0.02
 
     def test_invalid_probability(self):
-        x = Tensor(np.ones(3))
-        with pytest.raises(ValueError):
-            dropout(x, 1.0, rng(), train=True)
-        with pytest.raises(ValueError):
-            dropout(x, -0.1, rng(), train=True)
+        for p in (1.0, -0.1):
+            for train in (True, False):
+                with pytest.raises(ModelError, match=rf"must be in \[0, 1\), got {p}"):
+                    dropout_mask((1, 3), np.float64, p, rng(), train)
 
     def test_gradient_flows_only_through_kept_entries(self):
-        x = Tensor(np.ones(1000), requires_grad=True)
+        table = constant_table(1.0)
         with Tape():
-            out = dropout(x, 0.4, rng(1), train=True)
+            out = masked_lookup(table, [1], 0.4, rng(1))
             backward(ad.sum_all(out))
-        kept = out.data != 0
-        np.testing.assert_allclose(x.grad[kept], 1.0 / 0.6)
-        np.testing.assert_allclose(x.grad[~kept], 0.0)
+        kept = out.data[0] != 0
+        np.testing.assert_allclose(table.weights.grad[1, kept], 1.0 / 0.6)
+        np.testing.assert_allclose(table.weights.grad[1, ~kept], 0.0)
+        np.testing.assert_array_equal(table.weights.grad[[0, 2]], 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_gather_matches_gather_then_mask(self, dtype):
+        # repeated ids within the gather, an upstream gradient that is not
+        # all ones; the composed oracle draws its own mask from the same seed
+        weights = rng(2).normal(size=(6, 5)).astype(dtype)
+        upstream = Tensor(rng(3).normal(size=(7, 5)).astype(dtype))
+        ids = [1, 4, 1, 1, 3, 4, 5]
+        results = []
+        for gather in (
+            lambda t: masked_lookup(t, ids, 0.4, rng(9)),
+            lambda t: dropout(t.lookup(ids), 0.4, rng(9), train=True),
+        ):
+            table = EmbeddingTable(Tensor(weights.copy(), requires_grad=True))
+            with Tape() as tape:
+                out = gather(table)
+                backward(ad.sum_all(mul(out, upstream)))
+            results.append((out.data, table.weights.grad, len(tape)))
+        (fused, fused_grad, fused_nodes), (composed, composed_grad, composed_nodes) = results
+        assert fused.dtype == fused_grad.dtype == dtype
+        assert dropout_mask((7, 5), np.dtype(dtype), 0.4, rng(9), True).dtype == dtype
+        assert (fused == 0).any() and len(set(ids)) < len(ids)
+        assert fused.tobytes() == composed.tobytes()
+        assert fused_grad.tobytes() == composed_grad.tobytes()
+        assert (fused_nodes, composed_nodes) == (3, 4)  # the mask is one node fewer

@@ -193,23 +193,37 @@ class TestNegationPath:
 
 
     def test_loss_records_one_node_per_layer(self):
-        # lookup, dropout, BiLSTM, emissions, CRF NLL
+        # lookup with its dropout mask, BiLSTM, emissions, CRF NLL
         with Tape() as tape:
             negation_loss(tiny_model(), [2, 3, 4, 5], [0, 1, 3, 4], dropout_p=0.5,
                           rng=np.random.default_rng(1))
-        assert len(tape) == 5
+        assert len(tape) == 4
+
+    def test_no_dropout_draws_nothing(self):
+        m = tiny_model()
+        with Tape():
+            want = negation_loss(m, [2, 3, 4, 5], [0, 1, 3, 4], train=False).data
+        for train, p in [(False, 0.5), (True, 0.0)]:
+            rng = np.random.default_rng(1)
+            state = rng.bit_generator.state
+            with Tape() as tape:
+                loss = negation_loss(m, [2, 3, 4, 5], [0, 1, 3, 4], train=train, dropout_p=p, rng=rng)
+            assert rng.bit_generator.state == state
+            assert len(tape) == 4
+            assert loss.data.tobytes() == want.tobytes()
 
 
 class TestSentimentPath:
     @pytest.mark.parametrize("n_sentences", [1, 3])
     def test_loss_records_one_node_per_layer(self, n_sentences):
-        # for the whole document: lookup, dropout, packed BiLSTM, segment
-        # max-pool, document BiLSTM, max-pool, output layer, cross-entropy
+        # for the whole document: lookup with its dropout mask, packed
+        # BiLSTM, segment max-pool, document BiLSTM, max-pool, output
+        # layer, cross-entropy
         doc = [[2, 3, 4], [5], [6, 2]][:n_sentences]
         with Tape() as tape:
             sentiment_loss(tiny_model(), doc, POSITIVE_CLASS, dropout_p=0.5,
                            rng=np.random.default_rng(1))
-        assert len(tape) == 8
+        assert len(tape) == 7
 
     def test_logit_shape_and_single_sentence_doc(self):
         m = tiny_model()

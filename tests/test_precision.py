@@ -75,8 +75,8 @@ LOSSES = {
     ),
 }
 NODES = {
-    "sentiment": {"rows", "mul", "bilstm", "max_over_time", "affine", "softmax_cross_entropy"},
-    "negation": {"rows", "mul", "bilstm", "affine", "crf_nll"},
+    "sentiment": {"rows", "bilstm", "max_over_time", "affine", "softmax_cross_entropy"},
+    "negation": {"rows", "bilstm", "affine", "crf_nll"},
 }
 
 

@@ -40,8 +40,10 @@ from negmtl.training import (
 )
 from oracles import (
     adam_step_reference,
+    add,
     linear_rows,
     linear_vec,
+    mul,
     negation_forward_reference,
     negation_tag_reference,
     predict_document_reference,
@@ -71,9 +73,9 @@ class TestRowsGradient:
     def leaf_grad(self, rows_op, weights):
         m = Tensor(np.arange(24.0).reshape(6, 4), requires_grad=True)
         with Tape():
-            first = ad.mul(rows_op(m, [4, 1, 4, 4, 2]), Tensor(weights[:5]))
-            second = ad.mul(rows_op(m, [2, 5, 1]), Tensor(weights[5:]))
-            backward(ad.add(ad.sum_all(first), ad.sum_all(second)))
+            first = mul(rows_op(m, [4, 1, 4, 4, 2]), Tensor(weights[:5]))
+            second = mul(rows_op(m, [2, 5, 1]), Tensor(weights[5:]))
+            backward(add(ad.sum_all(first), ad.sum_all(second)))
         return m.grad
 
     def test_leaf_grad_matches_dense_reference(self):
@@ -470,7 +472,7 @@ def test_affine_matches_composed_reference(in_dim, out_dim, rows):
         t = {k: Tensor(v.copy(), requires_grad=True) for k, v in leaves.items()}
         with Tape():
             out = op(Linear(t["w"], t["b"]), t["x"])
-            backward(ad.sum_all(ad.mul(out, Tensor(upstream))))
+            backward(ad.sum_all(mul(out, Tensor(upstream))))
         results.append((out.data, {k: v.grad for k, v in t.items()}))
     (got, got_grads), (want, want_grads) = results
     if rows is None:

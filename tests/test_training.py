@@ -46,6 +46,7 @@ from oracles import (
     bow_loss_and_grad,
     fit_bow_newton_reference,
     fit_bow_reference,
+    mul,
     train_bow_reference,
 )
 from synth import separable_corpus, vocab_corpus
@@ -666,7 +667,7 @@ def poison(monkeypatch, loss_name: str, bad_ids, on_call: int):
             seen += 1
             if seen == on_call:
                 events.append("poisoned")
-                return ad.mul(loss, Tensor(np.array(np.nan)))
+                return mul(loss, Tensor(np.array(np.nan)))
         events.append("loss")
         return loss
 
