@@ -47,6 +47,14 @@ densifies it only when the gathered matrix is itself a recorded
 output.  A leaf's ``grad`` is still a dense array once any gradient
 reaches it, and the bits equal those of a dense accumulation.
 
+Where a leaf's gradient lives is up to its optimizer.  A leaf that no
+optimizer has laid out gets a fresh ``zeros_like`` the first time a
+backward walk reaches it.  ``training.AdamState`` keeps each parameter's
+gradient as a view into its group's flat gradient buffer; after a step
+it leaves that view cleared to +0.0 as the tensor's ``spare``, and the
+next walk that reaches the leaf accumulates into the spare instead of
+allocating.
+
 Not thread safe: the tape stack is module-global.
 """
 
@@ -137,14 +145,20 @@ class Tensor:
     Leaf tensors are created directly (parameters, inputs); non-leaf
     tensors are produced by recorded operations and hold the ``Node``
     that knows how to differentiate them.
+
+    ``spare`` is a gradient array shaped like ``data`` that holds only
+    +0.0, or None: the optimizer sets it after it has consumed and
+    cleared the gradient, and ``backward`` takes it, instead of
+    allocating, when it first reaches the leaf after ``zero_grads``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "grad", "spare", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = as_floats(data)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
+        self.spare: np.ndarray | None = None
         self.node: Node | None = None
 
     @property
@@ -197,8 +211,12 @@ def backward(loss: Tensor):
     """Accumulate d(loss)/d(leaf) into each reachable leaf's ``grad``.
 
     Repeated calls keep accumulating; reset with ``zero_grads`` between
-    passes.  The walk is the exact reverse of recording order, so
-    gradients are bitwise reproducible for identical forward passes.
+    passes.  A leaf reached with ``grad`` None starts from +0.0: its
+    ``spare`` if it has one (the optimizer's cleared gradient view),
+    else a fresh ``zeros_like``.  Reaching a leaf uses up its spare, so
+    a spare is only ever taken while it still holds +0.0.  The walk is
+    the exact reverse of recording order, so gradients are bitwise
+    reproducible for identical forward passes.
 
     A node's backward may return its input gradients as a tuple or
     yield them from a generator, in the order of ``node.inputs``; None
@@ -223,7 +241,8 @@ def backward(loss: Tensor):
                 continue
             if t.is_leaf:
                 if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
+                    t.grad = np.zeros_like(t.data) if t.spare is None else t.spare
+                t.spare = None
                 if isinstance(gt, RowGrad):
                     # unique indices: one fancy-index add is exact, and the
                     # rows it skips would only have gained +0.0
@@ -238,6 +257,9 @@ def backward(loss: Tensor):
 
 
 def zero_grads(tensors: Iterable[Tensor]):
+    """Mark each tensor as not reached: ``grad`` becomes None, and the
+    next ``backward`` that reaches it starts from +0.0.  No buffer is
+    filled; the arrays a tensor's gradient lives in stay where they are."""
     for t in tensors:
         t.grad = None
 

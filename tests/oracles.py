@@ -28,7 +28,6 @@ from negmtl.models import (
 )
 from negmtl.training import (
     BOW_GRAD_TOL,
-    AdamState,
     BowModel,
     BowResult,
     OptimizerError,
@@ -42,7 +41,6 @@ from negmtl.training import (
     _require_labeled,
     _sigmoid,
     accuracy_of,
-    apply_updates,
     predict_corpus,
     rng_streams,
 )
@@ -504,9 +502,34 @@ def rows_reference(a: Tensor, indices, mask: np.ndarray | None = None) -> Tensor
     return ad._make_output(out, (a,), bw)
 
 
-def adam_step_reference(state, params: dict, names):
-    """One bias-corrected Adam update on the named parameters:
-    m̂ = m/(1-β1^t), v̂ = v/(1-β2^t), θ ← θ - lr·m̂/(√v̂ + ε)."""
+@dataclasses.dataclass
+class AdamReference:
+    """Per-parameter Adam state: moments allocated by name on a
+    parameter's first step, and a step count per name."""
+
+    lr: float = 0.001
+    beta1: float = 0.9
+    beta2: float = 0.999
+    epsilon: float = 1e-8
+    m: dict = dataclasses.field(default_factory=dict)
+    v: dict = dataclasses.field(default_factory=dict)
+    t: dict = dataclasses.field(default_factory=dict)
+
+    def __post_init__(self):
+        self.lr, self.beta1, self.beta2, self.epsilon = map(
+            float, (self.lr, self.beta1, self.beta2, self.epsilon)
+        )
+
+    @classmethod
+    def for_config(cls, config: TrainConfig) -> "AdamReference":
+        return cls(config.learning_rate, config.beta1, config.beta2, config.epsilon)
+
+
+def adam_step_reference(state: AdamReference, params: dict, names):
+    """One bias-corrected Adam update on the named parameters, one
+    parameter at a time with temporaries:
+    m̂ = m/(1-β1^t), v̂ = v/(1-β2^t), θ ← θ - lr·m̂/(√v̂ + ε).
+    The gradients are left as they are."""
     for name in names:
         p = params[name]
         g = p.grad
@@ -529,11 +552,22 @@ def adam_step_reference(state, params: dict, names):
         p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
 
 
+def apply_updates_reference(state: AdamReference, params: dict, names):
+    """``adam_step_reference`` with the padding row of the embedding pinned."""
+    emb = params.get("embedding.weights")
+    if emb is not None and emb.grad is not None and "embedding.weights" in names:
+        emb.grad[0] = 0.0
+    adam_step_reference(state, params, names)
+
+
 # ---------------------------------------------------------------------------
 # Separate per-mode training loops and the per-task forward passes they
 # replaced: the library now runs one loop whose negation pass is an
 # optional phase, and one eval pass that feeds both heads from the same
-# sentence encodings.  Kept verbatim so tests can require equal bytes.
+# sentence encodings.  Kept so tests can require equal bytes.  The loops
+# step with the per-parameter ``adam_step_reference`` on plain
+# per-tensor gradients: no optimizer lays their tensors out, so each
+# backward after ``zero_grads`` accumulates into a fresh ``zeros_like``.
 
 
 def train_stl_reference(config: TrainConfig, train_docs: Sequence[Document], dev_docs: Sequence[Document]) -> TrainResult:
@@ -554,7 +588,7 @@ def train_stl_reference(config: TrainConfig, train_docs: Sequence[Document], dev
         p.data = p.data.astype(training.TRAIN_DTYPE)
     groups = params.parameter_groups()
     step_names = groups["shared"] + groups["sentiment"]
-    adam = AdamState.for_config(config)
+    adam = AdamReference.for_config(config)
 
     train_ids = _encode_docs(vocab, train_docs)
     gold = [LABEL_TO_CLASS[doc.label] for doc in train_docs]
@@ -575,7 +609,7 @@ def train_stl_reference(config: TrainConfig, train_docs: Sequence[Document], dev
                 )
                 backward(loss)
             total += loss.item()
-            apply_updates(adam, named, step_names)
+            apply_updates_reference(adam, named, step_names)
         dev_acc = accuracy_of(predict_corpus(params, vocab, dev_docs))
         history.append(
             {"epoch": epoch, "sentiment_loss": total / len(train_docs), "dev_accuracy": dev_acc}
@@ -617,7 +651,7 @@ def train_mtl_reference(config: TrainConfig, train_docs: Sequence[Document], dev
     groups = params.parameter_groups()
     neg_names = groups["shared"] + groups["negation"]
     sent_names = groups["shared"] + groups["sentiment"]
-    adam = AdamState.for_config(config)
+    adam = AdamReference.for_config(config)
 
     train_ids = _encode_docs(vocab, train_docs)
     gold = [LABEL_TO_CLASS[doc.label] for doc in train_docs]
@@ -646,7 +680,7 @@ def train_mtl_reference(config: TrainConfig, train_docs: Sequence[Document], dev
                     )
                     backward(loss)
                 neg_total += loss.item()
-                apply_updates(adam, named, neg_names)
+                apply_updates_reference(adam, named, neg_names)
             neg_mean = neg_total / len(sentences)
 
         sent_total = 0.0
@@ -659,7 +693,7 @@ def train_mtl_reference(config: TrainConfig, train_docs: Sequence[Document], dev
                 )
                 backward(loss)
             sent_total += loss.item()
-            apply_updates(adam, named, sent_names)
+            apply_updates_reference(adam, named, sent_names)
 
         dev_acc = accuracy_of(predict_corpus(params, vocab, dev_docs))
         history.append(

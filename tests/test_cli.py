@@ -191,6 +191,28 @@ class TestTrain:
         for name in ("checkpoint.bin", "metrics.jsonl", "manifest.json"):
             assert not (out / name).exists(), name
 
+    def test_non_finite_parameter_fails_before_artifacts(self, corpus, tmp_path, monkeypatch, capsys):
+        # an inf gradient behind a finite loss on the last step of epoch 1
+        apply_updates, steps = training.apply_updates, []
+
+        def poisoned(state, params, names):
+            steps.append(names)
+            if len(steps) == 6:  # one step per training document
+                params["out.b"].grad[0] = np.inf
+            return apply_updates(state, params, names)
+
+        monkeypatch.setattr(training, "apply_updates", poisoned)
+        train, dev = corpus
+        out = tmp_path / "run"
+        with np.errstate(invalid="ignore"):
+            rc = main(["train", "--train", str(train), "--dev", str(dev), "--out", str(out), *SMALL])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: epoch 1: parameter 'out.b' holds a non-finite value after the updates"
+        ]
+        for name in ("checkpoint.bin", "metrics.jsonl", "manifest.json"):
+            assert not (out / name).exists(), name
+
     def test_bow_prints_chosen_c(self, corpus, tmp_path, capsys):
         train, dev = corpus
         rc = main(["train", "--mode", "bow", "--train", str(train), "--dev", str(dev), "--out", str(tmp_path / "bow")])
@@ -477,9 +499,14 @@ class TestPredict:
         run = tmp_path / "run"
         main(["train", "--train", str(train), "--dev", str(dev), "--out", str(run), *SMALL])
         path = run / "checkpoint.bin"
-        ckpt = training.load_checkpoint(path)
-        ckpt.arrays[name].reshape(-1)[1] = value
-        training.save_checkpoint(ckpt, path)
+        # save_checkpoint refuses a non-finite array: write the value into
+        # the file, at entry 1 of the parameter's blob
+        raw = bytearray(path.read_bytes())
+        (header_len,) = struct.unpack_from("<Q", raw, 8)
+        manifest = json.loads(raw[16 : 16 + header_len])["manifest"]
+        offset = next(e["offset"] for e in manifest if e["name"] == name)
+        struct.pack_into("<f", raw, 16 + header_len + offset + 4, value)
+        path.write_bytes(bytes(raw))
         capsys.readouterr()
         rc = main(["predict", "--checkpoint", str(path), "--data", str(dev), "--out", str(tmp_path / "p")])
         assert rc == 1

@@ -95,6 +95,11 @@ def test_one_training_step_stays_in_the_model_dtype(node_dtypes, group, dtype):
     assert set(adam.m) == set(adam.v) != set()
     for name in adam.m:
         assert adam.m[name].dtype == adam.v[name].dtype == dtype, name
+    # the step laid out one group in the model's dtype, values included
+    (laid_out,) = adam.groups
+    assert [buf.dtype for buf in (laid_out.data, laid_out.grad, laid_out.m, laid_out.v)] == [dtype] * 4
+    for name in laid_out.names:
+        assert np.shares_memory(params.named_parameters()[name].data, laid_out.data), name
     assert [buf.dtype for buf in adam.scratch] == [dtype, dtype]
 
 
@@ -108,15 +113,17 @@ def test_prediction_stays_in_the_model_dtype(node_dtypes, dtype):
 
 def test_adam_hyperparameters_do_not_promote_float32():
     # a numpy float64 scalar times a float32 array is float64 (NEP 50)
+    # Adam consumes the gradient it steps, so each side gets its own copy
+    grad = np.full(3, 0.5, dtype=np.float32)
     p = ad.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-    p.grad = np.full(3, 0.5, dtype=np.float32)
+    p.grad = grad.copy()
     adam = AdamState(lr=np.float64(0.01), beta1=np.float64(0.9), beta2=np.float64(0.999),
                      epsilon=np.float64(1e-8))
     apply_updates(adam, {"p": p}, ["p"])
     assert all(type(v) is float for v in (adam.lr, adam.beta1, adam.beta2, adam.epsilon))
     want = AdamState(lr=0.01, beta1=0.9, beta2=0.999, epsilon=1e-8)
     q = ad.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-    q.grad = p.grad.copy()
+    q.grad = grad.copy()
     apply_updates(want, {"q": q}, ["q"])
     assert p.data.dtype == np.float32 and p.data.tobytes() == q.data.tobytes()
 

@@ -1,6 +1,8 @@
 """Bit-identity of refactored paths against the references in
-``tests/oracles.py``: the dense, allocating embedding gradient and
-Adam; the separate stl and mtl training loops; the two-pass
+``tests/oracles.py``: the dense, allocating embedding gradient; the
+per-parameter Adam with temporaries, against the grouped and blocked
+update; the separate stl and mtl training loops, which step with that
+per-parameter Adam on per-tensor gradients; the two-pass
 ``predict --tags``; the one-node affine map; and the per-sentence
 encoding that the packed sentence BiLSTM replaced.
 
@@ -29,6 +31,7 @@ from negmtl.evaluation import write_predictions
 from negmtl.crf import crf_nll
 from negmtl.models import ModelParams, negation_loss, negation_tag, predict_document, sentiment_loss
 from negmtl.training import (
+    ADAM_BLOCK,
     AdamState,
     Checkpoint,
     TrainConfig,
@@ -39,33 +42,28 @@ from negmtl.training import (
     train_stl,
 )
 from oracles import (
-    adam_step_reference,
+    AdamReference,
     add,
     linear_rows,
     linear_vec,
     mul,
     negation_forward_reference,
     negation_tag_reference,
+    apply_updates_reference,
     predict_document_reference,
     rows_reference,
     sentiment_forward_reference,
     train_mtl_reference,
     train_stl_reference,
 )
-from test_training import doc
-
-
-def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Equal shape, dtype and bytes: unlike array_equal, tells -0.0 from +0.0."""
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+from test_training import doc, same_bits
 
 
 @pytest.fixture
 def reference_path(monkeypatch):
-    """Route the model and the training loops through the references."""
+    """Route the embedding gather through its dense reference."""
     def use():
         monkeypatch.setattr(ad, "rows", rows_reference)
-        monkeypatch.setattr(training, "adam_step", adam_step_reference)
     return use
 
 
@@ -136,47 +134,112 @@ class TestModelGradients:
         self.assert_same_as_reference(loss, reference_path)
 
 
-class TestAdamMatchesReference:
-    def run(self, step_fn, monkeypatch):
-        """50 apply_updates steps over an embedding with a pinned padding
-        row and two never-looked-up rows, a scalar, a vector and a matrix.
-        The scalar comes first, so the scratch buffers grow mid-stream."""
-        monkeypatch.setattr(training, "adam_step", step_fn)
-        rng = np.random.default_rng(7)
-        params = {
-            "s": Tensor(np.array(0.25), requires_grad=True),
-            "embedding.weights": Tensor(rng.normal(size=(6, 3)), requires_grad=True),
-            "b": Tensor(rng.normal(size=4), requires_grad=True),
-            "w": Tensor(rng.normal(size=(4, 5)), requires_grad=True),
-        }
-        params["embedding.weights"].data[0] = 0.0
-        state = AdamState(lr=0.01, beta1=0.85, beta2=0.995, epsilon=1e-7)
-        grad_rng = np.random.default_rng(8)
-        for step in range(50):
-            for name, p in params.items():
-                scale = 10.0 ** grad_rng.integers(-9, 4, size=p.data.shape)
-                p.grad = grad_rng.normal(size=p.data.shape) * scale
-            emb_grad = params["embedding.weights"].grad
-            emb_grad[[2, 5]] = 0.0
-            if step % 7 == 0:
-                emb_grad[1] = -0.0
-            names = list(params) if step % 5 else ["embedding.weights", "w"]
-            apply_updates(state, params, names)
-        return params, state
+ADAM = dict(lr=0.01, beta1=0.85, beta2=0.995, epsilon=1e-7)
 
-    def test_fifty_steps_bitwise(self, monkeypatch):
-        got, got_state = self.run(training.adam_step, monkeypatch)
-        want, want_state = self.run(adam_step_reference, monkeypatch)
-        assert got_state.t == want_state.t
+
+def small_params(dtype):
+    rng = np.random.default_rng(7)
+    params = {
+        "s": Tensor(np.array(0.25, dtype=dtype), requires_grad=True),
+        "embedding.weights": Tensor(rng.normal(size=(6, 3)).astype(dtype), requires_grad=True),
+        "b": Tensor(rng.normal(size=4).astype(dtype), requires_grad=True),
+        "w": Tensor(rng.normal(size=(4, 5)).astype(dtype), requires_grad=True),
+    }
+    params["embedding.weights"].data[0] = 0.0
+    return params
+
+
+def small_schedule(step):
+    return ["s", "embedding.weights", "b", "w"] if step % 5 else ["s", "b"]
+
+
+def large_params(dtype):
+    """A scalar, a matrix, an embedding larger than one block and a
+    vector, with two heads' worth of small parameters behind them."""
+    rng = np.random.default_rng(9)
+    shapes = {"s": (), "w": (4, 5), "embedding.weights": (ADAM_BLOCK // 50, 70), "b": (4,),
+              "neg.w": (5, 8), "neg.b": (5,), "sent.w": (2, 8), "sent.b": (2,)}
+    params = {name: Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+              for name, shape in shapes.items()}
+    params["embedding.weights"].data[0] = 0.0
+    return params
+
+
+class TestAdamMatchesReference:
+    """The grouped, blocked update against the per-parameter reference:
+    parameters, moments and step counts bit for bit over 50+ steps.
+    Gradients span magnitudes 1e-9 to 1e3 and hold -0.0 entries; the
+    embedding's padding row is pinned, two of its rows never get a
+    gradient, and every 7th step one row is all -0.0."""
+
+    def gradients(self, rng, params, names, step):
+        grads = {}
+        for name in names:
+            shape = params[name].data.shape
+            g = np.asarray(rng.normal(size=shape) * 10.0 ** rng.integers(-9, 4, size=shape))
+            g[np.asarray(rng.random(size=shape) < 0.05)] = -0.0
+            if name == "embedding.weights":
+                g[[2, 5]] = 0.0
+                if step % 7 == 0:
+                    g[1] = -0.0
+            grads[name] = g.astype(params[name].data.dtype)
+        return grads
+
+    def run(self, make_params, schedule, dtype=np.float64, layout=(), steps=50):
+        """``steps`` steps of ``apply_updates`` and of the reference on two
+        copies of the same parameters, each step over ``schedule(step)``;
+        ``layout`` lists the groups to lay out before the first step
+        (the others are laid out by the steps that first name them)."""
+        got, want = make_params(dtype), make_params(dtype)
+        state, reference = AdamState(**ADAM), AdamReference(**ADAM)
+        for names in layout:
+            state.layout(got, names)
+        rng = np.random.default_rng(8)
+        for step in range(steps):
+            names = schedule(step)
+            grads = self.gradients(rng, got, names, step)
+            for name in names:
+                got[name].grad, want[name].grad = grads[name].copy(), grads[name].copy()
+            apply_updates(state, got, names)
+            apply_updates_reference(reference, want, names)
+        assert state.t == reference.t
         for name in want:
             assert same_bits(got[name].data, want[name].data), name
-            assert same_bits(got_state.m[name], want_state.m[name]), name
-            assert same_bits(got_state.v[name], want_state.v[name]), name
+            assert same_bits(state.m[name], reference.m[name]), name
+            assert same_bits(state.v[name], reference.v[name]), name
         np.testing.assert_array_equal(got["embedding.weights"].data[0], 0.0)
+        return state
 
-    def test_scratch_is_sized_to_the_largest_parameter(self, monkeypatch):
-        _, state = self.run(training.adam_step, monkeypatch)
-        assert [buf.size for buf in state.scratch] == [20, 20]
+    def test_fifty_steps_bitwise(self):
+        # the first step lays out the scalar and the vector, the second the
+        # embedding and the matrix: the scratch buffers grow mid-stream
+        state = self.run(small_params, small_schedule)
+        assert [g.names for g in state.groups] == [("s", "b"), ("embedding.weights", "w")]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_block_boundaries_inside_a_parameter(self, dtype):
+        names = list(large_params(dtype))
+        state = self.run(large_params, lambda step: names, dtype, layout=[names])
+        (group,) = state.groups
+        emb = dict(group.views(group.data))["embedding.weights"]
+        lo = (emb.__array_interface__["data"][0] - group.data.__array_interface__["data"][0]) // group.data.itemsize
+        assert lo < ADAM_BLOCK < lo + emb.size  # a boundary inside the embedding
+        assert len(group.blocks) == 2 and group.blocks[0][0].size == ADAM_BLOCK
+
+    def test_mtl_groups_bitwise(self):
+        # shared + negation, then shared + sentiment, in phases of 3 and 5 steps
+        shared, negation, sentiment = ["s", "w", "embedding.weights", "b"], ["neg.w", "neg.b"], ["sent.w", "sent.b"]
+        state = self.run(large_params, lambda step: shared + (negation if step % 8 < 3 else sentiment),
+                         np.float32, layout=[shared, sentiment, negation], steps=56)
+        assert state.t["embedding.weights"] == 56 and state.t["neg.w"] == 21 and state.t["sent.b"] == 35
+
+    def test_scratch_is_one_block_or_the_largest_group(self):
+        # groups of 32 and 64 elements (each parameter padded to 16)
+        small = self.run(small_params, small_schedule, steps=6)
+        assert [buf.size for buf in small.scratch] == [64, 64]
+        names = list(large_params(np.float32))
+        large = self.run(large_params, lambda step: names, np.float32, layout=[names], steps=1)
+        assert [buf.size for buf in large.scratch] == [ADAM_BLOCK, ADAM_BLOCK]
 
 
 def corpus():
@@ -191,20 +254,6 @@ def corpus():
         doc("d2", "negative", "boring mess"),
     ]
     return train, dev
-
-
-@pytest.mark.parametrize("mode, train_fn", [("stl", train_stl), ("mtl", train_mtl)])
-def test_training_checkpoint_bytes_match_reference(tmp_path, reference_path, mode, train_fn):
-    config = TrainConfig(mode=mode, seed=3, epochs=3, embedding_dim=6, hidden_dim=4,
-                         dropout_p=0.2, patience=10)
-    train, dev = corpus()
-    new = train_fn(config, train, dev)
-    reference_path()
-    old = train_fn(config, train, dev)
-    assert new.history == old.history
-    save_checkpoint(new.checkpoint, tmp_path / "new.bin")
-    save_checkpoint(old.checkpoint, tmp_path / "old.bin")
-    assert (tmp_path / "new.bin").read_bytes() == (tmp_path / "old.bin").read_bytes()
 
 
 LOOP_CASES = [
@@ -237,6 +286,14 @@ def assert_same_runs(tmp_path, overrides, before_reference=lambda: None):
     save_checkpoint(new.checkpoint, tmp_path / "new.bin")
     save_checkpoint(old.checkpoint, tmp_path / "old.bin")
     assert (tmp_path / "new.bin").read_bytes() == (tmp_path / "old.bin").read_bytes()
+
+
+@pytest.mark.parametrize("mode, train_fn", [("stl", train_stl), ("mtl", train_mtl)])
+def test_training_checkpoint_bytes_match_reference(tmp_path, reference_path, mode, train_fn):
+    # the library's sparse embedding gradient and grouped, blocked Adam
+    # against the dense gradient and the per-parameter Adam of the
+    # reference loops
+    assert_same_runs(tmp_path, dict(mode=mode, seed=3), reference_path)
 
 
 @pytest.mark.parametrize("overrides", LOOP_CASES, ids=LOOP_IDS)

@@ -14,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from negmtl import autodiff as ad
 from negmtl import training
-from negmtl.autodiff import Tensor
+from negmtl.autodiff import Tape, Tensor, backward, zero_grads
 from negmtl.corpus import Document, NegationStructure, Sentence, build_vocab
 from negmtl.evaluation import PredictionRecord, accuracy_of
-from negmtl.models import ModelParams
+from negmtl.models import ModelParams, sentiment_loss
 from negmtl.training import (
     AdamState,
     Checkpoint,
@@ -42,6 +42,8 @@ from negmtl.training import (
     train_stl,
 )
 from oracles import (
+    AdamReference,
+    apply_updates_reference,
     bow_features_reference,
     bow_loss_and_grad,
     fit_bow_newton_reference,
@@ -218,6 +220,10 @@ class TestAdam:
         with pytest.raises(OptimizerError, match="'w_hh'"):
             adam_step(AdamState(), {"w_hh": p}, ["w_hh"])
 
+    def test_unknown_parameter_is_named(self):
+        with pytest.raises(OptimizerError, match="unknown parameter 'w_hh'"):
+            adam_step(AdamState(), {}, ["w_hh"])
+
     def test_step_counts_are_per_parameter(self):
         a = Tensor(np.array(0.0), requires_grad=True)
         b = Tensor(np.array(0.0), requires_grad=True)
@@ -228,6 +234,19 @@ class TestAdam:
         b.grad = np.array(1.0)
         adam_step(state, {"a": a, "b": b}, ["a", "b"])
         assert state.t == {"a": 2, "b": 1}
+
+    def test_one_state_steps_one_dtype(self):
+        a = Tensor(np.zeros(2), requires_grad=True)
+        b = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+        c = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+        a.grad, b.grad, c.grad = np.ones(2), np.ones(2, dtype=np.float32), np.ones(2, dtype=np.float32)
+        state = AdamState()
+        with pytest.raises(OptimizerError, match="parameter 'b' is float32, not float64"):
+            adam_step(state, {"a": a, "b": b}, ["a", "b"])
+        adam_step(state, {"a": a}, ["a"])
+        with pytest.raises(OptimizerError, match="steps float64, not float32"):
+            adam_step(state, {"a": a, "c": c}, ["a", "c"])
+        assert state.t == {"a": 1}
 
     def test_apply_updates_pins_padding_row(self):
         emb = Tensor(np.zeros((3, 2)), requires_grad=True)
@@ -243,6 +262,192 @@ class TestAdam:
         apply_updates(AdamState(), {"embedding.weights": emb, "o": other}, ["o"])
         np.testing.assert_array_equal(emb.data, np.ones((2, 2)))
         assert np.all(other.data != 1.0)
+
+
+DOC_IDS = [[1, 2, 1, 3], [4, 5], [6, 2, 7]]
+
+
+def laid_out_model():
+    """A float32 mtl model whose three groups are laid out as
+    ``train_neural`` lays them out, and its optimizer."""
+    params = ModelParams.init(8, 4, 3, np.random.default_rng(0), with_negation_head=True)
+    named = params.named_parameters()
+    state = AdamState(lr=0.01)
+    for names in params.parameter_groups().values():
+        state.layout(named, names, np.float32)
+    return params, named, state
+
+
+def sentiment_backward(params):
+    with Tape():
+        backward(sentiment_loss(params, DOC_IDS, 1, train=True, dropout_p=0.3, rng=np.random.default_rng(4)))
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shape, dtype and bytes: unlike array_equal, tells -0.0 from +0.0."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestGradientBinding:
+    """Adam clears the gradients it consumes and leaves them bound as
+    spares for the next backward; what a caller sees of ``grad`` stays as
+    before."""
+
+    def sentiment_names(self, params):
+        groups = params.parameter_groups()
+        return groups["shared"] + groups["sentiment"]
+
+    def test_grad_is_none_until_backward_reaches_the_leaf(self):
+        params, named, state = laid_out_model()
+        groups = params.parameter_groups()
+        assert all(p.grad is None for p in named.values())
+        sentiment_backward(params)
+        apply_updates(state, named, self.sentiment_names(params))
+        assert [n for n, p in named.items() if p.grad is None] == groups["negation"]
+        with pytest.raises(OptimizerError, match=f"'{groups['negation'][0]}' has no gradient"):
+            apply_updates(state, named, groups["shared"] + groups["negation"])
+        zero_grads(named.values())
+        assert all(p.grad is None for p in named.values())
+        sentiment_backward(params)
+        assert [n for n, p in named.items() if p.grad is None] == groups["negation"]
+
+    def test_backward_after_zero_grads_starts_from_zero(self):
+        params, named, state = laid_out_model()
+        names = self.sentiment_names(params)
+        sentiment_backward(params)
+        apply_updates(state, named, names)
+
+        def fresh_grads():
+            fresh = ModelParams.from_arrays({n: p.data.copy() for n, p in named.items()})
+            sentiment_backward(fresh)
+            return fresh.named_parameters()
+
+        want = fresh_grads()
+        zero_grads(named.values())
+        sentiment_backward(params)  # into the cleared views Adam left
+        for name in names:
+            group = next(g for g in state.groups if name in g.names)
+            assert np.shares_memory(named[name].grad, group.grad), name
+            assert same_bits(named[name].grad, want[name].grad), name
+        # twice more with no step between: never onto the stale sums
+        sentiment_backward(params)
+        zero_grads(named.values())
+        sentiment_backward(params)
+        for name in names:
+            assert same_bits(named[name].grad, want[name].grad), name
+
+    def test_repeated_steps_without_backward_step_a_zero_gradient(self):
+        params, named, state = laid_out_model()
+        names = self.sentiment_names(params)
+        reference = AdamReference(lr=0.01)
+        copies = {n: Tensor(p.data.copy(), requires_grad=True) for n, p in named.items()}
+        sentiment_backward(params)
+        for name in names:
+            copies[name].grad = named[name].grad.copy()
+        for _ in range(3):
+            apply_updates(state, named, names)
+            apply_updates_reference(reference, copies, names)
+            for name in names:
+                copies[name].grad = np.zeros_like(copies[name].grad)
+        assert {n: state.t[n] for n in names} == reference.t == dict.fromkeys(names, 3)
+        for name in names:
+            assert not np.signbit(named[name].grad).any() and not named[name].grad.any(), name
+            assert same_bits(named[name].data, copies[name].data), name
+
+    def test_assigned_grad_is_stepped(self):
+        params, named, state = laid_out_model()
+        names = self.sentiment_names(params)
+        reference = AdamReference(lr=0.01)
+        copies = {n: Tensor(p.data.copy(), requires_grad=True) for n, p in named.items()}
+        rng = np.random.default_rng(3)
+        for step in range(3):
+            for name in names:
+                g = rng.normal(size=named[name].data.shape).astype(np.float32)
+                named[name].grad, copies[name].grad = g, g.copy()
+            apply_updates(state, named, names)
+            apply_updates_reference(reference, copies, names)
+            for name in names:
+                assert same_bits(named[name].data, copies[name].data), (step, name)
+        # a step that copies assigned gradients in and then fails on a
+        # group without gradients leaves no dirty spare behind
+        zero_grads(named.values())
+        for name in params.parameter_groups()["shared"]:
+            named[name].grad = np.ones_like(named[name].data)
+        with pytest.raises(OptimizerError, match="has no gradient"):
+            apply_updates(state, named, names)
+        zero_grads(named.values())
+        sentiment_backward(params)
+        fresh = ModelParams.from_arrays({n: p.data.copy() for n, p in named.items()})
+        sentiment_backward(fresh)
+        for name, p in fresh.named_parameters().items():
+            if name in names:
+                assert same_bits(named[name].grad, p.grad), name
+
+    def test_a_list_splitting_a_group_names_the_parameter(self):
+        params, named, state = laid_out_model()
+        groups = params.parameter_groups()
+        sentiment_backward(params)
+        left_out = groups["shared"][-1]
+        with pytest.raises(OptimizerError, match=f"parameter '{left_out}' shares a group"):
+            apply_updates(state, named, groups["shared"][:-1] + groups["sentiment"])
+        assert state.t == dict.fromkeys(named, 0)
+
+    @pytest.mark.parametrize("mode", ["stl", "mtl"])
+    def test_training_steps_accumulate_into_the_group_buffers(self, monkeypatch, mode):
+        """No step allocates a gradient: every stepped leaf's ``grad`` is
+        a view of its group's gradient buffer, the same buffer at every
+        step, and the step leaves that buffer +0.0."""
+        real, steps = training.apply_updates, []
+
+        class Stop(Exception):
+            pass
+
+        def checked(state, params, names):
+            buffers = {}
+            for name in names:
+                group = next(g for g in state.groups if name in g.names)
+                assert np.shares_memory(params[name].grad, group.grad), name
+                buffers[name] = group.grad
+            real(state, params, names)
+            for name, buf in buffers.items():
+                assert not np.signbit(buf).any() and not buf.any(), name
+            steps.append(buffers)
+            if len(steps) == 3:
+                raise Stop
+
+        monkeypatch.setattr(training, "apply_updates", checked)
+        train, dev = negation_corpus()
+        with pytest.raises(Stop):
+            (train_stl if mode == "stl" else train_mtl)(tiny_config(mode=mode), train, dev)
+        for name, buf in steps[0].items():
+            assert all(step[name] is buf for step in steps), name
+
+
+class TestNonFiniteParameters:
+    """A non-finite gradient behind a finite loss makes a non-finite
+    parameter; it must not reach a checkpoint."""
+
+    def test_inf_gradient_fails_before_the_dev_evaluation(self, monkeypatch):
+        train, dev = sentiment_corpus()
+        real_updates, real_predict, events = training.apply_updates, training.predict_corpus, []
+
+        def poisoned(state, params, names):
+            events.append("step")
+            if len(events) == len(train):  # the last sentiment step of epoch 1
+                params["out.b"].grad[0] = np.inf
+            return real_updates(state, params, names)
+
+        def predict(*args, **kwargs):
+            events.append("dev")
+            return real_predict(*args, **kwargs)
+
+        monkeypatch.setattr(training, "apply_updates", poisoned)
+        monkeypatch.setattr(training, "predict_corpus", predict)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            TrainingError, match=r"^epoch 1: parameter 'out.b' holds a non-finite value after the updates$"
+        ):
+            train_stl(tiny_config(), train, dev)
+        assert events == ["step"] * len(train)
 
 
 def _set_entry(header: dict, index: int, **fields) -> dict:
@@ -275,6 +480,15 @@ def load_checkpoint_bytes(raw: bytes, directory: str) -> Checkpoint:
 
 
 class TestCheckpoint:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_save_refuses_a_non_finite_array(self, tmp_path, value):
+        params, vocab = self.model_and_vocab()
+        ckpt = Checkpoint.from_model(params, vocab, tiny_config(mode="mtl"))
+        ckpt.arrays["out.b"][1] = value
+        with pytest.raises(CheckpointError, match=r"^array 'out.b' holds a non-finite value$"):
+            save_checkpoint(ckpt, tmp_path / "m.bin")
+        assert list(tmp_path.iterdir()) == []
+
     def model_and_vocab(self, with_head=True):
         train, _ = sentiment_corpus()
         vocab = build_vocab(train, 1, False)
