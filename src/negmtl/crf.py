@@ -173,23 +173,20 @@ def viterbi_paths(
     + inner.T`` and takes its first-index argmax and its max over the
     previous tag, the additions and the tie rule of one sentence on its
     own.  A sentence's best last tag is chosen when it drops out of the
-    live set, and every path is traced back in one more loop.  One
-    sentence needs no plan: step s is row s.
+    live set, and every path is traced back in one more loop.
     """
     transitions, emissions = ad.as_floats(transitions), ad.as_floats(emissions)
     k = transitions.shape[0] - 2
     _check_emissions(k, emissions.shape)
     n_rows = emissions.shape[0]
-    if lengths is not None and (len(lengths) == 0 or min(lengths) < 1 or sum(lengths) != n_rows):
+    if lengths is None:
+        lengths = [n_rows]
+    elif len(lengths) == 0 or min(lengths) < 1 or sum(lengths) != n_rows:
         raise ValueError(f"lengths {list(lengths)} do not split {n_rows} emission rows")
-    one = lengths is None or len(lengths) == 1
-    if one:  # step s is row s: no plan, no reordering
-        packed, starts, live = emissions, range(n_rows), [1] * n_rows
-    else:
-        read, _, steps, _ = _packing(lengths, n_rows)
-        packed = emissions[read[0]]  # step-major: step s owns rows starts[s]..+live[s]
-        starts = [a // 2 for a, _ in steps]  # packed row of each step's first sentence
-        live = [n for _, n in steps]
+    read, _, steps, _ = _packing(lengths, n_rows)
+    packed = emissions[read[0]]  # step-major: step s owns rows starts[s]..+live[s]
+    starts = [a // 2 for a, _ in steps]  # packed row of each step's first sentence
+    live = [n for _, n in steps]
     start, stop = k, k + 1
 
     # [to, from]: each step reduces over contiguous rows
@@ -217,8 +214,6 @@ def viterbi_paths(
             tag = tags[a + j] = last[j]
             last[j] = back[a + j][tag]
     tags[: live[0]] = last
-    if one:
-        return [tags]
     in_order = np.empty(n_rows, dtype=np.intp)
     in_order[read[0]] = tags
     flat = in_order.tolist()

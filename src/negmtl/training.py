@@ -10,9 +10,11 @@ logistic regression baseline, and binary checkpoint serialization.
 The optimizer owns the training buffers.  ``train_neural`` lays out each
 parameter group of the model (shared, sentiment, negation) once, before
 the first step, in four flat buffers: parameter values, gradients and
-Adam's two moments.  The tensors' values and gradients are views into
-them, so ``backward`` accumulates straight into the group's gradient
-buffer.  Adam runs once per group over cache-sized blocks and clears
+Adam's two moments, each holding the group's parameters back to back.
+The tensors' values and gradients are views into them, so ``backward``
+accumulates straight into the group's gradient buffer.  Adam runs once
+per group over cache-sized blocks, with two block-sized scratch buffers
+allocated at the first layout and shared by every group, and clears
 each gradient block as it finishes reading it, so a steady-state step
 allocates no gradient, and its array work runs per block, not per
 parameter.
@@ -172,18 +174,15 @@ def rng_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator, np
 # 1.83-1.85, 256k 2.14.
 ADAM_BLOCK = 1 << 16
 
-# Each parameter starts at a multiple of this many elements of its
-# group's buffers, so its view keeps the alignment of the buffer itself.
-# The padding holds +0.0 in all four buffers, a fixed point of Adam.
-_ALIGN = 16
-
 
 class AdamGroup:
     """One parameter group laid out in four flat buffers of one dtype:
     ``data``, ``grad``, ``m`` and ``v``, plus the group's step count
-    ``t``.  Each member tensor's ``data`` is a view into ``data``, and
+    ``t``.  The members lie back to back in each buffer, in ``names``
+    order.  Each member tensor's ``data`` is a view into ``data``, and
     its gradient view sits at the same offset of ``grad``.  Every member
-    steps together, so one count serves the bias correction of all."""
+    steps together, so one count serves the bias correction of all.
+    ``blocks`` cuts the four buffers into ``ADAM_BLOCK``-element blocks."""
 
     def __init__(self, params: dict[str, Tensor], names: Sequence[str], dtype):
         self.names = tuple(names)
@@ -192,7 +191,7 @@ class AdamGroup:
         for name in self.names:
             n = params[name].data.size
             spans.append((name, size, n, params[name].data.shape))
-            size += -(-n // _ALIGN) * _ALIGN
+            size += n
         self._spans = spans
         # data first, rebinding each member as it is copied, so a float64
         # draw is freed before the other three buffers are allocated
@@ -205,20 +204,15 @@ class AdamGroup:
         self.members = [(name, params[name], view) for name, view in self.views(self.grad)]
         for _, p, view in self.members:
             p.spare = view
-        self.blocks: list[tuple[np.ndarray, ...]] = []
+        self.blocks = [
+            (self.data[lo:hi], self.grad[lo:hi], self.m[lo:hi], self.v[lo:hi])
+            for lo in range(0, size, ADAM_BLOCK)
+            for hi in [min(lo + ADAM_BLOCK, size)]
+        ]
 
     def views(self, buffer: np.ndarray) -> list[tuple[str, np.ndarray]]:
         """(name, view shaped like the parameter) of each member in ``buffer``."""
         return [(name, buffer[lo : lo + n].reshape(shape)) for name, lo, n, shape in self._spans]
-
-    def bind_blocks(self, scratch: tuple[np.ndarray, np.ndarray]):
-        a, b = scratch
-        size = self.data.size
-        self.blocks = [
-            (self.data[lo:hi], self.grad[lo:hi], self.m[lo:hi], self.v[lo:hi], a[: hi - lo], b[: hi - lo])
-            for lo in range(0, size, ADAM_BLOCK)
-            for hi in [min(lo + ADAM_BLOCK, size)]
-        ]
 
     def take_grads(self, params: dict[str, Tensor]):
         """Check that every member has a gradient and make its gradient
@@ -245,8 +239,9 @@ class AdamState:
     ``train_neural`` lays out the model's parameter groups before the
     first step; stepping a list of names that are not laid out yet lays
     them out as one new group.  A step must cover whole groups.  One
-    state steps one dtype, and its two scratch buffers hold one block
-    (``ADAM_BLOCK`` elements, or the largest group if that is smaller).
+    state steps one dtype.  Its two scratch buffers of ``ADAM_BLOCK``
+    elements each are allocated at the first layout and shared by every
+    group.
 
     ``m``, ``v`` and ``t`` read per parameter name: views of the moment
     buffers and the step count of each name's group.
@@ -260,9 +255,7 @@ class AdamState:
     beta2: float = 0.999
     epsilon: float = 1e-8
     groups: list[AdamGroup] = field(default_factory=list, init=False, repr=False, compare=False)
-    scratch: tuple[np.ndarray, np.ndarray] = field(
-        default_factory=lambda: (np.empty(0), np.empty(0)), init=False, repr=False, compare=False
-    )
+    scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
     _group_of: dict[str, AdamGroup] = field(default_factory=dict, init=False, repr=False, compare=False)
     _plans: dict[tuple[str, ...], list[AdamGroup]] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -296,6 +289,8 @@ class AdamState:
         if not names or len(set(names)) != len(names):
             raise OptimizerError(f"a group needs distinct parameter names, got {list(names)}")
         for name in names:
+            if name not in params:
+                raise OptimizerError(f"unknown parameter {name!r}")
             if name in self._group_of:
                 raise OptimizerError(f"parameter {name!r} is laid out already")
         if dtype is None:
@@ -307,16 +302,14 @@ class AdamState:
         if self.groups and self.groups[0].data.dtype != dtype:
             raise OptimizerError(f"this optimizer steps {self.groups[0].data.dtype}, not {dtype}")
         group = AdamGroup(params, names, dtype)
+        if self.scratch is None:
+            # after the first group's buffers: allocated before them, the
+            # scratch left the heap in a state where no vocab-train
+            # benchmark set-up after a training unit reused freed pages
+            self.scratch = (np.empty(ADAM_BLOCK, dtype), np.empty(ADAM_BLOCK, dtype))
         self.groups.append(group)
         self._group_of.update(dict.fromkeys(group.names, group))
         self._plans.clear()
-        n = min(ADAM_BLOCK, group.data.size)
-        if self.scratch[0].size < n or self.scratch[0].dtype != dtype:
-            self.scratch = (np.empty(n, dtype), np.empty(n, dtype))
-            for g in self.groups:
-                g.bind_blocks(self.scratch)
-        else:
-            group.bind_blocks(self.scratch)
         return group
 
     def groups_for(self, params: dict[str, Tensor], names: Sequence[str]) -> list[AdamGroup]:
@@ -327,9 +320,6 @@ class AdamState:
         plan = self._plans.get(key)
         if plan is not None:
             return plan
-        for name in key:
-            if name not in params:
-                raise OptimizerError(f"unknown parameter {name!r}")
         new = [name for name in dict.fromkeys(key) if name not in self._group_of]
         if new:
             self.layout(params, new)
@@ -382,10 +372,12 @@ def adam_step(state: AdamState, params: dict[str, Tensor], names: Sequence[str])
     for group in groups:
         group.take_grads(params)
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.epsilon
+    scratch_a, scratch_b = state.scratch
     for group in groups:
         group.t += 1
         c1, c2 = 1.0 - b1**group.t, 1.0 - b2**group.t
-        for theta, g, m, v, a, b in group.blocks:
+        for theta, g, m, v in group.blocks:
+            a, b = scratch_a[: g.size], scratch_b[: g.size]
             m *= b1
             np.multiply(g, 1.0 - b1, out=a)
             m += a
@@ -562,6 +554,9 @@ def _check_header(path, header) -> list[tuple[str, tuple[int, ...], int, int]]:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read and validate a ``save_checkpoint`` file.  Its arrays are
+    read-only float32 views of the file's bytes; ``Checkpoint.to_model``
+    makes the model's own copies."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -587,11 +582,7 @@ def load_checkpoint(path) -> Checkpoint:
         end = lo + n_bytes
         if end > body_len:
             raise CheckpointError(f"{path}: truncated blob for parameter {name!r}")
-        arrays[name] = (
-            np.frombuffer(raw, dtype="<f4", count=n_bytes // 4, offset=pos + lo)
-            .reshape(shape)
-            .astype(np.float32)
-        )
+        arrays[name] = np.frombuffer(raw, dtype="<f4", count=n_bytes // 4, offset=pos + lo).reshape(shape)
     if end != body_len:
         raise CheckpointError(f"{path}: {body_len - end} trailing bytes after parameter blobs")
     return Checkpoint(header["config"], header["vocabulary"], arrays, header["version"], str(path))

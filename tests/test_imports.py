@@ -1,6 +1,7 @@
 """Every name a module of ``negmtl`` imports is used in that module,
-every top-level function or class is referenced by some module, every
-method, property and class constant is read by some module, and every
+every top-level function, class or assigned name is referenced by some
+module, every method, property and class constant is read by some
+module, and every
 JSON decode can fail only with the module's own error, and only the
 modules that hold the tape's ops record tape nodes.
 
@@ -94,10 +95,30 @@ def top_level_definitions(trees: dict[str, ast.Module]) -> dict[tuple[str, str],
     }
 
 
-def unreferenced_definitions(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
-    """Definitions whose name no statement other than their own uses,
-    as a name or as an attribute (``ad.rows``, ``self.predict_features``).
-    A name bound by an import alone does not count."""
+def top_level_assignments(trees: dict[str, ast.Module]) -> dict[tuple[str, str], ast.stmt]:
+    """Names a module-level assignment binds (``X = ...``, ``A, B = ...``,
+    ``X: int = ...``); dunders such as ``__all__`` are exempt."""
+    found = {}
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, ast.AnnAssign):
+                targets = [stmt.target]
+            else:
+                continue
+            for target in targets:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name) and not node.id.startswith("__"):
+                        found[module, node.id] = stmt
+    return found
+
+
+def unreferenced(trees: dict[str, ast.Module], definitions: dict[tuple[str, str], ast.stmt]) -> set[tuple[str, str]]:
+    """Keys of ``definitions`` whose name no statement other than their
+    own uses, as a name or as an attribute (``ad.rows``,
+    ``self.predict_features``).  A name bound by an import alone does
+    not count."""
     uses = [
         (stmt, {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
          | {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)})
@@ -106,9 +127,17 @@ def unreferenced_definitions(trees: dict[str, ast.Module]) -> set[tuple[str, str
     ]
     return {
         key
-        for key, definition in top_level_definitions(trees).items()
+        for key, definition in definitions.items()
         if not any(key[1] in names for stmt, names in uses if stmt is not definition)
     }
+
+
+def unreferenced_definitions(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    return unreferenced(trees, top_level_definitions(trees))
+
+
+def unreferenced_assignments(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    return unreferenced(trees, top_level_assignments(trees))
 
 
 def package_trees() -> dict[str, ast.Module]:
@@ -147,6 +176,30 @@ def test_scan_finds_an_unreferenced_definition():
         ),
     }
     assert unreferenced_definitions(trees) == {("a", "recursive"), ("a", "Dead"), ("b", "K")}
+
+
+def test_no_unreferenced_assignments():
+    dead = sorted(unreferenced_assignments(package_trees()))
+    assert not dead, "\n".join(f"{m}.{name} is assigned and never read" for m, name in dead)
+
+
+def test_scan_finds_an_unreferenced_assignment():
+    trees = {
+        "a": ast.parse(
+            "import b\n"
+            "LIMIT = 3\n"
+            "SPARE = 4\n"
+            "__all__ = ['f']\n"  # dunders are exempt
+            "LO, HI = 0, LIMIT\n"
+            "TABLE: dict = {}\n"
+            "COUNT = COUNT_START = 0\n"
+            "def f(): return LO + b.STEP\n"
+        ),
+        "b": ast.parse("STEP = 1\nSELF = SELF\n"),
+    }
+    assert unreferenced_assignments(trees) == {
+        ("a", "SPARE"), ("a", "HI"), ("a", "TABLE"), ("a", "COUNT"), ("a", "COUNT_START"), ("b", "SELF"),
+    }
 
 
 # Methods, properties and class constants no module of the package reads

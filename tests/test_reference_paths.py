@@ -212,7 +212,7 @@ class TestAdamMatchesReference:
 
     def test_fifty_steps_bitwise(self):
         # the first step lays out the scalar and the vector, the second the
-        # embedding and the matrix: the scratch buffers grow mid-stream
+        # embedding and the matrix
         state = self.run(small_params, small_schedule)
         assert [g.names for g in state.groups] == [("s", "b"), ("embedding.weights", "w")]
 
@@ -221,6 +221,7 @@ class TestAdamMatchesReference:
         names = list(large_params(dtype))
         state = self.run(large_params, lambda step: names, dtype, layout=[names])
         (group,) = state.groups
+        assert group.data.size == sum(view.size for _, view in group.views(group.data))  # back to back
         emb = dict(group.views(group.data))["embedding.weights"]
         lo = (emb.__array_interface__["data"][0] - group.data.__array_interface__["data"][0]) // group.data.itemsize
         assert lo < ADAM_BLOCK < lo + emb.size  # a boundary inside the embedding
@@ -233,10 +234,13 @@ class TestAdamMatchesReference:
                          np.float32, layout=[shared, sentiment, negation], steps=56)
         assert state.t["embedding.weights"] == 56 and state.t["neg.w"] == 21 and state.t["sent.b"] == 35
 
-    def test_scratch_is_one_block_or_the_largest_group(self):
-        # groups of 32 and 64 elements (each parameter padded to 16)
-        small = self.run(small_params, small_schedule, steps=6)
-        assert [buf.size for buf in small.scratch] == [64, 64]
+    def test_scratch_is_one_block(self):
+        params, state = small_params(np.float32), AdamState(**ADAM)
+        state.layout(params, ["s", "b"])  # 5 elements
+        a, b = state.scratch
+        assert [a.size, b.size] == [ADAM_BLOCK, ADAM_BLOCK]
+        state.layout(params, ["embedding.weights", "w"])
+        assert state.scratch[0] is a and state.scratch[1] is b
         names = list(large_params(np.float32))
         large = self.run(large_params, lambda step: names, np.float32, layout=[names], steps=1)
         assert [buf.size for buf in large.scratch] == [ADAM_BLOCK, ADAM_BLOCK]

@@ -224,6 +224,14 @@ class TestAdam:
         with pytest.raises(OptimizerError, match="unknown parameter 'w_hh'"):
             adam_step(AdamState(), {}, ["w_hh"])
 
+    @pytest.mark.parametrize("dtype", [None, np.float32])
+    def test_layout_names_an_unknown_parameter(self, dtype):
+        p = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+        state = AdamState()
+        with pytest.raises(OptimizerError, match="unknown parameter 'x'"):
+            state.layout({"p": p}, ["p", "x"], dtype)
+        assert state.groups == [] and state.t == {}
+
     def test_step_counts_are_per_parameter(self):
         a = Tensor(np.array(0.0), requires_grad=True)
         b = Tensor(np.array(0.0), requires_grad=True)
@@ -516,6 +524,22 @@ class TestCheckpoint:
         save_checkpoint(ckpt, tmp_path / "a.bin")
         save_checkpoint(load_checkpoint(tmp_path / "a.bin"), tmp_path / "b.bin")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["in_memory", "loaded"])
+    def test_rebuilt_model_owns_its_arrays(self, tmp_path, loaded):
+        params, vocab = self.model_and_vocab()
+        ckpt = Checkpoint.from_model(params, vocab, tiny_config(mode="mtl"))
+        save_checkpoint(ckpt, tmp_path / "m.bin")
+        saved = (tmp_path / "m.bin").read_bytes()
+        if loaded:
+            ckpt = load_checkpoint(tmp_path / "m.bin")
+        model, _ = ckpt.to_model()
+        for name, p in model.named_parameters().items():
+            assert p.data.flags.writeable, name
+            assert not any(np.shares_memory(p.data, arr) for arr in ckpt.arrays.values()), name
+            p.data[...] = 7.0
+        save_checkpoint(ckpt, tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == saved
 
     def test_reloaded_model_predicts_identically(self, tmp_path):
         params, vocab = self.model_and_vocab()
