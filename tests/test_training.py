@@ -816,6 +816,29 @@ class TestTrainStl:
         # at most best_epoch + patience epochs actually run
         assert result.epochs_run <= result.best_epoch + 2 or result.epochs_run == 30
 
+    @pytest.mark.parametrize("patience, epochs_run", [(3, 5), (1, 3)])
+    def test_best_epoch_selection_is_exact(self, monkeypatch, patience, epochs_run):
+        # scripted dev accuracies: the tie at epoch 3 is no improvement
+        scripted = iter([0.5, 0.7, 0.7, 0.6, 0.7, 0.4])
+        snapshots = []
+        real_predict = training.predict_corpus
+
+        def predict_and_snapshot(params, vocab, docs, tags=False):
+            snapshots.append({name: arr.copy() for name, arr in params.to_arrays().items()})
+            return real_predict(params, vocab, docs, tags)
+
+        monkeypatch.setattr(training, "predict_corpus", predict_and_snapshot)
+        monkeypatch.setattr(training, "accuracy_of", lambda records: next(scripted))
+        train, dev = sentiment_corpus()
+        result = train_stl(tiny_config(epochs=10, patience=patience), train, dev)
+        assert [r["dev_accuracy"] for r in result.history] == [0.5, 0.7, 0.7, 0.6, 0.7][:epochs_run]
+        assert (result.best_epoch, result.best_dev_accuracy, result.epochs_run) == (2, 0.7, epochs_run)
+        assert len(snapshots) == epochs_run
+        ckpt = result.checkpoint.arrays
+        assert all(np.array_equal(ckpt[name], arr) for name, arr in snapshots[1].items())
+        for later in snapshots[2:]:
+            assert not all(np.array_equal(ckpt[name], arr) for name, arr in later.items())
+
 
 def negation_corpus():
     train = [
