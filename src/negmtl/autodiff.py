@@ -41,11 +41,11 @@ in ``tests/oracles.py``.
 The gather ``rows`` is the one op whose gradient is row-sparse: its
 backward pass returns a ``RowGrad`` (the unique indices plus one summed
 row per index) instead of a dense (V, D) array, so an embedding lookup
-costs O(T·D) in the backward walk rather than O(V·D).  ``backward``
-scatters it into a leaf's ``grad`` with one fancy-index add and
-densifies it only when the gathered matrix is itself a recorded
-output.  A leaf's ``grad`` is still a dense array once any gradient
-reaches it, and the bits equal those of a dense accumulation.
+costs O(T·D) in the backward walk rather than O(V·D).  It gathers only
+from a leaf (the model gathers only from ``embedding.weights``), so
+``backward`` always scatters a ``RowGrad`` into a leaf's ``grad``, with
+one fancy-index add.  A leaf's ``grad`` is still a dense array once any
+gradient reaches it, and the bits equal those of a dense accumulation.
 
 Where a leaf's gradient lives is up to its optimizer.  A leaf that no
 optimizer has laid out gets a fresh ``zeros_like`` the first time a
@@ -250,8 +250,6 @@ def backward(loss: Tensor):
                 else:
                     t.grad += gt
             else:
-                if isinstance(gt, RowGrad):
-                    gt = gt.dense(t.data)
                 acc = grads.get(t.node)
                 grads[t.node] = gt if acc is None else acc + gt
 
@@ -276,16 +274,13 @@ class RowGrad:
     index: np.ndarray  # (n,) intp, unique
     values: np.ndarray  # (n, D)
 
-    def dense(self, like: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(like)
-        out[self.index] = self.values
-        return out
-
 
 def rows(a: Tensor, indices, mask: np.ndarray | None = None) -> Tensor:
-    """Gather matrix rows by index, each entry scaled by ``mask`` (shape
-    (len(indices), D), a plain array) when one is given; duplicate
-    indices accumulate gradient.
+    """Gather rows of a leaf matrix by index, each entry scaled by
+    ``mask`` (shape (len(indices), D), a plain array) when one is given;
+    duplicate indices accumulate gradient.  A recorded output as the
+    matrix is an ``AutodiffError``: its row-sparse gradient has only a
+    leaf's ``grad`` to go to.
 
     The gradient is a ``RowGrad``: the incoming gradient, times the mask,
     is summed per looked-up row by ``np.add.at`` in index order starting
@@ -297,6 +292,8 @@ def rows(a: Tensor, indices, mask: np.ndarray | None = None) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
     if a.data.ndim != 2 or idx.ndim != 1:
         raise AutodiffError(f"rows: expected matrix and index vector, got {a.data.shape}")
+    if not a.is_leaf:
+        raise AutodiffError("rows: gathers only from a leaf tensor, got a recorded output")
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
         raise AutodiffError(f"rows: index out of range for {a.data.shape[0]} rows")
     out = a.data[idx]

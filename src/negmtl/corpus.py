@@ -20,6 +20,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
+from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 NEGATIVE = "negative"
@@ -211,19 +212,36 @@ def parse_corpus(path) -> list[Document]:
     """Load and validate a JSON-lines corpus: one Document per non-blank line.
 
     A bad line raises ``ParseError`` or ``ValidationError``; both name
-    ``path`` and the line."""
+    ``path`` and the line.  So does a byte that is not UTF-8."""
     docs: list[Document] = []
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as e:  # a JSONDecodeError, or an integer too long to convert
-                raise ParseError(path, line_no, f"invalid JSON ({getattr(e, 'msg', e)})") from e
-            docs.append(_document_from_record(record, path, line_no, seen_ids))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except ValueError as e:  # a JSONDecodeError, or an integer too long to convert
+                    raise ParseError(path, line_no, f"invalid JSON ({getattr(e, 'msg', e)})") from e
+                docs.append(_document_from_record(record, path, line_no, seen_ids))
+    except UnicodeDecodeError as e:
+        raise ParseError(path, *first_non_utf8(path, e)) from e
     return docs
+
+
+def first_non_utf8(path, err: UnicodeDecodeError) -> tuple[int, str]:
+    """The line of the first byte of ``path`` that is not UTF-8, counted
+    as a text-mode reader counts lines, and a description of that byte.
+    Called once a reader has hit ``err``: the text decoder reports a
+    position inside its read buffer, so the file is read again as bytes."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        before = raw[: e.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return before.count("\n") + 1, f"byte 0x{raw[e.start]:02x} is not UTF-8 ({e.reason})"
+    raise err  # the file changed after the reader hit the byte
 
 
 def _document_from_record(record, path, line_no: int, seen_ids: set[str]) -> Document:
@@ -331,13 +349,9 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def lookup(self, token: str) -> int:
-        if self.lowercase:
-            token = token.lower()
-        return self.token_to_id.get(token, self.UNK_ID)
-
     def encode(self, tokens: Iterable[str]) -> list[int]:
-        """``lookup`` of each token, in one pass over the dictionary."""
+        """The id of each token, lowercased first if the vocabulary is,
+        and ``UNK_ID`` for a token it does not hold."""
         get, unk = self.token_to_id.get, self.UNK_ID
         if self.lowercase:
             return [get(t.lower(), unk) for t in tokens]

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .atomic import atomic_open
-from .corpus import LABELS, BioTag, CorpusStats
+from .corpus import LABELS, BioTag, CorpusStats, first_non_utf8
 
 
 class EvaluationError(Exception):
@@ -46,22 +46,28 @@ def write_predictions(records: Sequence[PredictionRecord], path):
 
 
 def read_predictions(path) -> list[PredictionRecord]:
-    """Records in file order; each document id may occur once."""
+    """Records in file order; each document id may occur once.  A bad
+    record, or a byte that is not UTF-8, is an ``EvaluationError`` naming
+    the file and the line."""
     records = []
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                record = PredictionRecord(obj["id"], obj["gold"], obj["pred"])
-                seen = first_line.setdefault(record.id, line_no)
-            except (ValueError, KeyError, TypeError) as e:  # ValueError: bad JSON or a too-long integer
-                raise EvaluationError(f"{path}: line {line_no}: bad prediction record ({e})") from e
-            if seen != line_no:
-                raise EvaluationError(f"{path}: line {line_no}: document {record.id!r} repeats line {seen}")
-            records.append(record)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                    record = PredictionRecord(obj["id"], obj["gold"], obj["pred"])
+                    seen = first_line.setdefault(record.id, line_no)
+                except (ValueError, KeyError, TypeError) as e:  # ValueError: bad JSON or a too-long integer
+                    raise EvaluationError(f"{path}: line {line_no}: bad prediction record ({e})") from e
+                if seen != line_no:
+                    raise EvaluationError(f"{path}: line {line_no}: document {record.id!r} repeats line {seen}")
+                records.append(record)
+    except UnicodeDecodeError as e:
+        line_no, what = first_non_utf8(path, e)
+        raise EvaluationError(f"{path}: line {line_no}: {what}") from e
     return records
 
 

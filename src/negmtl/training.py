@@ -243,9 +243,6 @@ class AdamState:
     elements each are allocated at the first layout and shared by every
     group.
 
-    ``m``, ``v`` and ``t`` read per parameter name: views of the moment
-    buffers and the step count of each name's group.
-
     The hyperparameters are kept as Python floats: against a float32
     parameter a numpy float64 scalar would promote every update to
     float64."""
@@ -265,22 +262,6 @@ class AdamState:
         self.lr, self.beta1, self.beta2, self.epsilon = map(
             float, (self.lr, self.beta1, self.beta2, self.epsilon)
         )
-
-    @classmethod
-    def for_config(cls, config: TrainConfig) -> "AdamState":
-        return cls(config.learning_rate, config.beta1, config.beta2, config.epsilon)
-
-    @property
-    def m(self) -> dict[str, np.ndarray]:
-        return {name: view for g in self.groups for name, view in g.views(g.m)}
-
-    @property
-    def v(self) -> dict[str, np.ndarray]:
-        return {name: view for g in self.groups for name, view in g.views(g.v)}
-
-    @property
-    def t(self) -> dict[str, int]:
-        return {name: g.t for g in self.groups for name in g.names}
 
     def layout(self, params: dict[str, Tensor], names: Sequence[str], dtype=None) -> AdamGroup:
         """Lay out ``names`` as one new group in ``dtype`` (by default the
@@ -625,28 +606,6 @@ class TrainResult:
     epochs_run: int
 
 
-class _BestTracker:
-    """Keeps the checkpoint of the best dev epoch; earliest epoch wins ties."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best_accuracy = -1.0
-        self.best_epoch = 0
-        self.checkpoint: Checkpoint | None = None
-        self._since_best = 0
-
-    def update(self, epoch, dev_accuracy, params, vocab, config) -> bool:
-        """Record this epoch; returns True when patience is exhausted."""
-        if dev_accuracy > self.best_accuracy:
-            self.best_accuracy = dev_accuracy
-            self.best_epoch = epoch
-            self.checkpoint = Checkpoint.from_model(params, vocab, config)
-            self._since_best = 0
-        else:
-            self._since_best += 1
-        return self._since_best >= self.patience
-
-
 # The precision neural training runs in: that of the arrays a checkpoint
 # stores.  Every op computes in its parameters' dtype, so with float64
 # here the same loop runs on ModelParams.init's own float64 draws.
@@ -662,11 +621,13 @@ def train_neural(config: TrainConfig, train_docs: Sequence[Document], dev_docs: 
     ``"warmup_once"``) takes one Adam step per sentence on the CRF loss
     over the shared and negation parameters.  The sentiment phase takes
     one Adam step per document over the shared and sentiment
-    parameters.  Selection keeps the best dev sentiment accuracy; early
-    stop on patience.  A non-finite training loss is a ``TrainingError``
-    raised before that example's update, and a non-finite parameter
-    (a non-finite gradient behind a finite loss) one raised before the
-    epoch's dev evaluation, so neither reaches a checkpoint.
+    parameters.  Selection keeps the checkpoint of the best dev
+    sentiment accuracy, the earliest epoch on ties, and training stops
+    after ``patience`` epochs without a strictly better one.  A
+    non-finite training loss is a ``TrainingError`` raised before that
+    example's update, and a non-finite parameter (a non-finite gradient
+    behind a finite loss) one raised before the epoch's dev evaluation,
+    so neither reaches a checkpoint.
 
     The parameters are rounded to ``TRAIN_DTYPE`` as the optimizer lays
     out their groups, before the first step.
@@ -690,7 +651,7 @@ def train_neural(config: TrainConfig, train_docs: Sequence[Document], dev_docs: 
     )
     named = params.named_parameters()
     groups = params.parameter_groups()
-    adam = AdamState.for_config(config)
+    adam = AdamState(config.learning_rate, config.beta1, config.beta2, config.epsilon)
     for names in groups.values():
         if names:
             adam.layout(named, names, TRAIN_DTYPE)
@@ -727,7 +688,8 @@ def train_neural(config: TrainConfig, train_docs: Sequence[Document], dev_docs: 
             apply_updates(adam, named, names)
         return total / len(examples)
 
-    tracker = _BestTracker(config.patience)
+    # the checkpoint of the best dev epoch; the earliest epoch wins ties
+    best_epoch, best_accuracy, best = 0, -1.0, None
     history: list[dict] = []
     for epoch in range(1, config.epochs + 1):
         record: dict = {"epoch": epoch}
@@ -745,11 +707,14 @@ def train_neural(config: TrainConfig, train_docs: Sequence[Document], dev_docs: 
             raise TrainingError(f"epoch {epoch}: parameter {bad!r} holds a non-finite value after the updates")
         record["dev_accuracy"] = dev_acc = accuracy_of(predict_corpus(params, vocab, dev_docs))
         history.append(record)
-        if tracker.update(epoch, dev_acc, params, vocab, config):
+        if dev_acc > best_accuracy:
+            best_epoch, best_accuracy = epoch, dev_acc
+            best = Checkpoint.from_model(params, vocab, config)
+        elif epoch - best_epoch >= config.patience:
             break
 
-    assert tracker.checkpoint is not None
-    return TrainResult(tracker.checkpoint, history, tracker.best_epoch, tracker.best_accuracy, len(history))
+    assert best is not None
+    return TrainResult(best, history, best_epoch, best_accuracy, len(history))
 
 
 def train_stl(config: TrainConfig, train_docs: Sequence[Document], dev_docs: Sequence[Document]) -> TrainResult:

@@ -57,7 +57,7 @@ def _blas_configuration(np) -> str:
         for name in ("scipy_openblas_get_config64_", "scipy_openblas_get_config", "openblas_get_config"):
             fn = getattr(lib, name, None)
             if fn is not None:
-                fn.restype = ctypes.c_char_p
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
                 return fn().decode()
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return blas.get("openblas configuration") or f"{blas.get('name')} {blas.get('version')}"
@@ -165,12 +165,10 @@ def _record():
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--record", action="store_true", help="rewrite this host's entry")
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args()
-    if args.child:
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--record", action="store_true", help="rewrite this host's entry")
+    mode.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    if parser.parse_args().child:
         _child()
-    elif args.record:
-        _record()
     else:
-        print(json.dumps(compute(), indent=1, sort_keys=True))
+        _record()

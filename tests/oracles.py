@@ -28,13 +28,14 @@ from negmtl.models import (
 )
 from negmtl.training import (
     BOW_GRAD_TOL,
+    AdamState,
     BowModel,
     BowResult,
+    Checkpoint,
     OptimizerError,
     TrainConfig,
     TrainingError,
     TrainResult,
-    _BestTracker,
     _bow_direction,
     _bow_objective,
     _encode_docs,
@@ -222,7 +223,7 @@ def lstm_reference(p, inputs: Tensor, reverse: bool = False) -> Tensor:
     h = c = Tensor(np.zeros((1, d)))
     out: list = [None] * t_len
     for t in (range(t_len - 1, -1, -1) if reverse else range(t_len)):
-        z = add_rowvec(add(matmul(ad.rows(inputs, [t]), w_t), matmul(h, u_t)), p.b)
+        z = add_rowvec(add(matmul(rows_reference(inputs, [t]), w_t), matmul(h, u_t)), p.b)
         i, f, g, o = (
             act(matmul(z, sel))
             for act, sel in zip((sigmoid, sigmoid, tanh, sigmoid), gate)
@@ -334,7 +335,7 @@ def bilstm_per_sentence(fwd, bwd, inputs: Tensor, lengths: Sequence[int]) -> Ten
     the outputs stacked back in input order."""
     starts = np.cumsum([0, *lengths])
     outs = [
-        bilstm_sequence(fwd, bwd, ad.rows(inputs, range(a, b)))
+        bilstm_sequence(fwd, bwd, rows_reference(inputs, range(a, b)))
         for a, b in zip(starts[:-1], starts[1:])
     ]
     stacked = outs[0]
@@ -488,7 +489,9 @@ def brute_force(transitions: np.ndarray, emissions: np.ndarray, limit: int = 1_0
 
 def rows_reference(a: Tensor, indices, mask: np.ndarray | None = None) -> Tensor:
     """Gather matrix rows by index, scaled by ``mask`` when one is given;
-    duplicate indices accumulate gradient into a dense (V, D) array."""
+    duplicate indices accumulate gradient into a dense (V, D) array.
+    Unlike ``ad.rows`` it gathers from a recorded output too, so the
+    step-by-step references slice their inputs with it."""
     idx = np.asarray(indices, dtype=np.intp)
     if a.data.ndim != 2 or idx.ndim != 1:
         raise ad.AutodiffError(f"rows: expected matrix and index vector, got {a.data.shape}")
@@ -523,6 +526,23 @@ class AdamReference:
     @classmethod
     def for_config(cls, config: TrainConfig) -> "AdamReference":
         return cls(config.learning_rate, config.beta1, config.beta2, config.epsilon)
+
+
+class AdamByName(NamedTuple):
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
+    t: dict[str, int]
+
+
+def adam_by_name(state: AdamState) -> AdamByName:
+    """An ``AdamState`` read per parameter name, as ``AdamReference``
+    holds it: views of each name's slice of its group's moment buffers,
+    and the step count of its group."""
+    return AdamByName(
+        {name: view for g in state.groups for name, view in g.views(g.m)},
+        {name: view for g in state.groups for name, view in g.views(g.v)},
+        {name: g.t for g in state.groups for name in g.names},
+    )
 
 
 def adam_step_reference(state: AdamReference, params: dict, names):
@@ -570,6 +590,30 @@ def apply_updates_reference(state: AdamReference, params: dict, names):
 # backward after ``zero_grads`` accumulates into a fresh ``zeros_like``.
 
 
+class BestTracker:
+    """Keeps the checkpoint of the best dev epoch; earliest epoch wins
+    ties.  The rule ``training.train_neural`` runs inline, kept as the
+    separate counter it once was."""
+
+    def __init__(self, patience: int):
+        self.patience = patience
+        self.best_accuracy = -1.0
+        self.best_epoch = 0
+        self.checkpoint: Checkpoint | None = None
+        self._since_best = 0
+
+    def update(self, epoch, dev_accuracy, params, vocab, config) -> bool:
+        """Record this epoch; returns True when patience is exhausted."""
+        if dev_accuracy > self.best_accuracy:
+            self.best_accuracy = dev_accuracy
+            self.best_epoch = epoch
+            self.checkpoint = Checkpoint.from_model(params, vocab, config)
+            self._since_best = 0
+        else:
+            self._since_best += 1
+        return self._since_best >= self.patience
+
+
 def train_stl_reference(config: TrainConfig, train_docs: Sequence[Document], dev_docs: Sequence[Document]) -> TrainResult:
     """Single-task sentiment training: one Adam step per document per
     epoch, best-dev-accuracy checkpoint kept, early stop on patience."""
@@ -593,7 +637,7 @@ def train_stl_reference(config: TrainConfig, train_docs: Sequence[Document], dev
     train_ids = _encode_docs(vocab, train_docs)
     gold = [LABEL_TO_CLASS[doc.label] for doc in train_docs]
 
-    tracker = _BestTracker(config.patience)
+    tracker = BestTracker(config.patience)
     history: list[dict] = []
     epochs_run = 0
     for epoch in range(1, config.epochs + 1):
@@ -662,7 +706,7 @@ def train_mtl_reference(config: TrainConfig, train_docs: Sequence[Document], dev
         for s, sent in enumerate(doc.sentences)
     ]
 
-    tracker = _BestTracker(config.patience)
+    tracker = BestTracker(config.patience)
     history: list[dict] = []
     epochs_run = 0
     for epoch in range(1, config.epochs + 1):
@@ -859,13 +903,21 @@ def vocab_order_reference(train_docs: Sequence[Document], min_count: int, lowerc
     return sorted((t for t, c in counts.items() if c >= min_count), key=lambda t: (-counts[t], t))
 
 
+def lookup_reference(vocab: Vocabulary, token: str) -> int:
+    """The id of one token, looked up on its own: the per-token method
+    ``Vocabulary.encode`` replaced."""
+    if vocab.lowercase:
+        token = token.lower()
+    return vocab.token_to_id.get(token, vocab.UNK_ID)
+
+
 def bow_features_reference(vocab: Vocabulary, doc: Document) -> np.ndarray:
-    """Token-count vector of one document, one ``lookup`` and one
-    addition per token: the loop ``training.bow_matrix`` replaced."""
+    """Token-count vector of one document, one ``lookup_reference`` and
+    one addition per token: the loop ``training.bow_matrix`` replaced."""
     x = np.zeros(len(vocab))
     for sent in doc.sentences:
         for token in sent.tokens:
-            x[vocab.lookup(token)] += 1.0
+            x[lookup_reference(vocab, token)] += 1.0
     return x
 
 

@@ -240,11 +240,14 @@ def test_multi_task_beats_single_task_on_scope_flip_corpus(capsys):
 
     t0 = time.monotonic()
     stl_accs, mtl_accs = [], []
+    stl_epochs, mtl_epochs = [], []
     for seed in FLIP_SEEDS:
         stl = train_stl(TrainConfig(mode="stl", seed=seed, **FLIP_CONFIG), train, dev)
         mtl = train_mtl(TrainConfig(mode="mtl", seed=seed, **FLIP_CONFIG), train, dev)
         stl_accs.append(stl.best_dev_accuracy)
         mtl_accs.append(mtl.best_dev_accuracy)
+        stl_epochs.append(stl.best_epoch)
+        mtl_epochs.append(mtl.best_epoch)
     elapsed = time.monotonic() - t0
     stl_mean = float(np.mean(stl_accs))
     mtl_mean = float(np.mean(mtl_accs))
@@ -253,7 +256,8 @@ def test_multi_task_beats_single_task_on_scope_flip_corpus(capsys):
         capsys, 5, ok,
         f"mean dev accuracy over {len(FLIP_SEEDS)} seeds: multi-task "
         f"{mtl_mean:.3f} vs single-task {stl_mean:.3f} "
-        f"(per-seed {mtl_accs} vs {stl_accs}), {elapsed:.0f}s",
+        f"(per-seed {mtl_accs} vs {stl_accs}; best epochs {mtl_epochs} vs {stl_epochs}), "
+        f"{elapsed:.0f}s",
     )
 
 

@@ -421,7 +421,7 @@ class TestEnsemble:
         assert "odd" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("defect", ["json", "label"])
+@pytest.mark.parametrize("defect", ["json", "label", "utf8"])
 @pytest.mark.parametrize("command", ["train", "stats", "predict"])
 def test_corpus_errors_name_their_file(command, defect, corpus, tmp_path, capsys):
     """A bad corpus file, read next to a good one, fails with one
@@ -431,6 +431,9 @@ def test_corpus_errors_name_their_file(command, defect, corpus, tmp_path, capsys
     if defect == "json":
         bad.write_text('{"id": "a",\n')
         where = f"{bad}: line 1: invalid JSON"
+    elif defect == "utf8":
+        bad.write_bytes(dev.read_bytes() + b'{"id": "\xff"}\n')
+        where = f"{bad}: line 3: byte 0xff is not UTF-8 (invalid start byte)"
     else:
         write_jsonl(bad, [doc("a", "neutral", [("so so", [])])])
         where = f"{bad}: document 'a': label must be one of"
@@ -600,6 +603,17 @@ class TestEval:
         files = [repeated, good] if flag == "--pred" else [good, repeated]
         assert main(["eval", "--pred", str(files[0]), "--compare", str(files[1])]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {repeated}: line 3: document 'x' repeats line 1"]
+
+    @pytest.mark.parametrize("flag", ["--pred", "--compare"])
+    def test_non_utf8_file_is_named(self, tmp_path, capsys, flag):
+        good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+        self.write_preds(good, [{"id": "x", "gold": "negative", "pred": "negative"}])
+        bad.write_bytes(good.read_bytes() + b'{"id": "\xff"}\n')
+        files = [bad, good] if flag == "--pred" else [good, bad]
+        assert main(["eval", "--pred", str(files[0]), "--compare", str(files[1])]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {bad}: line 2: byte 0xff is not UTF-8 (invalid start byte)"]
+        assert captured.out == ""
 
     @pytest.mark.parametrize("flag", ["--pred", "--compare"])
     def test_empty_file_is_named(self, tmp_path, capsys, flag):

@@ -19,7 +19,7 @@ from negmtl.corpus import (
     parse_corpus,
     to_bio,
 )
-from oracles import vocab_order_reference
+from oracles import lookup_reference, vocab_order_reference
 
 
 def make_doc(doc_id="d1", label="positive", sentences=None, annotated=True):
@@ -259,6 +259,17 @@ class TestParseCorpus:
         with pytest.raises(ParseError, match="line 2"):
             parse_corpus(path)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("good_lines", [1, 400])  # 400 lines span several read buffers
+    def test_non_utf8_byte_names_its_line(self, tmp_path, newline, good_lines):
+        path = tmp_path / "c.jsonl"
+        good = newline.join(json.dumps(record(f"d{i}")) for i in range(good_lines)).encode()
+        path.write_bytes(good + (newline * 2).encode() + b'{"id": "caf\xe9"}' + newline.encode())
+        with pytest.raises(ParseError) as info:
+            parse_corpus(path)
+        assert str(info.value) == f"{path}: line {good_lines + 2}: byte 0xe9 is not UTF-8 (invalid continuation byte)"
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
     def test_missing_id(self, tmp_path):
         path = tmp_path / "c.jsonl"
         rec = record()
@@ -336,10 +347,10 @@ class TestVocabulary:
 
     def test_reserved_ids(self):
         vocab = build_vocab(self.corpus("a b"))
-        assert vocab.lookup(Vocabulary.PAD_TOKEN) == Vocabulary.UNK_ID  # a name, not a token
+        assert vocab.encode([Vocabulary.PAD_TOKEN]) == [Vocabulary.UNK_ID]  # a name, not a token
         assert vocab.id_to_token[0] == "<pad>"
         assert vocab.id_to_token[1] == "<unk>"
-        assert vocab.lookup("never-seen") == Vocabulary.UNK_ID
+        assert vocab.encode(["never-seen"]) == [Vocabulary.UNK_ID]
 
     @pytest.mark.parametrize("lowercase", [False, True])
     def test_reserved_names_in_a_corpus_are_unknown_tokens(self, lowercase):
@@ -356,16 +367,15 @@ class TestVocabulary:
         vocab = build_vocab(self.corpus("b a b c a b"))
         # b:3, a:2, c:1
         assert vocab.id_to_token[2:] == ["b", "a", "c"]
-        assert vocab.lookup("b") == 2
+        assert vocab.encode(["b"]) == [2]
 
     def test_min_count_filters(self):
         vocab = build_vocab(self.corpus("a a b"), min_count=2)
-        assert vocab.lookup("a") == 2
-        assert vocab.lookup("b") == Vocabulary.UNK_ID
+        assert vocab.encode(["a", "b"]) == [2, Vocabulary.UNK_ID]
 
     def test_lowercase_folds_case(self):
         vocab = build_vocab(self.corpus("Good good GOOD"), lowercase=True)
-        assert vocab.lookup("GOOD") == vocab.lookup("good") == 2
+        assert vocab.encode(["GOOD", "good"]) == [2, 2]
         assert len(vocab) == 3
 
     def test_deterministic_across_doc_order(self):
@@ -392,7 +402,7 @@ class TestVocabulary:
     )
     def test_encode_is_lookup_of_each_token(self, train, tokens, lowercase):
         vocab = build_vocab(self.corpus(*map(" ".join, train)), lowercase=lowercase)
-        assert vocab.encode(tokens) == [vocab.lookup(t) for t in tokens]
+        assert vocab.encode(tokens) == [lookup_reference(vocab, t) for t in tokens]
         assert vocab.encode(iter(tokens)) == vocab.encode(tokens)
 
     @given(

@@ -42,6 +42,14 @@ class TestPredictionRecords:
         write_predictions(recs, path)
         assert read_predictions(path) == recs
 
+    def test_read_names_the_line_of_a_non_utf8_byte(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        write_predictions(records(("positive", "positive")), path)
+        path.write_bytes(path.read_bytes() + b'{"id": "\xff"}\n')
+        with pytest.raises(EvaluationError) as info:
+            read_predictions(path)
+        assert str(info.value) == f"{path}: line 2: byte 0xff is not UTF-8 (invalid start byte)"
+
     def test_read_rejects_garbage(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         path.write_text('{"id": "d1"}\n')

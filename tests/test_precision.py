@@ -16,6 +16,7 @@ from negmtl import autodiff as ad
 from negmtl.autodiff import Tape, backward, zero_grads
 from negmtl.models import ModelParams, negation_loss, predict_document, sentiment_loss
 from negmtl.training import AdamState, apply_updates
+from oracles import adam_by_name
 
 DOC = [[1, 2, 1, 3], [4, 5], [6, 2, 7, 8, 9]]
 
@@ -92,9 +93,10 @@ def test_one_training_step_stays_in_the_model_dtype(node_dtypes, group, dtype):
     for name, p in params.named_parameters().items():
         assert p.data.dtype == dtype, name
         assert p.grad is None or p.grad.dtype == dtype, name
-    assert set(adam.m) == set(adam.v) != set()
-    for name in adam.m:
-        assert adam.m[name].dtype == adam.v[name].dtype == dtype, name
+    moments = adam_by_name(adam)
+    assert set(moments.m) == set(moments.v) != set()
+    for name in moments.m:
+        assert moments.m[name].dtype == moments.v[name].dtype == dtype, name
     # the step laid out one group in the model's dtype, values included
     (laid_out,) = adam.groups
     assert [buf.dtype for buf in (laid_out.data, laid_out.grad, laid_out.m, laid_out.v)] == [dtype] * 4

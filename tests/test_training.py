@@ -43,11 +43,13 @@ from negmtl.training import (
 )
 from oracles import (
     AdamReference,
+    adam_by_name,
     apply_updates_reference,
     bow_features_reference,
     bow_loss_and_grad,
     fit_bow_newton_reference,
     fit_bow_reference,
+    lookup_reference,
     mul,
     train_bow_reference,
 )
@@ -193,7 +195,7 @@ class TestAdam:
         state = AdamState(lr=0.001)
         adam_step(state, {"p": p}, ["p"])
         assert p.data == 0.5 - 0.001 * 1.0 / (np.sqrt(1.0) + 1e-8)
-        assert state.t["p"] == 1
+        assert adam_by_name(state).t["p"] == 1
 
     def test_epsilon_added_outside_sqrt(self):
         # with g = eps = 1e-8 the first update is lr/2; an in-sqrt epsilon
@@ -230,7 +232,7 @@ class TestAdam:
         state = AdamState()
         with pytest.raises(OptimizerError, match="unknown parameter 'x'"):
             state.layout({"p": p}, ["p", "x"], dtype)
-        assert state.groups == [] and state.t == {}
+        assert state.groups == [] and adam_by_name(state).t == {}
 
     def test_step_counts_are_per_parameter(self):
         a = Tensor(np.array(0.0), requires_grad=True)
@@ -241,7 +243,7 @@ class TestAdam:
         a.grad = np.array(1.0)
         b.grad = np.array(1.0)
         adam_step(state, {"a": a, "b": b}, ["a", "b"])
-        assert state.t == {"a": 2, "b": 1}
+        assert adam_by_name(state).t == {"a": 2, "b": 1}
 
     def test_one_state_steps_one_dtype(self):
         a = Tensor(np.zeros(2), requires_grad=True)
@@ -254,7 +256,7 @@ class TestAdam:
         adam_step(state, {"a": a}, ["a"])
         with pytest.raises(OptimizerError, match="steps float64, not float32"):
             adam_step(state, {"a": a, "c": c}, ["a", "c"])
-        assert state.t == {"a": 1}
+        assert adam_by_name(state).t == {"a": 1}
 
     def test_apply_updates_pins_padding_row(self):
         emb = Tensor(np.zeros((3, 2)), requires_grad=True)
@@ -357,7 +359,7 @@ class TestGradientBinding:
             apply_updates_reference(reference, copies, names)
             for name in names:
                 copies[name].grad = np.zeros_like(copies[name].grad)
-        assert {n: state.t[n] for n in names} == reference.t == dict.fromkeys(names, 3)
+        assert {n: adam_by_name(state).t[n] for n in names} == reference.t == dict.fromkeys(names, 3)
         for name in names:
             assert not np.signbit(named[name].grad).any() and not named[name].grad.any(), name
             assert same_bits(named[name].data, copies[name].data), name
@@ -398,7 +400,7 @@ class TestGradientBinding:
         left_out = groups["shared"][-1]
         with pytest.raises(OptimizerError, match=f"parameter '{left_out}' shares a group"):
             apply_updates(state, named, groups["shared"][:-1] + groups["sentiment"])
-        assert state.t == dict.fromkeys(named, 0)
+        assert adam_by_name(state).t == dict.fromkeys(named, 0)
 
     @pytest.mark.parametrize("mode", ["stl", "mtl"])
     def test_training_steps_accumulate_into_the_group_buffers(self, monkeypatch, mode):
@@ -1072,7 +1074,7 @@ class TestBow:
         vocab = build_vocab(train, 1, False)
         d = doc("x", "positive", "good good unknowntoken")
         x = bow_features(vocab, d)
-        assert x[vocab.lookup("good")] == 2.0
+        assert x[lookup_reference(vocab, "good")] == 2.0
         assert x[1] == 1.0  # unk bucket
         assert x.sum() == 3.0
 
