@@ -1,11 +1,14 @@
 """Command-line entry points.
 
 Subcommands: stats, train, ensemble, predict, eval, gradcheck.  Every
-artifact-producing run writes a manifest.json recording the subcommand,
-the effective configuration, the seeds, a sha256 digest of each input
-file, and the environment (Python and numpy versions, the BLAS build
-and its thread variables), so any output directory can be reproduced
-from its manifest and the original data.  Inputs are only ever read.
+artifact-producing run writes through one ``_Outputs`` object: ``--out``
+is created at the command's first write, so a run refused before it
+leaves no directory, and the closing manifest.json lists every artifact
+in write order.  The manifest also records the subcommand, the effective
+configuration, the seeds, a sha256 digest of each input file, and the
+environment (Python and numpy versions, the BLAS build and its thread
+variables), so any output directory can be reproduced from its manifest
+and the original data.  Inputs are only ever read.
 """
 
 from __future__ import annotations
@@ -122,25 +125,6 @@ def _read_split(path, name: str):
     return docs
 
 
-def _write_manifest(out_dir: Path, subcommand: str, *, config=None, seeds=None,
-                    inputs=None, options=None, outputs=None):
-    manifest = {
-        "tool": "negmtl",
-        "version": __version__,
-        "subcommand": subcommand,
-        "config": config,
-        "seeds": list(seeds) if seeds is not None else None,
-        "inputs": {
-            name: {"path": str(p), "sha256": _sha256(Path(p))}
-            for name, p in (inputs or {}).items()
-        },
-        "options": options or {},
-        "outputs": outputs or [],
-        "environment": _environment(),
-    }
-    _write_json(out_dir / "manifest.json", manifest)
-
-
 def _environment() -> dict:
     """Python, numpy, the BLAS build numpy links and the BLAS thread
     variables (None where unset): outputs are byte-identical for one
@@ -156,27 +140,54 @@ def _environment() -> dict:
     }
 
 
-def _write_json(path: Path, obj):
-    with atomic_open(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+class _Outputs:
+    """A command's ``--out`` directory.  Each write creates the directory
+    it needs, writes atomically, and records the artifact's name, so
+    ``manifest`` lists exactly what the run wrote, in write order."""
 
+    def __init__(self, path):
+        self.path = Path(path)
+        self.names: list[str] = []
 
-def _write_text(path: Path, text: str):
-    with atomic_open(path) as fh:
-        fh.write(text)
+    def _target(self, name: str) -> Path:
+        target = self.path / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        self.names.append(name)
+        return target
 
+    def text(self, name: str, text: str):
+        with atomic_open(self._target(name)) as fh:
+            fh.write(text)
 
-def _write_jsonl(path: Path, objs):
-    with atomic_open(path) as fh:
-        for obj in objs:
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    def json(self, name: str, obj):
+        self.text(name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
+    def jsonl(self, name: str, objs):
+        with atomic_open(self._target(name)) as fh:
+            for obj in objs:
+                fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    def predictions(self, name: str, records: list[PredictionRecord]):
+        write_predictions(records, self._target(name))
+
+    def preds(self, stem: str, records: list[PredictionRecord]):
+        self.predictions(f"preds/{stem}.jsonl", records)
+
+    def checkpoint(self, name: str, ckpt):
+        save_checkpoint(ckpt, self._target(name))
+
+    def manifest(self, subcommand: str, *, config=None, seeds=None, inputs=None, options=None):
+        self.json("manifest.json", {
+            "tool": "negmtl",
+            "version": __version__,
+            "subcommand": subcommand,
+            "config": config,
+            "seeds": list(seeds) if seeds is not None else None,
+            "inputs": {name: {"path": str(p), "sha256": _sha256(Path(p))} for name, p in (inputs or {}).items()},
+            "options": options or {},
+            "outputs": list(self.names),
+            "environment": _environment(),
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +205,9 @@ def cmd_stats(args) -> int:
     table = stats_report(corpus_stats(splits))
     sys.stdout.write(table)
     if args.out:
-        out = _out_dir(args)
-        _write_text(out / "stats.txt", table)
-        _write_manifest(
-            out, "stats",
-            inputs={n: getattr(args, n) for n in splits},
-            outputs=["stats.txt"],
-        )
+        out = _Outputs(args.out)
+        out.text("stats.txt", table)
+        out.manifest("stats", inputs={n: getattr(args, n) for n in splits})
     return 0
 
 
@@ -208,20 +215,12 @@ def cmd_stats(args) -> int:
 # train
 
 
-def _write_preds(out: Path, stem: str, records: list[PredictionRecord]) -> str:
-    """Write ``preds/<stem>.jsonl`` under ``out``; returns that name."""
-    (out / "preds").mkdir(exist_ok=True)
-    name = f"preds/{stem}.jsonl"
-    write_predictions(records, out / name)
-    return name
-
-
-def _train_neural(config, train_docs, dev_docs, out: Path) -> list[str]:
+def _train_neural(config, train_docs, dev_docs, out: _Outputs):
     run = train_seed(config, train_docs, dev_docs)
     result = run.result
-    save_checkpoint(result.checkpoint, out / "checkpoint.bin")
-    _write_jsonl(out / "metrics.jsonl", result.history)
-    pred_name = _write_preds(out, f"seed-{config.seed}", run.dev_predictions)
+    out.checkpoint("checkpoint.bin", result.checkpoint)
+    out.jsonl("metrics.jsonl", result.history)
+    out.preds(f"seed-{config.seed}", run.dev_predictions)
     report = {
         "mode": config.mode,
         "seed": config.seed,
@@ -230,45 +229,36 @@ def _train_neural(config, train_docs, dev_docs, out: Path) -> list[str]:
         "epochs_run": result.epochs_run,
         "dev_accuracy": accuracy_of(run.dev_predictions),
     }
-    _write_json(out / "report.json", report)
+    out.json("report.json", report)
     print(
         f"{config.mode} seed {config.seed}: best dev accuracy "
         f"{result.best_dev_accuracy:.4f} at epoch {result.best_epoch} "
         f"({result.epochs_run} epochs run)"
     )
-    return ["checkpoint.bin", "metrics.jsonl", pred_name, "report.json"]
 
 
-def _train_bow(config, train_docs, dev_docs, out: Path) -> list[str]:
+def _train_bow(config, train_docs, dev_docs, out: _Outputs):
     result = train_bow(config, train_docs, dev_docs)
-    pred_name = _write_preds(out, f"seed-{config.seed}", result.dev_predictions)
     metrics = {
         "chosen_c": result.chosen_c,
         "dev_accuracy": result.dev_accuracy,
         "dev_accuracy_by_c": {str(c): a for c, a in result.dev_accuracy_by_c.items()},
     }
-    _write_jsonl(out / "metrics.jsonl", [metrics])
-    _write_json(out / "report.json", {"mode": "bow", **metrics})
+    out.jsonl("metrics.jsonl", [metrics])
+    out.preds(f"seed-{config.seed}", result.dev_predictions)
+    out.json("report.json", {"mode": "bow", **metrics})
     print(f"bow: chosen C = {result.chosen_c}, dev accuracy {result.dev_accuracy:.4f}")
-    return ["metrics.jsonl", pred_name, "report.json"]
 
 
 def cmd_train(args) -> int:
     config = _effective_config(args)
     train_docs = _read_split(args.train, "train")
     dev_docs = _read_split(args.dev, "dev")
-    out = _out_dir(args)
-    if config.mode == "bow":
-        outputs = _train_bow(config, train_docs, dev_docs, out)
-    else:
-        outputs = _train_neural(config, train_docs, dev_docs, out)
-    _write_manifest(
-        out, "train",
-        config=config.to_dict(),
-        seeds=[config.seed],
-        inputs={"train": args.train, "dev": args.dev},
-        outputs=outputs,
-    )
+    out = _Outputs(args.out)
+    train = _train_bow if config.mode == "bow" else _train_neural
+    train(config, train_docs, dev_docs, out)
+    out.manifest("train", config=config.to_dict(), seeds=[config.seed],
+                 inputs={"train": args.train, "dev": args.dev})
     return 0
 
 
@@ -283,45 +273,32 @@ def cmd_ensemble(args) -> int:
     test_docs = _read_split(args.test, "test") if args.test else None
     result = run_ensemble(config, train_docs, dev_docs, test_docs)
 
-    out = _out_dir(args)  # created only once every seed has trained
-    (out / "checkpoints").mkdir(exist_ok=True)
-    outputs = []
+    out = _Outputs(args.out)
     metrics = []
     for run in result.runs:
-        outputs.append(_write_preds(out, f"seed-{run.seed}", run.dev_predictions))
-        ckpt_name = f"checkpoints/seed-{run.seed}.bin"
-        save_checkpoint(run.result.checkpoint, out / ckpt_name)
-        outputs.append(ckpt_name)
+        out.preds(f"seed-{run.seed}", run.dev_predictions)
+        out.checkpoint(f"checkpoints/seed-{run.seed}.bin", run.result.checkpoint)
         for rec in run.result.history:
             metrics.append({"seed": run.seed, **rec})
         if run.test_predictions is not None:
-            outputs.append(_write_preds(out, f"test-seed-{run.seed}", run.test_predictions))
-    outputs.append(_write_preds(out, "ensemble", result.dev_vote))
+            out.preds(f"test-seed-{run.seed}", run.test_predictions)
+    out.preds("ensemble", result.dev_vote)
     if result.test_vote is not None:
-        outputs.append(_write_preds(out, "test-ensemble", result.test_vote))
-    _write_jsonl(out / "metrics.jsonl", metrics)
-    outputs.append("metrics.jsonl")
+        out.preds("test-ensemble", result.test_vote)
+    out.jsonl("metrics.jsonl", metrics)
 
     report = build_run_report([r.dev_predictions for r in result.runs], result.dev_vote)
     report_obj = {"split": "dev", "seeds": list(config.seeds), **report.to_json_obj()}
     if result.test_vote is not None:
-        test_report = build_run_report(
-            [r.test_predictions for r in result.runs], result.test_vote
-        )
+        test_report = build_run_report([r.test_predictions for r in result.runs], result.test_vote)
         report_obj["test"] = test_report.to_json_obj()
-    _write_json(out / "report.json", report_obj)
-    outputs.append("report.json")
+    out.json("report.json", report_obj)
 
-    _write_manifest(
-        out, "ensemble",
+    out.manifest(
+        "ensemble",
         config=config.to_dict(),
         seeds=config.seeds,
-        inputs={
-            name: path
-            for name, path in [("train", args.train), ("dev", args.dev), ("test", args.test)]
-            if path
-        },
-        outputs=outputs,
+        inputs={name: getattr(args, name) for name in ("train", "dev", "test") if getattr(args, name)},
     )
     sys.stdout.write(report.format_text())
     return 0
@@ -339,25 +316,22 @@ def cmd_predict(args) -> int:
             f"{args.checkpoint}: checkpoint has no negation head, cannot produce tags"
         )
     docs = _read_split(args.data, "data")
-    out = _out_dir(args)
 
     records = predict_corpus(model, vocab, docs, tags=args.tags)
-    write_predictions(records, out / "predictions.jsonl")
-    outputs = ["predictions.jsonl"]
+    out = _Outputs(args.out)
+    out.predictions("predictions.jsonl", records)
     if args.tags:
         tag_lines = ({"id": r.id, "tags": [[str(t) for t in sent] for sent in r.tags]} for r in records)
-        _write_jsonl(out / "tags.jsonl", tag_lines)
-        outputs.append("tags.jsonl")
+        out.jsonl("tags.jsonl", tag_lines)
 
-    _write_manifest(
-        out, "predict",
+    out.manifest(
+        "predict",
         config=ckpt.config,
         seeds=[ckpt.config.get("seed")],
         inputs={"checkpoint": args.checkpoint, "data": args.data},
         options={"tags": bool(args.tags)},
-        outputs=outputs,
     )
-    print(f"wrote {len(records)} predictions to {out / 'predictions.jsonl'}")
+    print(f"wrote {len(records)} predictions to {out.path / 'predictions.jsonl'}")
     return 0
 
 
@@ -365,11 +339,13 @@ def cmd_predict(args) -> int:
 # eval
 
 
-def _score(records: list[PredictionRecord], name: str) -> dict:
+def _score(records: list[PredictionRecord], path) -> tuple[dict, ConfusionMatrix]:
+    """The report's record of one prediction file, and its confusion matrix."""
     if any(r.gold is None for r in records):
-        raise EvaluationError(f"{name}: cannot score predictions without gold labels")
+        raise EvaluationError(f"{path}: cannot score predictions without gold labels")
     cm = ConfusionMatrix.from_records(records)
-    return {"accuracy": accuracy_of(records), "confusion": [list(row) for row in cm.counts], "_cm": cm}
+    record = {"path": str(path), "accuracy": accuracy_of(records), "confusion": [list(row) for row in cm.counts]}
+    return record, cm
 
 
 def _read_scorable(path) -> list[PredictionRecord]:
@@ -384,38 +360,26 @@ def cmd_eval(args) -> int:
     if args.compare:  # checked before anything is printed
         other = _read_scorable(args.compare)
         require_same_documents(records, other, args.pred, args.compare)
-    scored = _score(records, args.pred)
-    print(f"{args.pred}: accuracy {scored['accuracy']:.4f} over {len(records)} documents")
-    print(f"confusion (gold x pred, negative/positive): {scored['confusion']}")
-    report = {
-        "pred": {"path": str(args.pred), "accuracy": scored["accuracy"],
-                 "confusion": scored["confusion"]},
-    }
+    report = {}
+    report["pred"], cm = _score(records, args.pred)
+    print(f"{args.pred}: accuracy {report['pred']['accuracy']:.4f} over {len(records)} documents")
+    print(f"confusion (gold x pred, negative/positive): {report['pred']['confusion']}")
     csv_text = None
     if args.compare:
-        other_scored = _score(other, args.compare)
-        diff = relative_confusion(scored["_cm"], other_scored["_cm"])
+        report["compare"], other_cm = _score(other, args.compare)
+        diff = relative_confusion(cm, other_cm)
         csv_text = confusion_csv(diff)
-        print(f"{args.compare}: accuracy {other_scored['accuracy']:.4f}")
+        print(f"{args.compare}: accuracy {report['compare']['accuracy']:.4f}")
         print("relative confusion (pred minus compare):")
         sys.stdout.write(csv_text)
-        report["compare"] = {
-            "path": str(args.compare),
-            "accuracy": other_scored["accuracy"],
-            "confusion": other_scored["confusion"],
-        }
         report["relative_confusion"] = [[int(v) for v in row] for row in diff]
     if args.out:
-        out = _out_dir(args)
-        _write_json(out / "report.json", report)
-        outputs = ["report.json"]
+        out = _Outputs(args.out)
+        out.json("report.json", report)
         if csv_text is not None:
-            _write_text(out / "relative.csv", csv_text)
-            outputs.append("relative.csv")
-        inputs = {"pred": args.pred}
-        if args.compare:
-            inputs["compare"] = args.compare
-        _write_manifest(out, "eval", inputs=inputs, outputs=outputs)
+            out.text("relative.csv", csv_text)
+        inputs = {name: getattr(args, name) for name in ("pred", "compare") if getattr(args, name)}
+        out.manifest("eval", inputs=inputs)
     return 0
 
 
@@ -502,14 +466,13 @@ def cmd_gradcheck(args) -> int:
     cases = _gradcheck_cases(args.seed, args.inject_bug)
     selected = list(cases) if args.component == "all" else [args.component]
     rows = []
-    all_passed = True
     for name in selected:
         f, subset = cases[name]()
         try:
             report = grad_check(f, subset)
         except DeterminismError as e:
             rows.append({"component": name, "passed": False, "error": str(e)})
-            all_passed = False
+            print(f"{name:<10} FAIL  {e}")
             continue
         rows.append(
             {
@@ -521,25 +484,19 @@ def cmd_gradcheck(args) -> int:
                 "tolerance": report.tol,
             }
         )
-        all_passed = all_passed and report.passed
-    for row in rows:
-        if "max_rel_err" in row:
-            print(
-                f"{row['component']:<10} {'PASS' if row['passed'] else 'FAIL'}  "
-                f"max rel err {row['max_rel_err']:.3e} over "
-                f"{row['entries_checked']} entries (tol {row['tolerance']:.0e})"
-            )
-        else:
-            print(f"{row['component']:<10} FAIL  {row['error']}")
+        print(
+            f"{name:<10} {'PASS' if report.passed else 'FAIL'}  max rel err {report.max_rel_err:.3e} "
+            f"over {report.n_checked} entries (tol {report.tol:.0e})"
+        )
+    all_passed = all(row["passed"] for row in rows)
     print("gradient check:", "PASS" if all_passed else "FAIL")
     if args.out:
-        out = _out_dir(args)
-        _write_json(out / "gradcheck.json", {"passed": all_passed, "components": rows})
-        _write_manifest(
-            out, "gradcheck",
+        out = _Outputs(args.out)
+        out.json("gradcheck.json", {"passed": all_passed, "components": rows})
+        out.manifest(
+            "gradcheck",
             seeds=[args.seed],
             options={"component": args.component, "inject_bug": bool(args.inject_bug)},
-            outputs=["gradcheck.json"],
         )
     return 0 if all_passed else 1
 

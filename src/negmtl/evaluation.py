@@ -46,9 +46,10 @@ def write_predictions(records: Sequence[PredictionRecord], path):
 
 
 def read_predictions(path) -> list[PredictionRecord]:
-    """Records in file order; each document id may occur once.  A bad
-    record, or a byte that is not UTF-8, is an ``EvaluationError`` naming
-    the file and the line."""
+    """Records in file order; each document id, a non-empty string, may
+    occur once.  A bad record (a bad id or label among them), or a byte
+    that is not UTF-8, is an ``EvaluationError`` naming the file and the
+    line."""
     records = []
     first_line: dict[str, int] = {}
     try:
@@ -59,8 +60,11 @@ def read_predictions(path) -> list[PredictionRecord]:
                 try:
                     obj = json.loads(line)
                     record = PredictionRecord(obj["id"], obj["gold"], obj["pred"])
+                    if not isinstance(record.id, str) or not record.id:
+                        raise ValueError(f"id must be a non-empty string, got {record.id!r}")
                     seen = first_line.setdefault(record.id, line_no)
-                except (ValueError, KeyError, TypeError) as e:  # ValueError: bad JSON or a too-long integer
+                # ValueError: bad JSON, a too-long integer or a bad id; EvaluationError: a bad label
+                except (ValueError, KeyError, TypeError, EvaluationError) as e:
                     raise EvaluationError(f"{path}: line {line_no}: bad prediction record ({e})") from e
                 if seen != line_no:
                     raise EvaluationError(f"{path}: line {line_no}: document {record.id!r} repeats line {seen}")

@@ -61,14 +61,16 @@ WRITERS = {
         [PredictionRecord(f"doc{i}", "positive", "negative") for i in range(5)],
         d / "predictions.jsonl",
     ),
-    "_write_jsonl": lambda d: cli._write_jsonl(
-        d / "metrics.jsonl", [{"epoch": i, "dev_accuracy": 0.5} for i in range(5)]
+    # the CLI's writes, each through ``cli._Outputs``; the keys stay the
+    # tests' ids
+    "_write_jsonl": lambda d: cli._Outputs(d).jsonl(
+        "metrics.jsonl", [{"epoch": i, "dev_accuracy": 0.5} for i in range(5)]
     ),
-    "_write_manifest": lambda d: cli._write_manifest(d, "train", options={"x": 1}),
+    "_write_manifest": lambda d: cli._Outputs(d).manifest("train", options={"x": 1}),
     # stats.txt of ``stats``; relative.csv of ``eval --compare``
-    "_write_text": lambda d: cli._write_text(d / "stats.txt", "split  docs\n" * 8),
+    "_write_text": lambda d: cli._Outputs(d).text("stats.txt", "split  docs\n" * 8),
     # report.json of ``train`` and ``eval``, gradcheck.json of ``gradcheck``
-    "_write_json": lambda d: cli._write_json(d / "report.json", {"accuracy": 0.5, "n": list(range(9))}),
+    "_write_json": lambda d: cli._Outputs(d).json("report.json", {"accuracy": 0.5, "n": list(range(9))}),
 }
 TARGETS = {
     "save_checkpoint": "checkpoint.bin",

@@ -10,13 +10,14 @@ import platform
 import re
 import struct
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from negmtl import autodiff as ad
-from negmtl import cli, training
+from negmtl import atomic, cli, training
 from negmtl.autodiff import Tensor
 from negmtl.cli import main
 from negmtl.corpus import ParseError, parse_corpus
@@ -174,6 +175,7 @@ class TestTrain:
         assert "'b1'" in capsys.readouterr().err
         assert not (out / "checkpoint.bin").exists()
         assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     def test_non_finite_loss_fails_before_artifacts(self, corpus, tmp_path, monkeypatch, capsys):
         sentiment_loss = training.sentiment_loss
@@ -190,6 +192,7 @@ class TestTrain:
         assert len(err) == 1 and err[0].startswith("error: epoch 1, sentiment phase: loss is nan")
         for name in ("checkpoint.bin", "metrics.jsonl", "manifest.json"):
             assert not (out / name).exists(), name
+        assert not out.exists()
 
     def test_non_finite_parameter_fails_before_artifacts(self, corpus, tmp_path, monkeypatch, capsys):
         # an inf gradient behind a finite loss on the last step of epoch 1
@@ -212,6 +215,7 @@ class TestTrain:
         ]
         for name in ("checkpoint.bin", "metrics.jsonl", "manifest.json"):
             assert not (out / name).exists(), name
+        assert not out.exists()
 
     def test_bow_prints_chosen_c(self, corpus, tmp_path, capsys):
         train, dev = corpus
@@ -627,6 +631,21 @@ class TestEval:
         assert captured.out == ""
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("bad_id", [5, None, ""], ids=["int", "null", "empty"])
+    def test_bad_id_is_named(self, tmp_path, capsys, bad_id):
+        p = tmp_path / "p.jsonl"
+        self.write_preds(p, [
+            {"id": "a", "gold": "positive", "pred": "positive"},
+            {"id": bad_id, "gold": "negative", "pred": "positive"},
+        ])
+        assert main(["eval", "--pred", str(p), "--out", str(tmp_path / "r")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: {p}: line 2: bad prediction record (id must be a non-empty string, got {bad_id!r})"
+        ]
+        assert captured.out == ""
+        assert not (tmp_path / "r").exists()
+
     def test_missing_gold_rejected(self, tmp_path, capsys):
         p = tmp_path / "p.jsonl"
         self.write_preds(p, [{"id": "a", "gold": None, "pred": "positive"}])
@@ -691,6 +710,76 @@ class TestGradcheck:
         assert report["passed"] is True
         assert report["components"][0]["component"] == "crf"
         assert report["components"][0]["max_rel_err"] < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Manifests: ``outputs`` names exactly the files a run writes, in write order
+
+
+def _predict_argv(train, dev, tmp_path, out):
+    run = tmp_path / "run"
+    assert main(["train", "--mode", "mtl", "--train", str(train), "--dev", str(dev), "--out", str(run), *SMALL]) == 0
+    return ["predict", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(dev), "--out", str(out), "--tags"]
+
+
+def _eval_argv(train, dev, tmp_path, out):
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    for path, pred in ((a, "positive"), (b, "negative")):
+        write_jsonl(path, [{"id": i, "gold": "negative", "pred": pred} for i in ("x", "y")])
+    return ["eval", "--pred", str(a), "--compare", str(b), "--out", str(out)]
+
+
+def _train_argv(mode):
+    return lambda train, dev, tmp_path, out: [
+        "train", "--mode", mode, "--train", str(train), "--dev", str(dev), "--out", str(out), *SMALL
+    ]
+
+
+NEURAL_OUTPUTS = ["checkpoint.bin", "metrics.jsonl", "preds/seed-1.jsonl", "report.json"]
+COMMAND_FORMS = {
+    "stats": (
+        lambda train, dev, tmp_path, out: ["stats", "--train", str(train), "--dev", str(dev), "--out", str(out)],
+        ["stats.txt"],
+    ),
+    "train-stl": (_train_argv("stl"), NEURAL_OUTPUTS),
+    "train-mtl": (_train_argv("mtl"), NEURAL_OUTPUTS),
+    "train-bow": (_train_argv("bow"), ["metrics.jsonl", "preds/seed-1.jsonl", "report.json"]),
+    "ensemble": (
+        lambda train, dev, tmp_path, out: [
+            "ensemble", "--mode", "mtl", "--seeds", "1,2,3", "--train", str(train), "--dev", str(dev),
+            "--test", str(dev), "--out", str(out), *SMALL,
+        ],
+        [
+            *(name for s in (1, 2, 3)
+              for name in (f"preds/seed-{s}.jsonl", f"checkpoints/seed-{s}.bin", f"preds/test-seed-{s}.jsonl")),
+            "preds/ensemble.jsonl", "preds/test-ensemble.jsonl", "metrics.jsonl", "report.json",
+        ],
+    ),
+    "predict": (_predict_argv, ["predictions.jsonl", "tags.jsonl"]),
+    "eval": (_eval_argv, ["report.json", "relative.csv"]),
+    "gradcheck": (lambda train, dev, tmp_path, out: ["gradcheck", "--out", str(out)], ["gradcheck.json"]),
+}
+
+
+@pytest.mark.parametrize("form", list(COMMAND_FORMS))
+def test_manifest_lists_exactly_the_files_written(form, corpus, tmp_path, monkeypatch):
+    argv, expected = COMMAND_FORMS[form]
+    out = tmp_path / "out"
+    argv = argv(*corpus, tmp_path, out)
+    opened = []
+
+    def recording_open(file, *args, **kwargs):
+        tmp = Path(file)  # ``.<name>.<hex>.tmp``, next to its target
+        opened.append((tmp.parent / tmp.name[1:].rsplit(".", 2)[0]).relative_to(out).as_posix())
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(atomic, "open", recording_open, raising=False)
+    assert main(argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    on_disk = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert manifest["outputs"] == expected
+    assert opened == [*expected, "manifest.json"]
+    assert on_disk == sorted(opened)
 
 
 # ---------------------------------------------------------------------------

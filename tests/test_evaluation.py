@@ -56,6 +56,23 @@ class TestPredictionRecords:
         with pytest.raises(EvaluationError, match="line 1"):
             read_predictions(path)
 
+    @pytest.mark.parametrize("bad_id", ["5", "null", '""', "[1]"])
+    def test_read_names_the_line_of_a_bad_id(self, tmp_path, bad_id):
+        path = tmp_path / "preds.jsonl"
+        write_predictions(records(("positive", "positive")), path)
+        with open(path, "a") as fh:
+            fh.write(f'{{"id": {bad_id}, "gold": "positive", "pred": "negative"}}\n')
+        with pytest.raises(EvaluationError) as info:
+            read_predictions(path)
+        assert str(info.value).startswith(f"{path}: line 2: bad prediction record (id must be a non-empty string")
+
+    def test_read_names_the_line_of_a_bad_label(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_text('{"id": "d1", "gold": "meh", "pred": "positive"}\n')
+        with pytest.raises(EvaluationError) as info:
+            read_predictions(path)
+        assert str(info.value) == f"{path}: line 1: bad prediction record (record 'd1': bad gold label 'meh')"
+
 
 class TestAccuracy:
     def test_extremes(self):

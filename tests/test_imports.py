@@ -2,8 +2,9 @@
 every top-level function, class or assigned name is referenced by some
 module, every method, property and class constant is read by some
 module, and every
-JSON decode can fail only with the module's own error, and only the
-modules that hold the tape's ops record tape nodes.
+JSON decode can fail only with the module's own error, only the
+modules that hold the tape's ops record tape nodes, and only the CLI's
+``_Outputs`` writes artifacts.
 
 AST scans stand in for a linter: an unused import survives every other
 test and makes a module look coupled to code it never calls, and a
@@ -15,7 +16,9 @@ in the modules that train and predict is float64, and would quietly
 put float32 training back into float64.  A call to
 ``autodiff._make_output`` outside ``autodiff``, ``layers`` and ``crf``
 is a generic op growing back where the model and the CLI should only
-compose the ones the model records.
+compose the ones the model records.  A CLI command that creates a
+directory or writes a file itself, outside ``_Outputs``, writes an
+artifact its manifest does not list.
 """
 
 import ast
@@ -433,3 +436,51 @@ def test_scan_finds_a_make_output_use():
         "ad.make_output_later(a)\n"
     )
     assert make_output_uses(tree) == [2, 4, 5]
+
+
+# What creates a directory or writes an artifact.  In ``cli`` only the
+# methods of ``_Outputs`` name these, so each artifact is in the manifest
+# and ``--out`` appears only at a command's first write.
+ARTIFACT_WRITES = {"atomic_open", "mkdir", "save_checkpoint", "write_predictions"}
+
+
+def artifact_writes_outside(tree: ast.Module, owner: str) -> list[int]:
+    """Lines that call or otherwise name one of ``ARTIFACT_WRITES`` (as a
+    name, or as an attribute such as ``path.mkdir``) outside the body of
+    the top-level class ``owner``.  Imports do not count."""
+    inside = {
+        id(node)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == owner
+        for node in ast.walk(cls)
+    }
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if (getattr(node, "id", None) or getattr(node, "attr", None)) in ARTIFACT_WRITES and id(node) not in inside
+    })
+
+
+def test_only_outputs_writes_cli_artifacts():
+    path = PACKAGE / "cli.py"
+    lines = artifact_writes_outside(ast.parse(path.read_text(), filename=str(path)), "_Outputs")
+    assert not lines, "\n".join(f"{path.name}:{line} writes an artifact: write it through _Outputs" for line in lines)
+
+
+def test_scan_finds_an_artifact_write_outside_outputs():
+    tree = ast.parse(
+        "from .atomic import atomic_open\n"
+        "class _Outputs:\n"
+        "    def text(self, name, text):\n"
+        "        self.path.mkdir(exist_ok=True)\n"
+        "        with atomic_open(self.path / name) as fh:\n"
+        "            fh.write(text)\n"
+        "def cmd(out, ckpt):\n"
+        "    out.mkdir(parents=True)\n"  # 8
+        "    save_checkpoint(ckpt, out / 'c.bin')\n"  # 9
+        "    write = write_predictions\n"  # 10: an alias writes too
+        "    out.text('a.txt', 'x')\n"
+        "class Other:\n"
+        "    def go(self, c, p): return training.save_checkpoint(c, p)\n"  # 13
+    )
+    assert artifact_writes_outside(tree, "_Outputs") == [8, 9, 10, 13]
