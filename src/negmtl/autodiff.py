@@ -22,7 +22,8 @@ The module holds four primitives: the gather ``rows``, which can scale
 what it gathers by a mask (the model's inverted dropout on its
 embeddings, one node rather than a gather and a multiply);
 ``max_over_time`` (over a whole matrix, or over each of its row
-segments in one node); ``softmax_cross_entropy``; and ``sum_all``,
+segments in one node; untaped, one reduction without an argmax);
+``softmax_cross_entropy``; and ``sum_all``,
 which only the per-layer benchmark records.  The fused layer ops build
 on the same ``_make_output`` hook and run their work in numpy with a
 hand-written backward pass, each recorded as a single node:
@@ -324,16 +325,30 @@ def sum_all(a: Tensor) -> Tensor:
 def max_over_time(h: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
     """Column-wise max of a (T, d) matrix, shape (d,); with ``lengths``,
     of each run of that many consecutive rows, shape (S, d), one node for
-    all runs.  Ties route gradient to the earliest maximal row of a run."""
+    all runs.  Ties route gradient to the earliest maximal row of a run.
+
+    The output is the value at each column's first argmax.  Untaped,
+    the maxima come from one ``max`` or ``np.maximum.reduceat`` with no
+    argmax: equal floats have equal bits, except that ``np.maximum``
+    keeps the last of tied signed zeros and a NaN maximum may be any
+    NaN of its run, so when any maximum is ±0.0 or NaN the untaped call
+    gathers at the first argmax like the taped one."""
     x = h.data
     if x.ndim != 2 or x.shape[0] < 1:
         raise AutodiffError(f"max_over_time: expected a non-empty matrix, got {x.shape}")
+    if lengths is not None and (len(lengths) == 0 or min(lengths) < 1 or sum(lengths) != x.shape[0]):
+        raise AutodiffError(f"max_over_time: lengths {list(lengths)} do not split {x.shape[0]} rows")
+    if not records((h,)):
+        if lengths is None:
+            out = x.max(axis=0)
+        else:
+            out = np.maximum.reduceat(x, np.cumsum(lengths) - lengths, axis=0)
+        if not (np.isnan(out).any() or (out == 0).any()):
+            return Tensor(out)
     cols = np.arange(x.shape[1])
     if lengths is None:
         winners = x.argmax(axis=0)
     else:
-        if len(lengths) == 0 or min(lengths) < 1 or sum(lengths) != x.shape[0]:
-            raise AutodiffError(f"max_over_time: lengths {list(lengths)} do not split {x.shape[0]} rows")
         ends = np.cumsum(lengths).tolist()
         winners = np.stack([x[b - n : b].argmax(axis=0) + (b - n) for n, b in zip(lengths, ends)])
     def bw(g):

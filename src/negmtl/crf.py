@@ -9,11 +9,13 @@ minus the gold path's score.  Its hand-written gradient is the node and
 pair marginals of a backward recursion minus the gold path's indicator
 counts.
 
-Decoding is plain numpy Viterbi.  ``viterbi_paths`` decodes every
-sentence of a document in one step loop, packed like the sentence
-BiLSTM (``layers._packing``): sentences ordered by length, step s
-extends the ones longer than s, each with the additions and the tie
-rule of decoding it alone; ``viterbi_decode`` is its one-sentence case.
+Decoding is plain numpy Viterbi.  ``viterbi_paths`` decodes any number
+of sentences (at prediction, every sentence of a corpus) in one step
+loop, packed like the sentence BiLSTM (``layers._packing``): sentences
+ordered by length, step s extends the ones longer than s, each with the
+additions and the tie rule of decoding it alone, and the traceback takes
+one gather per step for all of them; ``viterbi_decode`` is its
+one-sentence case.
 A brute-force enumerator over all K^T paths in the tests checks both
 the forward algorithm and Viterbi.
 """
@@ -165,7 +167,10 @@ def viterbi_paths(
 ) -> list[list[int]]:
     """The ``viterbi_decode`` path of each sentence whose emission rows
     are laid end to end in ``emissions``, ``lengths`` rows each (one
-    sentence when None), decoded in one step loop.
+    sentence when None), decoded in one step loop.  The sentences may
+    come from many documents: every row is decoded with the numbers of
+    its own sentence only, so a sentence gets the same path whatever
+    else shares the call.
 
     The sentences follow the step plan of ``layers._packing``, the one
     ``layers.bilstm`` runs: ordered by length, step s extends the n_s
@@ -173,7 +178,9 @@ def viterbi_paths(
     + inner.T`` and takes its first-index argmax and its max over the
     previous tag, the additions and the tie rule of one sentence on its
     own.  A sentence's best last tag is chosen when it drops out of the
-    live set, and every path is traced back in one more loop.
+    live set.  The traceback walks the steps backwards once: at step s
+    one fancy-index reads the back pointers of all n_s live sentences.
+    Its transient memory is O(rows × K), the back-pointer table.
     """
     transitions, emissions = ad.as_floats(transitions), ad.as_floats(emissions)
     k = transitions.shape[0] - 2
@@ -205,15 +212,15 @@ def viterbi_paths(
         delta = scores.max(axis=2) + packed[a : a + n]
     best[: live[-1]] = (delta + end_scores).argmax(axis=1)
 
-    # trace back in packed order: row starts[s] + j holds sentence j's tag at step s
-    back, last = backptr.tolist(), best.tolist()
-    tags = [0] * n_rows
+    # trace back in packed order, one gather per step for every live
+    # sentence: row starts[s] + j holds sentence j's tag at step s
+    tags = np.empty(n_rows, dtype=np.intp)
+    rows = np.arange(live[0])
     for s in range(len(live) - 1, 0, -1):
-        a = starts[s]
-        for j in range(live[s]):
-            tag = tags[a + j] = last[j]
-            last[j] = back[a + j][tag]
-    tags[: live[0]] = last
+        a, n = starts[s], live[s]
+        tags[a : a + n] = best[:n]
+        best[:n] = backptr[rows[:n] + a, best[:n]]
+    tags[: live[0]] = best
     in_order = np.empty(n_rows, dtype=np.intp)
     in_order[read[0]] = tags
     flat = in_order.tolist()

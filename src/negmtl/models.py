@@ -14,9 +14,12 @@ sentiment head max-pools each sentence's rows (one segment max-pool
 node), runs a document-level BiLSTM over the sentence vectors,
 max-pools again and maps to 2 class logits, so a sentiment loss
 records 7 tape nodes for any number of sentences.
-``predict_document`` runs untaped, so neither BiLSTM keeps backward
-caches, and with ``tags`` it decodes every sentence in one packed
-Viterbi loop (``crf.viterbi_paths``).
+``predict_documents`` is the one prediction path (``predict_document``
+is its one-document case).  It runs untaped, so neither BiLSTM keeps
+backward caches, encodes each document on its own, so a document's
+logits do not depend on the others, and with ``tags`` it decodes every
+sentence of every document in one packed Viterbi loop
+(``crf.viterbi_paths``).
 Class index 0 is negative, 1 is positive, fixed and serialized; exact
 logit ties resolve to positive.
 
@@ -322,26 +325,44 @@ def sentiment_loss(
     return ad.softmax_cross_entropy(logits, gold_class)
 
 
+def predict_documents(
+    params: ModelParams, docs_ids: Sequence[Sequence[Sequence[int]]], tags: bool = False
+) -> list[SentimentPrediction]:
+    """Eval-mode classification of each document; an exact logit tie
+    resolves to positive.
+
+    Each document is encoded on its own, so its logits keep the bits
+    they have when it is predicted alone.  With ``tags``, each
+    prediction also carries its sentences' Viterbi negation tags,
+    decoded from the same encodings that feed the sentiment head: one
+    ``affine`` per document gives its emission scores, and one
+    ``viterbi_paths`` call decodes every sentence of every document,
+    each as it would decode alone.  Nothing here is taped, so the
+    BiLSTMs keep no backward caches.  An empty corpus gives []."""
+    if tags and not params.has_negation_head:
+        raise ModelError("model has no negation head")
+    if len(docs_ids) == 0:
+        return []
+    logits, emissions, lengths = [], [], []
+    with ad.no_grad():
+        for doc_ids in docs_ids:
+            encoded, doc_lengths = _encode_document(params, doc_ids, False, 0.0, None)
+            logits.append(_document_logits(params, encoded, doc_lengths).data)
+            if tags:
+                emissions.append(affine(params.emission, encoded).data)
+                lengths += doc_lengths
+    if tags:
+        paths = iter(viterbi_paths(params.crf.transitions.data, np.concatenate(emissions), lengths))
+    predictions = []
+    for doc_ids, doc_logits in zip(docs_ids, logits):
+        cls = POSITIVE_CLASS if doc_logits[POSITIVE_CLASS] >= doc_logits[NEGATIVE_CLASS] else NEGATIVE_CLASS
+        sentence_tags = [_as_tags(next(paths)) for _ in doc_ids] if tags else None
+        predictions.append(SentimentPrediction(CLASS_TO_LABEL[cls], doc_logits, sentence_tags))
+    return predictions
+
+
 def predict_document(
     params: ModelParams, doc_ids: Sequence[Sequence[int]], tags: bool = False
 ) -> SentimentPrediction:
-    """Eval-mode classification; an exact logit tie resolves to positive.
-
-    With ``tags``, the prediction also carries each sentence's Viterbi
-    negation tags, decoded from the same encodings that feed the
-    sentiment head: one ``affine`` gives the whole document's emission
-    scores, and one ``viterbi_paths`` call decodes every sentence over
-    the step plan of the packed sentence BiLSTM.  Nothing here is taped,
-    so the BiLSTMs keep no backward caches."""
-    if tags and not params.has_negation_head:
-        raise ModelError("model has no negation head")
-    with ad.no_grad():
-        encoded, lengths = _encode_document(params, doc_ids, False, 0.0, None)
-        logits = _document_logits(params, encoded, lengths)
-        sentence_tags = None
-        if tags:
-            emissions = affine(params.emission, encoded).data
-            paths = viterbi_paths(params.crf.transitions.data, emissions, lengths)
-            sentence_tags = [_as_tags(path) for path in paths]
-    cls = POSITIVE_CLASS if logits.data[POSITIVE_CLASS] >= logits.data[NEGATIVE_CLASS] else NEGATIVE_CLASS
-    return SentimentPrediction(CLASS_TO_LABEL[cls], logits.data.copy(), sentence_tags)
+    """``predict_documents`` on one document."""
+    return predict_documents(params, [doc_ids], tags)[0]

@@ -42,12 +42,14 @@ from .atomic import atomic_open
 from .autodiff import Tape, Tensor, backward, zero_grads
 from .corpus import Document, Vocabulary, build_vocab, to_bio
 from .evaluation import PredictionRecord, accuracy_of
+# predict_document is not called here; bench/tracing.py wraps training.predict_document
 from .models import (
     LABEL_TO_CLASS,
     ModelError,
     ModelParams,
     negation_loss,
     predict_document,
+    predict_documents,
     sentiment_loss,
 )
 
@@ -589,12 +591,11 @@ def predict_corpus(
     params: ModelParams, vocab: Vocabulary, docs: Sequence[Document], tags: bool = False
 ) -> list[PredictionRecord]:
     """Eval-mode sentiment predictions for every document; with ``tags``,
-    each record also carries its sentences' negation tags."""
-    records = []
-    for doc in docs:
-        pred = predict_document(params, [vocab.encode(s.tokens) for s in doc.sentences], tags=tags)
-        records.append(PredictionRecord(doc.id, doc.label, pred.label, pred.tags))
-    return records
+    each record also carries its sentences' negation tags.  One
+    ``predict_documents`` call predicts the whole corpus, so every
+    sentence is tagged in one packed Viterbi pass."""
+    preds = predict_documents(params, _encode_docs(vocab, docs), tags=tags)
+    return [PredictionRecord(doc.id, doc.label, pred.label, pred.tags) for doc, pred in zip(docs, preds)]
 
 
 @dataclass

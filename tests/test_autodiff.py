@@ -306,6 +306,82 @@ class TestAnalytic:
             ad.max_over_time(Tensor(np.ones((3, 2))), lengths)
 
 
+def _nan(payload: int, dtype) -> np.floating:
+    """A quiet NaN whose low mantissa bits are ``payload``."""
+    bits = np.array([np.nan], dtype=dtype).view(np.uint32 if dtype == np.float32 else np.uint64)
+    return (bits | payload).view(dtype)[0]
+
+
+def _pool_cases(dtype):
+    """Named (matrix, lengths) cases whose maxima tie or are non-finite."""
+    nan1, nan2 = _nan(1, dtype), _nan(2, dtype)
+    inf = np.inf
+    cases = {
+        # +0.0 before -0.0 and the other way round, in one run and in runs
+        "signed-zeros": ([[0.0, -0.0, -1.0], [-0.0, 0.0, -0.0], [-2.0, -0.0, 0.0], [-0.0, 0.0, -3.0]], [2, 2]),
+        "one-signed-zero": ([[-1.0, -0.0], [-0.0, -5.0], [-3.0, -2.0]], [1, 2]),
+        "infinities": ([[inf, -inf, 1.0], [inf, -inf, inf], [-inf, -inf, -inf], [2.0, -inf, -inf]], [3, 1]),
+        "nan-columns": ([[nan1, 1.0, nan1], [nan2, nan2, 3.0], [1.0, 2.0, nan2], [nan2, nan1, nan1]], [2, 2]),
+        "all-equal-rows": ([[1.5, -2.0, 7.0]] * 5, [1, 3, 1]),
+        "all-equal-zero-rows": ([[0.0, -0.0, 0.0]] * 4, [2, 2]),
+    }
+    return {name: (np.array(x, dtype=dtype), lengths) for name, (x, lengths) in cases.items()}
+
+
+class TestUntapedMaxOverTime:
+    """Untaped, ``max_over_time`` reduces without an argmax; it must give
+    the taped forward's bytes, ties of signed zeros and NaNs included."""
+
+    @staticmethod
+    def taped(x, lengths):
+        with Tape():
+            out = ad.max_over_time(Tensor(x.copy(), requires_grad=True), lengths)
+        assert out.node is not None
+        return out.data
+
+    @staticmethod
+    def untaped(x, lengths):
+        outside = ad.max_over_time(Tensor(x.copy(), requires_grad=True), lengths)
+        with Tape(), no_grad():
+            inside = ad.max_over_time(Tensor(x.copy(), requires_grad=True), lengths)
+        for out in (outside, inside):
+            assert out.node is None and not out.requires_grad
+        return outside.data, inside.data
+
+    def assert_same(self, x, lengths):
+        want = self.taped(x, lengths)
+        for got in self.untaped(x, lengths):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+            assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", list(_pool_cases(np.float64)))
+    @pytest.mark.parametrize("segmented", [False, True])
+    def test_ties_and_non_finite_maxima_keep_the_taped_bytes(self, name, dtype, segmented):
+        x, lengths = _pool_cases(dtype)[name]
+        self.assert_same(x, lengths if segmented else None)
+
+    def test_signed_zero_ties_keep_the_first_row(self):
+        x = np.array([[0.0, -0.0], [-0.0, 0.0]], dtype=np.float32)
+        for lengths in (None, [2]):
+            for got in self.untaped(x, lengths):
+                np.testing.assert_array_equal(np.signbit(got).reshape(-1), [False, True])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_random_ties_keep_the_taped_bytes(self, dtype):
+        rng = np.random.default_rng(31)
+        values = np.array([-1.0, -0.0, 0.0, 1.0, np.inf, -np.inf, np.nan, _nan(3, dtype)], dtype=dtype)
+        for _ in range(200):
+            lengths = rng.integers(1, 5, size=rng.integers(1, 6)).tolist()
+            x = rng.choice(values, size=(sum(lengths), int(rng.integers(1, 5))),
+                           p=[0.2, 0.2, 0.2, 0.2, 0.05, 0.05, 0.05, 0.05])
+            self.assert_same(x, lengths)
+            self.assert_same(x, None)
+            self.assert_same(rng.normal(size=x.shape).astype(dtype), lengths)
+
+
 # ---------------------------------------------------------------------------
 # Finite-difference verification of every primitive
 

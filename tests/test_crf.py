@@ -364,6 +364,31 @@ class TestViterbiPaths:
                 if rows.shape[1] ** rows.shape[0] <= 20_000:
                     assert path_score(trans, rows, path) == brute_force(trans, rows).best_score
 
+    @pytest.mark.parametrize("kind", ["gaussian", "integer-ties", "all-zero"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_long_tails_trace_back_to_the_reference(self, kind, dtype):
+        # up to 50 sentences, most far shorter or far longer than the
+        # others, so the live set shrinks over long tails of steps; on
+        # all-zero scores every path ties and the lowest-id rule decides
+        rng = np.random.default_rng(50)
+        k = 5
+        for _ in range(30):
+            n = int(rng.integers(1, 51))
+            lengths = np.where(rng.random(n) < 0.6, rng.integers(1, 4, n), rng.integers(30, 61, n))
+            lengths[rng.integers(n)] = rng.choice([1, 60])
+            shape = (int(lengths.sum()), k)
+            if kind == "gaussian":
+                trans, em = rng.normal(size=(k + 2, k + 2)), rng.normal(size=shape)
+            elif kind == "integer-ties":
+                trans, em = rng.integers(-1, 2, size=(k + 2, k + 2)), rng.integers(-1, 2, size=shape)
+            else:
+                trans, em = np.zeros((k + 2, k + 2)), np.zeros(shape)
+            trans, em = trans.astype(dtype), em.astype(dtype)
+            paths = viterbi_paths(trans, em, lengths.tolist())
+            assert paths == [viterbi_reference(trans, rows) for rows in sentence_rows(em, lengths)]
+            if kind == "all-zero":
+                assert paths == [[0] * n for n in lengths.tolist()]
+
     @pytest.mark.parametrize("lengths", [[], [2, 3], [6, 0], [7], [3, -1, 4]])
     def test_rejects_lengths_that_do_not_split_the_rows(self, lengths):
         with pytest.raises(ValueError, match=r"lengths .* do not split 6 emission rows"):

@@ -2,11 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from negmtl import autodiff as ad
 from negmtl.autodiff import Tape, Tensor, backward, grad_check, zero_grads
-from negmtl.corpus import BioTag
+from negmtl.corpus import BioTag, Vocabulary
 from negmtl.models import (
     GROUPS,
     LABEL_TO_CLASS,
@@ -20,9 +20,11 @@ from negmtl.models import (
     negation_loss,
     negation_tag,
     predict_document,
+    predict_documents,
     sentiment_forward,
     sentiment_loss,
 )
+from oracles import predict_document_reference
 
 
 def tiny_model(seed=0, head=True, vocab=8, e=4, d=3):
@@ -280,6 +282,68 @@ class TestSentimentPath:
         np.testing.assert_array_equal(
             sentiment_forward(a, doc).data, sentiment_forward(b, doc).data
         )
+
+
+VOCAB = 12
+
+
+def float32_model(head=True):
+    """An mtl (or headless) model in float32, the precision predict runs in."""
+    m = tiny_model(seed=7, head=head, vocab=VOCAB, e=5, d=4)
+    for p in m.named_parameters().values():
+        p.data = p.data.astype(np.float32)
+    return m
+
+
+@st.composite
+def corpora(draw):
+    """1-12 sentences of 1-40 token ids (the unknown id among them),
+    split into documents at drawn cut points."""
+    sentences = draw(st.lists(
+        st.lists(st.integers(Vocabulary.UNK_ID, VOCAB - 1), min_size=1, max_size=40), min_size=1, max_size=12
+    ))
+    cuts = draw(st.lists(st.booleans(), min_size=len(sentences) - 1, max_size=len(sentences) - 1))
+    docs = [[sentences[0]]]
+    for sentence, cut in zip(sentences[1:], cuts):
+        if cut:
+            docs.append([])
+        docs[-1].append(sentence)
+    return docs
+
+
+class TestPredictDocuments:
+    """One prediction call for a whole corpus: each document keeps the
+    bits it gets when predicted alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(corpora())
+    @example([[[Vocabulary.UNK_ID]]])
+    @example([[[3]], [[1, 2, 3], [4]], [[5], [6], [1]], [list(range(1, VOCAB)) * 3]])
+    def test_corpus_equals_each_document_alone(self, docs):
+        m = float32_model()
+        preds = predict_documents(m, docs, tags=True)
+        assert len(preds) == len(docs)
+        for pred, doc in zip(preds, docs):
+            alone = predict_documents(m, [doc], tags=True)[0]
+            assert pred.logits.dtype == np.float32
+            assert pred.logits.tobytes() == alone.logits.tobytes()
+            assert pred.label == alone.label
+            assert pred.tags == alone.tags
+            assert [len(t) for t in pred.tags] == [len(ids) for ids in doc]
+            assert pred.tags == predict_document_reference(m, doc, tags=True).tags
+        untagged = predict_documents(m, docs)
+        assert [p.logits.tobytes() for p in untagged] == [p.logits.tobytes() for p in preds]
+        assert [p.label for p in untagged] == [p.label for p in preds]
+        assert all(p.tags is None for p in untagged)
+
+    def test_empty_corpus_gives_no_predictions(self):
+        assert predict_documents(float32_model(), []) == []
+        assert predict_documents(float32_model(), [], tags=True) == []
+
+    @pytest.mark.parametrize("docs", [[], [[[2, 3]]], [[[2]], [[3, 4], [5]]]])
+    def test_tags_from_a_headless_model_raise(self, docs):
+        with pytest.raises(ModelError, match="negation head"):
+            predict_documents(float32_model(head=False), docs, tags=True)
 
 
 class TestGradientIsolation:

@@ -418,8 +418,15 @@ class TestPerSentenceEncoding:
         new = (train_stl if mode == "stl" else train_mtl)(config, train, dev)
         monkeypatch.setattr(models, "sentiment_forward", sentiment_forward_reference)
         monkeypatch.setattr(models, "negation_forward", negation_forward_reference)
-        monkeypatch.setattr(training, "predict_document", predict_document_reference)
+        reference_docs = []
+
+        def predict_documents_reference(params, docs_ids, tags=False):
+            reference_docs.extend(docs_ids)
+            return [predict_document_reference(params, doc_ids, tags) for doc_ids in docs_ids]
+
+        monkeypatch.setattr(training, "predict_documents", predict_documents_reference)
         old = (train_stl if mode == "stl" else train_mtl)(config, train, dev)
+        assert len(reference_docs) == config.epochs * len(dev)  # the old run's dev pass took the reference
         assert new.history == old.history
         save_checkpoint(new.checkpoint, tmp_path / "new.bin")
         save_checkpoint(old.checkpoint, tmp_path / "old.bin")
@@ -479,20 +486,22 @@ def test_one_pass_predict_matches_two_pass_reference(tmp_path, predict_inputs, t
         assert not (tmp_path / "new" / "tags.jsonl").exists()
 
 
-def test_predict_tags_runs_one_prediction_per_document(tmp_path, monkeypatch, predict_inputs):
-    """``negmtl predict`` goes through ``training.predict_corpus``: it has
-    no document loop of its own."""
+def test_predict_tags_predicts_every_document_in_one_call(tmp_path, monkeypatch, predict_inputs):
+    """``negmtl predict`` goes through ``training.predict_corpus``, which
+    has no document loop of its own: one ``predict_documents`` call gets
+    every document of the file, in file order."""
     checkpoint, data, docs = predict_inputs
+    model, vocab = training.load_checkpoint(checkpoint).to_model()
     calls = []
-    predict_document = training.predict_document
+    predict_documents = training.predict_documents
 
-    def counting(params, doc_ids, tags=False):
-        calls.append(tags)
-        return predict_document(params, doc_ids, tags)
+    def counting(params, docs_ids, tags=False):
+        calls.append((docs_ids, tags))
+        return predict_documents(params, docs_ids, tags)
 
-    monkeypatch.setattr(training, "predict_document", counting)
+    monkeypatch.setattr(training, "predict_documents", counting)
     run_predict(checkpoint, data, tmp_path / "out", tags=True)
-    assert calls == [True] * len(docs)
+    assert calls == [([[vocab.encode(s.tokens) for s in d.sentences] for d in docs], True)]
 
 
 def test_predict_tags_encodes_each_sentence_once(tmp_path, monkeypatch, predict_inputs):
