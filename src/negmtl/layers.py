@@ -8,14 +8,19 @@ than s, so nothing is padded or masked; per step each direction does
 one (live rows, d) @ (d, 4d) product and the gate nonlinearities run
 once over both directions' rows.  The input projection for every
 timestep is one matmul per direction ahead of the recurrence, and the
-hand-written backpropagation through time is batched the same way.  On
-one sequence it does the products of the per-sequence BiLSTM it
-replaced in the same order, so it gives the same bits; that
-per-sequence op and a per-step reference built from generic
-primitives live in the tests.  It keeps the cell states its backward
-pass reads only when the call is recorded (``autodiff.records``):
-inference allocates the gates, the hidden states and its output, and
-nothing per token beyond them.
+hand-written backpropagation through time is batched the same way.
+Every forward gate product is ``_gemm``: at least two contiguous rows
+by a row-major matrix, whose rows keep their bits whatever else shares
+the call, so each sequence's output has the bits it has when encoded
+alone.  Outputs and gradients are the same with ``w`` and ``u`` held in
+either memory order; training holds them column-major
+(``LstmParams.COLUMN_MAJOR``), so ``w.T`` and ``u.T`` are free views.
+The backward products over several sequences round differently from
+one sequence's.  The per-sequence BiLSTM it replaced and a per-step
+reference built from generic primitives live in the tests.  It keeps
+the cell states its backward pass reads only when the call is
+recorded (``autodiff.records``): inference allocates the gates, the
+hidden states and its output, and nothing per token beyond them.
 
 Both heads end in ``affine``, one tape node computing ``x @ w.T + b``
 for an (in,) vector (the sentiment output layer) or a (T, in) matrix
@@ -34,7 +39,7 @@ makes same-seed runs bitwise reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -92,6 +97,11 @@ class LstmParams:
     w: Tensor  # (4d, input_dim)
     u: Tensor  # (4d, d)
     b: Tensor  # (4d,)
+
+    # The fields the optimizer lays out column-major, so that w.T and
+    # u.T, the right operands of bilstm's forward gate products, are free
+    # row-major views.  bilstm gives the same bits in either order.
+    COLUMN_MAJOR: ClassVar[tuple[str, ...]] = ("w", "u")
 
     @staticmethod
     def shapes(input_dim: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
@@ -160,6 +170,26 @@ def _packing(lengths: Sequence[int] | None, n_rows: int):
     return read, (fwd, bwd), list(zip((2 * before).tolist(), live.tolist())), prev
 
 
+def _gemm(rows: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``rows @ b`` (into ``out`` when given) through BLAS gemm, for a
+    row-major ``b``: each row of the result then has the same bits
+    whatever other rows share the call, their order or their number.
+    Numpy sends a one-row product to gemv, whose bits differ, so a
+    single row is padded to two and the pad dropped.  (OpenBLAS 0.3.31,
+    Haswell kernels: measured at 2 to 300 rows, float32 and float64, 1
+    and 2 threads; ``x @ w.T`` through a transposed view kept its row
+    bits only from 4 to 5 rows up.)"""
+    if rows.shape[-2] > 1:
+        return np.matmul(rows, b, out=out)
+    padded = np.zeros((*rows.shape[:-2], 2, rows.shape[-1]), dtype=rows.dtype)
+    padded[..., :1, :] = rows
+    product = np.matmul(padded, b)[..., :1, :]
+    if out is None:
+        return product
+    out[...] = product
+    return out
+
+
 def _recurrence(gates: np.ndarray, u_scaled: np.ndarray, steps, scale: np.ndarray, taped: bool):
     """The forward recursion of ``bilstm`` over the step plan of
     ``_packing``, in place on the projected ``gates``: each row ends as
@@ -184,7 +214,7 @@ def _recurrence(gates: np.ndarray, u_scaled: np.ndarray, steps, scale: np.ndarra
         else:  # each row is read before it is written
             c_to, tc_to = c[:, :n], tanh_c[:, :n]
         z = gates[rows].reshape(2, n, 4 * d)
-        z += h[:, :n] @ u_scaled
+        z += _gemm(h[:, :n], u_scaled)
         np.tanh(z, out=z)
         z *= scale
         z += offset
@@ -234,25 +264,22 @@ def bilstm(
     params = (inputs, fwd.w, fwd.u, fwd.b, bwd.w, bwd.u, bwd.b)
     taped = ad.records(params)
 
+    # Every forward gate product is ``_gemm`` of contiguous rows by a
+    # row-major matrix, so each sequence's output has the bits it has
+    # when encoded alone, whatever else shares the call.
     scale = np.full(4 * d, 0.5, dtype=dtype)
     scale[2 * d : 3 * d] = 1.0
     gates = np.empty((2 * n_rows, 4 * d), dtype=dtype)  # i, f, g, o after their nonlinearity
     projected = np.empty((n_rows, 4 * d), dtype=dtype)
     for p, rows, slot in directions:
-        np.matmul(x[rows], p.w.data.T, out=projected)
+        # w.T is a free view when w is held column-major (COLUMN_MAJOR)
+        _gemm(np.ascontiguousarray(x[rows]), np.ascontiguousarray(p.w.data.T), out=projected)
         projected += p.b.data
         projected *= scale
         gates[slot] = projected
     del projected
-    # U.T per direction, (2, d, 4d).  One sequence multiplies by a view
-    # of U, a matrix-vector product per step; several multiply by a
-    # contiguous copy, for which BLAS runs a few rows about three times
-    # faster than through the view.
-    u_scaled = (
-        np.empty((2, d, 4 * d), dtype=dtype)
-        if steps[0][1] > 1
-        else np.empty((2, 4 * d, d), dtype=dtype).transpose(0, 2, 1)
-    )
+    # U.T per direction with the gate scales folded in, (2, d, 4d), row-major
+    u_scaled = np.empty((2, d, 4 * d), dtype=dtype)
     for k, p in enumerate((fwd, bwd)):
         np.multiply(p.u.data.T, scale, out=u_scaled[k])
     hidden, cells, tanh_cells = _recurrence(gates, u_scaled, steps, scale, taped)
@@ -283,7 +310,11 @@ def bilstm(
         dz = np.empty((2 * n_rows, 4 * d), dtype=dtype)
         dz_cell = dz[:, : 3 * d].reshape(2 * n_rows, 3, d)
         dh_next, dc_next = (np.zeros((2, steps[0][1], d), dtype=dtype) for _ in range(2))
-        u = np.stack([fwd.u.data, bwd.u.data])
+        # U per direction, column-major whatever order it is held in: a
+        # plain copy, not a transposing one, of the U training holds
+        u = np.empty((2, d, 4 * d), dtype=dtype)
+        u[0], u[1] = fwd.u.data.T, bwd.u.data.T
+        u = u.transpose(0, 2, 1)
         for a, n in reversed(steps):
             rows = slice(a, a + 2 * n)
             dh = g_states[rows].reshape(2, n, d) + dh_next[:, :n]
@@ -293,15 +324,18 @@ def bilstm(
             np.multiply(dh, dz_from_h[rows].reshape(2, n, d), out=dz[rows, 3 * d :].reshape(2, n, d))
             np.matmul(dz[rows].reshape(2, n, 4 * d), u, out=dh_next[:, :n])
             np.multiply(dc, f[rows].reshape(2, n, d), out=dc_next[:, :n])
+        # by a column-major w, as it is held in training, whatever its order
         g_inputs = np.empty_like(x)
-        g_inputs[read[1]] = dz[slots[1]] @ bwd.w.data
-        g_inputs[read[0]] += dz[slots[0]] @ fwd.w.data
+        g_inputs[read[1]] = dz[slots[1]] @ np.asfortranarray(bwd.w.data)
+        g_inputs[read[0]] += dz[slots[0]] @ np.asfortranarray(fwd.w.data)
         yield g_inputs
         h_prev = earlier(hidden)
         for p, rows, slot in directions:
             dz_p = dz[slot]
-            yield dz_p.T @ x[rows] if p.w.requires_grad else None
-            yield dz_p.T @ h_prev[slot] if p.u.requires_grad else None
+            # as (rows.T @ dz).T, column-major like the weights training
+            # holds, so adding them into the weight's gradient is no transpose
+            yield (x[rows].T @ dz_p).T if p.w.requires_grad else None
+            yield (h_prev[slot].T @ dz_p).T if p.u.requires_grad else None
             yield dz_p.sum(axis=0) if p.b.requires_grad else None
 
     return ad._make_output(out, params, bw)

@@ -16,8 +16,11 @@ max-pools again and maps to 2 class logits, so a sentiment loss
 records 7 tape nodes for any number of sentences.
 ``predict_documents`` is the one prediction path (``predict_document``
 is its one-document case).  It runs untaped, so neither BiLSTM keeps
-backward caches, encodes each document on its own, so a document's
-logits do not depend on the others, and with ``tags`` it decodes every
+backward caches.  It encodes consecutive documents in packs of up to
+``PACK_TOKENS`` tokens, one call of each BiLSTM per pack, whose gate
+products keep every row's bits whatever shares them; the output and
+emission layers run per document, so a document's logits do not
+depend on the others, bit for bit.  With ``tags`` it decodes every
 sentence of every document in one packed Viterbi loop
 (``crf.viterbi_paths``).
 Class index 0 is negative, 1 is positive, fixed and serialized; exact
@@ -152,6 +155,16 @@ class ModelParams:
             name: getattr(layer, attr)
             for spec, layer in self._layers()
             for name, attr in spec.leaf_names()
+        }
+
+    def column_major(self) -> set[str]:
+        """The parameters training holds column-major: the fields each
+        layer type lists in its ``COLUMN_MAJOR``."""
+        return {
+            name
+            for spec, _ in self._layers()
+            for name, attr in spec.leaf_names()
+            if attr in getattr(spec.kind, "COLUMN_MAJOR", ())
         }
 
     def parameter_groups(self) -> dict[str, list[str]]:
@@ -325,32 +338,78 @@ def sentiment_loss(
     return ad.softmax_cross_entropy(logits, gold_class)
 
 
+# Tokens per prediction pack: ``predict_documents`` runs consecutive
+# documents through each BiLSTM together while their tokens fit, and a
+# longer document whole and alone.  A pack's transient buffers grow with
+# its tokens, by about 5 kB a token at dims 100 in float32, so the budget
+# trades speed against peak memory.  The predict benchmark (20 reviews
+# of 190-240 tokens, dims 100, `negmtl predict --tags` in-process; one
+# BLAS thread, 2-core x86-64 VM, seeds 1-2):
+#   budget             docs a pack   s a call       peak RSS
+#   1                  1             0.100          51.9-52.1 MB
+#   512                2             0.081-0.083    53.6 MB
+#   768                3             0.080          55.1 MB
+#   whole corpus       20            0.065          73.7 MB
+PACK_TOKENS = 512
+
+
+def _packs(doc_tokens: Sequence[int]) -> list[range]:
+    """Consecutive documents, ``doc_tokens`` tokens each, grouped while
+    their tokens stay within ``PACK_TOKENS``; a document over the budget
+    is a pack of its own, never split."""
+    packs, start, tokens = [], 0, 0
+    for i, n in enumerate(doc_tokens):
+        if i > start and tokens + n > PACK_TOKENS:
+            packs.append(range(start, i))
+            start, tokens = i, 0
+        tokens += n
+    packs.append(range(start, len(doc_tokens)))
+    return packs
+
+
 def predict_documents(
     params: ModelParams, docs_ids: Sequence[Sequence[Sequence[int]]], tags: bool = False
 ) -> list[SentimentPrediction]:
     """Eval-mode classification of each document; an exact logit tie
     resolves to positive.
 
-    Each document is encoded on its own, so its logits keep the bits
-    they have when it is predicted alone.  With ``tags``, each
-    prediction also carries its sentences' Viterbi negation tags,
-    decoded from the same encodings that feed the sentiment head: one
-    ``affine`` per document gives its emission scores, and one
-    ``viterbi_paths`` call decodes every sentence of every document,
-    each as it would decode alone.  Nothing here is taped, so the
-    BiLSTMs keep no backward caches.  An empty corpus gives []."""
+    Documents run in packs (``_packs``): per pack one embedding gather,
+    one sentence-BiLSTM call over all of its sentences, one segment
+    max-pool, one document-BiLSTM call over all of its documents and one
+    pool.  Every BiLSTM gate product keeps each row's bits whatever
+    shares it (``layers._gemm``), and the output and emission ``affine``
+    run per document, so each document gets the logits, bit for bit,
+    it gets when predicted alone.  With ``tags``, each prediction also
+    carries its sentences' Viterbi negation tags, decoded from the same
+    encodings that feed the sentiment head: one ``viterbi_paths`` call
+    decodes every sentence of every document, each as it would decode
+    alone.  Nothing here is taped, so the BiLSTMs keep no backward
+    caches.  An empty corpus gives []."""
     if tags and not params.has_negation_head:
         raise ModelError("model has no negation head")
     if len(docs_ids) == 0:
         return []
+    if any(len(doc_ids) == 0 for doc_ids in docs_ids):
+        raise ModelError("cannot encode an empty document")
+    doc_tokens = [sum(map(len, doc_ids)) for doc_ids in docs_ids]
     logits, emissions, lengths = [], [], []
     with ad.no_grad():
-        for doc_ids in docs_ids:
-            encoded, doc_lengths = _encode_document(params, doc_ids, False, 0.0, None)
-            logits.append(_document_logits(params, encoded, doc_lengths).data)
+        for pack in _packs(doc_tokens):
+            sentences = [ids for i in pack for ids in docs_ids[i]]
+            encoded, sentence_lengths = _encode_document(params, sentences, False, 0.0, None)
+            doc_sizes = [len(docs_ids[i]) for i in pack]
+            doc_states = bilstm(
+                params.doc_fwd, params.doc_bwd, ad.max_over_time(encoded, sentence_lengths), doc_sizes
+            )
+            pooled = ad.max_over_time(doc_states, doc_sizes).data
+            logits += [affine(params.out, Tensor(row)).data for row in pooled]
             if tags:
-                emissions.append(affine(params.emission, encoded).data)
-                lengths += doc_lengths
+                bounds = np.cumsum([0] + [doc_tokens[i] for i in pack])
+                emissions += [
+                    affine(params.emission, Tensor(encoded.data[a:b])).data
+                    for a, b in zip(bounds[:-1], bounds[1:])
+                ]
+                lengths += sentence_lengths
     if tags:
         paths = iter(viterbi_paths(params.crf.transitions.data, np.concatenate(emissions), lengths))
     predictions = []

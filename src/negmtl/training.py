@@ -181,18 +181,21 @@ class AdamGroup:
     """One parameter group laid out in four flat buffers of one dtype:
     ``data``, ``grad``, ``m`` and ``v``, plus the group's step count
     ``t``.  The members lie back to back in each buffer, in ``names``
-    order.  Each member tensor's ``data`` is a view into ``data``, and
-    its gradient view sits at the same offset of ``grad``.  Every member
-    steps together, so one count serves the bias correction of all.
-    ``blocks`` cuts the four buffers into ``ADAM_BLOCK``-element blocks."""
+    order.  Each member tensor's ``data`` is a view into ``data``,
+    column-major for the names in ``column_major`` and row-major for the
+    rest, and its gradient view sits at the same offset of ``grad``.
+    Every member steps together, so one count serves the bias correction
+    of all.  ``blocks`` cuts the four buffers into ``ADAM_BLOCK``-element
+    blocks."""
 
-    def __init__(self, params: dict[str, Tensor], names: Sequence[str], dtype):
+    def __init__(self, params: dict[str, Tensor], names: Sequence[str], dtype, column_major=()):
         self.names = tuple(names)
         self.t = 0
         spans, size = [], 0
         for name in self.names:
             n = params[name].data.size
-            spans.append((name, size, n, params[name].data.shape))
+            order = "F" if name in column_major else "C"
+            spans.append((name, size, n, params[name].data.shape, order))
             size += n
         self._spans = spans
         # data first, rebinding each member as it is copied, so a float64
@@ -214,7 +217,10 @@ class AdamGroup:
 
     def views(self, buffer: np.ndarray) -> list[tuple[str, np.ndarray]]:
         """(name, view shaped like the parameter) of each member in ``buffer``."""
-        return [(name, buffer[lo : lo + n].reshape(shape)) for name, lo, n, shape in self._spans]
+        return [
+            (name, buffer[lo : lo + n].reshape(shape, order=order))
+            for name, lo, n, shape, order in self._spans
+        ]
 
     def take_grads(self, params: dict[str, Tensor]):
         """Check that every member has a gradient and make its gradient
@@ -265,10 +271,12 @@ class AdamState:
             float, (self.lr, self.beta1, self.beta2, self.epsilon)
         )
 
-    def layout(self, params: dict[str, Tensor], names: Sequence[str], dtype=None) -> AdamGroup:
+    def layout(
+        self, params: dict[str, Tensor], names: Sequence[str], dtype=None, column_major=()
+    ) -> AdamGroup:
         """Lay out ``names`` as one new group in ``dtype`` (by default the
         parameters' own, which must then agree), rounding their values on
-        the copy."""
+        the copy; the names in ``column_major`` are laid out column-major."""
         if not names or len(set(names)) != len(names):
             raise OptimizerError(f"a group needs distinct parameter names, got {list(names)}")
         for name in names:
@@ -284,7 +292,7 @@ class AdamState:
         dtype = np.dtype(dtype)
         if self.groups and self.groups[0].data.dtype != dtype:
             raise OptimizerError(f"this optimizer steps {self.groups[0].data.dtype}, not {dtype}")
-        group = AdamGroup(params, names, dtype)
+        group = AdamGroup(params, names, dtype, column_major)
         if self.scratch is None:
             # after the first group's buffers: allocated before them, the
             # scratch left the heap in a state where no vocab-train
@@ -653,9 +661,10 @@ def train_neural(config: TrainConfig, train_docs: Sequence[Document], dev_docs: 
     named = params.named_parameters()
     groups = params.parameter_groups()
     adam = AdamState(config.learning_rate, config.beta1, config.beta2, config.epsilon)
+    column_major = params.column_major()
     for names in groups.values():
         if names:
-            adam.layout(named, names, TRAIN_DTYPE)
+            adam.layout(named, names, TRAIN_DTYPE, column_major)
 
     train_ids = _encode_docs(vocab, train_docs)
     # (where, model input, gold) per example; ``where`` names it in errors

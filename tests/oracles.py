@@ -245,9 +245,17 @@ def bilstm_reference(fwd, bwd, inputs: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # The one-sequence fused BiLSTM that the packed ``layers.bilstm``
 # replaced: each direction runs ``lstm_sequence`` over one sentence,
-# writing its half of one (T, 2d) output.  Kept verbatim so tests can
-# require the packed op's bits on one sentence, and its values within
-# rounding on several.
+# writing its half of one (T, 2d) output.  Kept, with the packed op's
+# gate products and weight layouts, so tests can require the packed
+# op's bits on one sentence, and its values within rounding on several.
+
+
+def two_rows_at(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``rows @ b`` for a (T, k) ``rows``, as gemm of at least two
+    contiguous rows by a contiguous ``b``: a single row is stacked on a
+    zero row and the pad dropped."""
+    padded = np.vstack([rows, np.zeros_like(rows)]) if len(rows) == 1 else np.ascontiguousarray(rows)
+    return (padded @ np.ascontiguousarray(b))[: len(rows)]
 
 
 def lstm_sequence(p, x: np.ndarray, out: np.ndarray, reverse: bool = False):
@@ -262,8 +270,10 @@ def lstm_sequence(p, x: np.ndarray, out: np.ndarray, reverse: bool = False):
     scale = np.full(4 * d, 0.5, dtype=dtype)
     scale[2 * d : 3 * d] = 1.0
     offset = 1.0 - scale
-    projected = (xs @ p.w.data.T + p.b.data) * scale
-    u_scaled = p.u.data * scale[:, None]
+    # Each product is one of two or more rows by a row-major matrix: one
+    # row is padded with a zero row, as the packed op does.
+    projected = (two_rows_at(xs, p.w.data.T) + p.b.data) * scale
+    u_scaled_t = np.ascontiguousarray(p.u.data.T * scale)
 
     gates = np.empty((t_len, 4 * d), dtype=dtype)  # i, f, g, o after their nonlinearity
     cells = np.empty((t_len, d), dtype=dtype)
@@ -272,7 +282,7 @@ def lstm_sequence(p, x: np.ndarray, out: np.ndarray, reverse: bool = False):
     h = c = np.zeros(d, dtype=dtype)
     for s in range(t_len):
         act = gates[s]
-        np.tanh(projected[s] + u_scaled @ h, out=act)
+        np.tanh(projected[s] + two_rows_at(h[None], u_scaled_t)[0], out=act)
         act *= scale
         act += offset
         c = np.multiply(act[d : 2 * d], c, out=cells[s])
@@ -291,7 +301,7 @@ def lstm_sequence(p, x: np.ndarray, out: np.ndarray, reverse: bool = False):
         dz = np.empty((t_len, 4 * d), dtype=dtype)
         dz_cell = dz[:, : 3 * d].reshape(t_len, 3, d)
         dh_next = dc_next = np.zeros(d, dtype=dtype)
-        u = p.u.data
+        u = np.asfortranarray(p.u.data)
         for s in range(t_len - 1, -1, -1):
             dh = g_seq[s] + dh_next
             dc = dh * dc_from_h[s] + dc_next
@@ -299,7 +309,7 @@ def lstm_sequence(p, x: np.ndarray, out: np.ndarray, reverse: bool = False):
             np.multiply(dh, dz_from_h[s], out=dz[s, 3 * d :])
             dh_next = dz[s] @ u
             dc_next = dc * f[s]
-        g_inputs = dz @ p.w.data
+        g_inputs = dz @ np.asfortranarray(p.w.data)
         yield g_inputs[::-1] if reverse else g_inputs
         yield dz.T @ xs if p.w.requires_grad else None
         h_prev = np.vstack([np.zeros((1, d), dtype=dtype), hidden[:-1]])

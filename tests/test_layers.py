@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from negmtl import autodiff as ad
 from negmtl.autodiff import Tape, Tensor, backward
@@ -402,6 +403,42 @@ class TestPackedBilstm:
     def test_rejects_directions_of_different_widths(self):
         with pytest.raises(ad.AutodiffError, match="bilstm: directions differ"):
             bilstm(LstmParams.init(2, 3, rng()), LstmParams.init(2, 2, rng()), Tensor(np.ones((4, 2))))
+
+
+class TestBatchInvariance:
+    """Every forward gate product of ``bilstm`` keeps each row's bits
+    whatever shares it, so a sequence encoded among others gets the
+    bytes it gets alone, with ``w`` and ``u`` held in either order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 40), min_size=1, max_size=30),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        dims=st.sampled_from([(3, 2), (8, 8), (64, 64), (100, 100)]),
+        taped=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @example(lengths=[1], dtype=np.float32, dims=(100, 100), taped=False, seed=0)
+    @example(lengths=[40, 1, 1], dtype=np.float64, dims=(3, 2), taped=True, seed=1)
+    def test_each_sequence_gets_the_bytes_it_gets_alone(self, lengths, dtype, dims, taped, seed):
+        input_dim, hidden = dims
+        leaves = {k: v.astype(dtype) for k, v in bilstm_leaves(rng(seed), sum(lengths), input_dim, hidden).items()}
+
+        def encode(x, order, lengths=None):
+            held = {k: Tensor(np.asarray(leaves[k], order=order), requires_grad=True) for k in leaves if k != "x"}
+            fwd = LstmParams(held["wf"], held["uf"], held["bf"])
+            bwd = LstmParams(held["wb"], held["ub"], held["bb"])
+            if taped:
+                with Tape():
+                    return bilstm(fwd, bwd, Tensor(x, requires_grad=True), lengths).data
+            return bilstm(fwd, bwd, Tensor(x), lengths).data
+
+        packed = encode(leaves["x"], "F", lengths)
+        assert packed.tobytes() == encode(leaves["x"], "C", lengths).tobytes()
+        starts = np.cumsum([0, *lengths])
+        for a, b in zip(starts[:-1], starts[1:]):
+            alone = encode(np.ascontiguousarray(leaves["x"][a:b]), "C")
+            assert packed[a:b].tobytes() == alone.tobytes(), (a, b)
 
 
 REVIEW_LENGTHS = (12, 30, 5, 40, 22, 8, 17, 33, 9, 26)  # 10 sentences, 202 tokens

@@ -1,10 +1,16 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from negmtl import autodiff as ad
+from negmtl import models
 from negmtl.autodiff import Tape, Tensor, backward, grad_check, zero_grads
 from negmtl.corpus import BioTag, Vocabulary
 from negmtl.models import (
@@ -344,6 +350,96 @@ class TestPredictDocuments:
     def test_tags_from_a_headless_model_raise(self, docs):
         with pytest.raises(ModelError, match="negation head"):
             predict_documents(float32_model(head=False), docs, tags=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(corpora(), st.integers(1, 60))
+    @example([[[1, 2]], [[3, 4, 5], [6, 7, 8, 9], [1, 2, 3, 4, 5]], [[2]], [[3], [4]]], 4)
+    def test_packs_give_each_document_its_bytes_alone(self, docs, budget):
+        m = float32_model()
+        alone = [predict_documents(m, [doc], tags=True)[0] for doc in docs]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(models, "PACK_TOKENS", budget)
+            packed = predict_documents(m, docs, tags=True)
+        assert [p.logits.tobytes() for p in packed] == [a.logits.tobytes() for a in alone]
+        assert [(p.label, p.tags) for p in packed] == [(a.label, a.tags) for a in alone]
+
+    def test_a_document_over_the_budget_is_a_pack_of_its_own(self, monkeypatch):
+        # 2, 12, 1 and 2 tokens against a budget of 4: the 12-token
+        # document runs whole and alone, the last two share a pack
+        docs = [[[1, 2]], [[3, 4, 5], [6, 7, 8, 9], [1, 2, 3, 4, 5]], [[2]], [[3], [4]]]
+        monkeypatch.setattr(models, "PACK_TOKENS", 4)
+        calls = []
+        bilstm = models.bilstm
+
+        def counting(fwd, bwd, inputs, lengths=None):
+            calls.append(lengths)
+            return bilstm(fwd, bwd, inputs, lengths)
+
+        monkeypatch.setattr(models, "bilstm", counting)
+        predict_documents(float32_model(), docs, tags=True)
+        assert calls == [[2], [1], [3, 4, 5], [3], [1, 1, 1], [1, 2]]
+
+    @pytest.mark.parametrize("where", [0, 2, 5])
+    @pytest.mark.parametrize("empty, message", [([], "empty document"), ([[1], []], "empty sentence")])
+    def test_an_empty_document_or_sentence_anywhere_raises(self, monkeypatch, where, empty, message):
+        monkeypatch.setattr(models, "PACK_TOKENS", 3)
+        docs = [[[1, 2]], [[3]], [[4, 5], [6]], [[7]], [[8, 9, 10]], [[2]]]
+        docs[where] = empty
+        for tags in (False, True):
+            with pytest.raises(ModelError, match=message):
+                predict_documents(float32_model(), docs, tags=tags)
+
+    def test_memory_does_not_grow_with_the_corpus(self):
+        # a pack's buffers are freed before the next pack runs, so 40
+        # reviews peak where their first pack does, plus what every
+        # document keeps for the end: its logits, emissions and tags
+        r = np.random.default_rng(5)
+        m = ModelParams.init(300, 64, 64, r, with_negation_head=True)
+        for p in m.named_parameters().values():
+            p.data = p.data.astype(np.float32)
+        lengths = iter(np.resize([5, 31, 12, 40, 18, 9, 26, 15, 35, 22, 7, 28, 14, 38, 20, 11, 33, 24], 400))
+        docs = [[r.integers(1, 300, size=next(lengths)).tolist() for _ in range(10)] for _ in range(40)]
+        first = docs[: len(models._packs([sum(map(len, d)) for d in docs])[0])]
+        assert len(first) < len(docs)
+
+        def peak(corpus) -> int:
+            tracemalloc.start()
+            try:
+                predict_documents(m, corpus, tags=True)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(docs) <= peak(first) + (2 << 20)  # the results took 0.5 MB here
+
+
+# Packed against per-document prediction at two BLAS threads, where
+# OpenBLAS splits the sentence BiLSTM's larger products between threads.
+TWO_THREADS = """
+import numpy as np
+from negmtl import models
+r = np.random.default_rng(11)
+m = models.ModelParams.init(500, 100, 100, r, with_negation_head=True)
+for p in m.named_parameters().values():
+    p.data = p.data.astype(np.float32)
+docs = [[r.integers(1, 500, size=n).tolist() for n in r.integers(5, 41, size=10)] for _ in range(20)]
+alone = [models.predict_documents(m, [d], tags=True)[0] for d in docs]
+for budget in (models.PACK_TOKENS, 10**9):
+    models.PACK_TOKENS = budget
+    packed = models.predict_documents(m, docs, tags=True)
+    assert [p.logits.tobytes() for p in packed] == [a.logits.tobytes() for a in alone], budget
+    assert [p.tags for p in packed] == [a.tags for a in alone], budget
+print("same bytes")
+"""
+
+
+def test_packs_keep_the_bytes_at_two_blas_threads():
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", TWO_THREADS], env=env, capture_output=True,
+                          text=True, timeout=300, check=False)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "same bytes"), proc.stderr
 
 
 class TestGradientIsolation:

@@ -10,9 +10,9 @@ Each library path is a refactor of its reference: every test here
 requires equal bytes, not closeness, with two exceptions.  The affine
 map on a matrix multiplies by a view of ``w`` where the composed
 reference multiplied by a transposed copy, and a document of several
-sentences runs them through one packed recurrence, whose matrix
-products over several rows round differently from one row's; both
-agree with their references to rounding.
+sentences runs them through one packed recurrence, whose backward
+matrix products over several rows round differently from one row's;
+both agree with their references to rounding.
 """
 
 import contextlib
@@ -505,9 +505,11 @@ def test_predict_tags_predicts_every_document_in_one_call(tmp_path, monkeypatch,
 
 
 def test_predict_tags_encodes_each_sentence_once(tmp_path, monkeypatch, predict_inputs):
-    """One packed sentence BiLSTM call per document, whose lengths are
-    that document's sentences, and one document BiLSTM call."""
+    """Per pack of documents, one sentence BiLSTM call over all of its
+    sentences and one document BiLSTM call over its documents: every
+    sentence is encoded once, in file order."""
     checkpoint, data, docs = predict_inputs
+    monkeypatch.setattr(models, "PACK_TOKENS", 10)
     calls = []
     bilstm = models.bilstm
 
@@ -518,11 +520,15 @@ def test_predict_tags_encodes_each_sentence_once(tmp_path, monkeypatch, predict_
     monkeypatch.setattr(models, "bilstm", counting)
     run_predict(checkpoint, data, tmp_path / "out", tags=True)
     # embedding dim 4 feeds the sentence BiLSTM, 2 x hidden dim 3 the document one
-    want = []
-    for d in docs:
-        lengths = [len(s.tokens) for s in d.sentences]
-        want += [((sum(lengths), 4), lengths), ((len(lengths), 6), None)]
-    assert calls == want
+    done = 0
+    for (shape, lengths), (doc_shape, doc_sizes) in zip(calls[0::2], calls[1::2]):
+        pack = docs[done : done + len(doc_sizes)]
+        done += len(pack)
+        want = [len(s.tokens) for d in pack for s in d.sentences]
+        assert (shape, lengths) == ((sum(want), 4), want)
+        assert (doc_shape, doc_sizes) == ((len(want), 6), [len(d.sentences) for d in pack])
+        assert len(pack) == 1 or sum(want) <= 10
+    assert len(calls) % 2 == 0 and done == len(docs) and len(calls) > 2
 
 
 @pytest.mark.parametrize("in_dim, out_dim", [(5, 2), (12, 5), (40, 2), (200, 5)])

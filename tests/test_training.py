@@ -284,7 +284,7 @@ def laid_out_model():
     named = params.named_parameters()
     state = AdamState(lr=0.01)
     for names in params.parameter_groups().values():
-        state.layout(named, names, np.float32)
+        state.layout(named, names, np.float32, params.column_major())
     return params, named, state
 
 
