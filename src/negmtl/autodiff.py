@@ -54,7 +54,10 @@ backward walk reaches it.  ``training.AdamState`` keeps each parameter's
 gradient as a view into its group's flat gradient buffer; after a step
 it leaves that view cleared to +0.0 as the tensor's ``spare``, and the
 next walk that reaches the leaf accumulates into the spare instead of
-allocating.
+allocating.  When that first arrival is a ``RowGrad``, the walk records
+its rows on the leaf (``Tensor.grad_rows``): the gradient is +0.0
+everywhere else, so the optimizer reads and clears only those rows.  A
+second arrival, dense or row-sparse, drops the record.
 
 Not thread safe: the tape stack is module-global.
 """
@@ -151,14 +154,22 @@ class Tensor:
     +0.0, or None: the optimizer sets it after it has consumed and
     cleared the gradient, and ``backward`` takes it, instead of
     allocating, when it first reaches the leaf after ``zero_grads``.
+
+    ``grad_rows`` is the record of a row-sparse arrival: the sorted
+    unique rows outside which ``grad`` holds only +0.0, or None when
+    nothing is known.  ``backward`` sets it when a ``RowGrad`` is the
+    first gradient to reach the leaf since ``zero_grads``; any later
+    arrival, and ``zero_grads``, set it to None.  Code that writes into
+    ``grad`` in place must keep it +0.0 outside those rows.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "spare", "node")
+    __slots__ = ("data", "requires_grad", "grad", "grad_rows", "spare", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = as_floats(data)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
+        self.grad_rows: np.ndarray | None = None
         self.spare: np.ndarray | None = None
         self.node: Node | None = None
 
@@ -215,8 +226,10 @@ def backward(loss: Tensor):
     passes.  A leaf reached with ``grad`` None starts from +0.0: its
     ``spare`` if it has one (the optimizer's cleared gradient view),
     else a fresh ``zeros_like``.  Reaching a leaf uses up its spare, so
-    a spare is only ever taken while it still holds +0.0.  The walk is
-    the exact reverse of recording order, so gradients are bitwise
+    a spare is only ever taken while it still holds +0.0.  When that
+    first arrival is a ``RowGrad``, its rows become the leaf's
+    ``grad_rows``; any later arrival sets ``grad_rows`` to None.  The walk
+    is the exact reverse of recording order, so gradients are bitwise
     reproducible for identical forward passes.
 
     A node's backward may return its input gradients as a tuple or
@@ -241,26 +254,32 @@ def backward(loss: Tensor):
             if gt is None or not t.requires_grad:
                 continue
             if t.is_leaf:
+                rows = gt.index if isinstance(gt, RowGrad) else None
                 if t.grad is None:
                     t.grad = np.zeros_like(t.data) if t.spare is None else t.spare
+                    t.grad_rows = rows  # +0.0 outside them
+                else:
+                    t.grad_rows = None
                 t.spare = None
-                if isinstance(gt, RowGrad):
+                if rows is None:
+                    t.grad += gt
+                else:
                     # unique indices: one fancy-index add is exact, and the
                     # rows it skips would only have gained +0.0
-                    t.grad[gt.index] += gt.values
-                else:
-                    t.grad += gt
+                    t.grad[rows] += gt.values
             else:
                 acc = grads.get(t.node)
                 grads[t.node] = gt if acc is None else acc + gt
 
 
 def zero_grads(tensors: Iterable[Tensor]):
-    """Mark each tensor as not reached: ``grad`` becomes None, and the
-    next ``backward`` that reaches it starts from +0.0.  No buffer is
-    filled; the arrays a tensor's gradient lives in stay where they are."""
+    """Mark each tensor as not reached: ``grad`` and ``grad_rows`` become
+    None, and the next ``backward`` that reaches it starts from +0.0.  No
+    buffer is filled; the arrays a tensor's gradient lives in stay where
+    they are."""
     for t in tensors:
         t.grad = None
+        t.grad_rows = None
 
 
 # ---------------------------------------------------------------------------

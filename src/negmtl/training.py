@@ -17,7 +17,9 @@ per group over cache-sized blocks, with two block-sized scratch buffers
 allocated at the first layout and shared by every group, and clears
 each gradient block as it finishes reading it, so a steady-state step
 allocates no gradient, and its array work runs per block, not per
-parameter.
+parameter.  A gradient that reached its tensor as the rows of one
+gather (the embedding's, after a backward pass) is read and cleared on
+those rows only, in the blocks that hold nothing but that tensor.
 
 Determinism contract: (config, seed, corpus) fully determine every
 parameter and prediction.  Each run derives three independent RNG
@@ -117,6 +119,10 @@ class TrainConfig:
             require(getattr(self, key) >= 1, key, ">= 1")
         require(self.learning_rate > 0, "learning_rate", "positive")
         require(0.0 <= self.dropout_p < 1.0, "dropout_p", "in [0, 1)")
+        # β = 1 would divide by zero in Adam's bias correction
+        require(0.0 <= self.beta1 < 1.0, "beta1", "in [0, 1)")
+        require(0.0 <= self.beta2 < 1.0, "beta2", "in [0, 1)")
+        require(self.epsilon > 0, "epsilon", "positive")
         require(bool(self.bow_c_grid) and min(self.bow_c_grid) > 0, "bow_c_grid", "non-empty and positive")
         # a repeated C would be fit twice and scored under one key
         if len(set(self.bow_c_grid)) != len(self.bow_c_grid):
@@ -170,10 +176,15 @@ def rng_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator, np
 
 # Elements per block of the Adam update: a block's six arrays stay in
 # cache through all of the update's passes.  One step over vocab-train's
-# 662k float32 parameters in two groups, caches polluted between steps,
-# median of 50 (Xeon, 2 MB L2 per core): unblocked 2.32-2.41 ms; blocks
-# of 16k elements 1.98-2.27 ms, 32k 1.76-1.88, 64k 1.75-1.86, 128k
-# 1.83-1.85, 256k 2.14.
+# 662k float32 parameters in two groups, right after the backward pass of
+# a short document (so the embedding steps by rows), caches polluted
+# between steps, the block sizes taking turns in one process, median of
+# 78 steps each, three runs (Xeon, 2 MB L2 per core): blocks of 16k
+# elements 1.85, 1.78, 1.83 ms; 32k 1.69, 1.62, 1.65; 64k 1.65, 1.60,
+# 1.59; 128k 1.62, 1.53, 1.56; 256k 2.08, 2.05, 2.10.  64k with every
+# member stepping densely: 1.74, 1.68, 1.71.  128k's few percent did not
+# carry over to whole vocab-train epochs (bench/run.py, two seeds), and
+# its scratch buffers add 0.5 MB, so blocks stay at 64k.
 ADAM_BLOCK = 1 << 16
 
 
@@ -185,8 +196,18 @@ class AdamGroup:
     column-major for the names in ``column_major`` and row-major for the
     rest, and its gradient view sits at the same offset of ``grad``.
     Every member steps together, so one count serves the bias correction
-    of all.  ``blocks`` cuts the four buffers into ``ADAM_BLOCK``-element
-    blocks."""
+    of all.
+
+    A step runs over ``blocks``, cut once at layout: at most
+    ``ADAM_BLOCK`` elements of the four buffers each.  A row-major
+    matrix member is cut only between rows, and one larger than a block
+    gets blocks of its own.  A block that holds rows of one matrix alone
+    steps them by rows when the matrix's gradient carries a row record
+    (``Tensor.grad_rows``): its gradient passes index the recorded rows
+    through 2-D views of the matrix.  A matrix that shares its block,
+    such as a small embedding next to the LSTM weights, always steps
+    densely: there the six passes over its few untouched rows cost less
+    than the indexing would."""
 
     def __init__(self, params: dict[str, Tensor], names: Sequence[str], dtype, column_major=()):
         self.names = tuple(names)
@@ -209,11 +230,49 @@ class AdamGroup:
         self.members = [(name, params[name], view) for name, view in self.views(self.grad)]
         for _, p, view in self.members:
             p.spare = view
-        self.blocks = [
-            (self.data[lo:hi], self.grad[lo:hi], self.m[lo:hi], self.v[lo:hi])
-            for lo in range(0, size, ADAM_BLOCK)
-            for hi in [min(lo + ADAM_BLOCK, size)]
-        ]
+        self.blocks = self._cut()
+
+    def _cut(self) -> list:
+        """Blocks of at most ``ADAM_BLOCK`` elements, each a tuple
+        (data, grad, m, v, rows): flat views of the block in the four
+        buffers, then None, or, for a block that holds rows of one matrix
+        member alone, (tensor, gradient, m and v views of the whole
+        member, the block's [first row, end row]).  A row-major matrix
+        member is cut only at row boundaries, and one larger than a block
+        starts and ends blocks of its own."""
+        m_views, v_views = self.views(self.m), self.views(self.v)
+        matrices = {
+            k: (p, g, m_views[k][1], v_views[k][1])
+            for k, (_, p, g) in enumerate(self.members)
+            if g.ndim == 2 and g.flags.c_contiguous and g.shape[1] <= ADAM_BLOCK
+        }
+        blocks, start = [], 0
+
+        def close(end):
+            rows = None
+            for j, (_, first, count, shape, _) in enumerate(self._spans):
+                if j in matrices and first <= start and end <= first + count:
+                    rows = (*matrices[j], np.array([start - first, end - first]) // shape[1])
+            blocks.append((self.data[start:end], self.grad[start:end], self.m[start:end], self.v[start:end], rows))
+            return end
+
+        for k, (_, lo, n, shape, _) in enumerate(self._spans):
+            unit = shape[1] if k in matrices else 1
+            own = k in matrices and n > ADAM_BLOCK
+            if own and start < lo:
+                start = close(lo)
+            pos = lo
+            while pos < lo + n:
+                room = (start + ADAM_BLOCK - pos) // unit * unit
+                if not room:
+                    start = close(pos)
+                    continue
+                pos = min(lo + n, pos + room)
+            if own:
+                start = close(pos)
+        if start < self.data.size:
+            close(self.data.size)
+        return blocks
 
     def views(self, buffer: np.ndarray) -> list[tuple[str, np.ndarray]]:
         """(name, view shaped like the parameter) of each member in ``buffer``."""
@@ -225,7 +284,8 @@ class AdamGroup:
     def take_grads(self, params: dict[str, Tensor]):
         """Check that every member has a gradient and make its gradient
         view hold it: a ``grad`` array assigned from outside is copied in,
-        and the member's ``grad`` rebound to the view."""
+        the member's ``grad`` rebound to the view and its row record
+        dropped."""
         for name, p, view in self.members:
             if params.get(name) is not p:
                 raise OptimizerError(f"parameter {name!r} is not the tensor this optimizer laid out")
@@ -234,7 +294,7 @@ class AdamGroup:
                 if g is None:
                     raise OptimizerError(f"parameter {name!r} has no gradient")
                 view[...] = g
-                p.grad, p.spare = view, None
+                p.grad, p.spare, p.grad_rows = view, None, None
 
 
 @dataclass
@@ -337,55 +397,83 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: dict[str, Tensor], names: Sequence[str]):
-    """One bias-corrected Adam update on the named parameters:
-    m̂ = m/(1-β1^t), v̂ = v/(1-β2^t), θ ← θ - lr·m̂/(√v̂ + ε), with t the
-    step count of each parameter's group.
+    """One bias-corrected Adam update on the named parameters, in the
+    order of Kingma & Ba (arXiv:1412.6980, section 2): with t the step
+    count of each parameter's group, α_t = lr·√(1-β2^t)/(1-β1^t) and
+    ε̂ = ε·√(1-β2^t), θ ← θ - α_t·m/(√v + ε̂).  In real arithmetic this
+    is θ - lr·m̂/(√v̂ + ε) with m̂ = m/(1-β1^t), v̂ = v/(1-β2^t), at one
+    divide per element instead of three.
 
-    The update runs once per group, over blocks of ``ADAM_BLOCK``
-    elements of its flat buffers.  Within a block every operation
-    writes in place (the moments, the parameter, or the state's two
-    scratch views ``a`` and ``b``), in this fixed order:
-    m ← m·β1; a ← g·(1-β1); m ← m + a; v ← v·β2; a ← g·(1-β2);
-    a ← a·g; v ← v + a; a ← m/(1-β1^t); a ← a·lr; b ← v/(1-β2^t);
-    b ← √b; b ← b + ε; a ← a/b; θ ← θ - a.  Each of these 14 passes is
-    one correctly rounded elementwise operation, so the order alone
-    fixes the bits: they equal those of the same formula with
-    temporaries, parameter by parameter.
+    The update runs once per group, over its ``AdamGroup.blocks``.
+    Within a block every operation writes in place (the moments, the
+    parameter, the gradient, or the state's two scratch views ``a`` and
+    ``b``), in this fixed order:
+    m ← m·β1; v ← v·β2; then the six gradient passes a ← g·(1-β1);
+    m ← m + a; a ← g·(1-β2); a ← a·g; v ← v + a; g ← +0.0; then the
+    five θ-passes b ← √v; b ← b + ε̂; a ← m/b; a ← a·α_t; θ ← θ - a.
+    Each pass is one correctly rounded elementwise operation, so the
+    order alone fixes the bits: they equal those of the same formula
+    with temporaries, parameter by parameter.
 
-    Adam consumes the gradient: right after the last pass that reads
-    ``g`` it clears the block to +0.0.  Each member's ``grad`` stays
-    bound to its cleared view, which also becomes the tensor's
+    A block that holds rows of one matrix alone, when the matrix's
+    gradient carries a row record (``Tensor.grad_rows``), runs the six
+    gradient passes only on the recorded rows among them; the decay of m
+    and v and the θ-passes still cover every row.  The other rows hold
+    g = +0.0, for which the skipped passes would add +0.0 to m and to v.
+    That changes no bit as long as neither moment is -0.0.  m starts at
+    +0.0; m·β1 is -0.0 only if m is, since for β1 > ½ it never rounds a
+    nonzero value to zero; and m + a is -0.0 only if both terms are,
+    since x + (-x) gives +0.0.  v starts at +0.0 and, for 0 ≤ β2 ≤ 1,
+    never gets a negative term or factor.  So the row path gives the
+    dense path's bits, and it runs only for β1 > ½ and 0 ≤ β2 ≤ 1.
+
+    Adam consumes the gradient: it clears each gradient entry to +0.0
+    right after the last pass that reads it.  Each member's ``grad``
+    stays bound to its cleared view, which also becomes the tensor's
     ``spare``, so the next ``backward`` after ``zero_grads`` accumulates
-    into it without allocating.  Stepping again with no ``backward`` in
-    between steps a zero gradient.
+    into it without allocating, and its row record is dropped.  Stepping
+    again with no ``backward`` in between steps a zero gradient.
     """
     groups = state.groups_for(params, names)
     for group in groups:
         group.take_grads(params)
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.epsilon
+    by_rows = b1 > 0.5 and 0.0 <= b2 <= 1.0
     scratch_a, scratch_b = state.scratch
     for group in groups:
         group.t += 1
-        c1, c2 = 1.0 - b1**group.t, 1.0 - b2**group.t
-        for theta, g, m, v in group.blocks:
+        root = math.sqrt(1.0 - b2**group.t)
+        alpha, eps_hat = lr * root / (1.0 - b1**group.t), eps * root
+        for theta, g, m, v, rows in group.blocks:
             a, b = scratch_a[: g.size], scratch_b[: g.size]
             m *= b1
-            np.multiply(g, 1.0 - b1, out=a)
-            m += a
             v *= b2
-            np.multiply(g, 1.0 - b2, out=a)
-            a *= g
-            v += a
-            g.fill(0.0)
-            np.divide(m, c1, out=a)
-            a *= lr
-            np.divide(v, c2, out=b)
-            np.sqrt(b, out=b)
-            b += eps
-            a /= b
+            r = rows[0].grad_rows if by_rows and rows else None
+            if r is None:
+                np.multiply(g, 1.0 - b1, out=a)
+                m += a
+                np.multiply(g, 1.0 - b2, out=a)
+                a *= g
+                v += a
+                g.fill(0.0)
+            else:
+                _, gk, mk, vk, bounds = rows
+                r = r[slice(*r.searchsorted(bounds))]
+                if r.size:
+                    gr = gk.take(r, axis=0)
+                    ar = gr * (1.0 - b1)
+                    mk[r] += ar
+                    np.multiply(gr, 1.0 - b2, out=ar)
+                    ar *= gr
+                    vk[r] += ar
+                    gk[r] = 0.0
+            np.sqrt(v, out=b)
+            b += eps_hat
+            np.divide(m, b, out=a)
+            a *= alpha
             theta -= a
         for _, p, view in group.members:
-            p.spare = view
+            p.spare, p.grad_rows = view, None
 
 
 def apply_updates(state: AdamState, params: dict[str, Tensor], names: Sequence[str]):

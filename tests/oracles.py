@@ -557,9 +557,10 @@ def adam_by_name(state: AdamState) -> AdamByName:
 
 def adam_step_reference(state: AdamReference, params: dict, names):
     """One bias-corrected Adam update on the named parameters, one
-    parameter at a time with temporaries:
-    m̂ = m/(1-β1^t), v̂ = v/(1-β2^t), θ ← θ - lr·m̂/(√v̂ + ε).
-    The gradients are left as they are."""
+    parameter at a time with temporaries, in Kingma & Ba's order:
+    α_t = lr·√(1-β2^t)/(1-β1^t), ε̂ = ε·√(1-β2^t), θ ← θ - α_t·m/(√v + ε̂),
+    which is θ - lr·m̂/(√v̂ + ε) in real arithmetic.  The gradients are
+    left as they are."""
     for name in names:
         p = params[name]
         g = p.grad
@@ -577,9 +578,9 @@ def adam_step_reference(state: AdamReference, params: dict, names):
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        root = math.sqrt(1.0 - state.beta2**t)
+        alpha = state.lr * root / (1.0 - state.beta1**t)
+        p.data -= m / (np.sqrt(v) + state.epsilon * root) * alpha
 
 
 def apply_updates_reference(state: AdamReference, params: dict, names):

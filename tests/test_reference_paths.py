@@ -226,8 +226,12 @@ class TestAdamMatchesReference:
         assert group.data.size == sum(view.size for _, view in group.views(group.data))  # back to back
         emb = dict(group.views(group.data))["embedding.weights"]
         lo = (emb.__array_interface__["data"][0] - group.data.__array_interface__["data"][0]) // group.data.itemsize
-        assert lo < ADAM_BLOCK < lo + emb.size  # a boundary inside the embedding
-        assert len(group.blocks) == 2 and group.blocks[0][0].size == ADAM_BLOCK
+        assert lo < ADAM_BLOCK < lo + emb.size
+        # a matrix larger than a block gets blocks of its own, cut between
+        # rows: one boundary inside the embedding, one at each of its ends
+        per_block = ADAM_BLOCK // 70 * 70
+        sizes = [lo, per_block, emb.size - per_block, group.data.size - lo - emb.size]
+        assert [theta.size for theta, *_ in group.blocks] == sizes
 
     def test_mtl_groups_bitwise(self):
         # shared + negation, then shared + sentiment, in phases of 3 and 5 steps

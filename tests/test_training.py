@@ -19,6 +19,7 @@ from negmtl.corpus import Document, NegationStructure, Sentence, build_vocab
 from negmtl.evaluation import PredictionRecord, accuracy_of
 from negmtl.models import ModelParams, sentiment_loss
 from negmtl.training import (
+    ADAM_BLOCK,
     AdamState,
     Checkpoint,
     CheckpointError,
@@ -44,6 +45,8 @@ from negmtl.training import (
 from oracles import (
     AdamReference,
     adam_by_name,
+    adam_step_reference,
+    add,
     apply_updates_reference,
     bow_features_reference,
     bow_loss_and_grad,
@@ -115,6 +118,11 @@ class TestTrainConfig:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError, match="dropout_p"):
             TrainConfig(dropout_p=1.0)
+        for key, value in [("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", 1.5)]:
+            with pytest.raises(ValueError, match=rf"^{key} must be in \[0, 1\), got {value}$"):
+                TrainConfig(**{key: value})
+        with pytest.raises(ValueError, match="^epsilon must be positive"):
+            TrainConfig(epsilon=0.0)
         with pytest.raises(ValueError, match="patience"):
             TrainConfig(patience=0)
         with pytest.raises(ValueError, match="mtl_schedule"):
@@ -206,6 +214,26 @@ class TestAdam:
         adam_step(state, {"p": p}, ["p"])
         assert p.data == pytest.approx(-0.001 / 2.0, rel=1e-9)
 
+    @pytest.mark.parametrize("t", [1, 2, 10, 10**3, 10**5])
+    def test_the_reordered_step_is_the_textbook_update(self, t):
+        """α_t·m/(√v + ε̂) against lr·m̂/(√v̂ + ε) in float64: each form
+        rounds about six times, so they may differ by a few ulps."""
+        rng = np.random.default_rng(t)
+        g = 10.0 ** np.linspace(-9, 3, 1201) * rng.choice([-1.0, 1.0], 1201) * rng.uniform(0.5, 2.0, 1201)
+        p = Tensor(np.zeros_like(g), requires_grad=True)
+        state = AdamState()
+        (group,) = [state.layout({"p": p}, ["p"])]
+        # moments as t - 1 steps of gradients near g would leave them
+        group.m[...] = (1.0 - state.beta1 ** (t - 1)) * g * rng.uniform(0.5, 1.5, g.size)
+        group.v[...] = (1.0 - state.beta2 ** (t - 1)) * g * g * rng.uniform(0.5, 1.5, g.size)
+        group.t = t - 1
+        p.grad = g
+        adam_step(state, {"p": p}, ["p"])
+        m_hat, v_hat = group.m / (1.0 - state.beta1**t), group.v / (1.0 - state.beta2**t)
+        textbook = state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        ulps = np.abs(-p.data - textbook) / np.spacing(np.abs(textbook))  # θ started at 0
+        assert ulps.max() <= 8, (ulps.max(), g[ulps.argmax()])
+
     def test_constant_gradient_moves_monotonically(self):
         p = Tensor(np.array(1.0), requires_grad=True)
         state = AdamState(lr=0.01)
@@ -277,15 +305,20 @@ class TestAdam:
 DOC_IDS = [[1, 2, 1, 3], [4, 5], [6, 2, 7]]
 
 
-def laid_out_model():
+def laid_out_model(vocab: int = 8, dims: int = 4):
     """A float32 mtl model whose three groups are laid out as
     ``train_neural`` lays them out, and its optimizer."""
-    params = ModelParams.init(8, 4, 3, np.random.default_rng(0), with_negation_head=True)
+    params = ModelParams.init(vocab, dims, 3, np.random.default_rng(0), with_negation_head=True)
     named = params.named_parameters()
     state = AdamState(lr=0.01)
     for names in params.parameter_groups().values():
         state.layout(named, names, np.float32, params.column_major())
     return params, named, state
+
+
+def sentiment_names(params):
+    groups = params.parameter_groups()
+    return groups["shared"] + groups["sentiment"]
 
 
 def sentiment_backward(params):
@@ -303,16 +336,12 @@ class TestGradientBinding:
     spares for the next backward; what a caller sees of ``grad`` stays as
     before."""
 
-    def sentiment_names(self, params):
-        groups = params.parameter_groups()
-        return groups["shared"] + groups["sentiment"]
-
     def test_grad_is_none_until_backward_reaches_the_leaf(self):
         params, named, state = laid_out_model()
         groups = params.parameter_groups()
         assert all(p.grad is None for p in named.values())
         sentiment_backward(params)
-        apply_updates(state, named, self.sentiment_names(params))
+        apply_updates(state, named, sentiment_names(params))
         assert [n for n, p in named.items() if p.grad is None] == groups["negation"]
         with pytest.raises(OptimizerError, match=f"'{groups['negation'][0]}' has no gradient"):
             apply_updates(state, named, groups["shared"] + groups["negation"])
@@ -323,7 +352,7 @@ class TestGradientBinding:
 
     def test_backward_after_zero_grads_starts_from_zero(self):
         params, named, state = laid_out_model()
-        names = self.sentiment_names(params)
+        names = sentiment_names(params)
         sentiment_backward(params)
         apply_updates(state, named, names)
 
@@ -348,7 +377,7 @@ class TestGradientBinding:
 
     def test_repeated_steps_without_backward_step_a_zero_gradient(self):
         params, named, state = laid_out_model()
-        names = self.sentiment_names(params)
+        names = sentiment_names(params)
         reference = AdamReference(lr=0.01)
         copies = {n: Tensor(p.data.copy(), requires_grad=True) for n, p in named.items()}
         sentiment_backward(params)
@@ -366,7 +395,7 @@ class TestGradientBinding:
 
     def test_assigned_grad_is_stepped(self):
         params, named, state = laid_out_model()
-        names = self.sentiment_names(params)
+        names = sentiment_names(params)
         reference = AdamReference(lr=0.01)
         copies = {n: Tensor(p.data.copy(), requires_grad=True) for n, p in named.items()}
         rng = np.random.default_rng(3)
@@ -431,6 +460,198 @@ class TestGradientBinding:
             (train_stl if mode == "stl" else train_mtl)(tiny_config(mode=mode), train, dev)
         for name, buf in steps[0].items():
             assert all(step[name] is buf for step in steps), name
+
+
+def row_model(vocab: int = 1400, dims: int = 50):
+    """``laid_out_model``, its optimizer, a plain copy of its parameters
+    that no optimizer lays out and the per-parameter reference optimizer
+    for that copy.  The embedding is larger than one Adam block, so it
+    has blocks of its own and steps by rows."""
+    params, named, state = laid_out_model(vocab, dims)
+    copy = ModelParams.from_arrays({n: p.data.copy() for n, p in named.items()})
+    return params, state, copy, AdamReference(lr=0.01)
+
+
+def walk(params, *docs, seed=4):
+    """One backward pass over the summed sentiment losses of ``docs``,
+    each with its own dropout draw."""
+    with Tape():
+        losses = [
+            sentiment_loss(params, ids, 1, train=True, dropout_p=0.3, rng=np.random.default_rng(seed + i))
+            for i, ids in enumerate(docs)
+        ]
+        loss = losses[0]
+        for other in losses[1:]:
+            loss = add(loss, other)
+        backward(loss)
+
+
+class TestRowPath:
+    """A backward pass whose only gradient into the embedding is one
+    gather records the rows it touched, and Adam runs the gradient passes
+    on those rows alone.  Every step here goes through a real
+    ``backward`` and is compared, bit for bit, with the per-parameter
+    reference of the same formula on the dense gradient of an identical
+    copy: parameters, both moments, and a gradient buffer left +0.0."""
+
+    def step(self, got, state, want, reference, *docs, rows=True, seed=4):
+        """``zero_grads``, one backward pass over ``docs`` and one step on
+        each side, then the comparison; ``rows`` says whether the
+        embedding's gradient carries a row record at the step."""
+        for params in (got, want):
+            zero_grads(params.named_parameters().values())
+            walk(params, *docs, seed=seed)
+        self.compare_step(got, state, want, reference, rows)
+
+    def compare_step(self, got, state, want, reference, rows=True):
+        names = sentiment_names(got)
+        assert (got.embedding.weights.grad_rows is not None) == rows
+        apply_updates(state, got.named_parameters(), names)
+        apply_updates_reference(reference, want.named_parameters(), names)
+        self.assert_same(got, state, want, reference)
+
+    def assert_same(self, got, state, want, reference):
+        by_name = adam_by_name(state)
+        for name, p in want.named_parameters().items():
+            assert same_bits(got.named_parameters()[name].data, p.data), name
+            if name in reference.m:
+                assert same_bits(by_name.m[name], reference.m[name]), name
+                assert same_bits(by_name.v[name], reference.v[name]), name
+        for group in state.groups:
+            assert not np.signbit(group.grad).any() and not group.grad.any()
+        assert all(p.grad_rows is None for p in got.named_parameters().values())
+
+    def test_repeated_ids_and_dropped_entries(self):
+        got, state, want, reference = row_model()
+        for step in range(6):
+            for params in (got, want):
+                zero_grads(params.named_parameters().values())
+                walk(params, DOC_IDS, seed=step)
+            emb = got.embedding.weights
+            assert emb.grad_rows.tolist() == sorted(set(sum(DOC_IDS, [])))
+            # dropout zeroed entries of touched rows (their incoming
+            # gradient times a zero mask is ±0.0, summed into +0.0)
+            assert (emb.grad[emb.grad_rows] == 0.0).any()
+            self.compare_step(got, state, want, reference)
+
+    def test_a_row_touched_in_one_step_and_not_the_next(self):
+        got, state, want, reference = row_model()
+        for step, ids in enumerate([[[1, 2, 3]], [[4, 5], [6]], [[1, 7]], [[2, 3, 3]]]):
+            self.step(got, state, want, reference, ids, seed=step)
+
+    def test_rows_on_both_sides_of_a_block_boundary(self):
+        got, state, want, reference = row_model()
+        (shared,) = [g for g in state.groups if "embedding.weights" in g.names]
+        # 1400 rows of 50 elements: a block of 1310 rows, one of the other
+        # 90, then the rest of the group
+        by_rows = [None if rows is None else rows[-1].tolist() for *_, rows in shared.blocks]
+        assert by_rows == [[0, 1310], [1310, 1400]] + [None] * (len(shared.blocks) - 2)
+        assert all(theta.size <= ADAM_BLOCK for theta, *_ in shared.blocks)
+        for step, ids in enumerate([[[5, 1309, 1310, 1399]], [[1309]], [[1310, 2]], [[700, 1311]]]):
+            self.step(got, state, want, reference, ids, seed=step)
+
+    def test_a_table_that_shares_its_block_steps_densely(self):
+        got, state, want, reference = row_model(vocab=8, dims=4)
+        (shared,) = [g for g in state.groups if "embedding.weights" in g.names]
+        assert [rows for *_, rows in shared.blocks] == [None]
+        for step, ids in enumerate([DOC_IDS, [[1, 7]]]):
+            self.step(got, state, want, reference, ids, seed=step)
+
+    def test_the_padding_row_stays_pinned(self):
+        got, state, want, reference = row_model()
+        pad = got.embedding.weights.data[0].copy()
+        for step in range(3):
+            for params in (got, want):
+                zero_grads(params.named_parameters().values())
+                walk(params, [[0, 1, 0, 2], [3, 0]], seed=step)
+            assert 0 in got.embedding.weights.grad_rows
+            self.compare_step(got, state, want, reference)
+        assert same_bits(got.embedding.weights.data[0], pad)
+
+    def test_two_gathers_in_one_backward_step_densely(self):
+        got, state, want, reference = row_model()
+        self.step(got, state, want, reference, [[1, 2]], [[2, 5]], rows=False)
+        # and a second backward pass before the step
+        for params in (got, want):
+            zero_grads(params.named_parameters().values())
+            walk(params, [[1, 2]], seed=1)
+            walk(params, [[3, 6]], seed=2)
+        self.compare_step(got, state, want, reference, rows=False)
+        self.step(got, state, want, reference, [[4, 7]])
+
+    def test_a_grad_assigned_after_the_backward_steps_densely(self):
+        got, state, want, reference = row_model()
+        self.step(got, state, want, reference, DOC_IDS)
+        for params in (got, want):
+            zero_grads(params.named_parameters().values())
+            walk(params, [[1, 2]])
+        assert got.embedding.weights.grad_rows is not None
+        # every row nonzero: a step that kept the record would miss rows
+        g = np.random.default_rng(5).normal(size=got.embedding.weights.data.shape).astype(np.float32)
+        got.embedding.weights.grad, want.embedding.weights.grad = g, g.copy()
+        names = sentiment_names(got)
+        apply_updates(state, got.named_parameters(), names)
+        apply_updates_reference(reference, want.named_parameters(), names)
+        self.assert_same(got, state, want, reference)
+        self.step(got, state, want, reference, [[3, 4]])
+
+    def test_a_step_without_backward_is_a_zero_step(self):
+        got, state, want, reference = row_model()
+        self.step(got, state, want, reference, DOC_IDS)
+        names = sentiment_names(got)
+        for _ in range(2):
+            for name in names:
+                want.named_parameters()[name].grad = np.zeros_like(want.named_parameters()[name].data)
+            self.compare_step(got, state, want, reference, rows=False)
+        zero_grads(got.named_parameters().values())
+        walk(got, [[1, 2]])
+        assert got.embedding.weights.grad_rows is not None
+        zero_grads(got.named_parameters().values())
+        assert got.embedding.weights.grad_rows is None
+        with pytest.raises(OptimizerError, match="has no gradient"):
+            apply_updates(state, got.named_parameters(), names)
+        assert {n: adam_by_name(state).t[n] for n in names} == reference.t
+        self.step(got, state, want, reference, [[1, 5]])
+
+    def test_an_optimizer_error_mid_step_leaves_no_stale_record_or_dirty_spare(self):
+        got, state, want, reference = row_model()
+        self.step(got, state, want, reference, DOC_IDS)
+        groups = got.parameter_groups()
+        named = got.named_parameters()
+        zero_grads(named.values())
+        walk(got, [[1, 2, 7]])
+        named["sent_fwd.b"].grad = np.ones_like(named["sent_fwd.b"].data)  # copied in, then the step fails
+        with pytest.raises(OptimizerError, match=f"'{groups['negation'][0]}' has no gradient"):
+            apply_updates(state, named, groups["shared"] + groups["negation"])
+        emb = named["embedding.weights"]
+        assert emb.grad_rows.tolist() == [1, 2, 7]
+        assert not np.delete(emb.grad, emb.grad_rows, axis=0).any()
+        assert all(p.spare is None for name, p in named.items() if name in groups["shared"])
+        # the failed step left the views holding gradients, so no spare:
+        # the next backward allocates, and its step copies the gradient
+        # in and drops the record
+        self.step(got, state, want, reference, [[3, 4]], seed=9)
+        self.step(got, state, want, reference, [[1, 2]], seed=10)
+
+    def test_a_small_beta1_steps_densely(self):
+        """For β1 ≤ ½, m·β1 can round a negative subnormal to -0.0, and
+        only the dense pass's + (+0.0) turns it back into +0.0."""
+        adam = dict(beta1=0.3)
+        table = Tensor(np.zeros((4, 2), dtype=np.float32), requires_grad=True)
+        copy = Tensor(table.data.copy(), requires_grad=True)
+        state, reference = AdamState(**adam), AdamReference(**adam)
+        state.layout({"t": table}, ["t"])
+        for step in range(8):
+            row = 1 if step == 0 else 2
+            for t in (table, copy):
+                zero_grads([t])
+                with Tape():
+                    backward(ad.sum_all(ad.rows(t, [row], mask=np.full((1, 2), -1e-44, dtype=np.float32))))
+            assert table.grad_rows is not None
+            adam_step(state, {"t": table}, ["t"])
+            adam_step_reference(reference, {"t": copy}, ["t"])
+            assert same_bits(adam_by_name(state).m["t"], reference.m["t"]), step
+        assert reference.m["t"][1, 0] == 0.0 and not np.signbit(reference.m["t"][1, 0])
 
 
 class TestNonFiniteParameters:
