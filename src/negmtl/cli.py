@@ -581,6 +581,10 @@ def main(argv=None) -> int:
     except _USER_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:
+        # numpy's names the allocation it refused, a bare one nothing
+        print(f"error: out of memory ({e})" if str(e) else "error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 NEGATIVE = "negative"
 POSITIVE = "positive"
@@ -213,24 +213,33 @@ def parse_corpus(path) -> list[Document]:
 
     A bad line raises ``ParseError`` or ``ValidationError``; both name
     ``path`` and the line.  So does a byte that is not UTF-8."""
-    docs: list[Document] = []
     seen_ids: set[str] = set()
+    return [
+        _document_from_record(record, path, line_no, seen_ids)
+        for line_no, record in json_lines(path, ParseError)
+    ]
+
+
+def json_lines(path, error) -> Iterator[tuple[int, object]]:
+    """(line number, decoded value) of each non-blank line of the UTF-8
+    JSON-lines file ``path``, counting lines from 1.  A line that is not
+    JSON, or a byte that is not UTF-8, raises ``error(path, line number,
+    message)``."""
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
-                    record = json.loads(line)
+                    value = json.loads(line)
                 except ValueError as e:  # a JSONDecodeError, or an integer too long to convert
-                    raise ParseError(path, line_no, f"invalid JSON ({getattr(e, 'msg', e)})") from e
-                docs.append(_document_from_record(record, path, line_no, seen_ids))
+                    raise error(path, line_no, f"invalid JSON ({getattr(e, 'msg', e)})") from e
+                yield line_no, value
     except UnicodeDecodeError as e:
-        raise ParseError(path, *first_non_utf8(path, e)) from e
-    return docs
+        raise error(path, *_first_non_utf8(path, e)) from e
 
 
-def first_non_utf8(path, err: UnicodeDecodeError) -> tuple[int, str]:
+def _first_non_utf8(path, err: UnicodeDecodeError) -> tuple[int, str]:
     """The line of the first byte of ``path`` that is not UTF-8, counted
     as a text-mode reader counts lines, and a description of that byte.
     Called once a reader has hit ``err``: the text decoder reports a

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .atomic import atomic_open
-from .corpus import LABELS, BioTag, CorpusStats, first_non_utf8
+from .corpus import LABELS, BioTag, CorpusStats, json_lines
 
 
 class EvaluationError(Exception):
@@ -47,31 +47,27 @@ def write_predictions(records: Sequence[PredictionRecord], path):
 
 def read_predictions(path) -> list[PredictionRecord]:
     """Records in file order; each document id, a non-empty string, may
-    occur once.  A bad record (a bad id or label among them), or a byte
-    that is not UTF-8, is an ``EvaluationError`` naming the file and the
-    line."""
+    occur once.  A bad record (a bad id or label among them), a line that
+    is not JSON, or a byte that is not UTF-8, is an ``EvaluationError``
+    naming the file and the line."""
+
+    def bad(path, line_no: int, what: str) -> EvaluationError:
+        return EvaluationError(f"{path}: line {line_no}: {what}")
+
     records = []
     first_line: dict[str, int] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                    record = PredictionRecord(obj["id"], obj["gold"], obj["pred"])
-                    if not isinstance(record.id, str) or not record.id:
-                        raise ValueError(f"id must be a non-empty string, got {record.id!r}")
-                    seen = first_line.setdefault(record.id, line_no)
-                # ValueError: bad JSON, a too-long integer or a bad id; EvaluationError: a bad label
-                except (ValueError, KeyError, TypeError, EvaluationError) as e:
-                    raise EvaluationError(f"{path}: line {line_no}: bad prediction record ({e})") from e
-                if seen != line_no:
-                    raise EvaluationError(f"{path}: line {line_no}: document {record.id!r} repeats line {seen}")
-                records.append(record)
-    except UnicodeDecodeError as e:
-        line_no, what = first_non_utf8(path, e)
-        raise EvaluationError(f"{path}: line {line_no}: {what}") from e
+    for line_no, obj in json_lines(path, bad):
+        try:
+            record = PredictionRecord(obj["id"], obj["gold"], obj["pred"])
+            if not isinstance(record.id, str) or not record.id:
+                raise ValueError(f"id must be a non-empty string, got {record.id!r}")
+            seen = first_line.setdefault(record.id, line_no)
+        # ValueError: a bad id; EvaluationError: a bad label
+        except (ValueError, KeyError, TypeError, EvaluationError) as e:
+            raise bad(path, line_no, f"bad prediction record ({e})") from e
+        if seen != line_no:
+            raise bad(path, line_no, f"document {record.id!r} repeats line {seen}")
+        records.append(record)
     return records
 
 

@@ -17,9 +17,10 @@ per group over cache-sized blocks, with two block-sized scratch buffers
 allocated at the first layout and shared by every group, and clears
 each gradient block as it finishes reading it, so a steady-state step
 allocates no gradient, and its array work runs per block, not per
-parameter.  A gradient that reached its tensor as the rows of one
-gather (the embedding's, after a backward pass) is read and cleared on
-those rows only, in the blocks that hold nothing but that tensor.
+parameter.  A row-major matrix larger than a block gets blocks of its
+own, and a gradient that reached it as the rows of one gather (the
+embedding's, after a backward pass) is read and cleared on those rows
+only.
 
 Determinism contract: (config, seed, corpus) fully determine every
 parameter and prediction.  Each run derives three independent RNG
@@ -200,14 +201,11 @@ class AdamGroup:
 
     A step runs over ``blocks``, cut once at layout: at most
     ``ADAM_BLOCK`` elements of the four buffers each.  A row-major
-    matrix member is cut only between rows, and one larger than a block
-    gets blocks of its own.  A block that holds rows of one matrix alone
-    steps them by rows when the matrix's gradient carries a row record
-    (``Tensor.grad_rows``): its gradient passes index the recorded rows
-    through 2-D views of the matrix.  A matrix that shares its block,
-    such as a small embedding next to the LSTM weights, always steps
-    densely: there the six passes over its few untouched rows cost less
-    than the indexing would."""
+    matrix member larger than a block gets blocks of its own, cut
+    between rows, and they step by rows when its gradient carries a row
+    record (``Tensor.grad_rows``).  Every other member is packed back to
+    back in flat blocks that step densely: a table that fits in one
+    block steps faster densely than by rows."""
 
     def __init__(self, params: dict[str, Tensor], names: Sequence[str], dtype, column_major=()):
         self.names = tuple(names)
@@ -234,42 +232,29 @@ class AdamGroup:
 
     def _cut(self) -> list:
         """Blocks of at most ``ADAM_BLOCK`` elements, each a tuple
-        (data, grad, m, v, rows): flat views of the block in the four
-        buffers, then None, or, for a block that holds rows of one matrix
-        member alone, (tensor, gradient, m and v views of the whole
-        member, the block's [first row, end row]).  A row-major matrix
-        member is cut only at row boundaries, and one larger than a block
-        starts and ends blocks of its own."""
-        m_views, v_views = self.views(self.m), self.views(self.v)
-        matrices = {
-            k: (p, g, m_views[k][1], v_views[k][1])
-            for k, (_, p, g) in enumerate(self.members)
-            if g.ndim == 2 and g.flags.c_contiguous and g.shape[1] <= ADAM_BLOCK
-        }
+        (data, grad, m, v, rows) of flat views of the block in the four
+        buffers and ``rows``.  A row-major matrix member larger than a
+        block gets blocks of its own, cut between rows, whose ``rows`` are
+        (tensor, gradient, m and v views of the whole member, the block's
+        [first row, end row]).  Every other member is packed back to back
+        in blocks whose ``rows`` are None."""
         blocks, start = [], 0
 
-        def close(end):
-            rows = None
-            for j, (_, first, count, shape, _) in enumerate(self._spans):
-                if j in matrices and first <= start and end <= first + count:
-                    rows = (*matrices[j], np.array([start - first, end - first]) // shape[1])
+        def close(end, rows=None):
             blocks.append((self.data[start:end], self.grad[start:end], self.m[start:end], self.v[start:end], rows))
             return end
 
-        for k, (_, lo, n, shape, _) in enumerate(self._spans):
-            unit = shape[1] if k in matrices else 1
-            own = k in matrices and n > ADAM_BLOCK
-            if own and start < lo:
-                start = close(lo)
-            pos = lo
-            while pos < lo + n:
-                room = (start + ADAM_BLOCK - pos) // unit * unit
-                if not room:
-                    start = close(pos)
-                    continue
-                pos = min(lo + n, pos + room)
-            if own:
-                start = close(pos)
+        views = zip(self.members, self._spans, self.views(self.m), self.views(self.v))
+        for (_, p, g), (_, lo, n, _, _), (_, mk), (_, vk) in views:
+            if n > ADAM_BLOCK and g.ndim == 2 and g.flags.c_contiguous and g.shape[1] <= ADAM_BLOCK:
+                if start < lo:
+                    start = close(lo)
+                step = ADAM_BLOCK // g.shape[1]
+                for first in range(0, len(g), step):
+                    bounds = np.array([first, min(first + step, len(g))])
+                    start = close(lo + bounds[1] * g.shape[1], (p, g, mk, vk, bounds))
+            while lo + n - start > ADAM_BLOCK:
+                start = close(start + ADAM_BLOCK)
         if start < self.data.size:
             close(self.data.size)
         return blocks
@@ -360,7 +345,6 @@ class AdamState:
             self.scratch = (np.empty(ADAM_BLOCK, dtype), np.empty(ADAM_BLOCK, dtype))
         self.groups.append(group)
         self._group_of.update(dict.fromkeys(group.names, group))
-        self._plans.clear()
         return group
 
     def groups_for(self, params: dict[str, Tensor], names: Sequence[str]) -> list[AdamGroup]:
@@ -415,7 +399,7 @@ def adam_step(state: AdamState, params: dict[str, Tensor], names: Sequence[str])
     order alone fixes the bits: they equal those of the same formula
     with temporaries, parameter by parameter.
 
-    A block that holds rows of one matrix alone, when the matrix's
+    A block of a matrix's rows (``AdamGroup``), when the matrix's
     gradient carries a row record (``Tensor.grad_rows``), runs the six
     gradient passes only on the recorded rows among them; the decay of m
     and v and the θ-passes still cover every row.  The other rows hold
@@ -584,7 +568,8 @@ def _check_header(path, header) -> list[tuple[str, tuple[int, ...], int, int]]:
     if missing:
         raise CheckpointError(f"{path}: header lacks {', '.join(map(repr, missing))}")
     version = header["version"]
-    if version != CHECKPOINT_VERSION:
+    # JSON's true and 1.0 compare equal to 1
+    if not _is_int(version) or version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {version!r} (expected {CHECKPOINT_VERSION})"
         )

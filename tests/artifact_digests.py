@@ -24,8 +24,10 @@ test and ``--record`` both go through it.
 
     PYTHONPATH=src python tests/artifact_digests.py --record
 
-rewrites the current fingerprint's entry in ``artifact_digests.json``.
-Only a change that declares new numerics should do so.
+rewrites the current fingerprint's entry in ``artifact_digests.json``
+and prints the artifacts whose digests changed against that entry, or
+says the fingerprint is new.  Only a change that declares new numerics
+should record, and it lists those artifacts.
 """
 
 from __future__ import annotations
@@ -148,6 +150,21 @@ def recorded() -> dict:
     return json.loads(RECORDED.read_text(encoding="utf-8"))
 
 
+def changed(before: dict[str, str], after: dict[str, str]) -> list[str]:
+    """The artifact names whose digest differs between two digest maps,
+    sorted; a name in only one of them counts as changed."""
+    return sorted(name for name in before.keys() | after.keys() if before.get(name) != after.get(name))
+
+
+def record_summary(key: str, previous: dict | None, digests: dict[str, str]) -> str:
+    """What recording ``digests`` for fingerprint ``key`` changed against
+    its ``previous`` entry (None for a new fingerprint)."""
+    if previous is None:
+        return f"fingerprint {key} is new: {len(digests)} digests recorded"
+    names = changed(previous["digests"], digests)
+    return "\n".join([f"fingerprint {key}: {len(names)} of {len(digests)} digests changed", *names])
+
+
 def _child():
     fp = fingerprint()
     with tempfile.TemporaryDirectory(prefix="negmtl-digests-") as work:
@@ -158,9 +175,10 @@ def _child():
 def _record():
     got = compute()
     table = recorded() if RECORDED.exists() else {}
+    previous = table.get(got["key"])
     table[got["key"]] = {"fingerprint": got["fingerprint"], "digests": got["digests"]}
     RECORDED.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"recorded {len(got['digests'])} digests for fingerprint {got['key']} in {RECORDED}")
+    print(record_summary(got["key"], previous, got["digests"]))
 
 
 if __name__ == "__main__":

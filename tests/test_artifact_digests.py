@@ -22,10 +22,7 @@ def test_artifacts_match_the_recorded_digests():
     table = artifact_digests.recorded()
     entry = table.get(got["key"])
     if entry is not None:
-        changed = sorted(
-            name for name in entry["digests"].keys() | got["digests"].keys()
-            if entry["digests"].get(name) != got["digests"].get(name)
-        )
+        changed = artifact_digests.changed(entry["digests"], got["digests"])
         assert not changed, f"artifacts differ from the recorded digests: {changed}"
         return
     again = artifact_digests.compute()
@@ -44,3 +41,21 @@ def test_fingerprint_key_depends_on_every_field():
     assert key == artifact_digests.fingerprint_key(dict(reversed(fp.items())))
     for field, value in [("numpy", "0.0"), ("blas", "other"), ("cpu_features", fp["cpu_features"][:-1])]:
         assert artifact_digests.fingerprint_key({**fp, field: value}) != key, field
+
+
+def test_changed_names_every_differing_artifact():
+    before = {"a": "1", "b": "2", "gone": "3"}
+    after = {"b": "2", "a": "9", "new": "4"}
+    assert artifact_digests.changed(before, after) == ["a", "gone", "new"]
+    assert artifact_digests.changed(before, dict(before)) == []
+
+
+def test_record_summary_lists_the_changes_or_a_new_fingerprint():
+    digests = {"mtl/checkpoint.bin": "1", "stl/checkpoint.bin": "2"}
+    assert artifact_digests.record_summary("k", None, digests) == "fingerprint k is new: 2 digests recorded"
+    previous = {"fingerprint": {}, "digests": {**digests, "mtl/checkpoint.bin": "0"}}
+    assert artifact_digests.record_summary("k", previous, digests).splitlines() == [
+        "fingerprint k: 1 of 2 digests changed",
+        "mtl/checkpoint.bin",
+    ]
+    assert artifact_digests.record_summary("k", {"digests": digests}, digests) == "fingerprint k: 0 of 2 digests changed"

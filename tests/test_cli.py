@@ -217,6 +217,22 @@ class TestTrain:
             assert not (out / name).exists(), name
         assert not out.exists()
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 17.5 TiB for an array", ""], ids=["numpy", "bare"])
+    def test_out_of_memory_prints_one_error(self, corpus, tmp_path, monkeypatch, capsys, message):
+        # as a huge embedding_dim would fail; allocating it for real could
+        # succeed under overcommit and then exhaust the machine
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(ModelParams, "init", refuse)
+        train, dev = corpus
+        out = tmp_path / "run"
+        rc = main(["train", "--train", str(train), "--dev", str(dev), "--out", str(out), *SMALL])
+        assert rc == 1
+        want = f"error: out of memory ({message})" if message else "error: out of memory"
+        assert capsys.readouterr().err.splitlines() == [want]
+        assert not out.exists()
+
     def test_bow_prints_chosen_c(self, corpus, tmp_path, capsys):
         train, dev = corpus
         rc = main(["train", "--mode", "bow", "--train", str(train), "--dev", str(dev), "--out", str(tmp_path / "bow")])

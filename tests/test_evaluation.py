@@ -50,6 +50,16 @@ class TestPredictionRecords:
             read_predictions(path)
         assert str(info.value) == f"{path}: line 2: byte 0xff is not UTF-8 (invalid start byte)"
 
+    def test_read_names_the_line_of_invalid_json(self, tmp_path):
+        # as parse_corpus names an undecodable corpus line
+        path = tmp_path / "preds.jsonl"
+        write_predictions(records(("positive", "positive")), path)
+        with open(path, "a") as fh:
+            fh.write('\n{"id": "d2",\n')
+        with pytest.raises(EvaluationError) as info:
+            read_predictions(path)
+        assert str(info.value) == f"{path}: line 3: invalid JSON (Expecting property name enclosed in double quotes)"
+
     def test_read_rejects_garbage(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         path.write_text('{"id": "d1"}\n')

@@ -654,6 +654,57 @@ class TestRowPath:
         assert reference.m["t"][1, 0] == 0.0 and not np.signbit(reference.m["t"][1, 0])
 
 
+def offset(view: np.ndarray, base: np.ndarray) -> int:
+    """Element offset of ``view``'s first element in ``base``."""
+    return (view.__array_interface__["data"][0] - base.__array_interface__["data"][0]) // base.itemsize
+
+
+class TestBlocks:
+    """How ``AdamGroup`` cuts its buffers: a row-major matrix larger than
+    a block gets blocks of its own, cut between rows, which alone carry
+    rows; every other member shares flat blocks."""
+
+    def test_a_small_matrix_alone_gets_one_flat_block(self):
+        emb = Tensor(np.zeros((8, 4), np.float32), requires_grad=True)
+        group = AdamState().layout({"embedding.weights": emb}, ["embedding.weights"])
+        ((theta, _, _, _, rows),) = group.blocks
+        assert theta.size == 32 and rows is None
+
+    @pytest.mark.parametrize("mode", ["stl", "mtl"])
+    @pytest.mark.parametrize("dims", [4, 50, 64, 100, 300])
+    def test_blocks_tile_each_group_and_only_a_large_table_has_rows(self, mode, dims):
+        per_table = ADAM_BLOCK // dims
+        for vocab in (3, per_table - 1, per_table, per_table + 1, 3 * per_table + 7):
+            params = ModelParams.init(vocab, dims, dims, np.random.default_rng(0), with_negation_head=mode == "mtl")
+            named = params.named_parameters()
+            state = AdamState()
+            for names in params.parameter_groups().values():
+                if names:
+                    state.layout(named, names, np.float32, params.column_major())
+            emb = named["embedding.weights"]
+            large = emb.data.size > ADAM_BLOCK
+            for group in state.groups:
+                end = 0
+                for theta, g, m, v, rows in group.blocks:
+                    lo = offset(theta, group.data)
+                    assert lo == end and 0 < theta.size <= ADAM_BLOCK, (vocab, lo, end)
+                    assert [offset(b, buf) for b, buf in ((g, group.grad), (m, group.m), (v, group.v))] == [lo] * 3
+                    end = lo + theta.size
+                    if rows is not None:
+                        assert large and rows[0] is emb and rows[1] is emb.spare
+                        first, last = rows[4].tolist()
+                        assert first < last and theta.base is group.data
+                        assert (lo, end) == (offset(emb.data, group.data) + first * dims, offset(emb.data, group.data) + last * dims)
+                assert end == group.data.size
+                with_rows = [rows[4].tolist() for *_, rows in group.blocks if rows is not None]
+                if large and "embedding.weights" in group.names:
+                    # whole rows, the table's blocks back to back
+                    assert with_rows[0][0] == 0 and with_rows[-1][1] == vocab
+                    assert all(a[1] == b[0] for a, b in zip(with_rows, with_rows[1:]))
+                else:
+                    assert with_rows == []
+
+
 class TestNonFiniteParameters:
     """A non-finite gradient behind a finite loss makes a non-finite
     parameter; it must not reach a checkpoint."""
@@ -843,11 +894,13 @@ class TestCheckpoint:
     def test_unsupported_version(self, tmp_path):
         params, vocab = self.model_and_vocab()
         ckpt = Checkpoint.from_model(params, vocab, tiny_config())
-        ckpt.version = 9
         path = tmp_path / "m.bin"
-        save_checkpoint(ckpt, path)
-        with pytest.raises(CheckpointError, match="version 9"):
-            load_checkpoint(path)
+        # true and 1.0 equal the supported version 1, but are not integers
+        for version in (9, True, 1.0):
+            ckpt.version = version
+            save_checkpoint(ckpt, path)
+            with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version!r} "):
+                load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "mutate, message",
