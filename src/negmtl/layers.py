@@ -59,10 +59,10 @@ def xavier_uniform(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarr
 class EmbeddingTable:
     """Token embedding matrix, one row per vocabulary id.
 
-    Row 0 belongs to the padding token and is kept at zero: sequences are
-    packed by length rather than padded, so id 0 is never looked up, but
-    the row is part of the parameter manifest and must stay stable across
-    save/load.
+    Row 0 belongs to the padding token and is never looked up: sequences
+    are packed by length rather than padded, and ``lookup`` refuses id 0.
+    So the row never gets a gradient and keeps its initial zero through
+    training, and it stays in the parameter manifest.
     """
 
     weights: Tensor  # (vocab, dim)
@@ -81,7 +81,10 @@ class EmbeddingTable:
     def lookup(self, ids, mask: np.ndarray | None = None) -> Tensor:
         """Gather embeddings for a token id sequence, shape (T, dim), each
         entry scaled by ``mask`` when one is given: training applies its
-        inverted-dropout mask here, in the gather's one tape node."""
+        inverted-dropout mask here, in the gather's one tape node.  Id 0,
+        the padding row, is out of range like an id past the table."""
+        if 0 in ids:
+            raise ad.AutodiffError(f"rows: index out of range for {len(self.weights.data)} rows")
         return ad.rows(self.weights, ids, mask)
 
 

@@ -92,6 +92,12 @@ GROUPS = tuple(dict.fromkeys(spec.group for spec in LAYERS))
 HEAD_GROUP = "negation"  # present in multi-task models only
 
 
+def _check_dims(vocab_size: int, embedding_dim: int, hidden_dim: int, min_vocab: int):
+    """A model needs one embedding and one hidden unit at least."""
+    if vocab_size < min_vocab or embedding_dim < 1 or hidden_dim < 1:
+        raise ModelError(f"bad model dimensions: vocab {vocab_size}, embedding {embedding_dim}, hidden {hidden_dim}")
+
+
 @dataclass
 class ModelParams:
     """Named parameter registry for one model instance, laid out by
@@ -121,11 +127,7 @@ class ModelParams:
         with_negation_head: bool,
     ) -> "ModelParams":
         """Draws each layer of ``LAYERS`` in table order."""
-        if vocab_size < 2 or embedding_dim < 1 or hidden_dim < 1:
-            raise ModelError(
-                f"bad model dimensions: vocab {vocab_size}, "
-                f"embedding {embedding_dim}, hidden {hidden_dim}"
-            )
+        _check_dims(vocab_size, embedding_dim, hidden_dim, min_vocab=2)
         return cls(**{
             spec.field: spec.kind.init(*spec.init_args(vocab_size, embedding_dim, hidden_dim), rng)
             for spec in LAYERS
@@ -184,7 +186,8 @@ class ModelParams:
 
         The shapes must fit together: the vocabulary size and embedding
         dim come from ``embedding.weights`` and the hidden dim from
-        ``sent_fwd.u``; every other shape follows from those three."""
+        ``sent_fwd.u``; every other shape follows from those three.  The
+        two widths must be at least 1, as ``init`` requires."""
         head = any(
             name in arrays for spec in LAYERS if spec.group == HEAD_GROUP for name, _ in spec.leaf_names()
         )
@@ -213,6 +216,7 @@ class ModelParams:
                 shape, expected = getattr(layer, attr).data.shape, shapes[attr]
                 if shape != expected:
                     raise ModelError(f"parameter {name!r} has shape {shape}, expected {expected}")
+        _check_dims(*dims, min_vocab=0)  # to_model matches the rows to the vocabulary
         return params
 
 

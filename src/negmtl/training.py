@@ -17,10 +17,11 @@ per group over cache-sized blocks, with two block-sized scratch buffers
 allocated at the first layout and shared by every group, and clears
 each gradient block as it finishes reading it, so a steady-state step
 allocates no gradient, and its array work runs per block, not per
-parameter.  A row-major matrix larger than a block gets blocks of its
-own, and a gradient that reached it as the rows of one gather (the
-embedding's, after a backward pass) is read and cleared on those rows
-only.
+parameter.  ``apply_updates`` is the one Adam step; it knows no
+parameter by name.  A row-major matrix larger than a block gets blocks
+of its own, and a gradient that reached it as the rows of one gather
+(the embedding's, after a backward pass) is read and cleared on those
+rows only.
 
 Determinism contract: (config, seed, corpus) fully determine every
 parameter and prediction.  Each run derives three independent RNG
@@ -124,6 +125,9 @@ class TrainConfig:
         require(0.0 <= self.beta1 < 1.0, "beta1", "in [0, 1)")
         require(0.0 <= self.beta2 < 1.0, "beta2", "in [0, 1)")
         require(self.epsilon > 0, "epsilon", "positive")
+        # Adam's first step adds ε̂ = ε·√(1-β2) to √v: at +0.0, a row with no gradient divides 0/0
+        require(TRAIN_DTYPE(self.epsilon * math.sqrt(1.0 - self.beta2)) > 0, "epsilon",
+                f"large enough that epsilon*sqrt(1 - beta2) is nonzero in {np.dtype(TRAIN_DTYPE)}")
         require(bool(self.bow_c_grid) and min(self.bow_c_grid) > 0, "bow_c_grid", "non-empty and positive")
         # a repeated C would be fit twice and scored under one key
         if len(set(self.bow_c_grid)) != len(self.bow_c_grid):
@@ -290,11 +294,10 @@ class AdamState:
     parameter values, gradients and moments live in four flat buffers,
     and the tensors' ``data`` and gradients are views into them.
     ``train_neural`` lays out the model's parameter groups before the
-    first step; stepping a list of names that are not laid out yet lays
-    them out as one new group.  A step must cover whole groups.  One
-    state steps one dtype.  Its two scratch buffers of ``ADAM_BLOCK``
-    elements each are allocated at the first layout and shared by every
-    group.
+    first step; a step over names that are not laid out yet lays them
+    out as one new group.  A step must cover whole groups.  One state
+    steps one dtype.  Its two scratch buffers of ``ADAM_BLOCK`` elements
+    each are allocated at the first layout and shared by every group.
 
     The hyperparameters are kept as Python floats: against a float32
     parameter a numpy float64 scalar would promote every update to
@@ -306,10 +309,6 @@ class AdamState:
     epsilon: float = 1e-8
     groups: list[AdamGroup] = field(default_factory=list, init=False, repr=False, compare=False)
     scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
-    _group_of: dict[str, AdamGroup] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _plans: dict[tuple[str, ...], list[AdamGroup]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         self.lr, self.beta1, self.beta2, self.epsilon = map(
@@ -327,7 +326,7 @@ class AdamState:
         for name in names:
             if name not in params:
                 raise OptimizerError(f"unknown parameter {name!r}")
-            if name in self._group_of:
+            if any(name in group.names for group in self.groups):
                 raise OptimizerError(f"parameter {name!r} is laid out already")
         if dtype is None:
             dtype = params[names[0]].data.dtype
@@ -344,32 +343,7 @@ class AdamState:
             # benchmark set-up after a training unit reused freed pages
             self.scratch = (np.empty(ADAM_BLOCK, dtype), np.empty(ADAM_BLOCK, dtype))
         self.groups.append(group)
-        self._group_of.update(dict.fromkeys(group.names, group))
         return group
-
-    def groups_for(self, params: dict[str, Tensor], names: Sequence[str]) -> list[AdamGroup]:
-        """The groups a step over ``names`` updates, laying out the names
-        not laid out yet as one new group; the list must cover each of
-        them whole."""
-        key = tuple(names)
-        plan = self._plans.get(key)
-        if plan is not None:
-            return plan
-        new = [name for name in dict.fromkeys(key) if name not in self._group_of]
-        if new:
-            self.layout(params, new)
-        plan = list(dict.fromkeys(self._group_of[name] for name in key))
-        listed = set(key)
-        for group in plan:
-            for name in group.names:
-                if name not in listed:
-                    stepped = next(n for n in group.names if n in listed)
-                    raise OptimizerError(
-                        f"parameter {name!r} shares a group with {stepped!r}, "
-                        f"so a step over {stepped!r} must include it"
-                    )
-        self._plans[key] = plan
-        return plan
 
     def non_finite(self) -> str | None:
         """The first laid-out parameter holding a NaN or an infinity, or
@@ -380,13 +354,17 @@ class AdamState:
         return None
 
 
-def adam_step(state: AdamState, params: dict[str, Tensor], names: Sequence[str]):
+def apply_updates(state: AdamState, params: dict[str, Tensor], names: Sequence[str]):
     """One bias-corrected Adam update on the named parameters, in the
     order of Kingma & Ba (arXiv:1412.6980, section 2): with t the step
     count of each parameter's group, α_t = lr·√(1-β2^t)/(1-β1^t) and
     ε̂ = ε·√(1-β2^t), θ ← θ - α_t·m/(√v + ε̂).  In real arithmetic this
     is θ - lr·m̂/(√v̂ + ε) with m̂ = m/(1-β1^t), v̂ = v/(1-β2^t), at one
     divide per element instead of three.
+
+    The step updates every group holding one of ``names``, each of which
+    must be named whole, and lays out the names no group holds as one
+    new group after every check, so a refused step lays out nothing.
 
     The update runs once per group, over its ``AdamGroup.blocks``.
     Within a block every operation writes in place (the moments, the
@@ -410,6 +388,8 @@ def adam_step(state: AdamState, params: dict[str, Tensor], names: Sequence[str])
     since x + (-x) gives +0.0.  v starts at +0.0 and, for 0 ≤ β2 ≤ 1,
     never gets a negative term or factor.  So the row path gives the
     dense path's bits, and it runs only for β1 > ½ and 0 ≤ β2 ≤ 1.
+    A row that never gets a gradient, as the embedding's padding row,
+    keeps m = v = +0.0, so each update to it is +0.0.
 
     Adam consumes the gradient: it clears each gradient entry to +0.0
     right after the last pass that reads it.  Each member's ``grad``
@@ -418,9 +398,26 @@ def adam_step(state: AdamState, params: dict[str, Tensor], names: Sequence[str])
     into it without allocating, and its row record is dropped.  Stepping
     again with no ``backward`` in between steps a zero gradient.
     """
-    groups = state.groups_for(params, names)
+    listed = set(names)
+    groups = [group for group in state.groups if not listed.isdisjoint(group.names)]
+    for group in groups:
+        for name in group.names:
+            if name not in listed:
+                stepped = next(n for n in group.names if n in listed)
+                raise OptimizerError(
+                    f"parameter {name!r} shares a group with {stepped!r}, "
+                    f"so a step over {stepped!r} must include it"
+                )
     for group in groups:
         group.take_grads(params)
+    laid_out = {name for group in groups for name in group.names}
+    new = [name for name in dict.fromkeys(names) if name not in laid_out]
+    if new:
+        for name in new:
+            if name in params and params[name].grad is None:
+                raise OptimizerError(f"parameter {name!r} has no gradient")
+        groups.append(state.layout(params, new))
+        groups[-1].take_grads(params)
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.epsilon
     by_rows = b1 > 0.5 and 0.0 <= b2 <= 1.0
     scratch_a, scratch_b = state.scratch
@@ -458,14 +455,6 @@ def adam_step(state: AdamState, params: dict[str, Tensor], names: Sequence[str])
             theta -= a
         for _, p, view in group.members:
             p.spare, p.grad_rows = view, None
-
-
-def apply_updates(state: AdamState, params: dict[str, Tensor], names: Sequence[str]):
-    """Adam step plus the embedding invariant: the padding row never moves."""
-    emb = params.get("embedding.weights")
-    if emb is not None and emb.grad is not None and "embedding.weights" in names:
-        emb.grad[0] = 0.0
-    adam_step(state, params, names)
 
 
 # ---------------------------------------------------------------------------

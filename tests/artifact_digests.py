@@ -6,10 +6,14 @@ every artifact byte for byte.  On the ``tests/synth.py`` scope-flip
 corpus (rng 1234; 40 train, 16 dev and 16 test documents) it runs
 
 * ``train`` stl and mtl at dims 4/3, the mtl one with patience 1 (an
-  early stop), and one mtl ``train`` at dims 64;
+  early stop), one mtl ``train`` at dims 64 and one at dims 32;
 * a 3-seed mtl ``ensemble --test``;
 * ``predict --tags`` from the mtl checkpoint and ``predict`` from the
   stl one;
+* ``predict --tags`` from the dims-32 checkpoint, the one model here
+  trained far enough to predict both labels and every tag: the 4/3-dim
+  models label every test document negative and tag every token O, so
+  only this run would catch a decoder that returned one tag everywhere;
 * ``gradcheck --out``.
 
 Every file it writes is hashed except ``manifest.json``, which records
@@ -112,12 +116,16 @@ def run_artifacts(work: Path) -> dict[str, str]:
          "--set", "epochs=8", "--set", "patience=1"],
         ["train", *splits, "--out", str(out / "mtl64"), "--mode", "mtl",
          "--set", "embedding_dim=64", "--set", "hidden_dim=64", "--set", "epochs=2", "--set", "seed=2"],
+        ["train", *splits, "--out", str(out / "mtl32"), "--mode", "mtl", "--set", "embedding_dim=32",
+         "--set", "hidden_dim=32", "--set", "epochs=4", "--set", "learning_rate=0.01", "--set", "seed=2"],
         ["ensemble", *splits, "--test", str(data / "test.jsonl"), "--out", str(out / "ensemble"),
          "--mode", "mtl", "--seeds", "1,2,3", *small, "--set", "epochs=2"],
         ["predict", "--checkpoint", str(out / "mtl" / "checkpoint.bin"), "--data", str(data / "test.jsonl"),
          "--out", str(out / "predict-tags"), "--tags"],
         ["predict", "--checkpoint", str(out / "stl" / "checkpoint.bin"), "--data", str(data / "test.jsonl"),
          "--out", str(out / "predict")],
+        ["predict", "--checkpoint", str(out / "mtl32" / "checkpoint.bin"), "--data", str(data / "test.jsonl"),
+         "--out", str(out / "predict-tags-mtl32"), "--tags"],
         ["gradcheck", "--out", str(out / "gradcheck")],
     ]
     for argv in runs:

@@ -583,14 +583,6 @@ def adam_step_reference(state: AdamReference, params: dict, names):
         p.data -= m / (np.sqrt(v) + state.epsilon * root) * alpha
 
 
-def apply_updates_reference(state: AdamReference, params: dict, names):
-    """``adam_step_reference`` with the padding row of the embedding pinned."""
-    emb = params.get("embedding.weights")
-    if emb is not None and emb.grad is not None and "embedding.weights" in names:
-        emb.grad[0] = 0.0
-    adam_step_reference(state, params, names)
-
-
 # ---------------------------------------------------------------------------
 # Separate per-mode training loops and the per-task forward passes they
 # replaced: the library now runs one loop whose negation pass is an
@@ -664,7 +656,7 @@ def train_stl_reference(config: TrainConfig, train_docs: Sequence[Document], dev
                 )
                 backward(loss)
             total += loss.item()
-            apply_updates_reference(adam, named, step_names)
+            adam_step_reference(adam, named, step_names)
         dev_acc = accuracy_of(predict_corpus(params, vocab, dev_docs))
         history.append(
             {"epoch": epoch, "sentiment_loss": total / len(train_docs), "dev_accuracy": dev_acc}
@@ -735,7 +727,7 @@ def train_mtl_reference(config: TrainConfig, train_docs: Sequence[Document], dev
                     )
                     backward(loss)
                 neg_total += loss.item()
-                apply_updates_reference(adam, named, neg_names)
+                adam_step_reference(adam, named, neg_names)
             neg_mean = neg_total / len(sentences)
 
         sent_total = 0.0
@@ -748,7 +740,7 @@ def train_mtl_reference(config: TrainConfig, train_docs: Sequence[Document], dev
                 )
                 backward(loss)
             sent_total += loss.item()
-            apply_updates_reference(adam, named, sent_names)
+            adam_step_reference(adam, named, sent_names)
 
         dev_acc = accuracy_of(predict_corpus(params, vocab, dev_docs))
         history.append(

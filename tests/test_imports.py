@@ -3,8 +3,9 @@ every top-level function, class or assigned name is referenced by some
 module, every method, property and class constant is read by some
 module, and every
 JSON decode can fail only with the module's own error, only the
-modules that hold the tape's ops record tape nodes, and only the CLI's
-``_Outputs`` writes artifacts.
+modules that hold the tape's ops record tape nodes, only the CLI's
+``_Outputs`` writes artifacts, and ``training`` names no model
+parameter.
 
 AST scans stand in for a linter: an unused import survives every other
 test and makes a module look coupled to code it never calls, and a
@@ -18,7 +19,9 @@ put float32 training back into float64.  A call to
 is a generic op growing back where the model and the CLI should only
 compose the ones the model records.  A CLI command that creates a
 directory or writes a file itself, outside ``_Outputs``, writes an
-artifact its manifest does not list.
+artifact its manifest does not list.  A string in ``training`` that
+names a model parameter is the optimizer special-casing one parameter
+of one model, which every other model it steps would then inherit.
 """
 
 import ast
@@ -486,3 +489,36 @@ def test_scan_finds_an_artifact_write_outside_outputs():
         "    def go(self, c, p): return training.save_checkpoint(c, p)\n"  # 13
     )
     assert artifact_writes_outside(tree, "_Outputs") == [8, 9, 10, 13]
+
+
+def parameter_names_named(tree: ast.Module, names: set[str]) -> list[tuple[int, str]]:
+    """(line, name) of each string constant that is one of ``names``."""
+    return sorted(
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in names
+    )
+
+
+def test_training_names_no_model_parameter():
+    import numpy as np
+
+    from negmtl.models import ModelParams
+
+    params = ModelParams.init(8, 4, 3, np.random.default_rng(0), with_negation_head=True)
+    path = PACKAGE / "training.py"
+    found = parameter_names_named(ast.parse(path.read_text(), filename=str(path)), set(params.named_parameters()))
+    assert not found, "\n".join(
+        f"{path.name}:{line} names parameter {name!r}: the optimizer treats every parameter alike"
+        for line, name in found
+    )
+
+
+def test_scan_finds_a_parameter_name():
+    tree = ast.parse(
+        'emb = params.get("embedding.weights")\n'  # 1
+        'raise E(f"does not fit embedding.weights of {shape}")\n'
+        "params.embedding.weights\n"
+        'names = ["out.w", "out.b2"]\n'  # 4
+    )
+    assert parameter_names_named(tree, {"embedding.weights", "out.w"}) == [(1, "embedding.weights"), (4, "out.w")]

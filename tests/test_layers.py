@@ -74,9 +74,12 @@ class TestEmbedding:
         out = table.lookup([2, 4, 2])
         np.testing.assert_array_equal(out.data, table.weights.data[[2, 4, 2]])
 
-    def test_pad_id_embeds_to_zero(self):
+    def test_pad_id_rejected(self):
+        # sequences are packed, never padded: id 0 is out of range
         table = EmbeddingTable.init(5, 3, rng())
-        np.testing.assert_array_equal(table.lookup([0]).data, np.zeros((1, 3)))
+        for ids in ([0], [2, 0, 4]):
+            with pytest.raises(ad.AutodiffError, match=r"^rows: index out of range for 5 rows$"):
+                table.lookup(ids)
 
     def test_out_of_range_id_rejected(self):
         table = EmbeddingTable.init(5, 3, rng())

@@ -37,6 +37,16 @@ def tiny_model(seed=0, head=True, vocab=8, e=4, d=3):
     return ModelParams.init(vocab, e, d, np.random.default_rng(seed), with_negation_head=head)
 
 
+def layer_arrays(vocab: int, e: int, d: int) -> dict[str, np.ndarray]:
+    """Zero float32 arrays of every ``LAYERS`` shape at (vocab, e, d),
+    negation head included: the dims ``init`` refuses among them too."""
+    return {
+        name: np.zeros(spec.kind.shapes(*spec.init_args(vocab, e, d))[attr], np.float32)
+        for spec in LAYERS
+        for name, attr in spec.leaf_names()
+    }
+
+
 class TestModelParams:
     def test_class_convention(self):
         assert NEGATIVE_CLASS == 0
@@ -112,12 +122,20 @@ class TestModelParams:
             ("emission.w", (5, 4), r"\(5, 6\)"),
             ("emission.b", (), r"\(5,\)"),
             ("crf.transitions", (5, 5), r"\(7, 7\)"),
+            # every array at (embedding, hidden) = shape: shapes that fit
+            # together, at widths that ``init`` refuses
+            (None, (0, 3), "embedding 0, hidden 3"),
+            (None, (4, 0), "embedding 4, hidden 0"),
+            (None, (0, 0), "embedding 0, hidden 0"),
         ],
     )
     def test_from_arrays_rejects_shapes_that_do_not_fit(self, name, shape, expected):
-        arrays = tiny_model().to_arrays()
-        arrays[name] = np.zeros(shape)
-        with pytest.raises(ModelError, match=rf"parameter '{name}' has shape .*, expected {expected}"):
+        if name is None:
+            arrays, message = layer_arrays(8, *shape), f"^bad model dimensions: vocab 8, {expected}$"
+        else:
+            arrays, message = tiny_model().to_arrays(), rf"parameter '{name}' has shape .*, expected {expected}"
+            arrays[name] = np.zeros(shape)
+        with pytest.raises(ModelError, match=message):
             ModelParams.from_arrays(arrays)
 
     def test_bad_dimensions_rejected(self):

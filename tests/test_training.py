@@ -26,7 +26,6 @@ from negmtl.training import (
     OptimizerError,
     TrainConfig,
     TrainingError,
-    adam_step,
     apply_updates,
     bow_features,
     bow_matrix,
@@ -47,7 +46,6 @@ from oracles import (
     adam_by_name,
     adam_step_reference,
     add,
-    apply_updates_reference,
     bow_features_reference,
     bow_loss_and_grad,
     fit_bow_newton_reference,
@@ -57,6 +55,7 @@ from oracles import (
     train_bow_reference,
 )
 from synth import separable_corpus, vocab_corpus
+from test_models import layer_arrays
 
 
 def doc(doc_id, label, *sents, annotated=True):
@@ -123,6 +122,12 @@ class TestTrainConfig:
                 TrainConfig(**{key: value})
         with pytest.raises(ValueError, match="^epsilon must be positive"):
             TrainConfig(epsilon=0.0)
+        # ε·√(1-β2) rounds to +0.0 in float32: Adam's first step would divide 0/0
+        with pytest.raises(ValueError, match=r"^epsilon must be large enough .* nonzero in float32, got 1e-50$"):
+            TrainConfig(epsilon=1e-50)
+        assert TrainConfig(epsilon=1e-44, beta2=0.0).epsilon == 1e-44  # ε̂ = ε, a float32 subnormal
+        result = train_stl(tiny_config(epsilon=1e-30), *negation_corpus())
+        assert all(math.isfinite(rec["sentiment_loss"]) for rec in result.history)
         with pytest.raises(ValueError, match="patience"):
             TrainConfig(patience=0)
         with pytest.raises(ValueError, match="mtl_schedule"):
@@ -201,7 +206,7 @@ class TestAdam:
         p = Tensor(np.array(0.5), requires_grad=True)
         p.grad = np.array(1.0)
         state = AdamState(lr=0.001)
-        adam_step(state, {"p": p}, ["p"])
+        apply_updates(state, {"p": p}, ["p"])
         assert p.data == 0.5 - 0.001 * 1.0 / (np.sqrt(1.0) + 1e-8)
         assert adam_by_name(state).t["p"] == 1
 
@@ -211,7 +216,7 @@ class TestAdam:
         p = Tensor(np.array(0.0), requires_grad=True)
         p.grad = np.array(1e-8)
         state = AdamState(lr=0.001)
-        adam_step(state, {"p": p}, ["p"])
+        apply_updates(state, {"p": p}, ["p"])
         assert p.data == pytest.approx(-0.001 / 2.0, rel=1e-9)
 
     @pytest.mark.parametrize("t", [1, 2, 10, 10**3, 10**5])
@@ -228,7 +233,7 @@ class TestAdam:
         group.v[...] = (1.0 - state.beta2 ** (t - 1)) * g * g * rng.uniform(0.5, 1.5, g.size)
         group.t = t - 1
         p.grad = g
-        adam_step(state, {"p": p}, ["p"])
+        apply_updates(state, {"p": p}, ["p"])
         m_hat, v_hat = group.m / (1.0 - state.beta1**t), group.v / (1.0 - state.beta2**t)
         textbook = state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
         ulps = np.abs(-p.data - textbook) / np.spacing(np.abs(textbook))  # θ started at 0
@@ -240,7 +245,7 @@ class TestAdam:
         values = [float(p.data)]
         for _ in range(10):
             p.grad = np.array(2.0)
-            adam_step(state, {"p": p}, ["p"])
+            apply_updates(state, {"p": p}, ["p"])
             values.append(float(p.data))
         diffs = np.diff(values)
         assert np.all(diffs < 0)
@@ -248,11 +253,11 @@ class TestAdam:
     def test_missing_gradient_names_parameter(self):
         p = Tensor(np.zeros(2), requires_grad=True)
         with pytest.raises(OptimizerError, match="'w_hh'"):
-            adam_step(AdamState(), {"w_hh": p}, ["w_hh"])
+            apply_updates(AdamState(), {"w_hh": p}, ["w_hh"])
 
     def test_unknown_parameter_is_named(self):
         with pytest.raises(OptimizerError, match="unknown parameter 'w_hh'"):
-            adam_step(AdamState(), {}, ["w_hh"])
+            apply_updates(AdamState(), {}, ["w_hh"])
 
     @pytest.mark.parametrize("dtype", [None, np.float32])
     def test_layout_names_an_unknown_parameter(self, dtype):
@@ -267,10 +272,10 @@ class TestAdam:
         b = Tensor(np.array(0.0), requires_grad=True)
         state = AdamState()
         a.grad = np.array(1.0)
-        adam_step(state, {"a": a, "b": b}, ["a"])
+        apply_updates(state, {"a": a, "b": b}, ["a"])
         a.grad = np.array(1.0)
         b.grad = np.array(1.0)
-        adam_step(state, {"a": a, "b": b}, ["a", "b"])
+        apply_updates(state, {"a": a, "b": b}, ["a", "b"])
         assert adam_by_name(state).t == {"a": 2, "b": 1}
 
     def test_one_state_steps_one_dtype(self):
@@ -280,18 +285,66 @@ class TestAdam:
         a.grad, b.grad, c.grad = np.ones(2), np.ones(2, dtype=np.float32), np.ones(2, dtype=np.float32)
         state = AdamState()
         with pytest.raises(OptimizerError, match="parameter 'b' is float32, not float64"):
-            adam_step(state, {"a": a, "b": b}, ["a", "b"])
-        adam_step(state, {"a": a}, ["a"])
+            apply_updates(state, {"a": a, "b": b}, ["a", "b"])
+        apply_updates(state, {"a": a}, ["a"])
         with pytest.raises(OptimizerError, match="steps float64, not float32"):
-            adam_step(state, {"a": a, "c": c}, ["a", "c"])
+            apply_updates(state, {"a": a, "c": c}, ["a", "c"])
         assert adam_by_name(state).t == {"a": 1}
 
-    def test_apply_updates_pins_padding_row(self):
+    def test_apply_updates_steps_every_row_alike(self):
+        # no parameter is special by name: a gradient given to the
+        # embedding's row 0 by hand moves it, and a row without one stays
         emb = Tensor(np.zeros((3, 2)), requires_grad=True)
-        emb.grad = np.ones((3, 2))
+        emb.grad = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
         apply_updates(AdamState(lr=0.1), {"embedding.weights": emb}, ["embedding.weights"])
-        np.testing.assert_array_equal(emb.data[0], [0.0, 0.0])
-        assert np.all(emb.data[1:] != 0.0)
+        assert np.all(emb.data[[0, 2]] != 0.0)
+        assert same_bits(emb.data[1], np.zeros(2))
+
+    def test_a_group_needs_distinct_names(self):
+        p = Tensor(np.zeros(2), requires_grad=True)
+        state = AdamState()
+        for names in ([], ["p", "p"]):
+            with pytest.raises(OptimizerError, match=r"a group needs distinct parameter names, got \["):
+                state.layout({"p": p}, names)
+        assert state.groups == []
+
+    def test_a_name_is_laid_out_once(self):
+        a = Tensor(np.zeros(2), requires_grad=True)
+        b = Tensor(np.zeros(2), requires_grad=True)
+        state = AdamState()
+        group = state.layout({"a": a, "b": b}, ["a"])
+        with pytest.raises(OptimizerError, match="parameter 'a' is laid out already"):
+            state.layout({"a": a, "b": b}, ["b", "a"])
+        assert state.groups == [group]
+
+    def test_a_step_needs_the_tensors_laid_out(self):
+        p = Tensor(np.zeros(2), requires_grad=True)
+        state = AdamState()
+        state.layout({"p": p}, ["p"])
+        other = Tensor(np.zeros(2), requires_grad=True)
+        other.grad = np.ones(2)
+        with pytest.raises(OptimizerError, match="parameter 'p' is not the tensor this optimizer laid out"):
+            apply_updates(state, {"p": other}, ["p"])
+        assert adam_by_name(state).t == {"p": 0}
+
+    def test_a_refused_step_lays_out_nothing(self):
+        a, b, c = (Tensor(np.zeros(2), requires_grad=True) for _ in range(3))
+        params = {"a": a, "b": b, "c": c}
+        for p in params.values():
+            p.grad = np.ones(2)
+        state = AdamState()
+        group = state.layout(params, ["a", "b"])
+        with pytest.raises(OptimizerError, match="parameter 'b' shares a group with 'a'"):
+            apply_updates(state, params, ["a", "c"])
+        assert state.groups == [group] and adam_by_name(state).t == {"a": 0, "b": 0}
+        assert not any(np.shares_memory(c.data, g.data) for g in state.groups)
+        c.grad = None
+        with pytest.raises(OptimizerError, match="parameter 'c' has no gradient"):
+            apply_updates(state, params, ["a", "b", "c"])
+        assert state.groups == [group]
+        c.grad = np.ones(2)
+        apply_updates(state, params, ["c"])
+        assert [g.names for g in state.groups] == [("a", "b"), ("c",)]
 
     def test_apply_updates_only_touches_named(self):
         emb = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -385,7 +438,7 @@ class TestGradientBinding:
             copies[name].grad = named[name].grad.copy()
         for _ in range(3):
             apply_updates(state, named, names)
-            apply_updates_reference(reference, copies, names)
+            adam_step_reference(reference, copies, names)
             for name in names:
                 copies[name].grad = np.zeros_like(copies[name].grad)
         assert {n: adam_by_name(state).t[n] for n in names} == reference.t == dict.fromkeys(names, 3)
@@ -404,7 +457,7 @@ class TestGradientBinding:
                 g = rng.normal(size=named[name].data.shape).astype(np.float32)
                 named[name].grad, copies[name].grad = g, g.copy()
             apply_updates(state, named, names)
-            apply_updates_reference(reference, copies, names)
+            adam_step_reference(reference, copies, names)
             for name in names:
                 assert same_bits(named[name].data, copies[name].data), (step, name)
         # a step that copies assigned gradients in and then fails on a
@@ -507,7 +560,7 @@ class TestRowPath:
         names = sentiment_names(got)
         assert (got.embedding.weights.grad_rows is not None) == rows
         apply_updates(state, got.named_parameters(), names)
-        apply_updates_reference(reference, want.named_parameters(), names)
+        adam_step_reference(reference, want.named_parameters(), names)
         self.assert_same(got, state, want, reference)
 
     def assert_same(self, got, state, want, reference):
@@ -557,16 +610,23 @@ class TestRowPath:
         for step, ids in enumerate([DOC_IDS, [[1, 7]]]):
             self.step(got, state, want, reference, ids, seed=step)
 
-    def test_the_padding_row_stays_pinned(self):
+    def test_the_padding_row_keeps_its_zero(self):
+        """No lookup reads id 0, so row 0 never gets a gradient: its
+        moments stay +0.0 and the row keeps its initial +0.0."""
         got, state, want, reference = row_model()
-        pad = got.embedding.weights.data[0].copy()
+        with pytest.raises(ad.AutodiffError, match="index out of range"):
+            walk(got, [[0, 1, 0, 2], [3, 0]])
         for step in range(3):
             for params in (got, want):
                 zero_grads(params.named_parameters().values())
-                walk(params, [[0, 1, 0, 2], [3, 0]], seed=step)
-            assert 0 in got.embedding.weights.grad_rows
+                walk(params, [[1, 2, 1], [3]], seed=step)
+            assert 0 not in got.embedding.weights.grad_rows
             self.compare_step(got, state, want, reference)
-        assert same_bits(got.embedding.weights.data[0], pad)
+        zero = np.zeros(got.embedding_dim, np.float32)
+        by_name = adam_by_name(state)
+        assert same_bits(got.embedding.weights.data[0], zero)
+        assert same_bits(by_name.m["embedding.weights"][0], zero)
+        assert same_bits(by_name.v["embedding.weights"][0], zero)
 
     def test_two_gathers_in_one_backward_step_densely(self):
         got, state, want, reference = row_model()
@@ -591,7 +651,7 @@ class TestRowPath:
         got.embedding.weights.grad, want.embedding.weights.grad = g, g.copy()
         names = sentiment_names(got)
         apply_updates(state, got.named_parameters(), names)
-        apply_updates_reference(reference, want.named_parameters(), names)
+        adam_step_reference(reference, want.named_parameters(), names)
         self.assert_same(got, state, want, reference)
         self.step(got, state, want, reference, [[3, 4]])
 
@@ -648,7 +708,7 @@ class TestRowPath:
                 with Tape():
                     backward(ad.sum_all(ad.rows(t, [row], mask=np.full((1, 2), -1e-44, dtype=np.float32))))
             assert table.grad_rows is not None
-            adam_step(state, {"t": table}, ["t"])
+            apply_updates(state, {"t": table}, ["t"])
             adam_step_reference(reference, {"t": copy}, ["t"])
             assert same_bits(adam_by_name(state).m["t"], reference.m["t"]), step
         assert reference.m["t"][1, 0] == 0.0 and not np.signbit(reference.m["t"][1, 0])
@@ -964,13 +1024,22 @@ class TestCheckpoint:
             # same byte count as the saved [12, 4]: only the shape check catches it
             (lambda h: _set_entry(h, 1, shape=[4, 12]),
              r"parameter 'sent_fwd\.w' has shape \(4, 12\), expected \(12, 4\)"),
+            # (embedding, hidden): every array saved at those widths, whose
+            # shapes fit together but would predict from no features
+            ((0, 3), "bad model dimensions: .* embedding 0, hidden 3"),
+            ((4, 0), "bad model dimensions: .* embedding 4, hidden 0"),
+            ((0, 0), "bad model dimensions: .* embedding 0, hidden 0"),
         ],
     )
     def test_unusable_parameters_rejected_by_to_model(self, tmp_path, mutate, message):
         params, vocab = self.model_and_vocab()
         path = tmp_path / "m.bin"
-        save_checkpoint(Checkpoint.from_model(params, vocab, tiny_config()), path)
-        self.rewrite_header(path, mutate)
+        ckpt = Checkpoint.from_model(params, vocab, tiny_config())
+        if isinstance(mutate, tuple):
+            ckpt.arrays = layer_arrays(len(vocab), *mutate)
+        save_checkpoint(ckpt, path)
+        if callable(mutate):
+            self.rewrite_header(path, mutate)
         with pytest.raises(CheckpointError, match=rf"m\.bin: .*{message}"):
             load_checkpoint(path).to_model()
 
