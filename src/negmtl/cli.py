@@ -28,15 +28,16 @@ from . import __version__
 from . import autodiff as ad
 from .atomic import atomic_open
 from .autodiff import DeterminismError, Tensor, grad_check
-from .corpus import BioTag, CorpusError, corpus_stats, parse_corpus
+from .corpus import BioTag, CorpusError, corpus_stats, decode_json, parse_corpus
 from .crf import CrfParams, crf_nll
 from .evaluation import (
-    ConfusionMatrix,
     EvaluationError,
     PredictionRecord,
     accuracy_of,
     build_run_report,
+    confusion,
     confusion_csv,
+    format_run_report,
     read_predictions,
     relative_confusion,
     require_same_documents,
@@ -84,24 +85,17 @@ def _parse_override(item: str) -> tuple[str, object]:
     if "=" not in item:
         raise ValueError(f"--set expects key=value, got {item!r}")
     key, raw = item.split("=", 1)
-    try:
-        value: object = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw  # bare strings need no quoting
-    except ValueError as e:  # valid JSON that does not decode: an integer too long to convert
-        raise ValueError(f"--set {key}: {e}") from e
-    return key, value
+    # bare strings need no quoting
+    return key, decode_json(raw, lambda e: ValueError(f"--set {key}: {e}"), bare=True)
 
 
 def _effective_config(args) -> TrainConfig:
     """Config file values, then CLI flags, then --set overrides."""
     obj: dict = {}
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                loaded = json.load(fh)
-            except ValueError as e:
-                raise ValueError(f"{args.config}: not a JSON config file ({e})") from e
+        loaded = decode_json(
+            Path(args.config).read_bytes(), lambda e: ValueError(f"{args.config}: not a JSON config file ({e})")
+        )
         if not isinstance(loaded, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
         obj.update(loaded)
@@ -287,12 +281,14 @@ def cmd_ensemble(args) -> int:
         out.preds("test-ensemble", result.test_vote)
     out.jsonl("metrics.jsonl", metrics)
 
-    report = build_run_report([r.dev_predictions for r in result.runs], result.dev_vote)
-    report_obj = {"split": "dev", "seeds": list(config.seeds), **report.to_json_obj()}
+    report = {
+        "split": "dev",
+        "seeds": list(config.seeds),
+        **build_run_report([r.dev_predictions for r in result.runs], result.dev_vote),
+    }
     if result.test_vote is not None:
-        test_report = build_run_report([r.test_predictions for r in result.runs], result.test_vote)
-        report_obj["test"] = test_report.to_json_obj()
-    out.json("report.json", report_obj)
+        report["test"] = build_run_report([r.test_predictions for r in result.runs], result.test_vote)
+    out.json("report.json", report)
 
     out.manifest(
         "ensemble",
@@ -300,7 +296,7 @@ def cmd_ensemble(args) -> int:
         seeds=config.seeds,
         inputs={name: getattr(args, name) for name in ("train", "dev", "test") if getattr(args, name)},
     )
-    sys.stdout.write(report.format_text())
+    sys.stdout.write(format_run_report(report))
     return 0
 
 
@@ -339,13 +335,11 @@ def cmd_predict(args) -> int:
 # eval
 
 
-def _score(records: list[PredictionRecord], path) -> tuple[dict, ConfusionMatrix]:
-    """The report's record of one prediction file, and its confusion matrix."""
+def _score(records: list[PredictionRecord], path) -> dict:
+    """The report's record of one prediction file."""
     if any(r.gold is None for r in records):
         raise EvaluationError(f"{path}: cannot score predictions without gold labels")
-    cm = ConfusionMatrix.from_records(records)
-    record = {"path": str(path), "accuracy": accuracy_of(records), "confusion": [list(row) for row in cm.counts]}
-    return record, cm
+    return {"path": str(path), "accuracy": accuracy_of(records), "confusion": confusion(records)}
 
 
 def _read_scorable(path) -> list[PredictionRecord]:
@@ -360,19 +354,17 @@ def cmd_eval(args) -> int:
     if args.compare:  # checked before anything is printed
         other = _read_scorable(args.compare)
         require_same_documents(records, other, args.pred, args.compare)
-    report = {}
-    report["pred"], cm = _score(records, args.pred)
+    report = {"pred": _score(records, args.pred)}
     print(f"{args.pred}: accuracy {report['pred']['accuracy']:.4f} over {len(records)} documents")
     print(f"confusion (gold x pred, negative/positive): {report['pred']['confusion']}")
     csv_text = None
     if args.compare:
-        report["compare"], other_cm = _score(other, args.compare)
-        diff = relative_confusion(cm, other_cm)
-        csv_text = confusion_csv(diff)
+        report["compare"] = _score(other, args.compare)
+        report["relative_confusion"] = relative_confusion(report["pred"]["confusion"], report["compare"]["confusion"])
+        csv_text = confusion_csv(report["relative_confusion"])
         print(f"{args.compare}: accuracy {report['compare']['accuracy']:.4f}")
         print("relative confusion (pred minus compare):")
         sys.stdout.write(csv_text)
-        report["relative_confusion"] = [[int(v) for v in row] for row in diff]
     if args.out:
         out = _Outputs(args.out)
         out.json("report.json", report)

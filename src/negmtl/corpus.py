@@ -17,8 +17,9 @@ empty list, which asserts "no negation in this sentence".
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -220,21 +221,50 @@ def parse_corpus(path) -> list[Document]:
     ]
 
 
+# a \u escape of a surrogate, and a surrogate itself; looking for the
+# escape of a surrogate rather than any \u spares the lines that escape
+# accents, as json.dumps does by default, a second encoding
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def decode_json(text: str | bytes, error, bare: bool = False):
+    """The value of the JSON text ``text``, bytes read as UTF-8.  Every
+    JSON reader of the package decodes through here, so the decoder's own
+    errors never escape: text that is not JSON (unless ``bare``, which
+    makes such text its own value, a string), bytes that are not UTF-8,
+    an integer too long to convert, nesting too deep to decode, and a
+    string holding a lone surrogate (no UTF-8 text holds one, so it could
+    not be written back) each raise ``error(e)``, the caller's own
+    exception for the decoder's ``e``."""
+    try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        value = json.loads(text)
+        # UTF-8 text spells a surrogate only as an escape; a pair decodes to one character
+        if _SURROGATE_ESCAPE.search(text) and (m := _SURROGATE.search(json.dumps(value, ensure_ascii=False))):
+            raise ValueError(f"a string holds the lone surrogate U+{ord(m.group()):04X}")
+        return value
+    except (ValueError, RecursionError) as e:
+        if bare and isinstance(e, json.JSONDecodeError):
+            return text
+        raise error(e) from e
+
+
 def json_lines(path, error) -> Iterator[tuple[int, object]]:
     """(line number, decoded value) of each non-blank line of the UTF-8
-    JSON-lines file ``path``, counting lines from 1.  A line that is not
-    JSON, or a byte that is not UTF-8, raises ``error(path, line number,
-    message)``."""
+    JSON-lines file ``path``, counting lines from 1.  A line that
+    ``decode_json`` refuses, or a byte that is not UTF-8, raises
+    ``error(path, line number, message)``."""
+
+    def invalid(e: Exception) -> Exception:
+        return error(path, line_no, f"invalid JSON ({getattr(e, 'msg', e)})")
+
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    value = json.loads(line)
-                except ValueError as e:  # a JSONDecodeError, or an integer too long to convert
-                    raise error(path, line_no, f"invalid JSON ({getattr(e, 'msg', e)})") from e
-                yield line_no, value
+                if line.strip():
+                    yield line_no, decode_json(line, invalid)
     except UnicodeDecodeError as e:
         raise error(path, *_first_non_utf8(path, e)) from e
 
@@ -397,21 +427,12 @@ def build_vocab(
 # Statistics
 
 
-@dataclass(frozen=True)
-class SplitStats:
-    documents: int
-    structures: int
-    structures_by_class: dict[str, int] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    splits: dict[str, SplitStats]
-
-
-def corpus_stats(splits: dict[str, Sequence[Document]]) -> CorpusStats:
-    """Count documents and negation structures per split and per sentiment class."""
-    out: dict[str, SplitStats] = {}
+def corpus_stats(splits: dict[str, Sequence[Document]]) -> dict[str, dict]:
+    """Count documents and negation structures per split and per sentiment
+    class: ``{split: {"documents": n, "structures": n,
+    "structures_by_class": {label: n}}}``, the structures of unlabeled
+    documents under ``"unlabeled"``.  ``evaluation.stats_report`` renders it."""
+    out: dict[str, dict] = {}
     for name, docs in splits.items():
         by_class: dict[str, int] = {POSITIVE: 0, NEGATIVE: 0}
         total = 0
@@ -420,5 +441,5 @@ def corpus_stats(splits: dict[str, Sequence[Document]]) -> CorpusStats:
             total += n
             key = doc.label if doc.label is not None else "unlabeled"
             by_class[key] = by_class.get(key, 0) + n
-        out[name] = SplitStats(len(docs), total, by_class)
-    return CorpusStats(out)
+        out[name] = {"documents": len(docs), "structures": total, "structures_by_class": by_class}
+    return out

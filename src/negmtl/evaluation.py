@@ -2,7 +2,11 @@
 
 Prediction files are the source of truth: every number a report shows
 (accuracy, mean/std over seeds, confusion cells) can be recomputed from
-the serialized per-seed prediction records.  Spread across seeds is the
+the serialized per-seed prediction records.  Reports are the plain dicts
+and lists they are written as: a confusion is ``[[int, int], [int, int]]``
+indexed [gold][predicted] in ``corpus.LABELS`` order, a run report the
+dict ``report.json`` holds, and corpus statistics the dict
+``corpus.corpus_stats`` returns.  Spread across seeds is the
 population standard deviation (divide by n, not n-1), which matters at
 n=5 and is therefore labeled in machine-readable output.
 """
@@ -16,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .atomic import atomic_open
-from .corpus import LABELS, BioTag, CorpusStats, json_lines
+from .corpus import LABELS, BioTag, json_lines
 
 
 class EvaluationError(Exception):
@@ -104,43 +108,29 @@ def accuracy_of(records: Sequence[PredictionRecord]) -> float:
     return accuracy([r.gold for r in records], [r.pred for r in records])
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """2x2 counts indexed (gold, predicted) in ``corpus.LABELS`` order."""
-
-    counts: tuple[tuple[int, int], tuple[int, int]]
-
-    @classmethod
-    def from_records(cls, records: Sequence[PredictionRecord]) -> "ConfusionMatrix":
-        counts = [[0, 0], [0, 0]]
-        for r in records:
-            if r.gold is None:
-                raise EvaluationError(f"record {r.id!r} has no gold label")
-            counts[LABELS.index(r.gold)][LABELS.index(r.pred)] += 1
-        return cls(tuple(tuple(row) for row in counts))
-
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.counts, dtype=np.int64)
+def confusion(records: Sequence[PredictionRecord]) -> list[list[int]]:
+    """2x2 counts indexed [gold][predicted] in ``corpus.LABELS`` order."""
+    counts = [[0, 0], [0, 0]]
+    for r in records:
+        if r.gold is None:
+            raise EvaluationError(f"record {r.id!r} has no gold label")
+        counts[LABELS.index(r.gold)][LABELS.index(r.pred)] += 1
+    return counts
 
 
-def relative_confusion(cm_a: ConfusionMatrix, cm_b: ConfusionMatrix) -> np.ndarray:
-    """Cellwise cm_a - cm_b over the same document set; cells sum to 0."""
-    if cm_a.total != cm_b.total:
-        raise EvaluationError(
-            f"confusion matrices cover different totals: {cm_a.total} vs {cm_b.total}"
-        )
-    return cm_a.as_array() - cm_b.as_array()
+def relative_confusion(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Cellwise a - b of two confusions over the same document set; cells sum to 0."""
+    total_a, total_b = sum(map(sum, a)), sum(map(sum, b))
+    if total_a != total_b:
+        raise EvaluationError(f"confusion matrices cover different totals: {total_a} vs {total_b}")
+    return [[x - y for x, y in zip(row_a, row_b)] for row_a, row_b in zip(a, b)]
 
 
-def confusion_csv(matrix: np.ndarray) -> str:
+def confusion_csv(matrix: Sequence[Sequence[int]]) -> str:
     """CSV rendering of a (relative) confusion matrix for external plotting."""
     lines = ["gold\\pred," + ",".join(LABELS)]
-    for label, row in zip(LABELS, np.asarray(matrix)):
-        lines.append(label + "," + ",".join(str(int(v)) for v in row))
+    for label, row in zip(LABELS, matrix):
+        lines.append(label + "," + ",".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -231,78 +221,61 @@ def format_mean_std(values: Sequence[float]) -> str:
     return f"{mean * 100:.1f} ({std * 100:.1f})"
 
 
-@dataclass(frozen=True)
-class RunReport:
-    per_seed_accuracies: tuple[float, ...]
-    mean_accuracy: float
-    std_accuracy: float  # population
-    ensemble_accuracy: float
-    per_seed_confusions: tuple[ConfusionMatrix, ...]
-    ensemble_confusion: ConfusionMatrix
-
-    def to_json_obj(self) -> dict:
-        return {
-            "per_seed_accuracies": list(self.per_seed_accuracies),
-            "mean_accuracy": self.mean_accuracy,
-            "std_accuracy": self.std_accuracy,
-            "std_kind": "population",
-            "formatted": format_mean_std(self.per_seed_accuracies),
-            "ensemble_accuracy": self.ensemble_accuracy,
-            "per_seed_confusions": [
-                [list(row) for row in cm.counts] for cm in self.per_seed_confusions
-            ],
-            "ensemble_confusion": [list(row) for row in self.ensemble_confusion.counts],
-        }
-
-    def format_text(self) -> str:
-        lines = [
-            f"accuracy over {len(self.per_seed_accuracies)} seeds: "
-            f"{format_mean_std(self.per_seed_accuracies)}  [mean (population std), x100]",
-            "per-seed: " + ", ".join(f"{a:.4f}" for a in self.per_seed_accuracies),
-            f"majority-vote ensemble: {self.ensemble_accuracy:.4f}",
-            f"ensemble confusion (gold x pred, order {'/'.join(LABELS)}): "
-            + str([list(row) for row in self.ensemble_confusion.counts]),
-        ]
-        return "\n".join(lines) + "\n"
-
-
 def build_run_report(
     per_seed: Sequence[Sequence[PredictionRecord]],
     ensemble: Sequence[PredictionRecord],
-) -> RunReport:
-    """Assemble the report purely from prediction records, so anything it
-    states can be re-derived from the serialized files."""
+) -> dict:
+    """The report of one split, as ``report.json`` stores it, built purely
+    from prediction records, so anything it states can be re-derived from
+    the serialized files: per-seed accuracies, their mean and population
+    std, the ensemble's accuracy, and each run's confusion."""
     if not per_seed:
         raise EvaluationError("no per-seed predictions")
-    accs = tuple(accuracy_of(run) for run in per_seed)
+    accs = [accuracy_of(run) for run in per_seed]
     mean, std = mean_std(accs)
-    return RunReport(
-        per_seed_accuracies=accs,
-        mean_accuracy=mean,
-        std_accuracy=std,
-        ensemble_accuracy=accuracy_of(ensemble),
-        per_seed_confusions=tuple(ConfusionMatrix.from_records(run) for run in per_seed),
-        ensemble_confusion=ConfusionMatrix.from_records(ensemble),
-    )
+    return {
+        "per_seed_accuracies": accs,
+        "mean_accuracy": mean,
+        "std_accuracy": std,
+        "std_kind": "population",
+        "formatted": format_mean_std(accs),
+        "ensemble_accuracy": accuracy_of(ensemble),
+        "per_seed_confusions": [confusion(run) for run in per_seed],
+        "ensemble_confusion": confusion(ensemble),
+    }
+
+
+def format_run_report(report: dict) -> str:
+    """The lines ``negmtl ensemble`` prints for a ``build_run_report``."""
+    accs = report["per_seed_accuracies"]
+    lines = [
+        f"accuracy over {len(accs)} seeds: {report['formatted']}  [mean (population std), x100]",
+        "per-seed: " + ", ".join(f"{a:.4f}" for a in accs),
+        f"majority-vote ensemble: {report['ensemble_accuracy']:.4f}",
+        f"ensemble confusion (gold x pred, order {'/'.join(LABELS)}): {report['ensemble_confusion']}",
+    ]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # Corpus statistics rendering
 
 
-def stats_report(stats: CorpusStats) -> str:
-    """Fixed-width table of document and negation-structure counts per
-    split, with per-sentiment-class structure counts."""
+def stats_report(stats: dict[str, dict]) -> str:
+    """Fixed-width table of a ``corpus.corpus_stats``: document and
+    negation-structure counts per split, with per-sentiment-class
+    structure counts."""
     headers = ["split", "documents", "structures", "in positive docs", "in negative docs"]
     rows = [headers]
-    for name, split in stats.splits.items():
+    for name, split in stats.items():
+        by_class = split["structures_by_class"]
         rows.append(
             [
                 name,
-                str(split.documents),
-                str(split.structures),
-                str(split.structures_by_class.get("positive", 0)),
-                str(split.structures_by_class.get("negative", 0)),
+                str(split["documents"]),
+                str(split["structures"]),
+                str(by_class.get("positive", 0)),
+                str(by_class.get("negative", 0)),
             ]
         )
     widths = [max(len(row[i]) for row in rows) for i in range(len(headers))]

@@ -44,7 +44,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .autodiff import Tape, Tensor, backward, zero_grads
-from .corpus import Document, Vocabulary, build_vocab, to_bio
+from .corpus import Document, Vocabulary, build_vocab, decode_json, to_bio
 from .evaluation import PredictionRecord, accuracy_of
 # predict_document is not called here; bench/tracing.py wraps training.predict_document
 from .models import (
@@ -621,10 +621,7 @@ def load_checkpoint(path) -> Checkpoint:
     pos += 8
     if len(raw) < pos + header_len:
         raise CheckpointError(f"{path}: truncated header")
-    try:
-        header = json.loads(raw[pos : pos + header_len].decode("utf-8"))
-    except ValueError as e:  # bad UTF-8, bad JSON, or an integer too long to convert
-        raise CheckpointError(f"{path}: unreadable header ({e})") from e
+    header = decode_json(raw[pos : pos + header_len], lambda e: CheckpointError(f"{path}: unreadable header ({e})"))
     pos += header_len
     blobs = _check_header(path, header)
 

@@ -293,9 +293,9 @@ def test_ensemble_protocol_is_reproducible(capsys, tmp_path):
     report = build_run_report(reread, read_predictions(vote_path))
     accs = [accuracy([r.gold for r in run], [r.pred for r in run]) for run in reread]
     mean, std = mean_std(accs)
-    assert report.per_seed_accuracies == tuple(accs)
-    assert report.mean_accuracy == mean
-    assert report.std_accuracy == std
+    assert report["per_seed_accuracies"] == accs
+    assert report["mean_accuracy"] == mean
+    assert report["std_accuracy"] == std
 
     # a checkpoint file reproduces its run's predictions label for label
     for run in ens.runs:
@@ -326,9 +326,9 @@ def test_review_corpus_statistics(capsys):
     }
     stats = corpus_stats(splits)
     for name, (docs, structures) in SFU_EXPECTED.items():
-        got = stats.splits[name]
-        assert (got.documents, got.structures) == (docs, structures), name
-    dev_by_class = stats.splits["dev"].structures_by_class
+        got = stats[name]
+        assert (got["documents"], got["structures"]) == (docs, structures), name
+    dev_by_class = stats["dev"]["structures_by_class"]
     for label, count in SFU_DEV_BY_CLASS.items():
         assert dev_by_class.get(label) == count, label
 

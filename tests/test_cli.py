@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import os
 import platform
@@ -86,6 +87,12 @@ class TestStats:
         bad.write_text('{"id": "a", "domain": "d", "sentences": []}\n')
         assert main(["stats", "--train", str(bad)]) == 1
         assert "line 1" in capsys.readouterr().err
+
+    def test_no_split_is_refused(self, capsys):
+        assert main(["stats"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: stats needs at least one of --train/--dev/--test\n"
+        assert captured.out == ""
 
     def test_optional_artifact(self, corpus, tmp_path, capsys):
         train, dev = corpus
@@ -276,6 +283,29 @@ class TestTrain:
         assert manifest["config"]["mode"] == "stl"  # flag beats file
         assert manifest["config"]["epochs"] == 2  # --set beats file
         assert manifest["config"]["embedding_dim"] == 4  # file value survives
+
+    def test_config_must_be_a_json_object(self, corpus, tmp_path, capsys):
+        train, dev = corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        out = tmp_path / "x"
+        argv = ["train", "--config", str(cfg), "--train", str(train), "--dev", str(dev), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {cfg}: config must be a JSON object"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["stl", "bow"])
+    def test_lone_surrogate_token_is_refused_before_training(self, corpus, tmp_path, capsys, mode):
+        # a checkpoint header cannot store it, so it fails as the corpus is read
+        train, dev = corpus
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(train.read_text().replace('"fun"', '"\\ud800x"'))
+        out = tmp_path / "x"
+        argv = ["train", "--mode", mode, "--train", str(bad), "--dev", str(dev), "--out", str(out), *SMALL]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {bad}: line 1: invalid JSON (a string holds the lone surrogate U+D800)"]
+        assert not out.exists()
 
     def test_bad_override_and_unknown_key(self, corpus, tmp_path, capsys):
         train, dev = corpus
@@ -471,6 +501,25 @@ def test_corpus_errors_name_their_file(command, defect, corpus, tmp_path, capsys
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {where}"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--train", "--dev", "--data"])
+def test_empty_corpus_is_refused_by_name(flag, corpus, tmp_path, capsys):
+    train, dev = corpus
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+    out = tmp_path / "out"
+    if flag == "--data":
+        run = tmp_path / "run"
+        assert main(["train", "--train", str(train), "--dev", str(dev), "--out", str(run), *SMALL]) == 0
+        argv = ["predict", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(empty), "--out", str(out)]
+    else:
+        paths = {"--train": str(train), "--dev": str(dev), flag: str(empty)}
+        argv = ["train", "--mode", "bow", *itertools.chain(*paths.items()), "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {flag[2:]} corpus {empty} is empty"]
     assert not out.exists()
 
 
@@ -699,6 +748,31 @@ class TestGradcheck:
         assert row["worst"].startswith(leaf + "[")
         assert capsys.readouterr().out.splitlines()[-1] == "gradient check: FAIL"
 
+    def test_non_deterministic_component_fails_its_row(self, tmp_path, capsys, monkeypatch):
+        cases = cli._gradcheck_cases
+
+        def with_a_noisy_crf(seed, inject_bug):
+            built = cases(seed, inject_bug)
+            crf_case, ticks = built["crf"], itertools.count()
+
+            def noisy():
+                f, subset = crf_case()
+                return (lambda: Tensor(f().data + next(ticks))), subset
+
+            built["crf"] = noisy
+            return built
+
+        monkeypatch.setattr(cli, "_gradcheck_cases", with_a_noisy_crf)
+        out = tmp_path / "gc"
+        assert main(["gradcheck", "--out", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        message = "two evaluations differed bitwise; finite differences need a deterministic function"
+        assert lines[1] == f"crf        FAIL  {message}"
+        assert lines[-1] == "gradient check: FAIL"
+        rows = json.loads((out / "gradcheck.json").read_text())["components"]
+        assert rows[1] == {"component": "crf", "passed": False, "error": message}
+        assert [row["passed"] for row in rows] == [True, False, True, True]
+
     def test_negative_seed_names_the_flag(self, capsys):
         assert main(["gradcheck", "--seed", "-1"]) == 1
         captured = capsys.readouterr()
@@ -896,30 +970,45 @@ def test_undecodable_json_fails_with_the_sites_own_error(site, corpus, tmp_path,
     """Each JSON decode site raises its module's error, naming the file,
     line or key, and ``main`` prints it as one ``error:`` line.  A config
     file with a syntax error fails the same way."""
+    _check_undecodable(site, HUGE_INT, corpus, tmp_path, capsys)
+
+
+# Deeper than the decoder's recursion limit; half a surrogate pair, which
+# no UTF-8 text holds
+REFUSED_VALUES = {"too-deep": "[" * 5000 + "]" * 5000, "lone-surrogate": '"\\ud800"'}
+
+
+@pytest.mark.parametrize("value", sorted(REFUSED_VALUES))
+@pytest.mark.parametrize("site", ["corpus", "predictions", "checkpoint", "config", "set"])
+def test_refused_json_fails_with_the_sites_own_error(site, value, corpus, tmp_path, capsys):
+    _check_undecodable(site, REFUSED_VALUES[value], corpus, tmp_path, capsys)
+
+
+def _check_undecodable(site, value, corpus, tmp_path, capsys):
     train, dev = corpus
     bad = tmp_path / "bad"
     out = ["--out", str(tmp_path / "out")]
     train_args = ["--train", str(train), "--dev", str(dev), *out]
     if site == "corpus":
-        bad.write_text(train.read_text() + f'{{"id": {HUGE_INT}}}\n')  # line 7
+        bad.write_text(train.read_text() + f'{{"id": {value}}}\n')  # line 7
         call, error, where = (lambda: parse_corpus(bad)), ParseError, f"{bad}: line 7: invalid JSON"
         argv = ["stats", "--train", str(bad)]
     elif site == "predictions":
-        bad.write_text('{"id": "a", "gold": null, "pred": "positive"}\n' + f'{{"id": {HUGE_INT}}}\n')
+        bad.write_text('{"id": "a", "gold": null, "pred": "positive"}\n' + f'{{"id": {value}, "gold": null, "pred": "positive"}}\n')
         call, error, where = (lambda: read_predictions(bad)), EvaluationError, f"{bad}: line 2: "
         argv = ["eval", "--pred", str(bad)]
     elif site == "checkpoint":
-        header = f'{{"version": {HUGE_INT}}}'.encode()
+        header = f'{{"version": {value}}}'.encode()
         bad.write_bytes(training.CHECKPOINT_MAGIC + struct.pack("<Q", len(header)) + header)
         call, error = (lambda: training.load_checkpoint(bad)), training.CheckpointError
         where = f"{bad}: unreadable header"
         argv = ["predict", "--checkpoint", str(bad), "--data", str(dev), *out]
     else:
         if site.startswith("config"):
-            bad.write_text('{"epochs": 2,\n}' if site == "config-syntax" else f'{{"epochs": {HUGE_INT}}}')
+            bad.write_text('{"epochs": 2,\n}' if site == "config-syntax" else f'{{"epochs": {value}}}')
             flags, where = ["--config", str(bad)], f"{bad}: not a JSON config file"
         else:
-            flags, where = ["--set", f"epochs={HUGE_INT}"], "--set epochs: "
+            flags, where = ["--set", f"epochs={value}"], "--set epochs: "
         args = cli.build_parser().parse_args(["train", *flags, *train_args])
         call, error = (lambda: cli._effective_config(args)), ValueError
         argv = ["train", *flags, *train_args]

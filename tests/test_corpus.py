@@ -14,6 +14,7 @@ from negmtl.corpus import (
     Vocabulary,
     build_vocab,
     corpus_stats,
+    decode_json,
     flatten_spans,
     from_bio,
     parse_corpus,
@@ -331,6 +332,53 @@ class TestParseCorpus:
         with pytest.raises(ValidationError, match="must be a list of integers"):
             parse_corpus(path)
 
+    @pytest.mark.parametrize("field", ["id", "domain", "token"])
+    def test_lone_surrogate_names_its_line(self, tmp_path, field):
+        # a \u escape can spell half a surrogate pair, which no UTF-8 text
+        # holds: a checkpoint header could not store such a token
+        rec = record("d2")
+        if field == "token":
+            rec["sentences"][0]["tokens"][1] = "\ud800x"
+        else:
+            rec[field] = "\udc00"
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [record(), rec])
+        with pytest.raises(ParseError) as info:
+            parse_corpus(path)
+        code_point = "D800" if field == "token" else "DC00"
+        assert str(info.value) == f"{path}: line 2: invalid JSON (a string holds the lone surrogate U+{code_point})"
+
+    def test_escaped_surrogate_pair_is_one_character(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(record()).replace('"good"', '"\\ud83d\\ude00"') + "\n")
+        (doc,) = parse_corpus(path)
+        assert doc.sentences[0].tokens == ("no", "\U0001F600")
+
+
+class TestDecodeJson:
+    """Every failure of ``decode_json`` is the caller's error, built from
+    the decoder's own."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["{", "7" * 5000, "[" * 5000 + "]" * 5000, b"\xff", '["\\ud800"]'],
+        ids=["syntax", "long-integer", "too-deep", "not-utf8", "lone-surrogate"],
+    )
+    def test_failures_are_the_callers_error(self, text):
+        with pytest.raises(LookupError) as info:
+            decode_json(text, LookupError)
+        assert isinstance(info.value.args[0], (ValueError, RecursionError))
+
+    def test_bare_text_stands_for_itself_only_when_not_json(self):
+        assert decode_json("stl", LookupError, bare=True) == "stl"
+        assert decode_json("[1, 2]", LookupError, bare=True) == [1, 2]
+        for text in ("7" * 5000, "[" * 5000 + "]" * 5000, '"\\udfff"'):
+            with pytest.raises(LookupError):
+                decode_json(text, LookupError, bare=True)
+
+    def test_bytes_are_read_as_utf8(self):
+        assert decode_json('{"a": ["ñ", 2]}'.encode(), LookupError) == {"a": ["ñ", 2]}
+
 
 # ---------------------------------------------------------------------------
 # Vocabulary
@@ -390,6 +438,15 @@ class TestVocabulary:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             build_vocab([])
+
+    def test_min_count_below_one_rejected(self):
+        with pytest.raises(ValueError, match="min_count must be >= 1, got 0"):
+            build_vocab(self.corpus("a b"), min_count=0)
+
+    @pytest.mark.parametrize("head", [["a", "b"], ["<unk>", "<pad>"], ["<pad>"]])
+    def test_ids_zero_and_one_must_be_the_reserved_names(self, head):
+        with pytest.raises(ValueError, match="ids 0 and 1 are reserved for padding and unknown"):
+            Vocabulary(head + ["x"])
 
     def test_encode(self):
         vocab = build_vocab(self.corpus("a b"))
@@ -453,9 +510,9 @@ class TestCorpusStats:
             ),
         )
         stats = corpus_stats({"train": [pos, neg], "dev": []})
-        train = stats.splits["train"]
-        assert train.documents == 2
-        assert train.structures == 3
-        assert train.structures_by_class == {"positive": 1, "negative": 2}
-        assert stats.splits["dev"].documents == 0
-        assert stats.splits["dev"].structures == 0
+        train = stats["train"]
+        assert train["documents"] == 2
+        assert train["structures"] == 3
+        assert train["structures_by_class"] == {"positive": 1, "negative": 2}
+        assert stats["dev"]["documents"] == 0
+        assert stats["dev"]["structures"] == 0

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from negmtl.corpus import BioTag, CorpusStats, SplitStats
+from negmtl.corpus import BioTag
 from negmtl.evaluation import (
-    ConfusionMatrix,
     EvaluationError,
     PredictionRecord,
-    RunReport,
     accuracy,
     build_run_report,
+    confusion,
     confusion_csv,
+    format_run_report,
     format_mean_std,
     mean_std,
     negation_token_f1,
@@ -118,32 +118,32 @@ class TestConfusion:
             ("positive", "positive"),
             ("positive", "negative"),
         )
-        cm = ConfusionMatrix.from_records(recs)
-        assert cm.counts == ((1, 1), (1, 2))
-        assert cm.total == 5
-        gold_counts = cm.as_array().sum(axis=1)
+        cm = confusion(recs)
+        assert cm == [[1, 1], [1, 2]]
+        assert np.sum(cm) == 5
+        gold_counts = np.sum(cm, axis=1)
         assert list(gold_counts) == [2, 3]
 
     def test_missing_gold_rejected(self):
         with pytest.raises(EvaluationError, match="gold"):
-            ConfusionMatrix.from_records(records((None, "positive")))
+            confusion(records((None, "positive")))
 
     def test_relative_self_is_zero(self):
-        cm = ConfusionMatrix(((3, 1), (2, 4)))
+        cm = [[3, 1], [2, 4]]
         np.testing.assert_array_equal(relative_confusion(cm, cm), np.zeros((2, 2)))
 
     def test_relative_difference_and_antisymmetry(self):
         # one model fixes two wrong negatives: +2 on the neg diagonal, -2 off it
-        a = ConfusionMatrix(((5, 1), (2, 4)))
-        b = ConfusionMatrix(((3, 3), (2, 4)))
+        a = [[5, 1], [2, 4]]
+        b = [[3, 3], [2, 4]]
         diff = relative_confusion(a, b)
         np.testing.assert_array_equal(diff, [[2, -2], [0, 0]])
-        assert diff.sum() == 0
-        np.testing.assert_array_equal(relative_confusion(b, a), -diff)
+        assert np.sum(diff) == 0
+        np.testing.assert_array_equal(relative_confusion(b, a), np.negative(diff))
 
     def test_differing_totals_rejected(self):
-        a = ConfusionMatrix(((1, 0), (0, 1)))
-        b = ConfusionMatrix(((1, 0), (0, 2)))
+        a = [[1, 0], [0, 1]]
+        b = [[1, 0], [0, 2]]
         with pytest.raises(EvaluationError, match="totals"):
             relative_confusion(a, b)
 
@@ -223,20 +223,20 @@ class TestRunReport:
 
         voted = majority_vote(runs)
         report = build_run_report(runs, voted)
-        assert isinstance(report, RunReport)
-        assert report.per_seed_accuracies == pytest.approx((2 / 3, 1 / 3, 2 / 3))
-        mean, std = mean_std(report.per_seed_accuracies)
-        assert report.mean_accuracy == pytest.approx(mean)
-        assert report.std_accuracy == pytest.approx(std)
+        assert isinstance(report, dict)
+        assert report["per_seed_accuracies"] == pytest.approx((2 / 3, 1 / 3, 2 / 3))
+        mean, std = mean_std(report["per_seed_accuracies"])
+        assert report["mean_accuracy"] == pytest.approx(mean)
+        assert report["std_accuracy"] == pytest.approx(std)
         # vote: d0 P/P/N -> P (gold P, hit); d1 N/P/N -> N (hit); d2 P/P/N -> P (miss)
-        assert report.ensemble_accuracy == pytest.approx(2 / 3)
-        assert report.ensemble_confusion.total == 3
+        assert report["ensemble_accuracy"] == pytest.approx(2 / 3)
+        assert np.sum(report["ensemble_confusion"]) == 3
 
     def test_json_discloses_population_std(self):
         runs = self.seed_runs()
         from negmtl.training import majority_vote
 
-        obj = build_run_report(runs, majority_vote(runs)).to_json_obj()
+        obj = build_run_report(runs, majority_vote(runs))
         assert obj["std_kind"] == "population"
         assert obj["formatted"].endswith(")")
         assert len(obj["per_seed_confusions"]) == 3
@@ -245,19 +245,17 @@ class TestRunReport:
         runs = self.seed_runs()
         from negmtl.training import majority_vote
 
-        text = build_run_report(runs, majority_vote(runs)).format_text()
+        text = format_run_report(build_run_report(runs, majority_vote(runs)))
         assert "3 seeds" in text
         assert "ensemble" in text
 
 
 class TestStatsReport:
     def test_rendering(self):
-        stats = CorpusStats(
-            {
-                "train": SplitStats(3, 5, {"positive": 2, "negative": 3}),
-                "dev": SplitStats(0, 0, {}),
-            }
-        )
+        stats = {
+            "train": {"documents": 3, "structures": 5, "structures_by_class": {"positive": 2, "negative": 3}},
+            "dev": {"documents": 0, "structures": 0, "structures_by_class": {}},
+        }
         text = stats_report(stats)
         lines = text.splitlines()
         assert lines[0].split() == ["split", "documents", "structures", "in", "positive", "docs", "in", "negative", "docs"]

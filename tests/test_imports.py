@@ -2,7 +2,8 @@
 every top-level function, class or assigned name is referenced by some
 module, every method, property and class constant is read by some
 module, and every
-JSON decode can fail only with the module's own error, only the
+JSON decode can fail only with the module's own error and goes through
+``corpus.decode_json``, only the
 modules that hold the tape's ops record tape nodes, only the CLI's
 ``_Outputs`` writes artifacts, and ``training`` names no model
 parameter.
@@ -12,7 +13,10 @@ test and makes a module look coupled to code it never calls, and a
 definition nothing references is dead code that the tests keep alive.
 A ``json.load`` outside a ``try`` that catches ``ValueError`` lets a
 plain ``ValueError`` (an integer too long to convert, say) escape with
-no file or line in its message.  A numpy allocation without a ``dtype``
+no file or line in its message, and a ``RecursionError`` from a value
+nested too deep, which no ``ValueError`` handler catches, escapes as a
+traceback: one decoder that turns both into the caller's error keeps
+every reader safe.  A numpy allocation without a ``dtype``
 in the modules that train and predict is float64, and would quietly
 put float32 training back into float64.  A call to
 ``autodiff._make_output`` outside ``autodiff``, ``layers`` and ``crf``
@@ -336,6 +340,73 @@ def test_scan_finds_an_unguarded_json_decode():
         "    pass\n"
     )
     assert unguarded_json_decodes(tree) == [2, 4, 10]
+
+
+# The one function that decodes JSON: it turns each failure of the
+# decoder, a too-deep value's RecursionError among them, into its
+# caller's error, so a reader that decoded JSON itself would bring back
+# the traceback.
+JSON_DECODER = ("corpus", "decode_json")
+
+
+def json_decodes_outside(tree: ast.Module, owner: str | None) -> list[int]:
+    """Lines that name ``json.load`` or ``json.loads`` (a call, an alias
+    such as ``f = json.loads``, or an import from ``json``) outside the
+    top-level function ``owner``."""
+    inside = {
+        id(node)
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == owner
+        for node in ast.walk(fn)
+    }
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in inside
+        and (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("load", "loads")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "json"
+            or isinstance(node, ast.ImportFrom)
+            and node.module == "json"
+            and any(alias.name in ("load", "loads") for alias in node.names)
+        )
+    })
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_json_is_decoded_only_by_the_decoder(path):
+    module, owner = JSON_DECODER
+    lines = json_decodes_outside(ast.parse(path.read_text(), filename=str(path)), owner if path.stem == module else None)
+    assert not lines, "\n".join(f"{path.name}:{line} decodes JSON: call {module}.{owner}" for line in lines)
+
+
+def test_the_decoder_decodes_json():
+    module, owner = JSON_DECODER
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert json_decodes_outside(tree, None) != json_decodes_outside(tree, owner), (
+        f"{module}.{owner} no longer decodes JSON; name the function that does in JSON_DECODER"
+    )
+
+
+def test_scan_finds_a_json_decode_outside_the_decoder():
+    tree = ast.parse(
+        "import json\n"
+        "from json import loads as parse\n"  # 2
+        "def decode_json(text):\n"
+        "    return json.loads(text)\n"
+        "def reader(fh):\n"
+        "    try:\n"
+        "        return json.load(fh)\n"  # 7: guarded, but not the decoder
+        "    except (ValueError, RecursionError):\n"
+        "        pass\n"
+        "class R:\n"
+        "    def decode_json(self, s): return json.loads(s)\n"  # 11: a method of that name
+        "f = json.loads\n"  # 12
+        "json.dumps(f)\n"
+    )
+    assert json_decodes_outside(tree, "decode_json") == [2, 7, 11, 12]
 
 
 # The modules whose buffers hold the working precision of training and

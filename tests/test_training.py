@@ -1098,6 +1098,11 @@ class TestTrainStl:
         with pytest.raises(TrainingError, match="mode"):
             train_stl(tiny_config(mode="mtl"), train, dev)
 
+    def test_neural_training_refuses_bow(self):
+        train, dev = sentiment_corpus()
+        with pytest.raises(TrainingError, match="^neural training supports stl and mtl modes, got 'bow'$"):
+            training.train_neural(tiny_config(mode="bow"), train, dev)
+
     def test_empty_and_unlabeled_corpora_rejected(self):
         train, dev = sentiment_corpus()
         with pytest.raises(TrainingError, match="train corpus is empty"):
@@ -1563,6 +1568,24 @@ class TestBow:
                 w, b, loss, _ = fit_bow(xs, ys, c, max_iters=10_000)
             assert math.isfinite(loss)
             assert grad_norm(w, b, xs, ys, c) < 1e-6
+
+    def test_fit_stops_unconverged_when_no_step_decreases_the_loss(self, monkeypatch):
+        # an uphill direction: every backtracked step raises the loss
+        directions = []
+
+        def uphill(p, xs, gram, c, grad_w, grad_b):
+            directions.append(c)
+            return grad_w * 1e30, grad_b * 1e30, -1.0
+
+        monkeypatch.setattr(training, "_bow_direction", uphill)
+        rng = np.random.default_rng(1)
+        xs = rng.normal(size=(8, 4))
+        ys = (rng.random(8) > 0.5).astype(float)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            TrainingError, match=r"^bow fit at C=1\.0 did not converge: .* after 0 iterations"
+        ):
+            fit_bow(xs, ys, c=1.0)
+        assert directions == [1.0]
 
     def test_unconverged_fit_raises_naming_c_and_gradient(self, monkeypatch):
         train, dev = sentiment_corpus()
