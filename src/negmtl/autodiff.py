@@ -45,19 +45,25 @@ row per index) instead of a dense (V, D) array, so an embedding lookup
 costs O(T·D) in the backward walk rather than O(V·D).  It gathers only
 from a leaf (the model gathers only from ``embedding.weights``), so
 ``backward`` always scatters a ``RowGrad`` into a leaf's ``grad``, with
-one fancy-index add.  A leaf's ``grad`` is still a dense array once any
-gradient reaches it, and the bits equal those of a dense accumulation.
+one fancy-index write (an add, for a later arrival).  A leaf's ``grad``
+is still a dense array once any gradient reaches it, and the bits equal
+those of a dense accumulation.
 
 Where a leaf's gradient lives is up to its optimizer.  A leaf that no
 optimizer has laid out gets a fresh ``zeros_like`` the first time a
-backward walk reaches it.  ``training.AdamState`` keeps each parameter's
-gradient as a view into its group's flat gradient buffer; after a step
-it leaves that view cleared to +0.0 as the tensor's ``spare``, and the
-next walk that reaches the leaf accumulates into the spare instead of
-allocating.  When that first arrival is a ``RowGrad``, the walk records
-its rows on the leaf (``Tensor.grad_rows``): the gradient is +0.0
-everywhere else, so the optimizer reads and clears only those rows.  A
-second arrival, dense or row-sparse, drops the record.
+backward walk reaches it, and every arrival is added into it.
+``training.AdamState`` keeps each parameter's gradient as a view into
+its group's flat gradient buffer, the tensor's ``spare``, and the first
+arrival of a walk overwrites that view instead: the walk writes +0.0
+plus the gradient there, or takes the gradient as written when the op
+wrote it there itself (``grad_view``).  So no view is cleared for a
+backward pass, and the bits are those of the ``zeros_like``
+accumulation.  When that first arrival is a ``RowGrad``, the walk
+records its rows on the leaf (``Tensor.grad_rows``), and the
+view must hold +0.0 everywhere else: the walk clears it first unless
+the tensor's clean record (``Tensor.spare_clean``, which the optimizer
+sets when it clears what it stepped) says it holds only +0.0 already.
+A second arrival, dense or row-sparse, is added in and drops the record.
 
 Not thread safe: the tape stack is module-global.
 """
@@ -150,10 +156,15 @@ class Tensor:
     tensors are produced by recorded operations and hold the ``Node``
     that knows how to differentiate them.
 
-    ``spare`` is a gradient array shaped like ``data`` that holds only
-    +0.0, or None: the optimizer sets it after it has consumed and
-    cleared the gradient, and ``backward`` takes it, instead of
-    allocating, when it first reaches the leaf after ``zero_grads``.
+    ``spare`` is the array the optimizer keeps this tensor's gradient
+    in, shaped like ``data``, or None.  The first arrival of a
+    ``backward`` after ``zero_grads`` overwrites it and binds ``grad`` to
+    it; with no spare, the walk allocates a fresh ``zeros_like``.
+    ``spare_clean`` is the optimizer's record that the spare holds only
+    +0.0: it sets it when it clears the spare, and every write by
+    ``backward`` drops it.  A row-sparse first arrival into a spare that
+    is not clean clears the spare first.  Code that writes into the
+    spare outside ``backward`` must drop the record.
 
     ``grad_rows`` is the record of a row-sparse arrival: the sorted
     unique rows outside which ``grad`` holds only +0.0, or None when
@@ -163,7 +174,7 @@ class Tensor:
     ``grad`` in place must keep it +0.0 outside those rows.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "grad_rows", "spare", "node")
+    __slots__ = ("data", "requires_grad", "grad", "grad_rows", "spare", "spare_clean", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = as_floats(data)
@@ -171,6 +182,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.grad_rows: np.ndarray | None = None
         self.spare: np.ndarray | None = None
+        self.spare_clean = False
         self.node: Node | None = None
 
     @property
@@ -219,18 +231,32 @@ def _ancestors(root: Node) -> list[Node]:
     return sorted(seen, key=lambda n: n.seq, reverse=True)
 
 
+def grad_view(t: Tensor) -> np.ndarray | None:
+    """The array an op's backward pass may write ``t``'s gradient into in
+    place: ``t``'s spare when this is ``t``'s first arrival of the walk,
+    else None.  An op that writes there returns that very array, which
+    ``backward`` then takes as written; its bits must be those of +0.0
+    plus the gradient, so a reduction written there starts from +0.0.
+    Asked of a later arrival it is None, and the op returns a fresh
+    array that the walk adds in."""
+    return t.spare if t.grad is None else None
+
+
 def backward(loss: Tensor):
     """Accumulate d(loss)/d(leaf) into each reachable leaf's ``grad``.
 
     Repeated calls keep accumulating; reset with ``zero_grads`` between
-    passes.  A leaf reached with ``grad`` None starts from +0.0: its
-    ``spare`` if it has one (the optimizer's cleared gradient view),
-    else a fresh ``zeros_like``.  Reaching a leaf uses up its spare, so
-    a spare is only ever taken while it still holds +0.0.  When that
-    first arrival is a ``RowGrad``, its rows become the leaf's
-    ``grad_rows``; any later arrival sets ``grad_rows`` to None.  The walk
-    is the exact reverse of recording order, so gradients are bitwise
-    reproducible for identical forward passes.
+    passes.  A leaf's first arrival after ``zero_grads`` (``grad`` None)
+    overwrites its ``spare`` if it has one (the optimizer's gradient
+    view), else a fresh ``zeros_like``, with +0.0 plus the gradient, and
+    binds ``grad`` to it; a gradient that the op wrote into the spare
+    itself (``grad_view``) is taken as it is.  A ``RowGrad`` first
+    arrival writes its rows, after clearing the spare unless
+    ``spare_clean`` says it holds only +0.0, and its rows become the
+    leaf's ``grad_rows``.  Every later arrival is added into ``grad`` and
+    sets ``grad_rows`` to None.  The walk is the exact reverse of
+    recording order, so gradients are bitwise reproducible for identical
+    forward passes.
 
     A node's backward may return its input gradients as a tuple or
     yield them from a generator, in the order of ``node.inputs``; None
@@ -238,7 +264,8 @@ def backward(loss: Tensor):
     ``zip``, so each yielded gradient is folded into its leaf (or its
     node's pending sum) before the next one is computed: a layer with
     many parameters, such as ``layers.bilstm``, never holds all of its
-    weight gradients at once.
+    weight gradients at once, and an op that yields a leaf twice sees
+    the first arrival landed when it asks ``grad_view`` for the second.
     """
     if loss.data.size != 1:
         raise AutodiffError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -254,19 +281,27 @@ def backward(loss: Tensor):
             if gt is None or not t.requires_grad:
                 continue
             if t.is_leaf:
-                rows = gt.index if isinstance(gt, RowGrad) else None
                 if t.grad is None:
-                    t.grad = np.zeros_like(t.data) if t.spare is None else t.spare
-                    t.grad_rows = rows  # +0.0 outside them
+                    view, clean = (np.zeros_like(t.data), True) if t.spare is None else (t.spare, t.spare_clean)
+                    if isinstance(gt, RowGrad):
+                        if not clean:
+                            view.fill(0.0)
+                        # unique indices, and values summed from +0.0, so
+                        # never -0.0: the bits of +0.0 plus them
+                        view[gt.index] = gt.values
+                        t.grad_rows = gt.index
+                    else:
+                        if gt is not view:
+                            np.add(gt, 0.0, out=view)  # +0.0 + gt: a -0.0 becomes +0.0
+                        t.grad_rows = None
+                    t.grad = view
                 else:
                     t.grad_rows = None
-                t.spare = None
-                if rows is None:
-                    t.grad += gt
-                else:
-                    # unique indices: one fancy-index add is exact, and the
-                    # rows it skips would only have gained +0.0
-                    t.grad[rows] += gt.values
+                    if isinstance(gt, RowGrad):
+                        t.grad[gt.index] += gt.values  # unique indices: one add is exact
+                    else:
+                        t.grad += gt
+                t.spare_clean = False
             else:
                 acc = grads.get(t.node)
                 grads[t.node] = gt if acc is None else acc + gt
@@ -274,9 +309,9 @@ def backward(loss: Tensor):
 
 def zero_grads(tensors: Iterable[Tensor]):
     """Mark each tensor as not reached: ``grad`` and ``grad_rows`` become
-    None, and the next ``backward`` that reaches it starts from +0.0.  No
-    buffer is filled; the arrays a tensor's gradient lives in stay where
-    they are."""
+    None, and the next ``backward`` that reaches it overwrites its spare
+    (or a fresh array) as if from +0.0.  No buffer is filled; the arrays
+    a tensor's gradient lives in stay where they are."""
     for t in tensors:
         t.grad = None
         t.grad_rows = None

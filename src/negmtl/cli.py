@@ -28,7 +28,7 @@ from . import __version__
 from . import autodiff as ad
 from .atomic import atomic_open
 from .autodiff import DeterminismError, Tensor, grad_check
-from .corpus import BioTag, CorpusError, corpus_stats, decode_json, parse_corpus
+from .corpus import BioTag, CorpusError, corpus_stats, decode_json, parse_corpus, shown
 from .crf import CrfParams, crf_nll
 from .evaluation import (
     EvaluationError,
@@ -83,7 +83,7 @@ def _sha256(path: Path) -> str:
 
 def _parse_override(item: str) -> tuple[str, object]:
     if "=" not in item:
-        raise ValueError(f"--set expects key=value, got {item!r}")
+        raise ValueError(f"--set expects key=value, got {shown(item)}")
     key, raw = item.split("=", 1)
     # bare strings need no quoting
     return key, decode_json(raw, lambda e: ValueError(f"--set {key}: {e}"), bare=True)
@@ -105,7 +105,7 @@ def _effective_config(args) -> TrainConfig:
         try:
             obj["seeds"] = [int(s) for s in args.seeds.split(",") if s.strip()]
         except ValueError as e:
-            raise ValueError(f"--seeds expects comma-separated integers, got {args.seeds!r}") from e
+            raise ValueError(f"--seeds expects comma-separated integers, got {shown(args.seeds)}") from e
     for item in getattr(args, "overrides", None) or []:
         key, value = _parse_override(item)
         obj[key] = value

@@ -29,6 +29,22 @@ POSITIVE = "positive"
 LABELS = (NEGATIVE, POSITIVE)
 
 
+# The longest repr of a user-supplied value an error message quotes whole.
+SHOWN_CHARS = 60
+
+
+def shown(value) -> str:
+    """``repr(value)`` for an error message: whole when it is at most
+    ``SHOWN_CHARS`` long, else its first ``SHOWN_CHARS`` characters and
+    the value's length (a string's characters, any other value's repr's),
+    so one bad value cannot make an error line as long as itself."""
+    text = repr(value)
+    if len(text) <= SHOWN_CHARS:
+        return text
+    length = f"a string of {len(value)}" if isinstance(value, str) else f"a repr of {len(text)}"
+    return f"{text[:SHOWN_CHARS]}... ({length} characters)"
+
+
 class CorpusError(Exception):
     """Base class for corpus loading and validation failures."""
 
@@ -46,7 +62,7 @@ class ValidationError(CorpusError):
     """A structurally valid record violates a document invariant."""
 
     def __init__(self, path, doc_id: str, message: str):
-        super().__init__(f"{path}: document {doc_id!r}: {message}")
+        super().__init__(f"{path}: document {shown(doc_id)}: {message}")
         self.path = path
         self.doc_id = doc_id
 
@@ -302,7 +318,7 @@ def _document_from_record(record, path, line_no: int, seen_ids: set[str]) -> Doc
         raise bad("missing or non-string 'domain'")
     label = record.get("label")
     if label is not None and label not in LABELS:
-        raise bad(f"label must be one of {LABELS} or null, got {label!r}")
+        raise bad(f"label must be one of {LABELS} or null, got {shown(label)}")
     raw_sentences = record.get("sentences")
     if not isinstance(raw_sentences, list) or not raw_sentences:
         raise bad("'sentences' must be a non-empty list")

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .atomic import atomic_open
-from .corpus import LABELS, BioTag, json_lines
+from .corpus import LABELS, BioTag, json_lines, shown
 
 
 class EvaluationError(Exception):
@@ -38,9 +38,9 @@ class PredictionRecord:
 
     def __post_init__(self):
         if self.gold is not None and self.gold not in LABELS:
-            raise EvaluationError(f"record {self.id!r}: bad gold label {self.gold!r}")
+            raise EvaluationError(f"record {shown(self.id)}: bad gold label {shown(self.gold)}")
         if self.pred not in LABELS:
-            raise EvaluationError(f"record {self.id!r}: bad predicted label {self.pred!r}")
+            raise EvaluationError(f"record {shown(self.id)}: bad predicted label {shown(self.pred)}")
 
 
 def write_predictions(records: Sequence[PredictionRecord], path):
@@ -64,13 +64,13 @@ def read_predictions(path) -> list[PredictionRecord]:
         try:
             record = PredictionRecord(obj["id"], obj["gold"], obj["pred"])
             if not isinstance(record.id, str) or not record.id:
-                raise ValueError(f"id must be a non-empty string, got {record.id!r}")
+                raise ValueError(f"id must be a non-empty string, got {shown(record.id)}")
             seen = first_line.setdefault(record.id, line_no)
         # ValueError: a bad id; EvaluationError: a bad label
         except (ValueError, KeyError, TypeError, EvaluationError) as e:
             raise bad(path, line_no, f"bad prediction record ({e})") from e
         if seen != line_no:
-            raise bad(path, line_no, f"document {record.id!r} repeats line {seen}")
+            raise bad(path, line_no, f"document {shown(record.id)} repeats line {seen}")
         records.append(record)
     return records
 
@@ -84,14 +84,14 @@ def require_same_documents(
     gold_b = {r.id: r.gold for r in b}
     for doc_id, gold in gold_a.items():
         if doc_id not in gold_b:
-            raise EvaluationError(f"document {doc_id!r} is in {name_a} but not in {name_b}")
+            raise EvaluationError(f"document {shown(doc_id)} is in {name_a} but not in {name_b}")
         if gold_b[doc_id] != gold:
             raise EvaluationError(
-                f"document {doc_id!r} has gold {gold!r} in {name_a} but {gold_b[doc_id]!r} in {name_b}"
+                f"document {shown(doc_id)} has gold {gold!r} in {name_a} but {gold_b[doc_id]!r} in {name_b}"
             )
     for doc_id in gold_b:
         if doc_id not in gold_a:
-            raise EvaluationError(f"document {doc_id!r} is in {name_b} but not in {name_a}")
+            raise EvaluationError(f"document {shown(doc_id)} is in {name_b} but not in {name_a}")
 
 
 def accuracy(gold: Sequence[str], pred: Sequence[str]) -> float:
@@ -113,7 +113,7 @@ def confusion(records: Sequence[PredictionRecord]) -> list[list[int]]:
     counts = [[0, 0], [0, 0]]
     for r in records:
         if r.gold is None:
-            raise EvaluationError(f"record {r.id!r} has no gold label")
+            raise EvaluationError(f"record {shown(r.id)} has no gold label")
         counts[LABELS.index(r.gold)][LABELS.index(r.pred)] += 1
     return counts
 

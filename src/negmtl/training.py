@@ -11,17 +11,18 @@ The optimizer owns the training buffers.  ``train_neural`` lays out each
 parameter group of the model (shared, sentiment, negation) once, before
 the first step, in four flat buffers: parameter values, gradients and
 Adam's two moments, each holding the group's parameters back to back.
-The tensors' values and gradients are views into them, so ``backward``
-accumulates straight into the group's gradient buffer.  Adam runs once
-per group over cache-sized blocks, with two block-sized scratch buffers
-allocated at the first layout and shared by every group, and clears
-each gradient block as it finishes reading it, so a steady-state step
-allocates no gradient, and its array work runs per block, not per
-parameter.  ``apply_updates`` is the one Adam step; it knows no
+The tensors' values and gradients are views into them.  The first
+arrival of each gradient in a ``backward`` overwrites its view, written
+there by the op itself where it can (the BiLSTM's and the affine maps'
+weights), so a steady-state step allocates no gradient and nothing
+clears a dense gradient.  Adam runs once per group over cache-sized
+blocks, with two block-sized scratch buffers allocated at the first
+layout and shared by every group, so its array work runs per block, not
+per parameter.  ``apply_updates`` is the one Adam step; it knows no
 parameter by name.  A row-major matrix larger than a block gets blocks
 of its own, and a gradient that reached it as the rows of one gather
 (the embedding's, after a backward pass) is read and cleared on those
-rows only.
+rows only, which leaves its view clean for the next such gradient.
 
 Determinism contract: (config, seed, corpus) fully determine every
 parameter and prediction.  Each run derives three independent RNG
@@ -44,7 +45,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .autodiff import Tape, Tensor, backward, zero_grads
-from .corpus import Document, Vocabulary, build_vocab, decode_json, to_bio
+from .corpus import Document, Vocabulary, build_vocab, decode_json, shown, to_bio
 from .evaluation import PredictionRecord, accuracy_of
 # predict_document is not called here; bench/tracing.py wraps training.predict_document
 from .models import (
@@ -102,7 +103,7 @@ class TrainConfig:
     def __post_init__(self):
         def require(ok: bool, key: str, what: str):
             if not ok:
-                raise ValueError(f"{key} must be {what}, got {getattr(self, key)!r}")
+                raise ValueError(f"{key} must be {what}, got {shown(getattr(self, key))}")
 
         # types first, so the range checks below only ever compare numbers
         for key in ("seed", "epochs", "embedding_dim", "hidden_dim", "patience", "min_count"):
@@ -131,13 +132,13 @@ class TrainConfig:
         require(bool(self.bow_c_grid) and min(self.bow_c_grid) > 0, "bow_c_grid", "non-empty and positive")
         # a repeated C would be fit twice and scored under one key
         if len(set(self.bow_c_grid)) != len(self.bow_c_grid):
-            raise ValueError(f"bow_c_grid must be distinct, got {list(self.bow_c_grid)}")
+            raise ValueError(f"bow_c_grid must be distinct, got {shown(list(self.bow_c_grid))}")
         # numpy's SeedSequence takes non-negative seeds only
         require(self.seed >= 0, "seed", ">= 0")
         if not self.seeds or min(self.seeds) < 0:
-            raise ValueError(f"seeds must be non-empty and >= 0, got {list(self.seeds)}")
+            raise ValueError(f"seeds must be non-empty and >= 0, got {shown(list(self.seeds))}")
         if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
+            raise ValueError(f"seeds must be distinct, got {shown(list(self.seeds))}")
 
     def to_dict(self) -> dict:
         # JSON-shaped: sequences as lists, so a dict that went through a
@@ -152,7 +153,7 @@ class TrainConfig:
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(obj) - known
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {shown(sorted(unknown))}")
         coerced = dict(obj)
         for key in ("bow_c_grid", "seeds"):
             if isinstance(coerced.get(key), list):
@@ -209,7 +210,14 @@ class AdamGroup:
     between rows, and they step by rows when its gradient carries a row
     record (``Tensor.grad_rows``).  Every other member is packed back to
     back in flat blocks that step densely: a table that fits in one
-    block steps faster densely than by rows."""
+    block steps faster densely than by rows.
+
+    Each member's gradient view is its tensor's ``spare``, which the
+    first arrival of every ``backward`` overwrites.  The group keeps the
+    tensor's clean record (``Tensor.spare_clean``): set at layout, where
+    the view is fresh zeros, and by a step that cleared the rows it read
+    by; ``backward`` drops it as it writes.  A row-sparse first arrival
+    into a view without the record clears the view first."""
 
     def __init__(self, params: dict[str, Tensor], names: Sequence[str], dtype, column_major=()):
         self.names = tuple(names)
@@ -231,7 +239,7 @@ class AdamGroup:
         # (name, tensor, gradient view); a fresh gradient view is a clean spare
         self.members = [(name, params[name], view) for name, view in self.views(self.grad)]
         for _, p, view in self.members:
-            p.spare = view
+            p.spare, p.spare_clean = view, True
         self.blocks = self._cut()
 
     def _cut(self) -> list:
@@ -273,8 +281,8 @@ class AdamGroup:
     def take_grads(self, params: dict[str, Tensor]):
         """Check that every member has a gradient and make its gradient
         view hold it: a ``grad`` array assigned from outside is copied in,
-        the member's ``grad`` rebound to the view and its row record
-        dropped."""
+        the member's ``grad`` rebound to the view and its row record and
+        clean record dropped."""
         for name, p, view in self.members:
             if params.get(name) is not p:
                 raise OptimizerError(f"parameter {name!r} is not the tensor this optimizer laid out")
@@ -283,7 +291,7 @@ class AdamGroup:
                 if g is None:
                     raise OptimizerError(f"parameter {name!r} has no gradient")
                 view[...] = g
-                p.grad, p.spare, p.grad_rows = view, None, None
+                p.grad, p.grad_rows, p.spare_clean = view, None, False
 
 
 @dataclass
@@ -368,18 +376,19 @@ def apply_updates(state: AdamState, params: dict[str, Tensor], names: Sequence[s
 
     The update runs once per group, over its ``AdamGroup.blocks``.
     Within a block every operation writes in place (the moments, the
-    parameter, the gradient, or the state's two scratch views ``a`` and
-    ``b``), in this fixed order:
-    m ← m·β1; v ← v·β2; then the six gradient passes a ← g·(1-β1);
-    m ← m + a; a ← g·(1-β2); a ← a·g; v ← v + a; g ← +0.0; then the
+    parameter, or the state's two scratch views ``a`` and ``b``), in
+    this fixed order of twelve passes:
+    m ← m·β1; v ← v·β2; then the five gradient passes a ← g·(1-β1);
+    m ← m + a; a ← g·(1-β2); a ← a·g; v ← v + a; then the
     five θ-passes b ← √v; b ← b + ε̂; a ← m/b; a ← a·α_t; θ ← θ - a.
     Each pass is one correctly rounded elementwise operation, so the
     order alone fixes the bits: they equal those of the same formula
     with temporaries, parameter by parameter.
 
     A block of a matrix's rows (``AdamGroup``), when the matrix's
-    gradient carries a row record (``Tensor.grad_rows``), runs the six
-    gradient passes only on the recorded rows among them; the decay of m
+    gradient carries a row record (``Tensor.grad_rows``), runs the five
+    gradient passes only on the recorded rows among them, then clears
+    those rows of the gradient to +0.0; the decay of m
     and v and the θ-passes still cover every row.  The other rows hold
     g = +0.0, for which the skipped passes would add +0.0 to m and to v.
     That changes no bit as long as neither moment is -0.0.  m starts at
@@ -391,12 +400,15 @@ def apply_updates(state: AdamState, params: dict[str, Tensor], names: Sequence[s
     A row that never gets a gradient, as the embedding's padding row,
     keeps m = v = +0.0, so each update to it is +0.0.
 
-    Adam consumes the gradient: it clears each gradient entry to +0.0
-    right after the last pass that reads it.  Each member's ``grad``
-    stays bound to its cleared view, which also becomes the tensor's
-    ``spare``, so the next ``backward`` after ``zero_grads`` accumulates
-    into it without allocating, and its row record is dropped.  Stepping
-    again with no ``backward`` in between steps a zero gradient.
+    Adam reads the gradient and leaves it where it is: each member's
+    ``grad`` stays bound to its view, and a dense block's gradient is not
+    cleared, since the first arrival of the next ``backward`` overwrites
+    it.  Only the rows a block steps by are cleared to +0.0 as they are
+    read, after which the whole matrix's view holds +0.0, and the step
+    sets the tensor's clean record (``Tensor.spare_clean``) so the next
+    row-sparse arrival need not clear it.  Stepping again with no
+    ``backward`` in between steps the same gradients again, except that
+    a matrix stepped by rows steps a zero gradient.
     """
     listed = set(names)
     groups = [group for group in state.groups if not listed.isdisjoint(group.names)]
@@ -436,9 +448,8 @@ def apply_updates(state: AdamState, params: dict[str, Tensor], names: Sequence[s
                 np.multiply(g, 1.0 - b2, out=a)
                 a *= g
                 v += a
-                g.fill(0.0)
             else:
-                _, gk, mk, vk, bounds = rows
+                p, gk, mk, vk, bounds = rows
                 r = r[slice(*r.searchsorted(bounds))]
                 if r.size:
                     gr = gk.take(r, axis=0)
@@ -448,13 +459,12 @@ def apply_updates(state: AdamState, params: dict[str, Tensor], names: Sequence[s
                     ar *= gr
                     vk[r] += ar
                     gk[r] = 0.0
+                p.spare_clean = True  # +0.0 outside the recorded rows, and now on them
             np.sqrt(v, out=b)
             b += eps_hat
             np.divide(m, b, out=a)
             a *= alpha
             theta -= a
-        for _, p, view in group.members:
-            p.spare, p.grad_rows = view, None
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +570,7 @@ def _check_header(path, header) -> list[tuple[str, tuple[int, ...], int, int]]:
     # JSON's true and 1.0 compare equal to 1
     if not _is_int(version) or version != CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"{path}: unsupported checkpoint version {version!r} (expected {CHECKPOINT_VERSION})"
+            f"{path}: unsupported checkpoint version {shown(version)} (expected {CHECKPOINT_VERSION})"
         )
     for key in ("config", "vocabulary"):
         if not isinstance(header[key], dict):
@@ -584,21 +594,21 @@ def _check_header(path, header) -> list[tuple[str, tuple[int, ...], int, int]]:
             raise CheckpointError(f"{path}: manifest entry {i} is not an object with a string name")
         name = entry["name"]
         if name in seen:
-            raise CheckpointError(f"{path}: manifest names parameter {name!r} twice")
+            raise CheckpointError(f"{path}: manifest names parameter {shown(name)} twice")
         seen.add(name)
         shape, offset = entry.get("shape"), entry.get("offset")
         if not isinstance(shape, list) or not all(is_count(n) for n in shape):
             raise CheckpointError(
-                f"{path}: parameter {name!r} has shape {shape!r}, not a list of non-negative integers"
+                f"{path}: parameter {shown(name)} has shape {shown(shape)}, not a list of non-negative integers"
             )
         if not is_count(offset):
             raise CheckpointError(
-                f"{path}: parameter {name!r} has offset {offset!r}, not a non-negative integer"
+                f"{path}: parameter {shown(name)} has offset {shown(offset)}, not a non-negative integer"
             )
         if offset != end:
             relation = "overlaps the previous blob" if offset < end else "leaves a gap"
             raise CheckpointError(
-                f"{path}: parameter {name!r} at offset {offset} {relation} (expected offset {end})"
+                f"{path}: parameter {shown(name)} at offset {offset} {relation} (expected offset {end})"
             )
         n_bytes = math.prod(shape) * 4  # Python ints: a huge shape cannot wrap
         blobs.append((name, tuple(shape), offset, n_bytes))
@@ -631,7 +641,7 @@ def load_checkpoint(path) -> Checkpoint:
     for name, shape, lo, n_bytes in blobs:
         end = lo + n_bytes
         if end > body_len:
-            raise CheckpointError(f"{path}: truncated blob for parameter {name!r}")
+            raise CheckpointError(f"{path}: truncated blob for parameter {shown(name)}")
         arrays[name] = np.frombuffer(raw, dtype="<f4", count=n_bytes // 4, offset=pos + lo).reshape(shape)
     if end != body_len:
         raise CheckpointError(f"{path}: {body_len - end} trailing bytes after parameter blobs")
@@ -647,7 +657,7 @@ def _require_labeled(docs: Sequence[Document], split: str):
         raise TrainingError(f"{split} corpus is empty")
     for doc in docs:
         if doc.label is None:
-            raise TrainingError(f"{split} document {doc.id!r} has no sentiment label")
+            raise TrainingError(f"{split} document {shown(doc.id)} has no sentiment label")
 
 
 def _encode_docs(vocab: Vocabulary, docs: Sequence[Document]) -> list[list[list[int]]]:
@@ -709,7 +719,7 @@ def train_neural(config: TrainConfig, train_docs: Sequence[Document], dev_docs: 
         for doc in train_docs:
             if not doc.has_negation_annotations:
                 raise TrainingError(
-                    f"mtl training needs negation annotations; document {doc.id!r} has none"
+                    f"mtl training needs negation annotations; document {shown(doc.id)} has none"
                 )
 
     vocab = build_vocab(train_docs, config.min_count, config.lowercase)

@@ -201,6 +201,124 @@ def test_dropped_loss_frees_its_graph_without_the_collector(op):
 
 
 # ---------------------------------------------------------------------------
+# First arrivals
+
+
+def bits(a: np.ndarray) -> tuple:
+    """Shape, dtype and bytes: tells -0.0 from +0.0."""
+    return a.shape, a.dtype, a.tobytes()
+
+
+def with_spares(arrays: dict, held: float = 7.0, column_major=()) -> dict:
+    """Leaves over copies of ``arrays``, each given a spare as an
+    optimizer keeps one, holding ``held`` everywhere (the gradient a
+    step read and left) and without the clean record; the names in
+    ``column_major`` get column-major spares, as training holds w and u."""
+    leaves = {}
+    for name, a in arrays.items():
+        t = Tensor(a.copy(), requires_grad=True)
+        t.spare = np.full(a.shape, held, dtype=a.dtype, order="F" if name in column_major else "C")
+        leaves[name] = t
+    return leaves
+
+
+def plain(arrays: dict) -> dict:
+    return {name: Tensor(a.copy(), requires_grad=True) for name, a in arrays.items()}
+
+
+class TestFirstArrival:
+    """A leaf's first arrival in a walk overwrites its spare (the
+    optimizer's view, here holding a stale gradient) with the bits a
+    leaf without a spare gets: a fresh ``zeros_like`` plus each arrival.
+    An op may write that first arrival into the spare itself
+    (``grad_view``); any later arrival is added in."""
+
+    @pytest.mark.parametrize("t_len", [1, 2, 5])
+    @pytest.mark.parametrize("column_major", [("w", "u"), ()], ids=["as-trained", "row-major"])
+    def test_a_leaf_reached_twice_sums_both_arrivals(self, t_len, column_major):
+        """One ``LstmParams`` as both directions: its first gradient is
+        written into the spare, its second is a fresh array added in.  A
+        row-major w or u, whose transpose the product cannot be written
+        into, has its first gradient copied in instead."""
+        r = np.random.default_rng(t_len)
+        arrays = {k: (r.normal(size=shape) * 0.5).astype(np.float32)
+                  for k, shape in {"w": (12, 4), "u": (12, 3), "b": (12,), "x": (t_len, 4)}.items()}
+        results = []
+        for leaves in (with_spares(arrays, column_major=column_major), plain(arrays)):
+            p = layers.LstmParams(leaves["w"], leaves["u"], leaves["b"])
+            with Tape():
+                backward(weighted_sum(layers.bilstm(p, p, leaves["x"])))
+            results.append(leaves)
+        laid, fresh = results
+        for name in "wub":
+            assert laid[name].grad is laid[name].spare, name
+            assert bits(laid[name].grad) == bits(fresh[name].grad), name
+        # the forward direction's arrival alone differs: both arrivals count
+        alone = plain(arrays)
+        other = layers.LstmParams(*plain({k: arrays[k] for k in "wub"}).values())
+        with Tape():
+            backward(weighted_sum(layers.bilstm(layers.LstmParams(alone["w"], alone["u"], alone["b"]), other, alone["x"])))
+        assert not np.array_equal(alone["w"].grad, fresh["w"].grad)
+
+    @pytest.mark.parametrize("t_len", [1, 3])
+    def test_a_first_arrival_turns_minus_zero_into_plus_zero(self, t_len):
+        """Where a gradient entry is -0.0, +0.0 plus it is +0.0; the spare
+        gets that too, whether the walk copies the gradient in or the op
+        writes it there.  Half the BiLSTM's output weighs zero, so one
+        direction's gate gradients are all ±0.0."""
+        r = np.random.default_rng(3)
+        arrays = {"x": -np.abs(r.normal(size=(t_len, 4))).astype(np.float32),
+                  "y": np.array([-0.0, 0.0, -1.0], np.float32), "c": np.ones(3, np.float32)}
+        arrays |= {f"{k}{d}": (r.normal(size=shape) * 0.5).astype(np.float32)
+                   for d in "fb" for k, shape in {"w": (8, 4), "u": (8, 2), "b": (8,)}.items()}
+        weights = np.ones((t_len, 4), np.float32)
+        weights[:, :2] = 0.0  # the forward direction's half
+        results = []
+        for leaves in (with_spares(arrays, column_major=("wf", "uf", "wb", "ub")), plain(arrays)):
+            f = layers.LstmParams(leaves["wf"], leaves["uf"], leaves["bf"])
+            b = layers.LstmParams(leaves["wb"], leaves["ub"], leaves["bb"])
+            with Tape():
+                out = layers.bilstm(f, b, leaves["x"])
+                loss = add(ad.sum_all(mul(out, Tensor(weights))), ad.sum_all(mul(leaves["c"], leaves["y"])))
+                backward(loss)
+            results.append(leaves)
+        laid, fresh = results
+        assert np.signbit(mul(Tensor(arrays["c"]), Tensor(arrays["y"])).data).any()
+        assert not fresh["wf"].grad.any() and not fresh["c"].grad[:2].any()
+        for name in arrays:
+            assert laid[name].grad is laid[name].spare, name
+            assert bits(laid[name].grad) == bits(fresh[name].grad), name
+            assert not np.signbit(laid[name].grad[laid[name].grad == 0]).any(), name
+
+    def test_a_row_arrival_clears_a_spare_without_the_clean_record(self):
+        table = np.arange(12, dtype=np.float32).reshape(6, 2)
+        got, want = with_spares({"t": table})["t"], plain({"t": table})["t"]
+        for t in (got, want):
+            with Tape():
+                backward(weighted_sum(ad.rows(t, [4, 1, 4])))
+        assert got.grad is got.spare and got.grad_rows.tolist() == [1, 4]
+        assert bits(got.grad) == bits(want.grad) and not got.spare_clean
+        # with the record, the walk trusts the spare to hold +0.0 and
+        # writes the rows alone
+        got.spare[...], got.spare_clean = 0.0, True
+        got.spare[0] = 9.0  # broken on purpose, to show what decides
+        zero_grads([got])
+        with Tape():
+            backward(weighted_sum(ad.rows(got, [2])))
+        assert got.grad[0].tolist() == [9.0, 9.0] and got.grad[2].any() and not got.spare_clean
+
+    def test_grad_view_offers_the_spare_to_the_first_arrival_only(self):
+        t = with_spares({"t": np.ones(3, np.float32)})["t"]
+        assert ad.grad_view(t) is t.spare
+        with Tape():
+            backward(ad.sum_all(mul(t, t)))
+        assert t.grad is t.spare and ad.grad_view(t) is None
+        zero_grads([t])
+        assert ad.grad_view(t) is t.spare
+        assert ad.grad_view(Tensor(np.ones(3), requires_grad=True)) is None
+
+
+# ---------------------------------------------------------------------------
 # Analytic gradients at hand-computed points
 
 

@@ -1018,3 +1018,57 @@ def _check_undecodable(site, value, corpus, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {where}"), err
     assert not (tmp_path / "out").exists()
+
+
+class TestBoundedValues:
+    """An error quotes a user-supplied value through ``corpus.shown``: a
+    prefix of its repr and its length, so one huge value still gives one
+    short ``error:`` line."""
+
+    LIMIT = 300  # characters in the whole error line
+
+    def one_error_line(self, capsys, argv) -> str:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and captured.out == "", captured.err[:500]
+        assert len(lines[0]) < self.LIMIT, lines[0]
+        return lines[0]
+
+    def test_a_huge_label_names_its_length(self, tmp_path, capsys):
+        path = tmp_path / "huge.jsonl"
+        write_jsonl(path, [doc("d1", "n" * 100_000, [("a b", [])])])
+        line = self.one_error_line(capsys, ["stats", "--train", str(path)])
+        assert "label must be one of" in line and "100000 characters" in line
+
+    def test_a_deeply_nested_override_names_its_length(self, corpus, tmp_path, capsys):
+        train, dev = corpus
+        nested = "[" * 900 + "]" * 900
+        line = self.one_error_line(
+            capsys, ["train", "--train", str(train), "--dev", str(dev), "--out", str(tmp_path / "o"), "--set", f"seeds={nested}"]
+        )
+        # the config holds the decoded list as a tuple
+        assert line.startswith("error: seeds must be a list of integers, got ([[[")
+        assert f"a repr of {len(repr(tuple(json.loads(nested))))} characters" in line
+        assert not (tmp_path / "o").exists()
+
+    def test_an_unlabelled_document_with_a_huge_id_names_its_length(self, corpus, tmp_path, capsys):
+        train, dev = corpus
+        path = tmp_path / "unlabelled.jsonl"
+        write_jsonl(path, [doc("d" * 100_000, None, [("a b", [])])])
+        line = self.one_error_line(capsys, ["train", "--train", str(path), "--dev", str(dev), "--out", str(tmp_path / "o")])
+        assert "has no sentiment label" in line and "100000 characters" in line
+
+    def test_a_huge_document_id_names_its_length(self, tmp_path, capsys):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_jsonl(a, [{"id": "i" * 100_000, "gold": "positive", "pred": "positive"}])
+        write_jsonl(b, [{"id": "j", "gold": "positive", "pred": "positive"}])
+        line = self.one_error_line(capsys, ["eval", "--pred", str(a), "--compare", str(b)])
+        assert "is in" in line and "100000 characters" in line
+
+    def test_short_values_are_quoted_whole(self):
+        from negmtl.corpus import shown
+
+        assert shown("neutral") == "'neutral'" and shown([1, 2]) == "[1, 2]"
+        assert shown("x" * 58) == repr("x" * 58)
+        assert shown("x" * 59) == repr("x" * 59)[:60] + "... (a string of 59 characters)"

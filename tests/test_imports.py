@@ -5,8 +5,9 @@ module, and every
 JSON decode can fail only with the module's own error and goes through
 ``corpus.decode_json``, only the
 modules that hold the tape's ops record tape nodes, only the CLI's
-``_Outputs`` writes artifacts, and ``training`` names no model
-parameter.
+``_Outputs`` writes artifacts, ``training`` names no model
+parameter, and only ``layers._t_matmul`` multiplies by a transposed
+left operand.
 
 AST scans stand in for a linter: an unused import survives every other
 test and makes a module look coupled to code it never calls, and a
@@ -25,7 +26,9 @@ compose the ones the model records.  A CLI command that creates a
 directory or writes a file itself, outside ``_Outputs``, writes an
 artifact its manifest does not list.  A string in ``training`` that
 names a model parameter is the optimizer special-casing one parameter
-of one model, which every other model it steps would then inherit.
+of one model, which every other model it steps would then inherit.  A
+product ``x.T @ g`` written anywhere else runs through numpy's
+``matmul`` outside BLAS when x has one row, several times slower.
 """
 
 import ast
@@ -593,3 +596,72 @@ def test_scan_finds_a_parameter_name():
         'names = ["out.w", "out.b2"]\n'  # 4
     )
     assert parameter_names_named(tree, {"embedding.weights", "out.w"}) == [(1, "embedding.weights"), (4, "out.w")]
+
+
+# The one function that may multiply by a transposed left operand.  At
+# one row, ``a.T @ b`` has an inner dimension of 1, where numpy's
+# ``matmul`` leaves BLAS and runs several times slower than ``np.dot``;
+# the helper sends that row to ``np.dot``.
+ONE_ROW_SAFE = ("layers", "_t_matmul")
+PRODUCT_MODULES = ("autodiff", "layers", "crf")
+
+
+def transposed_products_outside(tree: ast.Module, owner: str | None) -> list[int]:
+    """Lines of ``<x>.T @ …`` and of ``np.matmul(<x>.T, …)`` or
+    ``np.dot(<x>.T, …)`` outside the top-level function ``owner``."""
+
+    def transposed(node: ast.expr) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "T"
+
+    inside = {
+        id(node)
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == owner
+        for node in ast.walk(fn)
+    }
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in inside
+        and (
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) and transposed(node.left)
+            or isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("matmul", "dot")
+            and bool(node.args)
+            and transposed(node.args[0])
+        )
+    })
+
+
+@pytest.mark.parametrize("module", PRODUCT_MODULES)
+def test_transposed_products_go_through_the_one_row_helper(module):
+    helper_module, helper = ONE_ROW_SAFE
+    path = PACKAGE / f"{module}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = transposed_products_outside(tree, helper if module == helper_module else None)
+    assert not lines, "\n".join(
+        f"{path.name}:{line} multiplies by a transposed left operand: call {helper_module}.{helper}" for line in lines
+    )
+
+
+def test_the_helper_holds_the_transposed_products():
+    module, helper = ONE_ROW_SAFE
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert transposed_products_outside(tree, None) != transposed_products_outside(tree, helper), (
+        f"{module}.{helper} no longer multiplies a transposed operand; name the helper that does in ONE_ROW_SAFE"
+    )
+
+
+def test_scan_finds_a_transposed_product():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "def _t_matmul(a, b, out=None):\n"
+        "    return np.dot(a.T, b) if len(a) == 1 else np.matmul(a.T, b, out=out)\n"
+        "def bw(x, g, w):\n"
+        "    gw = (x.T @ g).T\n"  # 5
+        "    np.matmul(g.T, x, out=w)\n"  # 6
+        "    y = np.dot(x.T, g)\n"  # 7
+        "    return x @ w.T, g @ w, np.matmul(x, w.T), x.T\n"
+    )
+    assert transposed_products_outside(tree, "_t_matmul") == [5, 6, 7]

@@ -350,7 +350,10 @@ class TestPackedBilstm:
             np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=1e-12, err_msg=name)
 
     @pytest.mark.parametrize(
-        "t_len, input_dim, hidden", [(1, 3, 2), (6, 3, 4), (40, 100, 100), (10, 200, 100), (9, 64, 64)]
+        "t_len, input_dim, hidden",
+        # one row at flip-train's document level (128 inputs, dims 64) and
+        # at the default dims' document level
+        [(1, 3, 2), (6, 3, 4), (40, 100, 100), (10, 200, 100), (9, 64, 64), (1, 128, 64), (1, 200, 100)],
     )
     @pytest.mark.parametrize("lengths", ["none", "one"])
     def test_one_sequence_gives_the_reference_bytes(self, t_len, input_dim, hidden, lengths):

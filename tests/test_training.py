@@ -17,7 +17,7 @@ from negmtl import training
 from negmtl.autodiff import Tape, Tensor, backward, zero_grads
 from negmtl.corpus import Document, NegationStructure, Sentence, build_vocab
 from negmtl.evaluation import PredictionRecord, accuracy_of
-from negmtl.models import ModelParams, sentiment_loss
+from negmtl.models import ModelParams, negation_loss, sentiment_loss
 from negmtl.training import (
     ADAM_BLOCK,
     AdamState,
@@ -384,10 +384,22 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def step_leaving_gradients(params, named, state):
+    """One backward and step over the sentiment names, which leaves each
+    of their views holding the gradient the step read; the names."""
+    names = sentiment_names(params)
+    sentiment_backward(params)
+    apply_updates(state, named, names)
+    for name in names:
+        assert named[name].grad is named[name].spare and named[name].grad.any(), name
+    return names
+
+
 class TestGradientBinding:
-    """Adam clears the gradients it consumes and leaves them bound as
-    spares for the next backward; what a caller sees of ``grad`` stays as
-    before."""
+    """The first arrival of a gradient in a ``backward`` overwrites the
+    optimizer's view of it, and Adam reads it there and leaves it there.
+    Every test starts after a step that left the views holding the
+    previous gradient."""
 
     def test_grad_is_none_until_backward_reaches_the_leaf(self):
         params, named, state = laid_out_model()
@@ -405,9 +417,7 @@ class TestGradientBinding:
 
     def test_backward_after_zero_grads_starts_from_zero(self):
         params, named, state = laid_out_model()
-        names = sentiment_names(params)
-        sentiment_backward(params)
-        apply_updates(state, named, names)
+        names = step_leaving_gradients(params, named, state)
 
         def fresh_grads():
             fresh = ModelParams.from_arrays({n: p.data.copy() for n, p in named.items()})
@@ -416,7 +426,7 @@ class TestGradientBinding:
 
         want = fresh_grads()
         zero_grads(named.values())
-        sentiment_backward(params)  # into the cleared views Adam left
+        sentiment_backward(params)  # over the gradients the step left
         for name in names:
             group = next(g for g in state.groups if name in g.names)
             assert np.shares_memory(named[name].grad, group.grad), name
@@ -428,7 +438,67 @@ class TestGradientBinding:
         for name in names:
             assert same_bits(named[name].grad, want[name].grad), name
 
-    def test_repeated_steps_without_backward_step_a_zero_gradient(self):
+    def test_weight_gradients_are_written_into_their_views(self):
+        """Each BiLSTM and affine weight gradient is its leaf's first
+        arrival: the op writes it into the optimizer view and hands the
+        walk that very array.  The bytes are those of a model no
+        optimizer lays out, whose gradients are ``zeros_like`` plus each
+        arrival."""
+        params, named, state = laid_out_model()
+        names = step_leaving_gradients(params, named, state)
+        fresh = ModelParams.from_arrays({n: p.data.copy() for n, p in named.items()})
+        sentiment_backward(fresh)
+        zero_grads(named.values())
+        with Tape():
+            loss = sentiment_loss(params, DOC_IDS, 1, train=True, dropout_p=0.3, rng=np.random.default_rng(4))
+        handed = {}  # id(leaf) -> the arrays the ops handed the walk for it
+
+        def spy(node):
+            real = node.backward
+
+            def backward_spied(g):
+                for t, gt in zip(node.inputs, real(g)):
+                    handed.setdefault(id(t), []).append(gt)
+                    yield gt
+
+            node.backward = backward_spied
+
+        for node in ad._ancestors(loss.node):
+            spy(node)
+        backward(loss)
+        layer_weights = [n for n in names if n != "embedding.weights"]
+        assert layer_weights and len(layer_weights) == len(names) - 1
+        for name in layer_weights:
+            p = named[name]
+            assert [gt is p.spare for gt in handed[id(p)]] == [True], name
+            assert p.grad is p.spare, name
+            assert same_bits(p.grad, fresh.named_parameters()[name].grad), name
+            assert fresh.named_parameters()[name].spare is None, name
+
+    def test_a_negation_backward_overwrites_the_held_gradients(self):
+        """The CRF's transition gradient reaches its leaf as a fresh
+        array, which the walk copies into the view over the gradient the
+        last negation step left there."""
+        params, named, state = laid_out_model()
+        groups = params.parameter_groups()
+        names = groups["shared"] + groups["negation"]
+
+        def negation_backward(model, tags):
+            with Tape():
+                backward(negation_loss(model, [1, 2, 3, 4], tags, train=True, dropout_p=0.3, rng=np.random.default_rng(2)))
+
+        negation_backward(params, [0, 1, 2, 0])
+        apply_updates(state, named, names)
+        assert named["crf.transitions"].grad.any()
+        fresh = ModelParams.from_arrays({n: p.data.copy() for n, p in named.items()})
+        negation_backward(fresh, [1, 2, 0, 0])
+        zero_grads(named.values())
+        negation_backward(params, [1, 2, 0, 0])
+        for name in names:
+            assert named[name].grad is named[name].spare, name
+            assert same_bits(named[name].grad, fresh.named_parameters()[name].grad), name
+
+    def test_repeated_steps_without_backward_step_the_held_gradient(self):
         params, named, state = laid_out_model()
         names = sentiment_names(params)
         reference = AdamReference(lr=0.01)
@@ -439,11 +509,9 @@ class TestGradientBinding:
         for _ in range(3):
             apply_updates(state, named, names)
             adam_step_reference(reference, copies, names)
-            for name in names:
-                copies[name].grad = np.zeros_like(copies[name].grad)
         assert {n: adam_by_name(state).t[n] for n in names} == reference.t == dict.fromkeys(names, 3)
         for name in names:
-            assert not np.signbit(named[name].grad).any() and not named[name].grad.any(), name
+            assert same_bits(named[name].grad, copies[name].grad), name
             assert same_bits(named[name].data, copies[name].data), name
 
     def test_assigned_grad_is_stepped(self):
@@ -461,7 +529,8 @@ class TestGradientBinding:
             for name in names:
                 assert same_bits(named[name].data, copies[name].data), (step, name)
         # a step that copies assigned gradients in and then fails on a
-        # group without gradients leaves no dirty spare behind
+        # group without gradients leaves them in the views, which the
+        # next backward overwrites
         zero_grads(named.values())
         for name in params.parameter_groups()["shared"]:
             named[name].grad = np.ones_like(named[name].data)
@@ -485,24 +554,26 @@ class TestGradientBinding:
         assert adam_by_name(state).t == dict.fromkeys(named, 0)
 
     @pytest.mark.parametrize("mode", ["stl", "mtl"])
-    def test_training_steps_accumulate_into_the_group_buffers(self, monkeypatch, mode):
+    def test_training_steps_land_in_the_group_buffers(self, monkeypatch, mode):
         """No step allocates a gradient: every stepped leaf's ``grad`` is
-        a view of its group's gradient buffer, the same buffer at every
-        step, and the step leaves that buffer +0.0."""
+        its optimizer view, in its group's gradient buffer, the same
+        buffer at every step, and the step leaves the gradient it read
+        there."""
         real, steps = training.apply_updates, []
 
         class Stop(Exception):
             pass
 
         def checked(state, params, names):
-            buffers = {}
+            buffers, read = {}, {}
             for name in names:
                 group = next(g for g in state.groups if name in g.names)
+                assert params[name].grad is params[name].spare, name
                 assert np.shares_memory(params[name].grad, group.grad), name
-                buffers[name] = group.grad
+                buffers[name], read[name] = group.grad, params[name].grad.copy()
             real(state, params, names)
-            for name, buf in buffers.items():
-                assert not np.signbit(buf).any() and not buf.any(), name
+            for name in names:
+                assert same_bits(params[name].grad, read[name]), name
             steps.append(buffers)
             if len(steps) == 3:
                 raise Stop
@@ -545,7 +616,8 @@ class TestRowPath:
     on those rows alone.  Every step here goes through a real
     ``backward`` and is compared, bit for bit, with the per-parameter
     reference of the same formula on the dense gradient of an identical
-    copy: parameters, both moments, and a gradient buffer left +0.0."""
+    copy: parameters, both moments, and the gradients the step leaves in
+    the views."""
 
     def step(self, got, state, want, reference, *docs, rows=True, seed=4):
         """``zero_grads``, one backward pass over ``docs`` and one step on
@@ -570,9 +642,17 @@ class TestRowPath:
             if name in reference.m:
                 assert same_bits(by_name.m[name], reference.m[name]), name
                 assert same_bits(by_name.v[name], reference.v[name]), name
-        for group in state.groups:
-            assert not np.signbit(group.grad).any() and not group.grad.any()
-        assert all(p.grad_rows is None for p in got.named_parameters().values())
+        # the step leaves each gradient in its view, except that a matrix
+        # stepped by rows has those rows cleared: its view then holds
+        # +0.0, and its clean record says so
+        by_rows = {id(rows[0]) for g in state.groups for *_, rows in g.blocks if rows is not None}
+        for name, p in got.named_parameters().items():
+            if p.grad is None:
+                continue
+            if id(p) in by_rows and p.grad_rows is not None:
+                assert p.spare_clean and not np.signbit(p.spare).any() and not p.spare.any(), name
+            else:
+                assert not p.spare_clean and same_bits(p.grad, want.named_parameters()[name].grad), name
 
     def test_repeated_ids_and_dropped_entries(self):
         got, state, want, reference = row_model()
@@ -655,14 +735,17 @@ class TestRowPath:
         self.assert_same(got, state, want, reference)
         self.step(got, state, want, reference, [[3, 4]])
 
-    def test_a_step_without_backward_is_a_zero_step(self):
+    def test_a_step_without_backward_steps_the_held_gradients(self):
+        """Each view still holds the gradient the last step read, except
+        the rows the table was stepped by, which that step cleared: the
+        table steps a zero gradient, by rows, and the rest step theirs
+        again."""
         got, state, want, reference = row_model()
         self.step(got, state, want, reference, DOC_IDS)
         names = sentiment_names(got)
+        want.embedding.weights.grad = np.zeros_like(want.embedding.weights.data)
         for _ in range(2):
-            for name in names:
-                want.named_parameters()[name].grad = np.zeros_like(want.named_parameters()[name].data)
-            self.compare_step(got, state, want, reference, rows=False)
+            self.compare_step(got, state, want, reference, rows=True)
         zero_grads(got.named_parameters().values())
         walk(got, [[1, 2]])
         assert got.embedding.weights.grad_rows is not None
@@ -673,7 +756,7 @@ class TestRowPath:
         assert {n: adam_by_name(state).t[n] for n in names} == reference.t
         self.step(got, state, want, reference, [[1, 5]])
 
-    def test_an_optimizer_error_mid_step_leaves_no_stale_record_or_dirty_spare(self):
+    def test_an_optimizer_error_mid_step_leaves_views_the_next_backward_overwrites(self):
         got, state, want, reference = row_model()
         self.step(got, state, want, reference, DOC_IDS)
         groups = got.parameter_groups()
@@ -686,12 +769,30 @@ class TestRowPath:
         emb = named["embedding.weights"]
         assert emb.grad_rows.tolist() == [1, 2, 7]
         assert not np.delete(emb.grad, emb.grad_rows, axis=0).any()
-        assert all(p.spare is None for name, p in named.items() if name in groups["shared"])
-        # the failed step left the views holding gradients, so no spare:
-        # the next backward allocates, and its step copies the gradient
-        # in and drops the record
+        # the failed step left the views holding gradients and no clean
+        # record: the next backward overwrites them, clearing the
+        # table's rows 1, 2 and 7 before it writes rows 3 and 4
+        assert named["sent_fwd.b"].grad is named["sent_fwd.b"].spare
+        assert not any(named[name].spare_clean for name in groups["shared"])
         self.step(got, state, want, reference, [[3, 4]], seed=9)
         self.step(got, state, want, reference, [[1, 2]], seed=10)
+
+    @pytest.mark.parametrize("vocab, dims", [(8, 4), (1400, 50)], ids=["flat-block", "row-blocks"])
+    def test_a_row_arrival_over_a_held_gradient_is_exact(self, vocab, dims):
+        """After a dense step, the table's view holds the gradient it
+        read on every touched row.  A row-sparse first arrival then
+        clears the view before it writes its rows, whether the table
+        shares a flat block or has row blocks of its own."""
+        got, state, want, reference = row_model(vocab, dims)
+        emb = got.embedding.weights
+        assert any(rows is not None for g in state.groups for *_, rows in g.blocks) == (vocab == 1400)
+        self.step(got, state, want, reference, [[1, 2]], [[2, 5]], rows=False)
+        assert not emb.spare_clean and emb.spare[[1, 2, 5]].any(axis=1).all()
+        for step, ids in enumerate([[[3, 6]], [[1, 7]], [[5]]]):
+            self.step(got, state, want, reference, ids, seed=step)
+            touched = sorted(set(sum(ids, [])))
+            assert emb.grad_rows.tolist() == touched
+            assert not np.delete(emb.spare, touched, axis=0).any()
 
     def test_a_small_beta1_steps_densely(self):
         """For β1 ≤ ½, m·β1 can round a negative subnormal to -0.0, and
@@ -995,6 +1096,25 @@ class TestCheckpoint:
         path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + n :])
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda h: {**h, "version": "9" * 5000}, "unsupported checkpoint version '999"),
+            (lambda h: _set_entry(h, 0, shape=[-1] * 5000), "has shape [-1, -1, "),
+            (lambda h: _set_entry(h, 0, offset="x" * 5000), "has offset 'xxx"),
+        ],
+        ids=["version", "shape", "offset"],
+    )
+    def test_a_huge_header_value_is_quoted_by_its_length(self, tmp_path, mutate, message):
+        params, vocab = self.model_and_vocab()
+        path = tmp_path / "m.bin"
+        save_checkpoint(Checkpoint.from_model(params, vocab, tiny_config()), path)
+        self.rewrite_header(path, mutate)
+        with pytest.raises(CheckpointError) as caught:
+            load_checkpoint(path)
+        text = str(caught.value).removeprefix(str(path))
+        assert message in text and "characters)" in text and len(text) < 200, text
 
     def rewrite_header(self, path, mutate):
         raw = path.read_bytes()
